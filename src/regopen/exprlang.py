@@ -12,6 +12,7 @@ Grammar (whitespace-insensitive):
 Operator names are reserved; any other identifier refers to a binding.
 `I(a,b)` denotes the open interval clipped to the space, `pt(c)` the
 clipped singleton, and `neg` is the same Boolean negation as `perp`.
+Operators nest at most MAX_NESTING deep; deeper input is a syntax error.
 """
 from __future__ import annotations
 
@@ -25,6 +26,8 @@ from .space import Region, Space1D, Span, ropen_join, ropen_meet
 UNARY_OPS = ("cl", "int", "reg", "perp", "neg")
 BINARY_OPS = ("join", "meet", "union", "inter", "diff")
 RESERVED = set(UNARY_OPS) | set(BINARY_OPS) | {"I", "pt"}
+# parsing, evaluation and printing recurse once per level, so this bounds the stack
+MAX_NESTING = 200
 
 
 @dataclass(frozen=True)
@@ -120,6 +123,7 @@ class _Parser:
     def __init__(self, text: str):
         self.toks = list(_tokens(text))
         self.pos = 0
+        self.depth = 0
 
     @property
     def cur(self) -> Token:
@@ -141,6 +145,17 @@ class _Parser:
         tok = self.expect("rat", "rational number")
         return parse_rat(tok.text)
 
+    def operand(self) -> Expr:
+        if self.depth == MAX_NESTING:
+            raise ExprSyntaxError(
+                self.cur.line, self.cur.col,
+                [f"at most {MAX_NESTING} nested operators"], self.cur.text,
+            )
+        self.depth += 1
+        out = self.expr()
+        self.depth -= 1
+        return out
+
     def expr(self) -> Expr:
         tok = self.cur
         if tok.kind == "rat":
@@ -160,14 +175,14 @@ class _Parser:
             return PointLit(at)
         if name in UNARY_OPS:
             self.expect("lparen", "(")
-            arg = self.expr()
+            arg = self.operand()
             self.expect("rparen", ")")
             return Unary(name, arg)
         if name in BINARY_OPS:
             self.expect("lparen", "(")
-            left = self.expr()
+            left = self.operand()
             self.expect("comma", ",")
-            right = self.expr()
+            right = self.operand()
             self.expect("rparen", ")")
             return Binary(name, left, right)
         return Name(name)

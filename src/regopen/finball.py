@@ -250,15 +250,6 @@ class VerificationReport:
         return out
 
 
-def _default_homs(p: FiniteDiscreteSpace, f: FinCover, x: FiniteDiscreteSpace):
-    # dual-constructed covers label point k as the evaluation at atom k;
-    # anything else gets the evaluation at its own image point
-    if p.n == x.n:
-        return tuple(TwoValuedHom(k) for k in range(p.n))
-    cod_index = {lab: i for i, lab in enumerate(x.point_labels)}
-    return tuple(TwoValuedHom(cod_index[f.apply(lab)]) for lab in p.point_labels)
-
-
 def verify_projective_cover(
     p: FiniteDiscreteSpace,
     f: FinCover,
@@ -267,12 +258,14 @@ def verify_projective_cover(
 ) -> VerificationReport:
     """Exhaustively check the cover properties of f: P -> X.
 
+    Without `homs`, each point p of P is the evaluation at its image f(p).
     All subsets of both spaces are enumerated, so keep |P| and |X| small.
     """
     if f.domain != p or f.codomain != x:
         raise ValueError("cover does not connect the given spaces")
     if homs is None:
-        homs = _default_homs(p, f, x)
+        cod_index = {lab: i for i, lab in enumerate(x.point_labels)}
+        homs = tuple(TwoValuedHom(cod_index[f.apply(lab)]) for lab in p.point_labels)
     homs = tuple(homs)
     witnesses: dict = {}
 

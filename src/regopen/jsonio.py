@@ -58,13 +58,19 @@ def encode_region(region: Region) -> dict:
     }
 
 
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"inclusion flag must be a JSON boolean, got {value!r}")
+    return value
+
+
 def decode_region(space: Space1D, data: dict) -> Region:
     spans = [
         Span(
             parse_rat(s["lo"]),
             parse_rat(s["hi"]),
-            bool(s["lo_incl"]),
-            bool(s["hi_incl"]),
+            _flag(s["lo_incl"]),
+            _flag(s["hi_incl"]),
         )
         for s in data["spans"]
     ]

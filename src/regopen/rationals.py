@@ -34,6 +34,8 @@ def rat(num: Union[int, str, Rational], den: Optional[int] = None) -> Rational:
 
 def parse_rat(s: str) -> Rational:
     """Parse "p/q" or "n" (q positive). Raises ValueError otherwise."""
+    if not isinstance(s, str):
+        raise ValueError(f"rational literal must be a string, got {s!r}")
     m = _RAT_RE.match(s.strip())
     if not m:
         raise ValueError(f"not a rational literal: {s!r}")

@@ -15,6 +15,8 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
+from operator import and_, itemgetter, or_
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from .errors import EmptySubspace, NotClosed, SpaceMismatch
@@ -157,19 +159,18 @@ class Region:
 
     def union(self, other: "Region") -> "Region":
         _check_space(self, other)
-        return _combine(self, other, lambda a, b: a or b)
+        return _sweep(self.space, or_, self.spans, other.spans)
 
     def intersect(self, other: "Region") -> "Region":
         _check_space(self, other)
-        return _combine(self, other, lambda a, b: a and b)
+        return _sweep(self.space, and_, self.spans, other.spans)
 
     def difference(self, other: "Region") -> "Region":
         _check_space(self, other)
-        return _combine(self, other, lambda a, b: a and not b)
+        return _sweep(self.space, _minus, self.spans, other.spans)
 
     def complement(self) -> "Region":
-        pts = _endpoints(self.spans)
-        return Region(self.space, _rebuild(self.space, pts, lambda x: not self.contains(x)))
+        return _sweep(self.space, _minus, self.space.full_region().spans, self.spans)
 
     # --- topology (relative to the space) ---
 
@@ -228,62 +229,39 @@ def _check_space(a: Region, b: Region) -> None:
         raise SpaceMismatch("regions live over different spaces")
 
 
-def _endpoints(spans: Iterable[Span]) -> list[Rational]:
-    pts = []
-    for s in spans:
-        pts.append(s.lo)
-        pts.append(s.hi)
-    return pts
+def _minus(a: bool, b: bool) -> bool:
+    return a and not b
 
 
-def _rebuild(space: Space1D, breakpoints: Iterable[Rational], member: Callable[[Rational], bool]) -> tuple[Span, ...]:
-    """Reassemble canonical spans from an exact membership predicate.
+def _sweep(space: Space1D, op: Callable[..., bool], *groups: Iterable[Span]) -> Region:
+    """Combine groups of nonempty spans pointwise by `op` in one boundary sweep.
 
-    Membership must be constant on the open intervals between consecutive
-    breakpoints inside each component; it is sampled at midpoints.
+    A boundary is a cut (value, after): after=False sits just before the
+    value and after=True just after it, so a span is the half-open cut range
+    [(lo, not lo_incl), (hi, hi_incl)).  Each group keeps a coverage count,
+    and a cut is emitted wherever `op` of the covered flags flips.  `op` of
+    all-False must be False.  Runs come out maximal, so a result that lies
+    inside the space is canonical.
     """
-    bps = sorted(set(breakpoints))
-    out: list[Span] = []
-    for comp in space.components:
-        if isinstance(comp, Point):
-            if member(comp.at):
-                out.append(Span(comp.at, comp.at, True, True))
-            continue
-        pts = [comp.a] + [p for p in bps if comp.a < p < comp.b] + [comp.b]
-        cur: Optional[list] = None  # [lo, hi, lo_incl, hi_incl]
-        for i, p in enumerate(pts):
-            if member(p):
-                if cur is not None and cur[1] == p:
-                    cur[3] = True
-                else:
-                    if cur is not None:
-                        out.append(Span(*cur))
-                    cur = [p, p, True, True]
-            else:
-                if cur is not None:
-                    out.append(Span(*cur))
-                    cur = None
-            if i + 1 < len(pts):
-                q = pts[i + 1]
-                if member((p + q) / 2):
-                    if cur is not None and cur[1] == p and cur[3]:
-                        cur[1], cur[3] = q, False
-                    else:
-                        if cur is not None:
-                            out.append(Span(*cur))
-                        cur = [p, q, False, False]
-                else:
-                    if cur is not None:
-                        out.append(Span(*cur))
-                        cur = None
-        if cur is not None:
-            out.append(Span(*cur))
-    return tuple(out)
-
-
-def _combine(a: Region, b: Region, op: Callable[[bool, bool], bool]) -> Region:
-    pts = _endpoints(a.spans) + _endpoints(b.spans)
-    return Region(a.space, _rebuild(a.space, pts, lambda x: op(a.contains(x), b.contains(x))))
+    events = []
+    for g, spans in enumerate(groups):
+        for s in spans:
+            events.append((s.lo, not s.lo_incl, g, 1))
+            events.append((s.hi, s.hi_incl, g, -1))
+    events.sort()
+    count = [0] * len(groups)
+    cuts: list = []
+    inside = False
+    for cut, at_cut in groupby(events, key=itemgetter(0, 1)):
+        for _, _, g, step in at_cut:
+            count[g] += step
+        if op(*(c > 0 for c in count)) != inside:
+            cuts.append(cut)
+            inside = not inside
+    return Region(space, tuple(
+        Span(lo, hi, not lo_after, hi_after)
+        for (lo, lo_after), (hi, hi_after) in zip(cuts[::2], cuts[1::2])
+    ))
 
 
 def canonicalize(space: Space1D, raw_spans: Iterable[Span]) -> CanonicalizeResult:
@@ -293,15 +271,7 @@ def canonicalize(space: Space1D, raw_spans: Iterable[Span]) -> CanonicalizeResul
     """
     live = [s for s in raw_spans if not s.is_empty]
     clipped = any(not _inside_some_component(space, s) for s in live)
-
-    def member(x: Rational) -> bool:
-        for s in live:
-            if s.contains(x):
-                return True
-        return False
-
-    spans = _rebuild(space, _endpoints(live), member)
-    return CanonicalizeResult(Region(space, spans), clipped)
+    return CanonicalizeResult(_sweep(space, and_, space.full_region().spans, live), clipped)
 
 
 def _inside_some_component(space: Space1D, s: Span) -> bool:

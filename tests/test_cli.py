@@ -354,6 +354,26 @@ class TestRobustness:
         out2 = capsys.readouterr().out
         assert (code1, out1) == (code2, out2)
 
+    def test_string_flag_is_input_error(self, capsys):
+        # the string "false" is malformed input, not a truthy flag
+        v = '{"spans":[{"lo":"1/4","hi":"1/2","lo_incl":"false","hi_incl":false}]}'
+        code, out = run(capsys, "cover", "psi", "--map", plmap_json(halving()), "--region", v)
+        assert code == 2 and out["at"] == "ValueError"
+
+    def test_number_rational_is_input_error(self, capsys):
+        # rationals travel as strings; a JSON number is malformed input
+        v = '{"spans":[{"lo":0,"hi":"1/2","lo_incl":false,"hi_incl":false}]}'
+        code, out = run(
+            capsys, "region", "eval", "--space", UNIT_JSON, "--expr", "v", "--bind", f"v={v}"
+        )
+        assert code == 2 and out["at"] == "ValueError"
+
+    def test_deep_nesting_is_input_error(self, capsys):
+        # nesting past the parser limit is a syntax error, not a RecursionError
+        expr = "perp(" * 3000 + "I(0,1/2)" + ")" * 3000
+        code, out = run(capsys, "region", "eval", "--space", UNIT_JSON, "--expr", expr)
+        assert code == 2 and out["at"]["found"] == "perp"
+
     def test_file_inputs(self, tmp_path, capsys):
         path = tmp_path / "space.json"
         path.write_text(UNIT_PT_JSON, encoding="utf-8")

@@ -199,12 +199,21 @@ class TestVerifyFixtures:
         assert not report.surjective
 
     def test_twisted_bijection_fails_hom_checks_but_stays_rigid(self):
+        # homs that label point k as the evaluation at atom k disagree with the twist
         x = FiniteDiscreteSpace(("a", "b"))
         p = FiniteDiscreteSpace(("p0", "p1"))
         f = FinCover(p, x, (("p0", "b"), ("p1", "a")))
-        report = verify_projective_cover(p, f, x)
+        report = verify_projective_cover(p, f, x, (TwoValuedHom(0), TwoValuedHom(1)))
         assert report.surjective and report.irreducible and report.rigid
         assert not report.phi_eq_cl_preimage
+
+    def test_permuted_bijection_verifies_by_default(self):
+        # same-size covers get no special homs: p is evaluated at its image f(p)
+        x = FiniteDiscreteSpace(("a", "b", "c"))
+        p = FiniteDiscreteSpace(("p", "q", "r"))
+        f = FinCover(p, x, (("p", "b"), ("q", "c"), ("r", "a")))
+        report = verify_projective_cover(p, f, x)
+        assert report.all_ok, report.witnesses
 
 
 class TestUniqueHomeomorphism:

@@ -43,6 +43,18 @@ def spans_of(r: Region):
     return [(str(s.lo), str(s.hi), s.lo_incl, s.hi_incl) for s in r.spans]
 
 
+def assert_canonical(r: Region) -> None:
+    """Structural invariants that, with membership, pin the canonical form."""
+    bounds = [(c.at, c.at) if isinstance(c, Point) else (c.a, c.b) for c in r.space.components]
+    for s in r.spans:
+        # nonempty, and a one-point span has both flags set
+        assert s.lo < s.hi or (s.lo == s.hi and s.lo_incl and s.hi_incl), s
+        assert any(lo <= s.lo and s.hi <= hi for lo, hi in bounds), s
+    for s, t in zip(r.spans, r.spans[1:]):
+        # sorted and disjoint, with at least one missing point between: no merge
+        assert s.hi < t.lo or (s.hi == t.lo and not s.hi_incl and not t.lo_incl), (s, t)
+
+
 class TestSpaceValidation:
     def test_components_must_be_sorted_with_gaps(self):
         with pytest.raises(ValueError):
@@ -107,6 +119,18 @@ class TestCanonicalize:
             for x in probes:
                 want = space.contains(x) and any(s.contains(x) for s in raw)
                 assert reg.contains(x) == want
+
+
+class TestCanonicalInvariants:
+    @settings(max_examples=60)
+    @given(st.integers(0, 2**32 - 1))
+    def test_construction_and_set_operations_are_canonical(self, seed):
+        rng = random.Random(seed)
+        for space in FIXTURE_SPACES:
+            a = canonicalize(space, random_raw_spans(space, rng, count=8)).region
+            b = random_region(space, rng, count=8)
+            for r in (a, b, a.union(b), a.intersect(b), a.difference(b), a.complement()):
+                assert_canonical(r)
 
 
 class TestRelativeTopology:
@@ -213,6 +237,7 @@ class TestGridOracleAgreement:
             va, vb = oracle.vec(a), oracle.vec(b)
             assert oracle.vec(a.union(b)) == oracle.union(va, vb)
             assert oracle.vec(a.intersect(b)) == oracle.inter(va, vb)
+            assert oracle.vec(a.difference(b)) == oracle.inter(va, oracle.compl(vb))
             assert oracle.vec(a.complement()) == oracle.compl(va)
             assert oracle.vec(a.closure()) == oracle.closure(va)
             assert oracle.vec(a.interior()) == oracle.interior(va)
