@@ -34,12 +34,12 @@ from .plmap import (
     is_irreducible,
 )
 from .cover_iso import (
-    CoverBackend,
+    BooleanSide,
+    Cover,
     PLMapBackend,
     CantorBackend,
     check_essential,
     compose_equivalence,
-    apply_composed,
 )
 from .cantor import (
     CantorClopen,

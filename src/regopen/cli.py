@@ -6,10 +6,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from typing import Optional
 
 from . import boolequiv, cantor, jsonio
-from .cover_iso import PLMapBackend, apply_composed, check_essential, compose_equivalence
+from .cover_iso import PLMapBackend, check_essential, compose_equivalence
 from .errors import (
     ExprSyntaxError,
     NotIrreducible,
@@ -34,10 +35,16 @@ EXIT_OK = 0
 EXIT_VERDICT = 1
 EXIT_INPUT = 2
 
+# `gleason` enumerates every subset for each point, n·2ⁿ work: 16 points
+# take a few seconds, 30 would take hours.
+MAX_GLEASON_POINTS = 16
 
-def _load(source: str) -> dict:
-    """A JSON object, inline if the argument starts with a brace."""
-    if source.lstrip().startswith("{"):
+
+def _load(source: str):
+    """A JSON value, inline if the argument starts with a brace or bracket, else a file."""
+    if source is None:
+        raise ValueError("a JSON argument this operation needs is missing")
+    if source.lstrip()[:1] in ("{", "["):
         return json.loads(source)
     with open(source, "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -48,7 +55,7 @@ def _emit(payload) -> None:
 
 
 def _descriptor_from(source: str) -> boolequiv.SpaceDescriptor:
-    data = _load(source)
+    data = jsonio._object(_load(source), "a descriptor")
     comps = data.get("components", [])
     if comps and ("a" in comps[0] or "at" in comps[0]):
         return boolequiv.from_space1d(jsonio.decode_space(data))
@@ -127,6 +134,8 @@ def _cmd_cantor_phi(args) -> int:
 
 
 def _cmd_gleason(args) -> int:
+    if args.points > MAX_GLEASON_POINTS:
+        raise ValueError(f"--points is at most {MAX_GLEASON_POINTS}")
     labels = tuple(f"x{i}" for i in range(args.points))
     space = FiniteDiscreteSpace(labels)
     result = gleason_cover(space)
@@ -175,15 +184,15 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_compose(args) -> int:
-    f = PLMapBackend(jsonio.decode_plmap(_load(args.left)), "left")
-    g = PLMapBackend(jsonio.decode_plmap(_load(args.right)), "right")
-    ce = compose_equivalence(f, g)
+    left = jsonio.decode_plmap(_load(args.left))
+    right = jsonio.decode_plmap(_load(args.right))
+    ce = compose_equivalence(PLMapBackend(left, "left"), PLMapBackend(right, "right"))
     if args.region is None:
-        _emit({"ok": True, "domain_key": f.domain_key})
+        _emit({"ok": True, "domain_key": ce.f.dom.key})
         return EXIT_OK
-    space = g.map.codomain if args.direction == "forward" else f.map.codomain
-    v = jsonio.decode_region(space, _load(args.region))
-    out = apply_composed(ce, v, args.direction)
+    forward = args.direction == "forward"
+    v = jsonio.decode_region(right.codomain if forward else left.codomain, _load(args.region))
+    out = ce.forward(v) if forward else ce.backward(v)
     _emit({"region": jsonio.encode_region(out)})
     return EXIT_OK
 
@@ -288,7 +297,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except RegopenError as exc:
         _emit({"error": str(exc), "at": type(exc).__name__})
         return EXIT_INPUT
-    except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, OSError) as exc:
+        _emit({"error": str(exc), "at": type(exc).__name__})
+        return EXIT_INPUT
+    except Exception as exc:  # no input may end in a traceback and exit 1
+        traceback.print_exc(file=sys.stderr)
         _emit({"error": str(exc), "at": type(exc).__name__})
         return EXIT_INPUT
 

@@ -1,31 +1,23 @@
-"""Backend-generic checks for essential covers and composed equivalences.
+"""Covers as two Boolean sides and the induced psi/phi pair.
 
-A backend wraps one concrete cover (a piecewise-linear map, or the binary
-map out of Cantor space) behind a uniform face: Boolean operations on both
-sides, the induced psi/phi pair, and seeded element generators.  The
-engine then runs the same surjectivity / irreducibility / law / inverse
-battery against any backend, and composes two covers over a common domain
-into an equivalence of their codomain algebras.
+A cover (a piecewise-linear map, or the binary map out of Cantor space)
+is a pair of Boolean sides -- the regular-open or clopen algebra of its
+domain and of its codomain -- plus psi: dom -> cod, phi: cod -> dom and
+one surjectivity/irreducibility decision.  The engine runs the same
+law / inverse battery against any cover, and composes two covers over a
+common domain into an equivalence of their codomain algebras.
 """
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from . import cantor as _cantor
-from .errors import DomainMismatch, NotIrreducible, SpaceMismatch
-from .plmap import PLMap, identity_map, is_irreducible
-from .space import (
-    Interval,
-    Point,
-    Region,
-    Space1D,
-    random_regular_open,
-    ropen_join,
-    ropen_meet,
-    ropen_neg,
-)
+from .errors import DomainMismatch, NotIrreducible, NotSurjective
+from .jsonio import encode_clopen, encode_region
+from .plmap import PLMap, is_irreducible
+from .space import Point, Space1D, random_regular_open, ropen_join, ropen_meet, ropen_neg
 
 
 def space_key(space: Space1D) -> str:
@@ -38,194 +30,75 @@ def space_key(space: Space1D) -> str:
     return "|".join(parts)
 
 
-class CoverBackend:
-    """One essential-cover candidate behind a uniform interface."""
+@dataclass(frozen=True)
+class BooleanSide:
+    """One Boolean algebra of a cover: operations, a seeded generator, a JSON form."""
 
-    name: str = "abstract"
-    domain_key: str
-    codomain_key: str
-
-    # Boolean structure on the domain side
-    def dom_join(self, a, b):
-        raise NotImplementedError
-
-    def dom_meet(self, a, b):
-        raise NotImplementedError
-
-    def dom_neg(self, a):
-        raise NotImplementedError
-
-    # Boolean structure on the codomain side
-    def cod_join(self, a, b):
-        raise NotImplementedError
-
-    def cod_meet(self, a, b):
-        raise NotImplementedError
-
-    def cod_neg(self, a):
-        raise NotImplementedError
-
-    def psi(self, u):
-        raise NotImplementedError
-
-    def phi(self, v):
-        raise NotImplementedError
-
-    def random_dom(self, rng: random.Random):
-        raise NotImplementedError
-
-    def random_cod(self, rng: random.Random):
-        raise NotImplementedError
-
-    def check_surjective(self) -> bool:
-        raise NotImplementedError
-
-    def check_irreducible(self) -> tuple[bool, Optional[Any], str]:
-        """(irreducible, witness or None, reason)."""
-        raise NotImplementedError
-
-    def encode(self, elem) -> Any:
-        """JSON-ready form of an element, for report witnesses."""
-        return repr(elem)
+    key: str
+    join: Callable[[Any, Any], Any]
+    meet: Callable[[Any, Any], Any]
+    neg: Callable[[Any], Any]
+    random: Callable[[random.Random], Any]
+    encode: Callable[[Any], Any]
 
 
-class PLMapBackend(CoverBackend):
-    def __init__(self, m: PLMap, name: str = "plmap", complexity: int = 3):
-        self.map = m
-        self.name = name
-        self.domain_key = space_key(m.domain)
-        self.codomain_key = space_key(m.codomain)
-        self.complexity = complexity
-
-    def dom_join(self, a, b):
-        return ropen_join(a, b)
-
-    def dom_meet(self, a, b):
-        return ropen_meet(a, b)
-
-    def dom_neg(self, a):
-        return ropen_neg(a)
-
-    cod_join = dom_join
-    cod_meet = dom_meet
-    cod_neg = dom_neg
-
-    def psi(self, u):
-        return self.map.psi(u)
-
-    def phi(self, v):
-        return self.map.phi(v)
-
-    def random_dom(self, rng):
-        return random_regular_open(self.map.domain, rng.randrange(2**62), self.complexity)
-
-    def random_cod(self, rng):
-        return random_regular_open(self.map.codomain, rng.randrange(2**62), self.complexity)
-
-    def check_surjective(self):
-        return self.map.is_surjective()
-
-    def check_irreducible(self):
-        v = is_irreducible(self.map)
-        return v.irreducible, v.witness, v.reason
-
-    def encode(self, elem):
-        from .jsonio import encode_region
-
-        return encode_region(elem)
+# (surjective, irreducible, witness in the domain or None, reason)
+Decision = tuple[bool, bool, Optional[Any], str]
 
 
-class CantorBackend(CoverBackend):
+@dataclass(frozen=True)
+class Cover:
+    """A cover dom -> cod seen through its Boolean sides."""
+
+    name: str
+    dom: BooleanSide
+    cod: BooleanSide
+    psi: Callable[[Any], Any]
+    phi: Callable[[Any], Any]
+    decide: Callable[[], Decision]
+
+
+def region_side(space: Space1D, draw: Callable[[random.Random], Any]) -> BooleanSide:
+    """The regular-open algebra of a space, with `draw` as its generator."""
+    return BooleanSide(space_key(space), ropen_join, ropen_meet, ropen_neg, draw, encode_region)
+
+
+def PLMapBackend(m: PLMap, name: str = "plmap", complexity: int = 3) -> Cover:
+    """The cover a piecewise-linear map gives; samples draw regular opens of `complexity`."""
+
+    def side(space: Space1D) -> BooleanSide:
+        return region_side(
+            space, lambda rng: random_regular_open(space, rng.randrange(2**62), complexity)
+        )
+
+    def decide() -> Decision:
+        try:
+            v = is_irreducible(m)
+        except NotSurjective:
+            return False, False, None, "not surjective"
+        return True, v.irreducible, v.witness, v.reason
+
+    return Cover(name, side(m.domain), side(m.codomain), m.psi, m.phi, decide)
+
+
+def CantorBackend(depth: int = 6, check_depth: int = 8) -> Cover:
     """The binary-expansion cover of [0,1] on its dyadic subalgebra."""
+    words = BooleanSide(
+        "cantor", _cantor.clopen_union, _cantor.clopen_inter, _cantor.clopen_compl,
+        lambda rng: _cantor.random_clopen(rng, depth), encode_clopen,
+    )
+    unit = region_side(
+        _cantor.UNIT_INTERVAL, lambda rng: _cantor.random_dyadic_regular_open(rng, depth)
+    )
 
-    def __init__(self, depth: int = 6, check_depth: int = 8):
-        self.name = "cantor"
-        self.domain_key = "cantor"
-        self.codomain_key = space_key(_cantor.UNIT_INTERVAL)
-        self.depth = depth
-        self.check_depth = check_depth
-
-    def dom_join(self, a, b):
-        return _cantor.clopen_union(a, b)
-
-    def dom_meet(self, a, b):
-        return _cantor.clopen_inter(a, b)
-
-    def dom_neg(self, a):
-        return _cantor.clopen_compl(a)
-
-    def cod_join(self, a, b):
-        return ropen_join(a, b)
-
-    def cod_meet(self, a, b):
-        return ropen_meet(a, b)
-
-    def cod_neg(self, a):
-        return ropen_neg(a)
-
-    def psi(self, u):
-        return _cantor.psi_c(u)
-
-    def phi(self, v):
-        return _cantor.phi_c(v)
-
-    def random_dom(self, rng):
-        return _cantor.random_clopen(rng, self.depth)
-
-    def random_cod(self, rng):
-        return _cantor.random_dyadic_regular_open(rng, self.depth)
-
-    def check_surjective(self):
+    def decide() -> Decision:
         full = _cantor.UNIT_INTERVAL.full_region()
-        return _cantor.closed_value_region(_cantor.FULL) == full
+        if _cantor.closed_value_region(_cantor.FULL) != full:
+            return False, False, None, "not surjective"
+        rep = _cantor.check_irreducible_cantor(check_depth)
+        return True, rep.ok, None, rep.note
 
-    def check_irreducible(self):
-        rep = _cantor.check_irreducible_cantor(self.check_depth)
-        return rep.ok, None, rep.note
-
-    def encode(self, elem):
-        if isinstance(elem, _cantor.CantorClopen):
-            return {"words": list(elem.words)}
-        from .jsonio import encode_region
-
-        return encode_region(elem)
-
-
-class CantorIdentityBackend(CantorBackend):
-    """Identity on Cantor space; useful as a composition endpoint."""
-
-    def __init__(self, depth: int = 6):
-        super().__init__(depth)
-        self.name = "cantor-identity"
-        self.codomain_key = "cantor"
-
-    def cod_join(self, a, b):
-        return _cantor.clopen_union(a, b)
-
-    def cod_meet(self, a, b):
-        return _cantor.clopen_inter(a, b)
-
-    def cod_neg(self, a):
-        return _cantor.clopen_compl(a)
-
-    def psi(self, u):
-        return u
-
-    def phi(self, v):
-        return v
-
-    def random_cod(self, rng):
-        return _cantor.random_clopen(rng, self.depth)
-
-    def check_surjective(self):
-        return True
-
-    def check_irreducible(self):
-        return True, None, "identity"
-
-
-def identity_backend(space: Space1D) -> PLMapBackend:
-    return PLMapBackend(identity_map(space), name="identity")
+    return Cover("cantor", words, unit, _cantor.psi_c, _cantor.phi_c, decide)
 
 
 LAW_NAMES = ("psi_join", "psi_meet", "psi_neg", "phi_join", "phi_meet", "phi_neg")
@@ -272,13 +145,10 @@ class CoverReport:
         }
 
 
-def check_essential(backend: CoverBackend, samples: int = 100, seed: int = 0) -> CoverReport:
-    """Run the full battery against one backend; deterministic per seed."""
+def check_essential(cover: Cover, samples: int = 100, seed: int = 0) -> CoverReport:
+    """Run the full battery against one cover; deterministic per seed."""
     rng = random.Random(seed)
-    surjective = backend.check_surjective()
-    irreducible, witness, reason = (False, None, "not surjective")
-    if surjective:
-        irreducible, witness, reason = backend.check_irreducible()
+    surjective, irreducible, witness, reason = cover.decide()
 
     law_passes = {name: 0 for name in LAW_NAMES}
     inverse_passes = {name: 0 for name in INVERSE_NAMES}
@@ -292,58 +162,27 @@ def check_essential(backend: CoverBackend, samples: int = 100, seed: int = 0) ->
             failures.append({"law": name, "trial": trial, "seed": seed})
 
     for trial in range(samples):
-        u1 = backend.random_dom(rng)
-        u2 = backend.random_dom(rng)
-        v1 = backend.random_cod(rng)
-        v2 = backend.random_cod(rng)
-        score(
-            law_passes, law_failures, "psi_join",
-            backend.psi(backend.dom_join(u1, u2))
-            == backend.cod_join(backend.psi(u1), backend.psi(u2)),
-            trial,
-        )
-        score(
-            law_passes, law_failures, "psi_meet",
-            backend.psi(backend.dom_meet(u1, u2))
-            == backend.cod_meet(backend.psi(u1), backend.psi(u2)),
-            trial,
-        )
-        score(
-            law_passes, law_failures, "psi_neg",
-            backend.psi(backend.dom_neg(u1)) == backend.cod_neg(backend.psi(u1)),
-            trial,
-        )
-        score(
-            law_passes, law_failures, "phi_join",
-            backend.phi(backend.cod_join(v1, v2))
-            == backend.dom_join(backend.phi(v1), backend.phi(v2)),
-            trial,
-        )
-        score(
-            law_passes, law_failures, "phi_meet",
-            backend.phi(backend.cod_meet(v1, v2))
-            == backend.dom_meet(backend.phi(v1), backend.phi(v2)),
-            trial,
-        )
-        score(
-            law_passes, law_failures, "phi_neg",
-            backend.phi(backend.cod_neg(v1)) == backend.dom_neg(backend.phi(v1)),
-            trial,
-        )
-        score(
-            inverse_passes, inverse_failures, "psi_phi_id",
-            backend.psi(backend.phi(v1)) == v1, trial,
-        )
-        score(
-            inverse_passes, inverse_failures, "phi_psi_id",
-            backend.phi(backend.psi(u1)) == u1, trial,
-        )
+        u1, u2 = cover.dom.random(rng), cover.dom.random(rng)
+        v1, v2 = cover.cod.random(rng), cover.cod.random(rng)
+        for name, f, src, dst, a, b in (
+            ("psi", cover.psi, cover.dom, cover.cod, u1, u2),
+            ("phi", cover.phi, cover.cod, cover.dom, v1, v2),
+        ):
+            fa, fb = f(a), f(b)
+            for law, ok in (
+                ("join", f(src.join(a, b)) == dst.join(fa, fb)),
+                ("meet", f(src.meet(a, b)) == dst.meet(fa, fb)),
+                ("neg", f(src.neg(a)) == dst.neg(fa)),
+            ):
+                score(law_passes, law_failures, f"{name}_{law}", ok, trial)
+        score(inverse_passes, inverse_failures, "psi_phi_id", cover.psi(cover.phi(v1)) == v1, trial)
+        score(inverse_passes, inverse_failures, "phi_psi_id", cover.phi(cover.psi(u1)) == u1, trial)
 
     return CoverReport(
-        backend=backend.name,
+        backend=cover.name,
         surjective=surjective,
         irreducible=irreducible,
-        witness=backend.encode(witness) if witness is not None else None,
+        witness=cover.dom.encode(witness) if witness is not None else None,
         reason=reason,
         samples=samples,
         seed=seed,
@@ -358,8 +197,8 @@ def check_essential(backend: CoverBackend, samples: int = 100, seed: int = 0) ->
 class ComposedEquivalence:
     """Two irreducible covers out of one domain compose to an isomorphism."""
 
-    f: CoverBackend  # Z -> X
-    g: CoverBackend  # Z -> Y
+    f: Cover  # Z -> X
+    g: Cover  # Z -> Y
 
     def forward(self, v):
         """Ropen(Y) -> Ropen(X): first pull back along g, then push along f."""
@@ -369,19 +208,10 @@ class ComposedEquivalence:
         return self.g.psi(self.f.phi(u))
 
 
-def compose_equivalence(f: CoverBackend, g: CoverBackend) -> ComposedEquivalence:
-    if f.domain_key != g.domain_key:
-        raise DomainMismatch(f"{f.domain_key} vs {g.domain_key}")
-    for backend in (f, g):
-        ok, _, _ = backend.check_irreducible() if backend.check_surjective() else (False, None, "")
-        if not ok:
-            raise NotIrreducible(f"backend {backend.name} is not an essential cover")
+def compose_equivalence(f: Cover, g: Cover) -> ComposedEquivalence:
+    if f.dom.key != g.dom.key:
+        raise DomainMismatch(f"{f.dom.key} vs {g.dom.key}")
+    for cover in (f, g):
+        if not cover.decide()[1]:
+            raise NotIrreducible(f"backend {cover.name} is not an essential cover")
     return ComposedEquivalence(f, g)
-
-
-def apply_composed(ce: ComposedEquivalence, v, direction: str = "forward"):
-    if direction == "forward":
-        return ce.forward(v)
-    if direction == "backward":
-        return ce.backward(v)
-    raise ValueError("direction must be forward or backward")

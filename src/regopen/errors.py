@@ -22,16 +22,8 @@ class UnboundName(RegopenError):
     """A term or expression referenced a name with no binding."""
 
 
-class ArityMismatch(RegopenError):
-    """A term node carries the wrong number of arguments."""
-
-
 class NotSingleton(RegopenError):
     """A filter intersection that must be a single point was not."""
-
-
-class EmptyRelativization(RegopenError):
-    """Relativization to the bottom element is undefined."""
 
 
 class Discontinuity(RegopenError):

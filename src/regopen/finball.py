@@ -9,15 +9,11 @@ closed sets a homomorphism votes for and lands on exactly one point.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .errors import (
-    ArityMismatch,
-    EmptyRelativization,
-    NotSingleton,
-    UnboundName,
-)
+from .errors import NotSingleton, UnboundName
 
 Element = frozenset  # of atom indices
 
@@ -84,31 +80,6 @@ class TwoValuedHom:
 
     def __call__(self, e: Element) -> int:
         return 1 if self.atom_index in e else 0
-
-
-def ba_eval(algebra: FiniteBooleanAlgebra, term, env: dict) -> Element:
-    """Evaluate a term tree of ("var", name) / ("neg", t) / ("join"|"meet", l, r)."""
-    if not isinstance(term, tuple) or not term or not isinstance(term[0], str):
-        raise ArityMismatch(f"malformed term node: {term!r}")
-    op = term[0]
-    if op == "var":
-        if len(term) != 2:
-            raise ArityMismatch(f"var node takes one name: {term!r}")
-        name = term[1]
-        if name not in env:
-            raise UnboundName(f"unbound name {name!r}")
-        return frozenset(env[name])
-    if op == "neg":
-        if len(term) != 2:
-            raise ArityMismatch(f"neg node takes one argument: {term!r}")
-        return algebra.neg(ba_eval(algebra, term[1], env))
-    if op in ("join", "meet"):
-        if len(term) != 3:
-            raise ArityMismatch(f"{op} node takes two arguments: {term!r}")
-        l = ba_eval(algebra, term[1], env)
-        r = ba_eval(algebra, term[2], env)
-        return algebra.join(l, r) if op == "join" else algebra.meet(l, r)
-    raise ArityMismatch(f"unknown operator {op!r}")
 
 
 def dual_space(algebra: FiniteBooleanAlgebra) -> tuple[TwoValuedHom, ...]:
@@ -340,27 +311,33 @@ def _subsets(n: int):
 
 
 def unique_cover_homeomorphism(f1: FinCover, f2: FinCover) -> tuple[dict, int]:
-    """Enumerate bijections φ: P1 -> P2 with f2∘φ = f1; return (the map, count).
+    """A bijection φ: P1 -> P2 with f2∘φ = f1, and how many there are.
 
-    Raises ValueError if none exists; the count reports uniqueness.
+    Such a φ maps each fibre of f1 onto the fibre of f2 over the same
+    point, so one exists iff the fibre sizes agree, and there are
+    ∏ₓ |fibre(x)|! of them.  The one returned pairs each fibre's members
+    in index order.  Raises ValueError if none exists.
     """
     if f1.codomain != f2.codomain:
         raise ValueError("covers must share the codomain")
-    p1, p2 = f1.domain, f2.domain
-    if p1.n != p2.n:
+    if f1.domain.n != f2.domain.n:
         raise ValueError("cover domains differ in size")
-    found = []
-    for perm in itertools.permutations(range(p2.n)):
-        ok = True
-        for i, lab in enumerate(p1.point_labels):
-            if f2.apply(p2.point_labels[perm[i]]) != f1.apply(lab):
-                ok = False
-                break
-        if ok:
-            found.append({lab: p2.point_labels[perm[i]] for i, lab in enumerate(p1.point_labels)})
-    if not found:
+    fibres1, fibres2 = _fibres(f1), _fibres(f2)
+    if {x: len(ps) for x, ps in fibres1.items()} != {x: len(ps) for x, ps in fibres2.items()}:
         raise ValueError("no homeomorphism over the codomain exists")
-    return found[0], len(found)
+    image1 = dict(f1.table)
+    unused = {x: iter(ps) for x, ps in fibres2.items()}
+    mapping = {lab: next(unused[image1[lab]]) for lab in f1.domain.point_labels}
+    return mapping, math.prod(math.factorial(len(ps)) for ps in fibres1.values())
+
+
+def _fibres(f: FinCover) -> dict[str, list[str]]:
+    """Domain labels over each codomain label, in domain index order."""
+    image = dict(f.table)
+    fibres: dict[str, list[str]] = {}
+    for lab in f.domain.point_labels:
+        fibres.setdefault(image[lab], []).append(lab)
+    return fibres
 
 
 # --- algebra-level helpers ---
@@ -371,30 +348,3 @@ def iso_check(b1: FiniteBooleanAlgebra, b2: FiniteBooleanAlgebra) -> Optional[di
     if b1.n != b2.n:
         return None
     return {b1.atom_labels[i]: b2.atom_labels[i] for i in range(b1.n)}
-
-
-def relativize(algebra: FiniteBooleanAlgebra, e: Element) -> FiniteBooleanAlgebra:
-    """The algebra of elements below e, carried by e's atoms."""
-    if not e:
-        raise EmptyRelativization("cannot relativize to the bottom element")
-    return FiniteBooleanAlgebra(tuple(algebra.atom_labels[i] for i in sorted(e)))
-
-
-@dataclass(frozen=True)
-class DegenerateAlgebra:
-    """The one-element algebra: no atoms, top equals bottom."""
-
-    atom_labels: tuple = ()
-
-
-DEGENERATE = DegenerateAlgebra()
-
-
-def decompose_atomic_atomless(algebra: FiniteBooleanAlgebra):
-    """Split into atomic and atomless factors.
-
-    A finite algebra is purely atomic: the atomic factor is the algebra
-    itself and the atomless factor is the degenerate one-element algebra,
-    reported as the empty-atom marker.
-    """
-    return algebra, DEGENERATE

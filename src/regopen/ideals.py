@@ -7,12 +7,11 @@ moving supports through the cover's phi/psi.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .errors import NotIrreducible, SpaceMismatch
-from .plmap import Piece, PLMap, is_irreducible
-from .rationals import Rational, rat
+from .plmap import Piece, PLMap, _locate, _runs, _settle, is_irreducible
+from .rationals import Rational
 from .space import Region, Space1D, Span, canonicalize, ropen_join, ropen_meet, ropen_neg
 
 
@@ -25,39 +24,11 @@ class PLFunc:
     point_values: tuple[tuple[Rational, Rational], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "pieces", tuple(tuple(run) for run in self.pieces))
-        object.__setattr__(
-            self, "point_values", tuple((rat(p), rat(v)) for p, v in self.point_values)
-        )
-        comps = self.space.interval_components()
-        if len(self.pieces) != len(comps):
-            raise ValueError("one piece run per interval component required")
-        for comp, run in zip(comps, self.pieces):
-            if not run:
-                raise ValueError("empty piece run")
-            if run[0].src_lo != comp.a or run[-1].src_hi != comp.b:
-                raise ValueError("pieces must tile the component exactly")
-            for left, right in zip(run, run[1:]):
-                if left.src_hi != right.src_lo:
-                    raise ValueError("pieces must be consecutive")
-                if left.value(left.src_hi) != right.value(right.src_lo):
-                    raise ValueError(f"discontinuity at {left.src_hi}")
-        points = {p.at for p in self.space.point_components()}
-        if points != {p for p, _ in self.point_values} or len(points) != len(
-            self.point_values
-        ):
-            raise ValueError("point_values must cover the isolated points exactly")
+        _settle(self, self.space, "point_values")
 
     def value(self, x: Rational) -> Rational:
-        for p, v in self.point_values:
-            if x == p:
-                return v
-        for comp, run in zip(self.space.interval_components(), self.pieces):
-            if comp.a <= x <= comp.b:
-                for piece in run:
-                    if piece.src_lo <= x <= piece.src_hi:
-                        return piece.value(x)
-        raise ValueError(f"{x} not in the space")
+        slope, intercept = _locate(self.pieces, self.point_values, x)
+        return slope * x + intercept
 
     def breakpoints(self) -> list[Rational]:
         out = []
@@ -72,31 +43,7 @@ def plfunc_from_breakpoints(
     values: list[tuple[Rational, Rational]],
     point_values: tuple[tuple[Rational, Rational], ...] = (),
 ) -> PLFunc:
-    values = [(rat(x), rat(v)) for x, v in values]
-    runs = []
-    for comp in space.interval_components():
-        inside = [(x, v) for x, v in values if comp.a <= x <= comp.b]
-        if len(inside) < 2 or inside[0][0] != comp.a or inside[-1][0] != comp.b:
-            raise ValueError("breakpoints must span each interval component")
-        run = []
-        for (x0, v0), (x1, v1) in zip(inside, inside[1:]):
-            slope = (v1 - v0) / (x1 - x0)
-            run.append(Piece(x0, x1, slope, v0 - slope * x0))
-        runs.append(tuple(run))
-    return PLFunc(space, tuple(runs), point_values)
-
-
-def zero_func(space: Space1D) -> PLFunc:
-    runs = tuple((Piece(c.a, c.b, 0, 0),) for c in space.interval_components())
-    points = tuple((p.at, rat(0)) for p in space.point_components())
-    return PLFunc(space, runs, points)
-
-
-def const_func(space: Space1D, c: Rational) -> PLFunc:
-    c = rat(c)
-    runs = tuple((Piece(k.a, k.b, 0, c),) for k in space.interval_components())
-    points = tuple((p.at, c) for p in space.point_components())
-    return PLFunc(space, runs, points)
+    return PLFunc(space, _runs(space, values), point_values)
 
 
 def pl_supp(f: PLFunc) -> Region:
@@ -216,42 +163,10 @@ def pullback(pi: PLMap, f: PLFunc) -> PLFunc:
             for x0, x1 in zip(ordered, ordered[1:]):
                 mid = (x0 + x1) / 2
                 y = piece.value(mid)
-                m, k = _affine_at(f, y)
+                m, k = _locate(f.pieces, f.point_values, y)
                 out.append(
                     Piece(x0, x1, m * piece.slope, m * piece.intercept + k)
                 )
         runs.append(tuple(out))
     points = tuple((p, f.value(v)) for p, v in pi.point_images)
     return PLFunc(pi.domain, tuple(runs), points)
-
-
-def _affine_at(f: PLFunc, y: Rational) -> tuple[Rational, Rational]:
-    """Slope and intercept of f on a neighborhood of y (y not a breakpoint)."""
-    for comp, run in zip(f.space.interval_components(), f.pieces):
-        if comp.a <= y <= comp.b:
-            for piece in run:
-                if piece.src_lo <= y <= piece.src_hi:
-                    return piece.slope, piece.intercept
-    for p, v in f.point_values:
-        if y == p:
-            return rat(0), v
-    raise ValueError(f"{y} not in the space of f")
-
-
-def random_plfunc(space: Space1D, seed: int, den: int = 8) -> PLFunc:
-    """Seeded random witness with dyadic breakpoints; hits zero often."""
-    rng = random.Random(seed)
-    values = []
-    for comp in space.interval_components():
-        width = comp.b - comp.a
-        n = rng.randint(1, 3)
-        inner = sorted(rng.sample(range(1, den), min(n, den - 1)))
-        xs = [comp.a] + [comp.a + width * rat(i, den) for i in inner] + [comp.b]
-        for x in xs:
-            values.append((x, rat(rng.randint(-2 * den, 2 * den), den)
-                           if rng.random() > 0.3 else rat(0)))
-    points = tuple(
-        (p.at, rat(rng.randint(-den, den), den) if rng.random() > 0.4 else rat(0))
-        for p in space.point_components()
-    )
-    return plfunc_from_breakpoints(space, values, points)

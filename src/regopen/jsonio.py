@@ -29,10 +29,16 @@ def encode_space(space: Space1D) -> dict:
     return {"components": comps}
 
 
+def _object(data, what: str) -> dict:
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {data!r}")
+    return data
+
+
 def decode_space(data: dict) -> Space1D:
     comps = []
-    for entry in data["components"]:
-        kind = entry.get("kind")
+    for entry in _object(data, "a space")["components"]:
+        kind = _object(entry, "a component").get("kind")
         if kind == "interval":
             comps.append(Interval(parse_rat(entry["a"]), parse_rat(entry["b"])))
         elif kind == "point":
@@ -105,6 +111,8 @@ def _encode_pairs(pairs) -> list:
 
 
 def _decode_pairs(data) -> tuple:
+    if not isinstance(data, list) or not all(isinstance(p, list) and len(p) == 2 for p in data):
+        raise ValueError(f"pairs must be a JSON list of two-element lists, got {data!r}")
     return tuple((parse_rat(a), parse_rat(b)) for a, b in data)
 
 
@@ -149,7 +157,10 @@ def encode_clopen(k: CantorClopen) -> dict:
 
 
 def decode_clopen(data: dict) -> CantorClopen:
-    return CantorClopen(tuple(data["words"]))
+    words = _object(data, "a clopen")["words"]
+    if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
+        raise ValueError(f"words must be a JSON list of strings, got {words!r}")
+    return CantorClopen(tuple(words))
 
 
 def encode_ideal(j: RegIdeal) -> dict:

@@ -17,7 +17,7 @@ from .errors import (
     SpaceMismatch,
 )
 from .rationals import Rational, rat
-from .space import Interval, Point, Region, Space1D, Span, canonicalize
+from .space import Point, Region, Space1D, Span, canonicalize
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,76 @@ class Piece:
         return (a, b) if a <= b else (b, a)
 
 
+# --- the piecewise-linear core shared by maps and functions ---
+
+
+def _settle(obj, space: Space1D, points_field: str) -> None:
+    """Freeze `obj.pieces` and its (point, value) pairs, then check both over `space`."""
+    object.__setattr__(obj, "pieces", tuple(tuple(run) for run in obj.pieces))
+    points = tuple((rat(p), rat(v)) for p, v in getattr(obj, points_field))
+    object.__setattr__(obj, points_field, points)
+    _check_runs(space, obj.pieces)
+    _check_points(space, points, points_field)
+
+
+def _check_runs(space: Space1D, pieces) -> None:
+    """One run per interval component, tiling it with consecutive continuous pieces."""
+    comps = space.interval_components()
+    if len(pieces) != len(comps):
+        raise ValueError("one piece run per interval component required")
+    for comp, run in zip(comps, pieces):
+        if not run:
+            raise ValueError(f"empty piece run for component [{comp.a}, {comp.b}]")
+        if run[0].src_lo != comp.a or run[-1].src_hi != comp.b:
+            raise ValueError("pieces must tile the component exactly")
+        for left, right in zip(run, run[1:]):
+            if left.src_hi != right.src_lo:
+                raise ValueError("pieces must be consecutive")
+            if left.value(left.src_hi) != right.value(right.src_lo):
+                raise Discontinuity(left.src_hi)
+
+
+def _check_points(space: Space1D, points, points_field: str) -> None:
+    """Exactly one value per isolated point of the space."""
+    given = {p for p, _ in points}
+    if given != {p.at for p in space.point_components()}:
+        raise ValueError(f"{points_field} must cover the isolated points exactly")
+    if len(given) != len(points):
+        raise ValueError(f"duplicate point in {points_field}")
+
+
+def _locate(pieces, points, x: Rational) -> tuple[Rational, Rational]:
+    """Slope and intercept at x; an isolated point carries a constant."""
+    for p, v in points:
+        if x == p:
+            return rat(0), v
+    for run in pieces:
+        for piece in run:
+            if piece.src_lo <= x <= piece.src_hi:
+                return piece.slope, piece.intercept
+    raise ValueError(f"{x} not in the domain")
+
+
+def _runs(space: Space1D, values: Iterable[tuple[Rational, Rational]]):
+    """Interpolating runs through (x, value) breakpoints.
+
+    Breakpoints must include both endpoints of every interval component
+    of the space, in order.
+    """
+    values = [(rat(x), rat(v)) for x, v in values]
+    runs = []
+    for comp in space.interval_components():
+        inside = [(x, v) for x, v in values if comp.a <= x <= comp.b]
+        if len(inside) < 2 or inside[0][0] != comp.a or inside[-1][0] != comp.b:
+            raise ValueError("breakpoints must span each interval component")
+        run = []
+        for (x0, v0), (x1, v1) in zip(inside, inside[1:]):
+            slope = (v1 - v0) / (x1 - x0)
+            run.append(Piece(x0, x1, slope, v0 - slope * x0))
+        runs.append(tuple(run))
+    return tuple(runs)
+
+
 @dataclass(frozen=True)
 class PLMap:
     """A continuous piecewise-linear map between two spaces."""
@@ -53,36 +123,15 @@ class PLMap:
     point_images: tuple[tuple[Rational, Rational], ...] = ()  # (point, image)
 
     def __post_init__(self):
-        object.__setattr__(self, "pieces", tuple(tuple(run) for run in self.pieces))
-        object.__setattr__(
-            self, "point_images", tuple((rat(p), rat(v)) for p, v in self.point_images)
-        )
+        _settle(self, self.domain, "point_images")
         self.validate()
 
     def validate(self) -> None:
-        comps = self.domain.interval_components()
-        if len(self.pieces) != len(comps):
-            raise ValueError("one piece run per interval component required")
-        for comp, run in zip(comps, self.pieces):
-            if not run:
-                raise ValueError(f"empty piece run for component [{comp.a}, {comp.b}]")
-            if run[0].src_lo != comp.a or run[-1].src_hi != comp.b:
-                raise ValueError("pieces must tile the component exactly")
-            for left, right in zip(run, run[1:]):
-                if left.src_hi != right.src_lo:
-                    raise ValueError("pieces must be consecutive")
-                if left.value(left.src_hi) != right.value(right.src_lo):
-                    raise Discontinuity(left.src_hi)
+        """The codomain checks; the shared core has checked runs and points."""
+        for run in self.pieces:
             for piece in run:
-                lo, hi = piece.image_interval()
-                if not self._codomain_holds_interval(lo, hi):
+                if not self._codomain_holds_interval(*piece.image_interval()):
                     raise ImageEscapesCodomain((piece.src_lo, piece.src_hi))
-        points = {p.at for p in self.domain.point_components()}
-        given = {p for p, _ in self.point_images}
-        if points != given:
-            raise ValueError("point_images must cover the isolated points exactly")
-        if len(given) != len(self.point_images):
-            raise ValueError("duplicate point in point_images")
         for p, v in self.point_images:
             if not self.codomain.contains(v):
                 raise ImageEscapesCodomain(p)
@@ -99,15 +148,8 @@ class PLMap:
     # --- evaluation and set maps ---
 
     def value(self, x: Rational) -> Rational:
-        for p, v in self.point_images:
-            if x == p:
-                return v
-        for comp, run in zip(self.domain.interval_components(), self.pieces):
-            if comp.a <= x <= comp.b:
-                for piece in run:
-                    if piece.src_lo <= x <= piece.src_hi:
-                        return piece.value(x)
-        raise ValueError(f"{x} not in the domain")
+        slope, intercept = _locate(self.pieces, self.point_images, x)
+        return slope * x + intercept
 
     def image(self, r: Region) -> Region:
         if r.space != self.domain:
@@ -276,20 +318,5 @@ def plmap_from_breakpoints(
     domain: Space1D, codomain: Space1D, values: Iterable[tuple[Rational, Rational]],
     point_images: Iterable[tuple[Rational, Rational]] = (),
 ) -> PLMap:
-    """Build the interpolating map through (x, value) breakpoints.
-
-    Breakpoints must include both endpoints of every interval component
-    of the domain, in order.
-    """
-    values = [(rat(x), rat(v)) for x, v in values]
-    runs = []
-    for comp in domain.interval_components():
-        inside = [(x, v) for x, v in values if comp.a <= x <= comp.b]
-        if len(inside) < 2 or inside[0][0] != comp.a or inside[-1][0] != comp.b:
-            raise ValueError("breakpoints must span each interval component")
-        run = []
-        for (x0, v0), (x1, v1) in zip(inside, inside[1:]):
-            slope = (v1 - v0) / (x1 - x0)
-            run.append(Piece(x0, x1, slope, v0 - slope * x0))
-        runs.append(tuple(run))
-    return PLMap(domain, codomain, tuple(runs), tuple(point_images))
+    """The interpolating map through (x, value) breakpoints (see `_runs`)."""
+    return PLMap(domain, codomain, _runs(domain, values), tuple(point_images))

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from regopen.rationals import rat
+from regopen.ideals import PLFunc, plfunc_from_breakpoints
+from regopen.rationals import Rational, rat
 from regopen.space import Interval, Point, Region, Space1D, Span, canonicalize
 
 # one (number, label, passed) entry per acceptance criterion that ran
@@ -76,3 +77,28 @@ def random_raw_spans(space: Space1D, rng: random.Random, count: int = 4, den: in
 
 def random_region(space: Space1D, rng: random.Random, count: int = 4, den: int = 64) -> Region:
     return canonicalize(space, random_raw_spans(space, rng, count, den)).region
+
+
+def const_func(space: Space1D, c: Rational) -> PLFunc:
+    """The constant function c, one flat piece per interval component."""
+    values = [(x, c) for comp in space.interval_components() for x in (comp.a, comp.b)]
+    return plfunc_from_breakpoints(space, values, tuple((p.at, rat(c)) for p in space.point_components()))
+
+
+def random_plfunc(space: Space1D, seed: int, den: int = 8) -> PLFunc:
+    """Seeded random witness with dyadic breakpoints; hits zero often."""
+    rng = random.Random(seed)
+    values = []
+    for comp in space.interval_components():
+        width = comp.b - comp.a
+        n = rng.randint(1, 3)
+        inner = sorted(rng.sample(range(1, den), min(n, den - 1)))
+        xs = [comp.a] + [comp.a + width * rat(i, den) for i in inner] + [comp.b]
+        for x in xs:
+            values.append((x, rat(rng.randint(-2 * den, 2 * den), den)
+                           if rng.random() > 0.3 else rat(0)))
+    points = tuple(
+        (p.at, rat(rng.randint(-den, den), den) if rng.random() > 0.4 else rat(0))
+        for p in space.point_components()
+    )
+    return plfunc_from_breakpoints(space, values, points)

@@ -49,7 +49,6 @@ from regopen.ideals import (
     omega,
     pl_supp,
     pullback,
-    random_plfunc,
     supp,
     upsilon,
 )
@@ -69,7 +68,7 @@ from regopen.space import (
     theta,
 )
 
-from conftest import FIXTURE_SPACES, MIXED, TWO_INTERVALS, UNIT, random_region
+from conftest import FIXTURE_SPACES, MIXED, TWO_INTERVALS, UNIT, random_plfunc, random_region
 from grid_oracle import GridOracle
 
 ZERO_TWO = Space1D((Interval(0, 2),))

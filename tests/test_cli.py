@@ -1,12 +1,16 @@
 """Command-line dispatch, exit codes, and output determinism."""
 from __future__ import annotations
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from regopen import jsonio
-from regopen.cli import main
+from regopen import cli, jsonio
+from regopen.cli import MAX_GLEASON_POINTS, main
 from regopen.ideals import plfunc_from_breakpoints
 from regopen.plmap import Piece, PLMap, identity_map, plmap_from_breakpoints
 from regopen.rationals import rat
@@ -190,6 +194,11 @@ class TestGleason:
             "phi_eq_cl_preimage", "onto_sandwich", "psi_inverts_phi",
         ):
             assert out[key] is True
+
+    def test_points_above_the_bound_are_input_errors(self, capsys):
+        for points in (MAX_GLEASON_POINTS + 1, 30):
+            code, out = run(capsys, "gleason", "--points", str(points))
+            assert code == 2 and out["at"] == "ValueError"
 
 
 class TestIdeal:
@@ -379,3 +388,178 @@ class TestRobustness:
         path.write_text(UNIT_PT_JSON, encoding="utf-8")
         code, out = run(capsys, "space", "info", "--space", str(path))
         assert code == 0 and out["isolated"] == ["2"]
+
+    def test_non_object_component_is_input_error(self, capsys):
+        code, out = run(capsys, "space", "info", "--space", '{"components":[1]}')
+        assert code == 2 and out["at"] == "ValueError"
+
+    def test_non_string_word_is_input_error(self, capsys):
+        code, out = run(capsys, "cantor", "psi", "--clopen", '{"words":[0]}')
+        assert code == 2 and out["at"] == "ValueError"
+
+    def test_words_must_be_a_list(self, capsys):
+        # a string is not read as the list of its characters
+        code, out = run(capsys, "cantor", "psi", "--clopen", '{"words":"01"}')
+        assert code == 2 and out["at"] == "ValueError"
+
+    def test_pair_must_be_a_list(self, capsys):
+        # the string "22" is not read as the pair (2, 2)
+        m = json.loads(plmap_json(PLMap(UNIT_PT, UNIT_PT, ((Piece(0, 1, 1, 0),),), ((2, 2),))))
+        m["point_images"] = ["22"]
+        v = region_json(region(UNIT_PT, ("1/4", "1/2", False, False)))
+        code, out = run(capsys, "cover", "psi", "--map", json.dumps(m), "--region", v)
+        assert code == 2 and out["at"] == "ValueError"
+
+    def test_inline_array_is_input_error(self, capsys):
+        for argv in (
+            ["space", "info", "--space", "[1, 2]"],
+            ["cantor", "psi", "--clopen", "[]"],
+            ["equiv", "[]", UNIT_JSON],
+        ):
+            code, out = run(capsys, *argv)
+            assert code == 2 and out["at"] == "ValueError"
+
+    def test_missing_argument_is_input_error(self, capsys):
+        code, out = run(capsys, "ideal", "upsilon")
+        assert code == 2 and out["at"] == "ValueError"
+
+    def test_unexpected_exception_is_input_error(self, capsys, monkeypatch):
+        def broken(args):
+            raise AttributeError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_space_info", broken)
+        code = main(["space", "info", "--space", UNIT_JSON])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == '{"at":"AttributeError","error":"boom"}\n'
+        assert "Traceback" in captured.err and "AttributeError: boom" in captured.err
+
+
+# --- fuzzing every subcommand -----------------------------------------------
+
+RATS = ["0", "1", "2", "3", "-1", "1/2", "1/4", "3/4", "5/8", "1/3", "1/0", "x", " 1 ", ""]
+JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.sampled_from(RATS + ["01", "kind"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(["a", "b", "at"]), inner, max_size=2),
+    max_leaves=6,
+)
+RAT = st.sampled_from(RATS) | JUNK
+FLAG = st.booleans() | JUNK
+
+
+def _mostly(valid: list, fuzzed: st.SearchStrategy) -> st.SearchStrategy:
+    """A valid fixture three times in four, so the deeper paths run as well."""
+    return st.integers(0, 3).flatmap(lambda i: fuzzed if i == 0 else st.sampled_from(valid))
+
+
+def _obj(**fields):
+    """A JSON object with some of the given fields, each possibly junk."""
+    return st.fixed_dictionaries({}, optional={k: v | JUNK for k, v in fields.items()})
+
+
+def _spans(*spans):
+    return {"spans": [{"lo": lo, "hi": hi, "lo_incl": li, "hi_incl": hi_} for lo, hi, li, hi_ in spans]}
+
+
+MAPS = [halving(), tent(), identity_map(UNIT), plmap_from_breakpoints(ZERO_TWO, UNIT, [(0, 0), (1, rat(3, 4)), (2, 1)])]
+VALID_REGIONS = [_spans(), _spans(("1/4", "1/2", False, False)), _spans(("0", "1", True, True))]
+COMPONENT = _obj(kind=st.sampled_from(["interval", "point", "blob"]), a=RAT, b=RAT, at=RAT)
+SPACE = _mostly([json.loads(UNIT_JSON), json.loads(UNIT_PT_JSON)], _obj(components=st.lists(COMPONENT, max_size=3)))
+REGION = _mostly(VALID_REGIONS, _obj(spans=st.lists(_obj(lo=RAT, hi=RAT, lo_incl=FLAG, hi_incl=FLAG), max_size=3)))
+PAIRS = st.lists(st.lists(RAT, min_size=2, max_size=2), max_size=2)
+PIECES = st.lists(
+    st.lists(_obj(src_lo=RAT, src_hi=RAT, slope=RAT, intercept=RAT), max_size=2), max_size=2
+)
+PLMAP = _mostly(
+    [jsonio.encode_plmap(m) for m in MAPS], _obj(domain=SPACE, codomain=SPACE, pieces=PIECES, point_images=PAIRS)
+)
+PLFUNC = _mostly(
+    [jsonio.encode_plfunc(plfunc_from_breakpoints(UNIT, [(0, 0), (rat(1, 2), 1), (1, 0)]))],
+    _obj(space=SPACE, pieces=PIECES, point_values=PAIRS),
+)
+IDEAL = _mostly(
+    [{"space": json.loads(UNIT_JSON), "support": r} for r in VALID_REGIONS[:2]], _obj(space=SPACE, support=REGION)
+)
+CLOPEN = _mostly([{"words": ["01", "10"]}, {"words": []}], _obj(words=st.lists(st.text("01", max_size=8) | JUNK, max_size=3)))
+DESCRIPTOR = _mostly(
+    [json.loads(UNIT_JSON), {"components": [{"kind": "cantor"}]}, {"components": [{"kind": "point"}]}],
+    _obj(components=st.lists(_obj(kind=st.sampled_from(["interval", "point", "convseq", "cantor", "x"])), max_size=3)),
+)
+EXPR = _mostly(
+    ["v", "reg(I(0,1/2))", "perp(v)", "join(v,cl(I(1/4,3/4)))", "meet(int(v),pt(1))"],
+    st.lists(
+        st.sampled_from(["join(", "meet(", "perp(", "cl(", "int(", "reg(", "diff(", "I(0,1/2)", "pt(1)",
+                         "I(", "1/3", ",", ")", "v", "w", " ", "/", "²"]),
+        max_size=8,
+    ).map("".join) | st.text(max_size=8),
+)
+
+
+def _arg(value) -> st.SearchStrategy:
+    """Inline JSON text: the value, or now and then a top-level array."""
+    return st.integers(0, 4).flatmap(lambda i: st.lists(JUNK, max_size=2) if i == 0 else value).map(json.dumps)
+
+
+def _flag(name, strategy):
+    return st.one_of(st.just([]), strategy.map(lambda v: [name, str(v)]))
+
+
+def _argv(*parts):
+    return st.tuples(*parts).map(lambda ps: [x for p in ps for x in (p if isinstance(p, list) else [p])])
+
+
+SMALL = st.integers(-1, 3)
+SUBCOMMANDS = {
+    "space info": _argv(st.just(["space", "info", "--space"]), _arg(SPACE)),
+    "region eval": _argv(
+        st.just(["region", "eval", "--space"]), _arg(SPACE), st.just("--expr"), EXPR,
+        _flag("--bind", _arg(REGION).map(lambda r: "v=" + r)),
+    ),
+    "cover check": _argv(
+        st.just(["cover", "check", "--map"]), _arg(PLMAP), _flag("--samples", SMALL), _flag("--seed", SMALL),
+    ),
+    **{
+        f"cover {which}": _argv(st.just(["cover", which, "--map"]), _arg(PLMAP), st.just("--region"), _arg(REGION))
+        for which in ("psi", "phi")
+    },
+    # Cantor depths stay within 8: deeper checks are not bounded yet
+    "cantor check": _argv(
+        st.just(["cantor", "check"]), _flag("--depth", st.integers(-1, 8)), st.just(["--samples"]),
+        SMALL.map(str), _flag("--seed", SMALL),
+    ),
+    "cantor psi": _argv(st.just(["cantor", "psi", "--clopen"]), _arg(CLOPEN)),
+    "cantor phi": _argv(
+        st.just(["cantor", "phi", "--region"]), _arg(REGION), _flag("--depth", st.integers(-1, 8)),
+    ),
+    "gleason": _argv(
+        st.just(["gleason", "--points"]),
+        (st.integers(-2, 6) | st.integers(MAX_GLEASON_POINTS + 1, 10**9)).map(str),
+    ),
+    "ideal": _argv(
+        st.just(["ideal"]),
+        st.sampled_from(["supp", "member", "join", "meet", "neg", "annihilator", "upsilon", "omega"]),
+        _flag("--func", _arg(PLFUNC)), _flag("--ideal", _arg(IDEAL)), _flag("--right", _arg(IDEAL)),
+        _flag("--map", _arg(PLMAP)),
+    ),
+    "equiv": _argv(st.just(["equiv"]), _arg(DESCRIPTOR), _arg(DESCRIPTOR)),
+    "compose": _argv(
+        st.just(["compose", "--left"]), _arg(PLMAP), st.just("--right"), _arg(PLMAP),
+        _flag("--region", _arg(REGION)), _flag("--direction", st.sampled_from(["forward", "backward"])),
+    ),
+}
+
+
+class TestFuzz:
+    @pytest.mark.parametrize("subcommand", sorted(SUBCOMMANDS))
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_one_canonical_line_and_a_known_exit_code(self, subcommand, data):
+        argv = data.draw(SUBCOMMANDS[subcommand])
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        text = out.getvalue()
+        assert text.count("\n") == 1 and text.endswith("\n")
+        assert jsonio.canonical_json(json.loads(text)) + "\n" == text
+

@@ -7,17 +7,16 @@ import pytest
 
 from regopen.cantor import CantorClopen, cylinder, psi_c, random_clopen
 from regopen.cover_iso import (
+    BooleanSide,
     CantorBackend,
-    CantorIdentityBackend,
+    Cover,
     PLMapBackend,
-    apply_composed,
     check_essential,
     compose_equivalence,
-    identity_backend,
     space_key,
 )
 from regopen.errors import DomainMismatch, NotIrreducible
-from regopen.plmap import PLMap, Piece, plmap_from_breakpoints
+from regopen.plmap import PLMap, Piece, identity_map, plmap_from_breakpoints
 from regopen.rationals import rat
 from regopen.space import Interval, Space1D, random_regular_open
 
@@ -26,16 +25,25 @@ from conftest import FIXTURE_SPACES, MIXED, UNIT, region
 ZERO_TWO = Space1D((Interval(0, 2),))
 
 
-def tent_backend() -> PLMapBackend:
+def identity_backend(space: Space1D) -> Cover:
+    return PLMapBackend(identity_map(space), name="identity")
+
+
+def identity_cover(side: BooleanSide, name: str) -> Cover:
+    """The identity on one Boolean side, with no map behind it."""
+    return Cover(name, side, side, lambda u: u, lambda v: v, lambda: (True, True, None, "identity"))
+
+
+def tent_backend() -> Cover:
     m = plmap_from_breakpoints(UNIT, UNIT, [(0, 0), (rat(1, 2), 1), (1, 0)])
     return PLMapBackend(m, name="tent")
 
 
-def halving_backend() -> PLMapBackend:
+def halving_backend() -> Cover:
     return PLMapBackend(PLMap(ZERO_TWO, UNIT, ((Piece(0, 2, rat(1, 2), 0),),)), "halving")
 
 
-def kinked_backend() -> PLMapBackend:
+def kinked_backend() -> Cover:
     m = plmap_from_breakpoints(ZERO_TWO, UNIT, [(0, 0), (1, rat(3, 4)), (2, 1)])
     return PLMapBackend(m, name="kinked")
 
@@ -97,12 +105,13 @@ class TestCompose:
             assert ce.backward(v) == v
 
     def test_cantor_with_identity_unfolds_to_psi(self):
-        ce = compose_equivalence(CantorBackend(depth=5, check_depth=4), CantorIdentityBackend(5))
+        cantor = CantorBackend(depth=5, check_depth=4)
+        ce = compose_equivalence(cantor, identity_cover(cantor.dom, "cantor-identity"))
         rng = random.Random(12)
         for _ in range(25):
             k = random_clopen(rng, 5)
-            assert apply_composed(ce, k) == psi_c(k)
-        assert apply_composed(ce, cylinder("0"), "forward") == psi_c(cylinder("0"))
+            assert ce.forward(k) == psi_c(k)
+        assert ce.forward(cylinder("0")) == psi_c(cylinder("0"))
 
     def test_two_homeomorphisms_compose_to_isomorphism(self):
         ce = compose_equivalence(halving_backend(), kinked_backend())
@@ -137,8 +146,3 @@ class TestCompose:
         m = PLMap(UNIT, UNIT, ((Piece(0, 1, rat(1, 2), 0),),))
         with pytest.raises(NotIrreducible):
             compose_equivalence(PLMapBackend(m, "shrink"), identity_backend(UNIT))
-
-    def test_bad_direction(self):
-        ce = compose_equivalence(identity_backend(UNIT), identity_backend(UNIT))
-        with pytest.raises(ValueError):
-            apply_composed(ce, UNIT.full_region(), "sideways")

@@ -5,20 +5,16 @@ import itertools
 
 import pytest
 
-from regopen.errors import ArityMismatch, EmptyRelativization, UnboundName
+from regopen.errors import UnboundName
 from regopen.finball import (
-    DEGENERATE,
     FinCover,
     FiniteBooleanAlgebra,
     FiniteDiscreteSpace,
     TwoValuedHom,
-    ba_eval,
-    decompose_atomic_atomless,
     dual_space,
     gleason_cover,
     iso_check,
     phi_hat,
-    relativize,
     unique_cover_homeomorphism,
     verify_projective_cover,
 )
@@ -58,6 +54,46 @@ def exhaustive_two_valued_homs(n: int) -> list[int]:
     return homs
 
 
+def homeomorphisms_by_enumeration(f1: FinCover, f2: FinCover) -> list[dict]:
+    """Oracle: every bijection φ: P1 -> P2 with f2∘φ = f1, trying all n! permutations.
+
+    The list follows the lexicographic order of the permutations, so its
+    first entry is the map `unique_cover_homeomorphism` returns.
+    """
+    p1, p2 = f1.domain.point_labels, f2.domain.point_labels
+    over1, over2 = dict(f1.table), dict(f2.table)
+    return [
+        {lab: p2[j] for lab, j in zip(p1, perm)}
+        for perm in itertools.permutations(range(len(p2)))
+        if all(over2[p2[j]] == over1[lab] for lab, j in zip(p1, perm))
+    ]
+
+
+def partition_covers(n: int):
+    """Every cover of n points up to renaming the codomain: one per set partition."""
+
+    def grow(images: list[int], m: int):
+        if len(images) == n:
+            yield images, m
+            return
+        for k in range(m + 1):
+            yield from grow(images + [k], max(m, k + 1))
+
+    for images, m in grow([], 0):
+        p = FiniteDiscreteSpace(tuple(f"p{i}" for i in range(n)))
+        x = FiniteDiscreteSpace(tuple(f"x{k}" for k in range(m)))
+        yield FinCover(p, x, tuple((f"p{i}", f"x{k}") for i, k in enumerate(images)))
+
+
+def relabel(f: FinCover, order: list[int]) -> FinCover:
+    """The same cover with point i of the domain renamed q<order[i]> and listed by name."""
+    q = FiniteDiscreteSpace(tuple(f"q{i}" for i in range(f.domain.n)))
+    over = dict(f.table)
+    return FinCover(q, f.codomain, tuple(
+        (f"q{order[i]}", over[lab]) for i, lab in enumerate(f.domain.point_labels)
+    ))
+
+
 class TestAlgebraBasics:
     def test_labels_distinct(self):
         with pytest.raises(ValueError):
@@ -74,26 +110,9 @@ class TestAlgebraBasics:
         assert ABC.one == frozenset({0, 1, 2})
         assert len(list(ABC.elements())) == 8
 
-
-class TestBaEval:
-    def test_example(self):
-        env = {"x": ABC.from_labels(["a"]), "y": ABC.from_labels(["a", "b"])}
-        term = ("join", ("var", "x"), ("neg", ("var", "y")))
-        assert ABC.to_labels(ba_eval(ABC, term, env)) == ["a", "c"]
-
-    def test_unbound_name(self):
+    def test_unknown_label(self):
         with pytest.raises(UnboundName):
-            ba_eval(ABC, ("var", "zz"), {})
-
-    def test_arity_mismatch(self):
-        with pytest.raises(ArityMismatch):
-            ba_eval(ABC, ("join", ("var", "x")), {"x": frozenset()})
-        with pytest.raises(ArityMismatch):
-            ba_eval(ABC, ("neg", ("var", "x"), ("var", "x")), {"x": frozenset()})
-        with pytest.raises(ArityMismatch):
-            ba_eval(ABC, ("frobnicate", ("var", "x")), {"x": frozenset()})
-        with pytest.raises(ArityMismatch):
-            ba_eval(ABC, 17, {})
+            ABC.from_labels(["a", "zz"])
 
 
 class TestDualSpace:
@@ -233,6 +252,33 @@ class TestUniqueHomeomorphism:
         for lab, target in phi.items():
             assert f2.apply(target) == f1.apply(lab)
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_closed_form_matches_enumeration_on_every_cover(self, n):
+        for f1 in partition_covers(n):
+            for order in (list(range(n)), list(range(n))[::-1], [(i + 1) % n for i in range(n)]):
+                f2 = relabel(f1, order)
+                found = homeomorphisms_by_enumeration(f1, f2)
+                assert unique_cover_homeomorphism(f1, f2) == (found[0], len(found))
+
+    def test_closed_form_matches_enumeration_on_every_pair(self):
+        # every pair of maps into a common codomain, including pairs with
+        # no homeomorphism between them
+        for n, m in ((1, 1), (2, 2), (3, 2), (3, 3), (4, 2), (4, 3)):
+            x = FiniteDiscreteSpace(tuple(f"x{k}" for k in range(m)))
+            p = FiniteDiscreteSpace(tuple(f"p{i}" for i in range(n)))
+            q = FiniteDiscreteSpace(tuple(f"q{i}" for i in range(n)))
+            images = list(itertools.product(x.point_labels, repeat=n))
+            for a in images:
+                f1 = FinCover(p, x, tuple(zip(p.point_labels, a)))
+                for b in images:
+                    f2 = FinCover(q, x, tuple(zip(q.point_labels, b)))
+                    found = homeomorphisms_by_enumeration(f1, f2)
+                    if found:
+                        assert unique_cover_homeomorphism(f1, f2) == (found[0], len(found))
+                    else:
+                        with pytest.raises(ValueError):
+                            unique_cover_homeomorphism(f1, f2)
+
     def test_no_match_raises(self):
         x = FiniteDiscreteSpace(("a", "b"))
         p = FiniteDiscreteSpace(("p0", "p1"))
@@ -264,15 +310,3 @@ class TestAlgebraHelpers:
             assert push(b1.join(u, v)) == b2.join(push(u), push(v))
             assert push(b1.meet(u, v)) == b2.meet(push(u), push(v))
             assert push(b1.neg(u)) == b2.neg(push(u))
-
-    def test_relativize(self):
-        sub = relativize(ABC, ABC.from_labels(["a", "c"]))
-        assert sub.atom_labels == ("a", "c")
-        with pytest.raises(EmptyRelativization):
-            relativize(ABC, frozenset())
-
-    def test_decompose(self):
-        atomic, atomless = decompose_atomic_atomless(ABC)
-        assert atomic == ABC
-        assert atomless is DEGENERATE
-        assert atomless.atom_labels == ()

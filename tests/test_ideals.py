@@ -5,12 +5,11 @@ import random
 
 import pytest
 
-from regopen.errors import NotIrreducible, SpaceMismatch
+from regopen.errors import Discontinuity, NotIrreducible, SpaceMismatch
 from regopen.ideals import (
     PLFunc,
     RegIdeal,
     annihilator,
-    const_func,
     ideal_from_open,
     ideal_join,
     ideal_meet,
@@ -21,16 +20,14 @@ from regopen.ideals import (
     pl_supp,
     plfunc_from_breakpoints,
     pullback,
-    random_plfunc,
     supp,
     upsilon,
-    zero_func,
 )
 from regopen.plmap import Piece, PLMap, identity_map, plmap_from_breakpoints
 from regopen.rationals import rat
 from regopen.space import Interval, Region, Space1D, Span, random_regular_open
 
-from conftest import FIXTURE_SPACES, MIXED, UNIT, UNIT_PT, region
+from conftest import FIXTURE_SPACES, MIXED, UNIT, UNIT_PT, const_func, random_plfunc, region
 
 ZERO_TWO = Space1D((Interval(0, 2),))
 
@@ -65,7 +62,7 @@ def product_is_zero(f: PLFunc, g: PLFunc) -> bool:
 
 class TestPLFunc:
     def test_discontinuity_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(Discontinuity):
             PLFunc(UNIT, ((Piece(0, rat(1, 2), 1, 0), Piece(rat(1, 2), 1, 1, 5)),))
 
     def test_point_values_required(self):
@@ -82,7 +79,7 @@ class TestPLFunc:
 class TestSupport:
     def test_zero_function(self):
         for sp in FIXTURE_SPACES:
-            assert pl_supp(zero_func(sp)).is_empty
+            assert pl_supp(const_func(sp, 0)).is_empty
 
     def test_linear_function(self):
         f = plfunc_from_breakpoints(UNIT, [(0, 0), (1, 1)])
@@ -141,7 +138,7 @@ class TestRegIdeal:
 
     def test_in_ideal(self):
         full = ideal_from_open(region(UNIT, (0, 1, False, False)))
-        assert in_ideal(zero_func(UNIT), full)
+        assert in_ideal(const_func(UNIT, 0), full)
         assert in_ideal(hat(), full)
         right = ideal_from_open(region(UNIT, ("1/2", 1, False, True)))
         linear = plfunc_from_breakpoints(UNIT, [(0, 0), (1, 1)])
@@ -149,7 +146,7 @@ class TestRegIdeal:
 
     def test_in_ideal_space_mismatch(self):
         with pytest.raises(SpaceMismatch):
-            in_ideal(zero_func(UNIT), ideal_from_open(MIXED.full_region()))
+            in_ideal(const_func(UNIT, 0), ideal_from_open(MIXED.full_region()))
 
     def test_membership_matches_annihilation(self):
         # f lies in J^perp exactly when f wipes out every witness inside J
