@@ -144,29 +144,33 @@ def psi_c(k: CantorClopen) -> Region:
 
 
 def phi_c(v: Region, depth: Optional[int] = None) -> CantorClopen:
-    """The preimage clopen: all depth-k words whose interval sits in cl(V)."""
+    """The preimage clopen: the words of the dyadic cells that tile cl(V).
+
+    The natural depth k is the largest dyadic exponent of an endpoint.  A
+    given `depth` may not lie below it; the canonical antichain does not
+    depend on it, so the words come out of depth k whatever it is.
+    """
     if v.space != UNIT_INTERVAL:
         raise SpaceMismatch("phi_c expects a region over [0,1]")
-    if v.is_empty:
-        return EMPTY
     k = 0
     for s in v.spans:
         for x in (s.lo, s.hi):
             if not is_dyadic(x):
                 raise NonDyadicEndpoint(x)
             k = max(k, dyadic_exponent(x))
-    if depth is not None:
-        if depth < k:
-            raise ValueError(f"depth {depth} below the natural depth {k}")
-        k = depth
-    if k == 0:
-        return FULL if v.closure() == UNIT_INTERVAL.full_region() else EMPTY
-    # cell [i,i+1]/2^k lies in the closure iff it lies in one span; with
-    # endpoints of exponent <= k the span covers exactly an integer range
-    scale = 2**k
+    if depth is not None and depth < k:
+        raise ValueError(f"depth {depth} below the natural depth {k}")
+    # each closed span covers the whole cells [a, b) of size 2^-k; cut that
+    # range into maximal aligned blocks of 2^j cells, one word of length k - j each
     words = []
     for s in v.closure().spans:
-        words.extend(format(i, f"0{k}b") for i in range(int(s.lo * scale), int(s.hi * scale)))
+        a, b = int(s.lo * 2**k), int(s.hi * 2**k)
+        while a < b:
+            j = (a & -a).bit_length() - 1 if a else k
+            while a + (1 << j) > b:
+                j -= 1
+            words.append(format(a >> j, f"0{k - j}b") if j < k else "")
+            a += 1 << j
     return CantorClopen(tuple(words))
 
 
@@ -278,6 +282,8 @@ def verify_bridge(depth: int = 6, samples: int = 200, seed: int = 0) -> BridgeRe
     """Seeded round-trip and law checks for the psi_c/phi_c pair."""
     from .space import ropen_join, ropen_meet, ropen_neg
 
+    if samples < 0:
+        raise ValueError("samples must be non-negative")
     rng = random.Random(seed)
     failures: list[str] = []
     checks = 0

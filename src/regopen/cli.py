@@ -38,6 +38,11 @@ EXIT_INPUT = 2
 # `gleason` enumerates every subset for each point, n·2ⁿ work: 16 points
 # take a few seconds, 30 would take hours.
 MAX_GLEASON_POINTS = 16
+# `cantor check` drops each of the 2^(d+1) - 2 cylinders of depth at most d
+# and complements it over all 2^d leaves, about 4^d work.  On an idle
+# 2-vCPU VM depth 10 takes 14 s with the default 200 bridge samples (4.4 s
+# of it the cylinder check), depth 11 takes 31 s, and depth 40 never ends.
+MAX_CANTOR_CHECK_DEPTH = 10
 
 
 def _load(source: str):
@@ -114,6 +119,8 @@ def _cmd_cover_psi_phi(args, which: str) -> int:
 
 
 def _cmd_cantor_check(args) -> int:
+    if args.depth > MAX_CANTOR_CHECK_DEPTH:
+        raise ValueError(f"--depth is at most {MAX_CANTOR_CHECK_DEPTH}")
     irr = cantor.check_irreducible_cantor(args.depth)
     bridge = cantor.verify_bridge(args.depth, args.samples, args.seed)
     _emit({"irreducible": irr.to_json(), "bridge": bridge.to_json()})

@@ -147,6 +147,8 @@ class CoverReport:
 
 def check_essential(cover: Cover, samples: int = 100, seed: int = 0) -> CoverReport:
     """Run the full battery against one cover; deterministic per seed."""
+    if samples < 0:
+        raise ValueError("samples must be non-negative")
     rng = random.Random(seed)
     surjective, irreducible, witness, reason = cover.decide()
 

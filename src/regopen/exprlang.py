@@ -9,6 +9,9 @@ Grammar (whitespace-insensitive):
           | ("join" | "meet" | "union" | "inter" | "diff") "(" expr "," expr ")"
     rat  := integer ("/" positive-integer)?
 
+Digits are decimal digits (`str.isdecimal`); a superscript or other
+non-decimal digit is a stray character.
+
 Operator names are reserved; any other identifier refers to a binding.
 `I(a,b)` denotes the open interval clipped to the space, `pt(c)` the
 clipped singleton, and `neg` is the same Boolean negation as `perp`.
@@ -16,18 +19,29 @@ Operators nest at most MAX_NESTING deep; deeper input is a syntax error.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 from .errors import ExprSyntaxError, SpaceMismatch, UnboundName
 from .rationals import Rational, parse_rat, rat_str
 from .space import Region, Space1D, Span, ropen_join, ropen_meet
 
-UNARY_OPS = ("cl", "int", "reg", "perp", "neg")
-BINARY_OPS = ("join", "meet", "union", "inter", "diff")
-RESERVED = set(UNARY_OPS) | set(BINARY_OPS) | {"I", "pt"}
+# operator -> (arity, Region method or module-level function); names are
+# looked up at each call, so a rebinding of either is seen
+OPERATORS = {
+    "cl": (1, "closure"), "int": (1, "interior"), "reg": (1, "regularize"),
+    "perp": (1, "perp"), "neg": (1, "perp"),
+    "join": (2, "ropen_join"), "meet": (2, "ropen_meet"),
+    "union": (2, "union"), "inter": (2, "intersect"), "diff": (2, "difference"),
+}
 # parsing, evaluation and printing recurse once per level, so this bounds the stack
 MAX_NESTING = 200
+
+# one token per match; `\w`, `\d` and `\s` are str.isalnum (or "_"),
+# str.isdecimal and str.isspace
+_TOKEN = re.compile(r"(?P<space>\s+)|(?P<ident>[^\W\d]\w*)|(?P<rat>-?\d+(?P<slash>/\d*)?)"
+                    r"|(?P<punct>[(),])|(?P<stray>.)", re.DOTALL)
 
 
 @dataclass(frozen=True)
@@ -62,138 +76,71 @@ class Binary:
 Expr = Union[Name, IntervalLit, PointLit, Unary, Binary]
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # ident, rat, lparen, rparen, comma, end
-    text: str
-    line: int
-    col: int
-
-
-def _tokens(text: str) -> Iterator[Token]:
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+def _tokens(text: str) -> list[tuple[str, str, int, int]]:
+    """(kind, text, line, col) of each token, then an "end" token; punctuation is its own kind."""
+    out = []
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, word, col = m.lastgroup, m.group(), m.start() - line_start + 1
+        if kind == "space":
+            if "\n" in word:
+                line += word.count("\n")
+                line_start = m.start() + word.rindex("\n") + 1
             continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        start_col = col
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            yield Token("ident", text[i:j], line, start_col)
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "/":
-                k = j + 1
-                while k < n and text[k].isdigit():
-                    k += 1
-                if k == j + 1:
-                    raise ExprSyntaxError(line, col + (j - i), ["digit"], "/")
-                j = k
-            yield Token("rat", text[i:j], line, start_col)
-            col += j - i
-            i = j
-            continue
-        simple = {"(": "lparen", ")": "rparen", ",": "comma"}
-        if ch in simple:
-            yield Token(simple[ch], ch, line, start_col)
-            col += 1
-            i += 1
-            continue
-        raise ExprSyntaxError(line, col, ["identifier", "number", "(", ")", ","], ch)
-    yield Token("end", "", line, col)
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.toks = list(_tokens(text))
-        self.pos = 0
-        self.depth = 0
-
-    @property
-    def cur(self) -> Token:
-        return self.toks[self.pos]
-
-    def bump(self) -> Token:
-        tok = self.cur
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> Token:
-        if self.cur.kind != kind:
-            raise ExprSyntaxError(
-                self.cur.line, self.cur.col, [what], self.cur.text or "end of input"
-            )
-        return self.bump()
-
-    def rat(self) -> Rational:
-        tok = self.expect("rat", "rational number")
-        return parse_rat(tok.text)
-
-    def operand(self) -> Expr:
-        if self.depth == MAX_NESTING:
-            raise ExprSyntaxError(
-                self.cur.line, self.cur.col,
-                [f"at most {MAX_NESTING} nested operators"], self.cur.text,
-            )
-        self.depth += 1
-        out = self.expr()
-        self.depth -= 1
-        return out
-
-    def expr(self) -> Expr:
-        tok = self.cur
-        if tok.kind == "rat":
-            raise ExprSyntaxError(tok.line, tok.col, ["expression"], tok.text)
-        name = self.expect("ident", "expression").text
-        if name == "I":
-            self.expect("lparen", "(")
-            a = self.rat()
-            self.expect("comma", ",")
-            b = self.rat()
-            self.expect("rparen", ")")
-            return IntervalLit(a, b)
-        if name == "pt":
-            self.expect("lparen", "(")
-            at = self.rat()
-            self.expect("rparen", ")")
-            return PointLit(at)
-        if name in UNARY_OPS:
-            self.expect("lparen", "(")
-            arg = self.operand()
-            self.expect("rparen", ")")
-            return Unary(name, arg)
-        if name in BINARY_OPS:
-            self.expect("lparen", "(")
-            left = self.operand()
-            self.expect("comma", ",")
-            right = self.operand()
-            self.expect("rparen", ")")
-            return Binary(name, left, right)
-        return Name(name)
+        if kind == "ident" and not (word[0].isalpha() or word[0] == "_"):
+            kind, word = "stray", word[0]  # a numeric character that is no decimal digit
+        if kind == "stray":
+            raise ExprSyntaxError(line, col, ["identifier", "number", "(", ")", ","], word)
+        if m["slash"] == "/":
+            raise ExprSyntaxError(line, m.start("slash") - line_start + 1, ["digit"], "/")
+        out.append((word if kind == "punct" else kind, word, line, col))
+    out.append(("end", "", line, len(text) - line_start + 1))
+    return out
 
 
 def parse_expr(text: str) -> Expr:
-    parser = _Parser(text)
-    out = parser.expr()
-    tok = parser.cur
-    if tok.kind != "end":
-        raise ExprSyntaxError(tok.line, tok.col, ["end of input"], tok.text)
+    toks = _tokens(text)
+    at = 0
+
+    def fail(expected: str, at_end: str = ""):
+        _, word, line, col = toks[at]
+        raise ExprSyntaxError(line, col, [expected], word or at_end)
+
+    def take(kind: str, what: str) -> str:
+        nonlocal at
+        if toks[at][0] != kind:
+            fail(what, "end of input")
+        at += 1
+        return toks[at - 1][1]
+
+    def expr(depth: int) -> Expr:
+        if toks[at][0] == "rat":
+            fail("expression")
+        name = take("ident", "expression")
+        if name in ("I", "pt"):
+            take("(", "(")
+            ends = [parse_rat(take("rat", "rational number"))]
+            if name == "I":
+                take(",", ",")
+                ends.append(parse_rat(take("rat", "rational number")))
+            take(")", ")")
+            return IntervalLit(*ends) if name == "I" else PointLit(*ends)
+        if name not in OPERATORS:
+            return Name(name)
+        take("(", "(")
+        args = []
+        for i in range(OPERATORS[name][0]):
+            if i:
+                take(",", ",")
+            if depth == MAX_NESTING:
+                fail(f"at most {MAX_NESTING} nested operators")
+            args.append(expr(depth + 1))
+        take(")", ")")
+        return Unary(name, *args) if len(args) == 1 else Binary(name, *args)
+
+    out = expr(0)
+    if toks[at][0] != "end":
+        fail("end of input")
     return out
 
 
@@ -238,23 +185,8 @@ def _eval(e: Expr, space: Space1D, bindings: Mapping[str, Region]) -> Region:
         return Region.make(space, [Span(e.a, e.b, False, False)])
     if isinstance(e, PointLit):
         return Region.make(space, [Span(e.at, e.at, True, True)])
-    if isinstance(e, Unary):
-        arg = _eval(e.arg, space, bindings)
-        if e.op == "cl":
-            return arg.closure()
-        if e.op == "int":
-            return arg.interior()
-        if e.op == "reg":
-            return arg.regularize()
-        return arg.perp()  # perp and neg coincide
-    left = _eval(e.left, space, bindings)
-    right = _eval(e.right, space, bindings)
-    if e.op == "join":
-        return ropen_join(left, right)
-    if e.op == "meet":
-        return ropen_meet(left, right)
-    if e.op == "union":
-        return left.union(right)
-    if e.op == "inter":
-        return left.intersect(right)
-    return left.difference(right)
+    operands = (e.arg,) if isinstance(e, Unary) else (e.left, e.right)
+    args = [_eval(a, space, bindings) for a in operands]
+    name = OPERATORS[e.op][1]
+    fn = globals().get(name)  # ropen_join/ropen_meet; the rest are Region methods
+    return fn(*args) if fn else getattr(args[0], name)(*args[1:])

@@ -119,6 +119,8 @@ class FinCover:
     domain: FiniteDiscreteSpace
     codomain: FiniteDiscreteSpace
     table: tuple[tuple[str, str], ...]
+    # codomain index of each domain label, in domain order; derived once from the table
+    index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         table = tuple(tuple(pair) for pair in self.table)
@@ -128,29 +130,26 @@ class FinCover:
             raise ValueError("table must cover the domain exactly once each")
         if len(mapping) != len(table):
             raise ValueError("duplicate domain labels in table")
+        cod_index = {lab: i for i, lab in enumerate(self.codomain.point_labels)}
         for v in mapping.values():
-            if v not in self.codomain.point_labels:
+            if v not in cod_index:
                 raise ValueError(f"table value {v!r} not in codomain")
+        index = {lab: cod_index[mapping[lab]] for lab in self.domain.point_labels}
+        object.__setattr__(self, "index", index)
 
     def apply(self, label: str) -> str:
-        for k, v in self.table:
-            if k == label:
-                return v
-        raise KeyError(label)
+        return self.codomain.point_labels[self.index[label]]
 
     def image_of(self, subset: frozenset[int]) -> frozenset[int]:
         """Index-level image of a set of domain point indices."""
-        cod_index = {lab: i for i, lab in enumerate(self.codomain.point_labels)}
         dom = self.domain.point_labels
-        return frozenset(cod_index[self.apply(dom[i])] for i in subset)
+        return frozenset(self.index[dom[i]] for i in subset)
 
     def preimage_of(self, subset: frozenset[int]) -> frozenset[int]:
-        cod = self.codomain.point_labels
-        targets = {cod[i] for i in subset}
-        return frozenset(i for i, lab in enumerate(self.domain.point_labels) if self.apply(lab) in targets)
+        return frozenset(i for i, x in enumerate(self.index.values()) if x in subset)
 
     def is_surjective(self) -> bool:
-        return self.image_of(frozenset(range(self.domain.n))) == frozenset(range(self.codomain.n))
+        return len(set(self.index.values())) == self.codomain.n
 
 
 class GleasonCoverResult(NamedTuple):
@@ -231,83 +230,44 @@ def verify_projective_cover(
 
     Without `homs`, each point p of P is the evaluation at its image f(p).
     All subsets of both spaces are enumerated, so keep |P| and |X| small.
+    Each failed property reports the first subset, in bit order, on which
+    it fails.
     """
     if f.domain != p or f.codomain != x:
         raise ValueError("cover does not connect the given spaces")
-    if homs is None:
-        cod_index = {lab: i for i, lab in enumerate(x.point_labels)}
-        homs = tuple(TwoValuedHom(cod_index[f.apply(lab)]) for lab in p.point_labels)
-    homs = tuple(homs)
-    witnesses: dict = {}
-
-    p_all = frozenset(range(p.n))
+    homs = tuple(TwoValuedHom(i) for i in f.index.values()) if homs is None else tuple(homs)
     x_all = frozenset(range(x.n))
-
-    surjective = f.image_of(p_all) == x_all
-
-    irreducible = True
-    for bits in range(2 ** p.n - 1):  # every proper subset of P
-        subset = frozenset(i for i in range(p.n) if bits >> i & 1)
-        if f.image_of(subset) == x_all:
-            irreducible = False
-            witnesses["irreducible"] = sorted(p.point_labels[i] for i in subset)
-            break
-
-    # rigid: the only h with f∘h = f is the identity; candidates factor
-    # through the fibers of f
-    fibers = {}
-    for i, lab in enumerate(p.point_labels):
-        fibers.setdefault(f.apply(lab), []).append(i)
-    rigid = True
-    choice_lists = [fibers[f.apply(lab)] for lab in p.point_labels]
-    for combo in itertools.product(*choice_lists):
-        if any(c != i for i, c in enumerate(combo)):
-            rigid = False
-            witnesses["rigid"] = {
-                p.point_labels[i]: p.point_labels[c] for i, c in enumerate(combo) if i != c
-            }
-            break
 
     def phi(v: frozenset[int]) -> frozenset[int]:
         return frozenset(k for k, hom in enumerate(homs) if hom(v))
 
-    def psi(e: frozenset[int]) -> frozenset[int]:
-        return f.image_of(e)  # discrete: int(f(E)) = f(E)
+    def first_failure(space: FiniteDiscreteSpace, fails) -> Optional[list[str]]:
+        for bits in range(2 ** space.n):
+            subset = frozenset(i for i in range(space.n) if bits >> i & 1)
+            if fails(subset):
+                return sorted(space.point_labels[i] for i in subset)
+        return None
 
-    phi_eq = True
-    for v in _subsets(x.n):
-        if phi(v) != f.preimage_of(v):  # discrete: cl f^{-1}(V) = f^{-1}(V)
-            phi_eq = False
-            witnesses["phi_eq_cl_preimage"] = sorted(x.point_labels[i] for i in v)
-            break
-
-    sandwich = True
-    for b in _subsets(x.n):
-        mid = f.image_of(phi(b))
-        if not (b <= mid and mid <= b):  # discrete: cl B = B
-            sandwich = False
-            witnesses["onto_sandwich"] = sorted(x.point_labels[i] for i in b)
-            break
-
-    inverts = True
-    for v in _subsets(x.n):
-        if psi(phi(v)) != v:
-            inverts = False
-            witnesses["psi_inverts_phi"] = sorted(x.point_labels[i] for i in v)
-            break
-    if inverts:
-        for e in _subsets(p.n):
-            if phi(psi(e)) != e:
-                inverts = False
-                witnesses["psi_inverts_phi"] = sorted(p.point_labels[i] for i in e)
-                break
-
-    return VerificationReport(surjective, irreducible, rigid, phi_eq, sandwich, inverts, witnesses)
-
-
-def _subsets(n: int):
-    for bits in range(2 ** n):
-        yield frozenset(i for i in range(n) if bits >> i & 1)
+    # rigid: the only h with f∘h = f is the identity.  Such h send each
+    # point into its fibre; the first one tried, each point to the first
+    # point of its fibre, is the identity exactly when every fibre is a
+    # single point, and otherwise is the witness.
+    fibres = _fibres(f)
+    moved = {lab: fibres[i][0] for lab, i in f.index.items() if fibres[i][0] != lab}
+    # discrete spaces: cl and int are identities, so psi = f(-) and
+    # phi = cl f^{-1}(-) = f^{-1}(-); "onto" (f(phi(B)) = B) is also the
+    # first half of psi inverting phi
+    onto = first_failure(x, lambda b: f.image_of(phi(b)) != b)
+    found = {  # in VerificationReport's field order
+        "irreducible": first_failure(p, lambda e: len(e) < p.n and f.image_of(e) == x_all),
+        "rigid": moved or None,
+        "phi_eq_cl_preimage": first_failure(x, lambda v: phi(v) != f.preimage_of(v)),
+        "onto_sandwich": onto,
+        "psi_inverts_phi": onto if onto is not None
+        else first_failure(p, lambda e: phi(f.image_of(e)) != e),
+    }
+    witnesses = {name: w for name, w in found.items() if w is not None}
+    return VerificationReport(f.is_surjective(), *(w is None for w in found.values()), witnesses)
 
 
 def unique_cover_homeomorphism(f1: FinCover, f2: FinCover) -> tuple[dict, int]:
@@ -325,18 +285,16 @@ def unique_cover_homeomorphism(f1: FinCover, f2: FinCover) -> tuple[dict, int]:
     fibres1, fibres2 = _fibres(f1), _fibres(f2)
     if {x: len(ps) for x, ps in fibres1.items()} != {x: len(ps) for x, ps in fibres2.items()}:
         raise ValueError("no homeomorphism over the codomain exists")
-    image1 = dict(f1.table)
     unused = {x: iter(ps) for x, ps in fibres2.items()}
-    mapping = {lab: next(unused[image1[lab]]) for lab in f1.domain.point_labels}
+    mapping = {lab: next(unused[x]) for lab, x in f1.index.items()}
     return mapping, math.prod(math.factorial(len(ps)) for ps in fibres1.values())
 
 
-def _fibres(f: FinCover) -> dict[str, list[str]]:
-    """Domain labels over each codomain label, in domain index order."""
-    image = dict(f.table)
-    fibres: dict[str, list[str]] = {}
-    for lab in f.domain.point_labels:
-        fibres.setdefault(image[lab], []).append(lab)
+def _fibres(f: FinCover) -> dict[int, list[str]]:
+    """Domain labels over each codomain index, in domain index order."""
+    fibres: dict[int, list[str]] = {}
+    for lab, i in f.index.items():
+        fibres.setdefault(i, []).append(lab)
     return fibres
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotIrreducible, SpaceMismatch
-from .plmap import Piece, PLMap, _locate, _runs, _settle, is_irreducible
+from .plmap import Piece, PLMap, _locate, _preimage, _runs, _settle, is_irreducible
 from .rationals import Rational
 from .space import Region, Space1D, Span, canonicalize, ropen_join, ropen_meet, ropen_neg
 
@@ -47,31 +47,9 @@ def plfunc_from_breakpoints(
 
 
 def pl_supp(f: PLFunc) -> Region:
-    """Exact open region where f is nonzero, by per-piece root solving."""
-    raw: list[Span] = []
-    for run in f.pieces:
-        for piece in run:
-            if piece.slope == 0:
-                if piece.intercept != 0:
-                    raw.append(Span(piece.src_lo, piece.src_hi, True, True))
-                continue
-            root = -piece.intercept / piece.slope
-            if root <= piece.src_lo or root >= piece.src_hi:
-                half = Span(
-                    piece.src_lo,
-                    piece.src_hi,
-                    piece.value(piece.src_lo) != 0,
-                    piece.value(piece.src_hi) != 0,
-                )
-                if not half.is_empty:
-                    raw.append(half)
-            else:
-                raw.append(Span(piece.src_lo, root, piece.value(piece.src_lo) != 0, False))
-                raw.append(Span(root, piece.src_hi, False, piece.value(piece.src_hi) != 0))
-    for p, v in f.point_values:
-        if v != 0:
-            raw.append(Span(p, p, True, True))
-    return canonicalize(f.space, raw).region
+    """Exact open region where f is nonzero: the complement of its zero set."""
+    zeros = _preimage(f.pieces, f.point_values, [Span(0, 0, True, True)])
+    return canonicalize(f.space, zeros).region.complement()
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ exact span arithmetic; no sampling enters the library semantics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     Discontinuity,
@@ -93,6 +93,27 @@ def _locate(pieces, points, x: Rational) -> tuple[Rational, Rational]:
     raise ValueError(f"{x} not in the domain")
 
 
+def _preimage(pieces, points, spans: Sequence[Span]) -> list[Span]:
+    """Raw spans of the x whose value lies in one of `spans`."""
+    raw: list[Span] = []
+    for run in pieces:
+        for piece in run:
+            src = Span(piece.src_lo, piece.src_hi, True, True)
+            for t in spans:
+                if piece.slope == 0:
+                    if t.contains(piece.intercept):
+                        raw.append(src)
+                    continue
+                back = _affine_span(t, 1 / piece.slope, -piece.intercept / piece.slope)
+                part = _span_intersect(back, src)
+                if part is not None:
+                    raw.append(part)
+    for p, v in points:
+        if any(t.contains(v) for t in spans):
+            raw.append(Span(p, p, True, True))
+    return raw
+
+
 def _runs(space: Space1D, values: Iterable[tuple[Rational, Rational]]):
     """Interpolating runs through (x, value) breakpoints.
 
@@ -170,23 +191,7 @@ class PLMap:
     def preimage(self, s: Region) -> Region:
         if s.space != self.codomain:
             raise SpaceMismatch("region is not over the codomain")
-        raw: list[Span] = []
-        for run in self.pieces:
-            for piece in run:
-                src = Span(piece.src_lo, piece.src_hi, True, True)
-                for t in s.spans:
-                    if piece.slope == 0:
-                        if t.contains(piece.intercept):
-                            raw.append(src)
-                        continue
-                    back = _affine_span(t, 1 / piece.slope, -piece.intercept / piece.slope)
-                    part = _span_intersect(back, src)
-                    if part is not None:
-                        raw.append(part)
-        for p, v in self.point_images:
-            if s.contains(v):
-                raw.append(Span(p, p, True, True))
-        return canonicalize(self.domain, raw).region
+        return canonicalize(self.domain, _preimage(self.pieces, self.point_images, s.spans)).region
 
     def is_surjective(self) -> bool:
         return self.image(self.domain.full_region()) == self.codomain.full_region()

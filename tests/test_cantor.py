@@ -28,8 +28,8 @@ from regopen.cantor import (
     word_region,
 )
 from regopen.errors import NonDyadicEndpoint, SpaceMismatch
-from regopen.rationals import rat
-from regopen.space import ropen_join, ropen_meet, ropen_neg
+from regopen.rationals import dyadic_exponent, rat
+from regopen.space import Region, Span, ropen_join, ropen_meet, ropen_neg
 
 from conftest import TWO_INTERVALS, region
 
@@ -174,7 +174,43 @@ class TestCellMaskConstruction:
             assert dyadic_regular_open_from_cellmask(d, mask) == slow
 
 
+def phi_c_by_cells(v: Region, depth: int | None = None) -> CantorClopen:
+    """Oracle: one word per cell of size 2^-depth inside cl(V), fused by the antichain."""
+    if v.is_empty:
+        return EMPTY
+    k = max(dyadic_exponent(x) for s in v.spans for x in (s.lo, s.hi))
+    k = k if depth is None else depth
+    if k == 0:
+        return FULL if v.closure() == UNIT_INTERVAL.full_region() else EMPTY
+    scale = 2**k
+    words = []
+    for s in v.closure().spans:
+        words.extend(format(i, f"0{k}b") for i in range(int(s.lo * scale), int(s.hi * scale)))
+    return CantorClopen(tuple(words))
+
+
 class TestPhiDepthStability:
+    def test_blocks_match_cell_listing(self):
+        # any dyadic region, regular open or not: open, closed and half-open spans and points
+        rng = random.Random(4243)
+        for _ in range(400):
+            d = rng.randint(0, 8)
+            n = 2**d
+            raw = []
+            for _ in range(rng.randint(0, 4)):
+                a = rng.randint(0, n)
+                b = rng.randint(a, n)
+                flags = (True, True) if a == b else (rng.random() < 0.5, rng.random() < 0.5)
+                raw.append(Span(rat(a, n), rat(b, n), *flags))
+            v = Region.make(UNIT_INTERVAL, raw)
+            for depth in (None, d, d + 2):
+                assert phi_c(v, depth) == phi_c_by_cells(v, depth)
+
+    def test_negative_depth_rejected_on_the_empty_region(self):
+        with pytest.raises(ValueError):
+            phi_c(UNIT_INTERVAL.empty_region(), depth=-1)
+
+
     def test_deeper_enumeration_agrees(self):
         rng = random.Random(4242)
         for _ in range(60):

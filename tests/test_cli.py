@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from regopen import cli, jsonio
-from regopen.cli import MAX_GLEASON_POINTS, main
+from regopen.cli import MAX_CANTOR_CHECK_DEPTH, MAX_GLEASON_POINTS, main
 from regopen.ideals import plfunc_from_breakpoints
 from regopen.plmap import Piece, PLMap, identity_map, plmap_from_breakpoints
 from regopen.rationals import rat
@@ -145,6 +145,12 @@ class TestCover:
             {"lo": "0", "hi": "1", "lo_incl": True, "hi_incl": False}
         ]
 
+    def test_negative_samples_are_input_errors(self, capsys):
+        code, out = run(capsys, "cover", "check", "--map", plmap_json(tent()), "--samples", "-3")
+        assert code == 2 and out["at"] == "ValueError"
+        code, out = run(capsys, "cover", "check", "--map", plmap_json(identity_map(UNIT)), "--samples", "0")
+        assert code == 0 and out["samples"] == 0
+
     def test_invalid_map_is_input_error(self, capsys):
         broken = json.dumps(
             {
@@ -178,6 +184,33 @@ class TestCantor:
         v = region_json(region(jsonio.decode_space(json.loads(UNIT_JSON)), ("1/4", "3/4", False, False)))
         code, out = run(capsys, "cantor", "phi", "--region", v)
         assert code == 0 and out["words"] == ["01", "10"]
+
+    def test_check_depth_above_the_bound_is_input_error(self, capsys):
+        for depth in (MAX_CANTOR_CHECK_DEPTH + 1, 10**9):
+            code, out = run(capsys, "cantor", "check", "--depth", str(depth), "--samples", "1")
+            assert code == 2 and out["at"] == "ValueError"
+
+    def test_negative_samples_are_input_errors(self, capsys):
+        code, out = run(capsys, "cantor", "check", "--depth", "3", "--samples", "-3")
+        assert code == 2 and out["at"] == "ValueError"
+        code, out = run(capsys, "cantor", "check", "--depth", "3", "--samples", "0")
+        assert code == 0 and out["bridge"]["samples"] == 0 and out["bridge"]["checks"] == 0
+
+    def test_phi_at_depth_40(self, capsys):
+        v = '{"spans":[{"lo":"0","hi":"1","lo_incl":true,"hi_incl":true}]}'
+        code, out = run(capsys, "cantor", "phi", "--region", v, "--depth", "40")
+        assert code == 0 and out["words"] == [""]
+
+    def test_phi_of_exponent_40(self, capsys):
+        # (0, 1/2 + 2^-40) is the half cylinder "0" plus one cell of depth 40
+        hi = f"{2**39 + 1}/{2**40}"
+        v = '{"spans":[{"lo":"0","hi":"%s","lo_incl":true,"hi_incl":false}]}' % hi
+        code, out = run(capsys, "cantor", "phi", "--region", v)
+        assert code == 0 and out["words"] == ["0", "1" + "0" * 39]
+
+    def test_phi_negative_depth_is_input_error(self, capsys):
+        code, out = run(capsys, "cantor", "phi", "--region", '{"spans":[]}', "--depth", "-1")
+        assert code == 2 and out["at"] == "ValueError"
 
     def test_phi_non_dyadic(self, capsys):
         v = '{"spans":[{"lo":"1/3","hi":"2/3","lo_incl":false,"hi_incl":false}]}'
@@ -522,14 +555,14 @@ SUBCOMMANDS = {
         f"cover {which}": _argv(st.just(["cover", which, "--map"]), _arg(PLMAP), st.just("--region"), _arg(REGION))
         for which in ("psi", "phi")
     },
-    # Cantor depths stay within 8: deeper checks are not bounded yet
     "cantor check": _argv(
-        st.just(["cantor", "check"]), _flag("--depth", st.integers(-1, 8)), st.just(["--samples"]),
+        st.just(["cantor", "check"]),
+        _flag("--depth", st.integers(-1, 8) | st.integers(MAX_CANTOR_CHECK_DEPTH + 1, 10**9)), st.just(["--samples"]),
         SMALL.map(str), _flag("--seed", SMALL),
     ),
     "cantor psi": _argv(st.just(["cantor", "psi", "--clopen"]), _arg(CLOPEN)),
     "cantor phi": _argv(
-        st.just(["cantor", "phi", "--region"]), _arg(REGION), _flag("--depth", st.integers(-1, 8)),
+        st.just(["cantor", "phi", "--region"]), _arg(REGION), _flag("--depth", st.integers(-1, 64)),
     ),
     "gleason": _argv(
         st.just(["gleason", "--points"]),

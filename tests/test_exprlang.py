@@ -170,3 +170,66 @@ class TestEval:
         env = {"x": region(MIXED, (0, "1/4", True, True))}
         with pytest.raises(SpaceMismatch):
             eval_expr(parse_expr("x"), UNIT, env)
+
+
+SYMBOLS = ["identifier", "number", "(", ")", ","]
+N, U, B = Name, Unary, Binary
+
+# outcomes of parse_expr recorded from the character-loop tokenizer this
+# module had before it read tokens with one pattern: an AST, or the
+# (line, col, expected, found) of the syntax error
+GOLDEN = [
+    ("join(x;y)", (1, 7, SYMBOLS, ";")),
+    ("meet(x,\n  y?)", (2, 4, SYMBOLS, "?")),
+    ("I(1/,2)", (1, 4, ["digit"], "/")),
+    ("pt(1/", (1, 5, ["digit"], "/")),
+    ("join(x,", (1, 8, ["expression"], "end of input")),
+    ("I(0,", (1, 5, ["rational number"], "end of input")),
+    ("x y", (1, 3, ["end of input"], "y")),
+    ("cl(x))", (1, 6, ["end of input"], ")")),
+    ("1/4", (1, 1, ["expression"], "1/4")),
+    ("neg(-2)", (1, 5, ["expression"], "-2")),
+    ("I(a,1)", (1, 3, ["rational number"], "a")),
+    ("union(x y)", (1, 9, [","], "y")),
+    ("perp x", (1, 6, ["("], "x")),
+    ("", (1, 1, ["expression"], "end of input")),
+    (" \n\t ", (2, 3, ["expression"], "end of input")),
+    ("join(\n  x\n  y)", (3, 3, [","], "y")),
+    ("join(\tx,\n\ty)", B("join", N("x"), N("y"))),
+    ("inter(x,\ry", (1, 11, [")"], "end of input")),
+    ("meet(λ,é_1)", B("meet", N("λ"), N("é_1"))),
+    ("diff(λ;)", (1, 7, SYMBOLS, ";")),
+    ("union(I(-1,-1/2),pt(3/4))", B("union", IntervalLit(-1, rat(-1, 2)), PointLit(rat(3, 4)))),
+    (
+        "diff(join(cl(a),int(b)),meet(reg(c),union(perp(d),inter(neg(e),f))))",
+        B("diff", B("join", U("cl", N("a")), U("int", N("b"))),
+          B("meet", U("reg", N("c")), B("union", U("perp", N("d")), B("inter", U("neg", N("e")), N("f"))))),
+    ),
+    ("I", (1, 2, ["("], "end of input")),
+    ("perp(" * 200 + "x" + ")" * 200, "200 perps"),
+    ("perp(" * 201 + "x" + ")" * 201, (1, 1006, ["at most 200 nested operators"], "x")),
+    ("perp(" * 201, (1, 1006, ["at most 200 nested operators"], "")),
+    ("perp(" * 200, (1, 1001, ["expression"], "end of input")),
+    ("join(x," * 201 + "y" + ")" * 201, (1, 1406, ["at most 200 nested operators"], "x")),
+]
+
+
+def _perps(n: int):
+    ast = N("x")
+    for _ in range(n):
+        ast = U("perp", ast)
+    return ast
+
+
+class TestGolden:
+    @pytest.mark.parametrize("text,expected", GOLDEN, ids=range(len(GOLDEN)))
+    def test_same_ast_or_error(self, text, expected):
+        if expected == "200 perps":
+            expected = _perps(200)
+        if isinstance(expected, tuple):
+            with pytest.raises(ExprSyntaxError) as exc:
+                parse_expr(text)
+            err = exc.value
+            assert (err.line, err.col, list(err.expected), err.found) == expected
+        else:
+            assert parse_expr(text) == expected

@@ -69,6 +69,22 @@ def homeomorphisms_by_enumeration(f1: FinCover, f2: FinCover) -> list[dict]:
     ]
 
 
+def rigidity_by_enumeration(f: FinCover) -> tuple[bool, dict | None]:
+    """Oracle: walk every h with f∘h = f, each point sent into its fibre, in product order.
+
+    The cover is rigid when the identity is the only one; otherwise the
+    first h that moves a point is the witness, given on the points it moves.
+    """
+    p = f.domain.point_labels
+    fibres: dict[str, list[int]] = {}
+    for i, lab in enumerate(p):
+        fibres.setdefault(f.apply(lab), []).append(i)
+    for combo in itertools.product(*(fibres[f.apply(lab)] for lab in p)):
+        if any(c != i for i, c in enumerate(combo)):
+            return False, {p[i]: p[c] for i, c in enumerate(combo) if i != c}
+    return True, None
+
+
 def partition_covers(n: int):
     """Every cover of n points up to renaming the codomain: one per set partition."""
 
@@ -233,6 +249,16 @@ class TestVerifyFixtures:
         f = FinCover(p, x, (("p", "b"), ("q", "c"), ("r", "a")))
         report = verify_projective_cover(p, f, x)
         assert report.all_ok, report.witnesses
+
+
+class TestRigidity:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_closed_form_matches_enumeration_on_every_cover(self, n):
+        for f1 in partition_covers(n):
+            for order in (list(range(n)), list(range(n))[::-1], [(i + 1) % n for i in range(n)]):
+                f = relabel(f1, order)
+                report = verify_projective_cover(f.domain, f, f.codomain)
+                assert (report.rigid, report.witnesses.get("rigid")) == rigidity_by_enumeration(f)
 
 
 class TestUniqueHomeomorphism:
