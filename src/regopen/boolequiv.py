@@ -2,9 +2,11 @@
 
 Two such spaces have isomorphic regular-open algebras exactly when their
 isolated-point counts match (as finite numbers or both countably
-infinite) and their perfect parts are both empty or both not.  A
-descriptor lists component kinds only; no geometry is needed for the
-decision.
+infinite) and, for both or for neither, the space minus the closure of its
+isolated points is nonempty.  The Cantor set with the midpoints of its
+removed intervals has a perfect part, but its isolated points are dense,
+so it is equivalent to a convergent sequence.  A descriptor lists
+component kinds only; no geometry is needed for the decision.
 """
 from __future__ import annotations
 
@@ -14,9 +16,20 @@ from typing import Union
 from .errors import EmptyDescriptor
 from .space import Point, Space1D
 
-KINDS = ("interval", "point", "convseq", "cantor")
-
 OMEGA = "omega"
+
+# per component kind: its isolated points, and whether some of its points lie
+# outside the closure of those.  Components are clopen, so the closure of the
+# isolated points of a space is the union of the closures inside each one.
+PARTS = {
+    "interval": (0, True),
+    "point": (1, False),
+    "convseq": (OMEGA, False),  # every point but the limit is isolated
+    "cantor": (0, True),
+    # the Cantor set plus the midpoints of its removed intervals: the midpoints
+    # accumulate at every Cantor point, so nothing lies outside their closure
+    "cantor_midpoints": (OMEGA, False),
+}
 
 
 @dataclass(frozen=True)
@@ -29,12 +42,9 @@ class SpaceDescriptor:
         if not self.components:
             raise EmptyDescriptor("a compact space has at least one component")
         for kind in self.components:
-            if kind not in KINDS:
+            if kind not in PARTS:
                 raise ValueError(f"unknown component kind {kind!r}")
         object.__setattr__(self, "components", tuple(sorted(self.components)))
-
-    def count(self, kind: str) -> int:
-        return sum(1 for k in self.components if k == kind)
 
     def to_json(self) -> dict:
         return {"components": [{"kind": k} for k in self.components]}
@@ -50,7 +60,10 @@ def descriptor_from_json(data: dict) -> SpaceDescriptor:
 
 @dataclass(frozen=True)
 class BoolInvariant:
-    """Complete invariant: isolated-point count and perfect-part flag."""
+    """Complete invariant: the isolated-point count, and `perfect_nonempty`,
+    which says that the space minus the closure of its isolated points is
+    nonempty.  It reads False for a space with a perfect part in which the
+    isolated points are dense."""
 
     isol_card: Union[int, str]  # a count, or OMEGA
     perfect_nonempty: bool
@@ -60,10 +73,10 @@ class BoolInvariant:
 
 
 def invariant(d: SpaceDescriptor) -> BoolInvariant:
-    # every point of a convergent sequence except its limit is isolated
-    isol: Union[int, str] = OMEGA if d.count("convseq") else d.count("point")
-    perfect = bool(d.count("interval") or d.count("cantor"))
-    return BoolInvariant(isol, perfect)
+    parts = [PARTS[kind] for kind in d.components]
+    counts = [isol for isol, _ in parts]
+    isol: Union[int, str] = OMEGA if OMEGA in counts else sum(counts)
+    return BoolInvariant(isol, any(outside for _, outside in parts))
 
 
 @dataclass(frozen=True)

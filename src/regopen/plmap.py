@@ -7,6 +7,7 @@ exact span arithmetic; no sampling enters the library semantics.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -17,7 +18,7 @@ from .errors import (
     SpaceMismatch,
 )
 from .rationals import Rational, rat
-from .space import Point, Region, Space1D, Span, canonicalize
+from .space import Point, Region, Space1D, Span, _sweep, canonicalize
 
 
 @dataclass(frozen=True)
@@ -93,23 +94,40 @@ def _locate(pieces, points, x: Rational) -> tuple[Rational, Rational]:
     raise ValueError(f"{x} not in the domain")
 
 
+def _meeting(spans: Sequence[Span], his: list, lo: Rational, hi: Rational) -> Iterable[Span]:
+    """The spans that can meet [lo, hi], found by bisection on their `his`.
+
+    `spans` must be sorted and disjoint, as canonical region spans are.
+    """
+    for i in range(bisect_left(his, lo), len(spans)):
+        if spans[i].lo > hi:
+            return
+        yield spans[i]
+
+
 def _preimage(pieces, points, spans: Sequence[Span]) -> list[Span]:
-    """Raw spans of the x whose value lies in one of `spans`."""
+    """Raw spans of the x whose value lies in one of `spans`.
+
+    `spans` must be sorted and disjoint (canonical region spans, or one
+    span); each piece then visits only the spans that meet its image.
+    """
+    his = [t.hi for t in spans]
     raw: list[Span] = []
     for run in pieces:
         for piece in run:
             src = Span(piece.src_lo, piece.src_hi, True, True)
-            for t in spans:
-                if piece.slope == 0:
-                    if t.contains(piece.intercept):
-                        raw.append(src)
-                    continue
-                back = _affine_span(t, 1 / piece.slope, -piece.intercept / piece.slope)
-                part = _span_intersect(back, src)
+            meeting = _meeting(spans, his, *piece.image_interval())
+            if piece.slope == 0:
+                if any(t.contains(piece.intercept) for t in meeting):
+                    raw.append(src)
+                continue
+            inverse, offset = 1 / piece.slope, -piece.intercept / piece.slope
+            for t in meeting:
+                part = _span_intersect(_affine_span(t, inverse, offset), src)
                 if part is not None:
                     raw.append(part)
     for p, v in points:
-        if any(t.contains(v) for t in spans):
+        if any(t.contains(v) for t in _meeting(spans, his, v, v)):
             raw.append(Span(p, p, True, True))
     return raw
 
@@ -175,11 +193,12 @@ class PLMap:
     def image(self, r: Region) -> Region:
         if r.space != self.domain:
             raise SpaceMismatch("region is not over the domain")
+        his = [s.hi for s in r.spans]
         raw: list[Span] = []
         for run in self.pieces:
             for piece in run:
                 src = Span(piece.src_lo, piece.src_hi, True, True)
-                for s in r.spans:
+                for s in _meeting(r.spans, his, piece.src_lo, piece.src_hi):
                     part = _span_intersect(s, src)
                     if part is not None:
                         raw.append(_affine_span(part, piece.slope, piece.intercept))
@@ -208,14 +227,18 @@ class PLMap:
 
 
 def _span_intersect(a: Span, b: Span) -> Optional[Span]:
-    lo = max(a.lo, b.lo)
-    hi = min(a.hi, b.hi)
-    if lo > hi:
+    """The larger lo and the smaller hi; on a tie both spans must include the end."""
+    if a.lo == b.lo:
+        lo, lo_incl = a.lo, a.lo_incl and b.lo_incl
+    else:
+        lo, lo_incl = (a.lo, a.lo_incl) if a.lo > b.lo else (b.lo, b.lo_incl)
+    if a.hi == b.hi:
+        hi, hi_incl = a.hi, a.hi_incl and b.hi_incl
+    else:
+        hi, hi_incl = (a.hi, a.hi_incl) if a.hi < b.hi else (b.hi, b.hi_incl)
+    if lo > hi or (lo == hi and not (lo_incl and hi_incl)):
         return None
-    lo_incl = a.contains(lo) and b.contains(lo)
-    hi_incl = a.contains(hi) and b.contains(hi)
-    out = Span(lo, hi, lo_incl, hi_incl)
-    return None if out.is_empty else out
+    return Span(lo, hi, lo_incl, hi_incl)
 
 
 def _affine_span(s: Span, slope: Rational, intercept: Rational) -> Span:
@@ -254,6 +277,10 @@ def is_irreducible(m: PLMap) -> IrreducibilityVerdict:
     constant piece, or a monotone piece whose image interior overlaps the
     union of the other branches.  Any witness is re-verified by exact
     recomputation before it is returned.
+
+    Rule 3 is one coverage count over the n branch images (`_first_overlap`):
+    an O(n log n) sweep, then one bisection per piece, plus a walk of the
+    codomain components for each piece's image interior.
     """
     if not m.is_surjective():
         raise NotSurjective("irreducibility is only defined for surjective maps")
@@ -284,33 +311,48 @@ def is_irreducible(m: PLMap) -> IrreducibilityVerdict:
                 return verified(w, f"constant piece on [{piece.src_lo}, {piece.src_hi}]")
 
     # rule 3: a monotone piece whose image interior is covered elsewhere
-    branches: list[tuple[Optional[Piece], Span]] = []
-    for run in m.pieces:
-        for piece in run:
-            lo, hi = piece.image_interval()
-            branches.append((piece, Span(lo, hi, True, True)))
-    for _, v in m.point_images:
-        branches.append((None, Span(v, v, True, True)))
+    found = _first_overlap(m)
+    if found is None:
+        return IrreducibilityVerdict(True)
+    piece, span = found
+    third = (span.hi - span.lo) / 3
+    w1, w2 = span.lo + third, span.hi - third
+    a = (w1 - piece.intercept) / piece.slope
+    b = (w2 - piece.intercept) / piece.slope
+    if a > b:
+        a, b = b, a
+    witness = Region.make(m.domain, [Span(a, b, False, False)])
+    return verified(witness, f"piece image ({span.lo}, {span.hi}) overlap is covered twice")
 
-    for i, (piece, _) in enumerate(branches):
-        if piece is None:
-            continue
-        own = Region.make(m.codomain, [branches[i][1]]).interior()
-        others = Region.make(m.codomain, [s for j, (_, s) in enumerate(branches) if j != i])
-        overlap = own.intersect(others.interior())
-        if overlap.is_empty:
-            continue
-        span = overlap.spans[0]
-        third = (span.hi - span.lo) / 3
-        w1, w2 = span.lo + third, span.hi - third
-        a = (w1 - piece.intercept) / piece.slope
-        b = (w2 - piece.intercept) / piece.slope
-        if a > b:
-            a, b = b, a
-        witness = Region.make(m.domain, [Span(a, b, False, False)])
-        return verified(witness, f"piece image ({span.lo}, {span.hi}) overlap is covered twice")
 
-    return IrreducibilityVerdict(True)
+def _covered_twice(count: int) -> bool:
+    return count >= 2
+
+
+def _first_overlap(m: PLMap) -> Optional[tuple[Piece, Span]]:
+    """The first piece, in run order, whose image interior meets the interior
+    of the other branch images (pieces and point images), with the first span
+    of that meet.  Every piece is monotone here (rule 2 ran first).
+
+    Inside a piece's closed image, a point lies in another branch image
+    exactly when at least two closed branch images hold it.  So one coverage
+    sweep gives D = int{c >= 2} for all pieces at once, and each piece meets
+    D by bisection.  Canonical form is unique, so the first span is the one
+    that int(own) and int(others), built per piece, would give.
+    """
+    pieces = [piece for run in m.pieces for piece in run]
+    images = [Span(*piece.image_interval(), True, True) for piece in pieces]
+    points = [Span(v, v, True, True) for _, v in m.point_images]
+    twice = _sweep(m.codomain, _covered_twice, images + points).interior().spans
+    his = [d.hi for d in twice]
+    for piece, image in zip(pieces, images):
+        # the image lies in one codomain component, so it is already canonical
+        own = Region(m.codomain, (image,)).interior().spans[0]
+        for d in _meeting(twice, his, own.lo, own.hi):
+            span = _span_intersect(d, own)
+            if span is not None:
+                return piece, span
+    return None
 
 
 def identity_map(space: Space1D) -> PLMap:

@@ -16,8 +16,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
-from operator import and_, itemgetter, or_
-from typing import Callable, Iterable, NamedTuple, Optional, Union
+from math import lcm
+from operator import itemgetter
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import EmptySubspace, NotClosed, SpaceMismatch
 from .rationals import Rational, rat
@@ -82,7 +83,7 @@ class Space1D:
         return False
 
     def full_region(self) -> "Region":
-        return Region(self, tuple(Span(*_bounds(c), True, True) for c in self.components))
+        return Region(self, tuple([Span(*_bounds(c), True, True) for c in self.components]))
 
     def empty_region(self) -> "Region":
         return Region(self, ())
@@ -159,11 +160,11 @@ class Region:
 
     def union(self, other: "Region") -> "Region":
         _check_space(self, other)
-        return _sweep(self.space, or_, self.spans, other.spans)
+        return _sweep(self.space, _union, self.spans, other.spans)
 
     def intersect(self, other: "Region") -> "Region":
         _check_space(self, other)
-        return _sweep(self.space, and_, self.spans, other.spans)
+        return _sweep(self.space, _both, self.spans, other.spans)
 
     def difference(self, other: "Region") -> "Region":
         _check_space(self, other)
@@ -229,39 +230,71 @@ def _check_space(a: Region, b: Region) -> None:
         raise SpaceMismatch("regions live over different spaces")
 
 
-def _minus(a: bool, b: bool) -> bool:
-    return a and not b
+def _union(a: int, b: int) -> bool:
+    return a > 0 or b > 0
 
 
-def _sweep(space: Space1D, op: Callable[..., bool], *groups: Iterable[Span]) -> Region:
+def _both(a: int, b: int) -> bool:
+    return a > 0 and b > 0
+
+
+def _minus(a: int, b: int) -> bool:
+    return a > 0 and b == 0
+
+
+# Boundaries sort as integers n * (L // d) while L, the lcm of their
+# denominators d, has at most this many bits.  The lcm of many coprime
+# denominators grows without limit, and past the bound it costs more than
+# the Fraction comparisons it replaces, so the sweep sorts the values.
+SWEEP_KEY_BITS = 4096
+
+
+def _order_key(denominators: set) -> Callable:
+    """A key in the order of the values: an integer over L, or the value past the bound."""
+    common = 1
+    for d in denominators:
+        common = lcm(common, d)
+        if common.bit_length() > SWEEP_KEY_BITS:
+            return lambda v: v
+    scale = {d: common // d for d in denominators}
+    return lambda v: v.numerator * scale[v.denominator]
+
+
+def _sweep(space: Space1D, op: Callable[..., bool], *groups: Sequence[Span]) -> Region:
     """Combine groups of nonempty spans pointwise by `op` in one boundary sweep.
 
     A boundary is a cut (value, after): after=False sits just before the
     value and after=True just after it, so a span is the half-open cut range
     [(lo, not lo_incl), (hi, hi_incl)).  Each group keeps a coverage count,
-    and a cut is emitted wherever `op` of the covered flags flips.  `op` of
-    all-False must be False.  Runs come out maximal, so a result that lies
-    inside the space is canonical.
+    and a cut is emitted wherever `op` of the counts flips between False and
+    True.  `op` of all zeros must be False.  Runs come out maximal, so a
+    result that lies inside the space is canonical.
+
+    The events sort on exact integer keys (see `SWEEP_KEY_BITS`), so a sweep
+    of n boundaries costs one O(n log n) integer sort and one linear pass.
     """
+    key = _order_key({v.denominator for spans in groups for s in spans for v in (s.lo, s.hi)})
     events = []
     for g, spans in enumerate(groups):
         for s in spans:
-            events.append((s.lo, not s.lo_incl, g, 1))
-            events.append((s.hi, s.hi_incl, g, -1))
+            events.append((key(s.lo), not s.lo_incl, g, 1, s.lo))
+            events.append((key(s.hi), s.hi_incl, g, -1, s.hi))
     events.sort()
     count = [0] * len(groups)
     cuts: list = []
     inside = False
-    for cut, at_cut in groupby(events, key=itemgetter(0, 1)):
-        for _, _, g, step in at_cut:
+    for (_, after), at_cut in groupby(events, key=itemgetter(0, 1)):
+        for _, _, g, step, value in at_cut:
             count[g] += step
-        if op(*(c > 0 for c in count)) != inside:
-            cuts.append(cut)
+        if op(*count) != inside:
+            cuts.append((value, after))
             inside = not inside
-    return Region(space, tuple(
+    # tuple() of a list allocates the final size; of a generator it resizes
+    # a guess, and each resized block then stays in the tuple free list
+    return Region(space, tuple([
         Span(lo, hi, not lo_after, hi_after)
         for (lo, lo_after), (hi, hi_after) in zip(cuts[::2], cuts[1::2])
-    ))
+    ]))
 
 
 def canonicalize(space: Space1D, raw_spans: Iterable[Span]) -> CanonicalizeResult:
@@ -271,7 +304,7 @@ def canonicalize(space: Space1D, raw_spans: Iterable[Span]) -> CanonicalizeResul
     """
     live = [s for s in raw_spans if not s.is_empty]
     clipped = any(not _inside_some_component(space, s) for s in live)
-    return CanonicalizeResult(_sweep(space, and_, space.full_region().spans, live), clipped)
+    return CanonicalizeResult(_sweep(space, _both, space.full_region().spans, live), clipped)
 
 
 def _inside_some_component(space: Space1D, s: Span) -> bool:

@@ -54,6 +54,11 @@ class TestInvariant:
     def test_cantor_counts_as_perfect(self):
         assert invariant(descriptor("cantor")) == BoolInvariant(0, True)
 
+    def test_dense_isolated_points_leave_nothing_outside_their_closure(self):
+        # the Cantor set is perfect, but the added midpoints accumulate at each of its points
+        assert invariant(descriptor("cantor_midpoints")) == BoolInvariant(OMEGA, False)
+        assert invariant(descriptor("cantor_midpoints", "cantor")) == BoolInvariant(OMEGA, True)
+
     def test_convseq_swallows_finite_points(self):
         # countably many isolated points plus finitely many more is still countable
         assert invariant(descriptor("convseq", "point")) == BoolInvariant(OMEGA, False)
@@ -65,6 +70,11 @@ class TestEquivalent:
 
     def test_one_and_two_convergent_sequences(self):
         assert equivalent(descriptor("convseq"), descriptor("convseq", "convseq"))
+
+    def test_cantor_midpoints_match_a_convergent_sequence(self):
+        # both algebras are P(omega); a perfect-part invariant would tell them apart
+        assert equivalent(descriptor("cantor_midpoints"), descriptor("convseq"))
+        assert not equivalent(descriptor("cantor_midpoints"), descriptor("cantor"))
 
     def test_extra_isolated_point_breaks_it(self):
         v = equivalent(descriptor("interval", "point"), descriptor("interval"))
@@ -85,6 +95,8 @@ class TestEquivalent:
             descriptor("interval", "point"),
             descriptor("point", "point"),
             descriptor("convseq", "interval"),
+            descriptor("cantor_midpoints"),
+            descriptor("cantor_midpoints", "interval"),
         ]
         for a in pool:
             assert equivalent(a, a)

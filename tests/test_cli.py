@@ -516,7 +516,7 @@ IDEAL = _mostly(
 CLOPEN = _mostly([{"words": ["01", "10"]}, {"words": []}], _obj(words=st.lists(st.text("01", max_size=8) | JUNK, max_size=3)))
 DESCRIPTOR = _mostly(
     [json.loads(UNIT_JSON), {"components": [{"kind": "cantor"}]}, {"components": [{"kind": "point"}]}],
-    _obj(components=st.lists(_obj(kind=st.sampled_from(["interval", "point", "convseq", "cantor", "x"])), max_size=3)),
+    _obj(components=st.lists(_obj(kind=st.sampled_from(["interval", "point", "convseq", "cantor", "cantor_midpoints", "x"])), max_size=3)),
 )
 EXPR = _mostly(
     ["v", "reg(I(0,1/2))", "perp(v)", "join(v,cl(I(1/4,3/4)))", "meet(int(v),pt(1))"],

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from regopen import plmap, space
 from regopen.errors import Discontinuity, ImageEscapesCodomain, NotSurjective
 from regopen.plmap import (
     IrreducibilityVerdict,
@@ -18,6 +19,14 @@ from regopen.rationals import rat
 from regopen.space import Interval, Point, Region, Space1D, Span
 
 from conftest import FIXTURE_SPACES, MIXED, TWO_INTERVALS, UNIT, UNIT_PT, random_region, region
+from plmap_oracle import (
+    first_overlap_by_branches,
+    image_by_pairs,
+    phi_by_pairs,
+    preimage_by_pairs,
+    psi_by_pairs,
+    span_intersect_by_contains,
+)
 
 
 def tent() -> PLMap:
@@ -323,3 +332,190 @@ class TestBreakpointBuilder:
     def test_breakpoints_must_span(self):
         with pytest.raises(ValueError):
             plmap_from_breakpoints(UNIT, UNIT, [(0, 0), (rat(1, 2), 1)])
+
+
+# --- the bisecting transports and the one-count rule 3 against brute force ---
+
+
+def _random_run(rng: random.Random, comp: Interval, target: Interval) -> list:
+    """Breakpoints over comp with values in target: monotone onto, a fold, or a walk."""
+    den = 4 * rng.choice((2, 3, 4, 5, 8))
+    inner = sorted(rng.sample(range(1, den), rng.randint(0, 5)))
+    xs = [comp.a] + [comp.a + (comp.b - comp.a) * rat(i, den) for i in inner] + [comp.b]
+
+    def grid(k):
+        return target.a + (target.b - target.a) * rat(k, 24)
+
+    style = rng.random()
+    if style < 0.45:
+        ks = [0] + sorted(rng.sample(range(1, 24), len(xs) - 2)) + [24]
+        vals = [grid(k) for k in (ks if rng.random() < 0.5 else reversed(ks))]
+    elif style < 0.75:
+        # a fold up to the top, back down to the bottom, the top or anywhere
+        vals = [grid(0)] + [grid(rng.randint(0, 24)) for _ in xs[1:]]
+        vals[rng.randrange(1, len(xs))] = grid(24)
+        if rng.random() < 0.5:
+            vals[-1] = grid(rng.choice((0, 24, rng.randint(0, 24))))
+    else:
+        vals = [grid(rng.randint(0, 24)) for _ in xs]
+        vals[rng.randrange(len(xs))] = grid(0)
+        vals[rng.randrange(len(xs))] = grid(24)
+    return list(zip(xs, vals))
+
+
+def _random_space(rng: random.Random, points: bool) -> Space1D:
+    comps, x = [], rat(rng.randrange(-2, 2))
+    for _ in range(rng.choice((1, 1, 2, 2, 3))):
+        if points and rng.random() < 0.3:
+            comps.append(Point(x))
+        else:
+            comps.append(Interval(x, x + rat(rng.randint(1, 8), rng.choice((2, 3, 4)))))
+            x = comps[-1].b
+        x += rat(rng.randint(1, 4), rng.choice((2, 3, 4)))
+    if not any(isinstance(c, Interval) for c in comps):
+        comps.append(Interval(x, x + 1))
+    return Space1D(tuple(comps))
+
+
+def _random_cover(rng: random.Random) -> PLMap:
+    """A map onto a random codomain: every interval component is some run's
+    target, every isolated point some domain point's image; now and then an
+    extra run or an extra point lands anywhere.  Most are surjective."""
+    cod = _random_space(rng, points=rng.random() < 0.5)
+    targets = list(cod.interval_components())
+    targets += [rng.choice(targets) for _ in range(rng.choice((0, 0, 1)))]
+    rng.shuffle(targets)
+    hits = [p.at for p in cod.point_components()]
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        comp = rng.choice(cod.components)
+        hits.append(comp.at if isinstance(comp, Point) else comp.a + (comp.b - comp.a) * rat(rng.randint(0, 8), 8))
+    kinds = ["run"] * len(targets) + ["point"] * len(hits)
+    rng.shuffle(kinds)
+    comps, values, points = [], [], []
+    x = rat(rng.randrange(-2, 2))
+    for kind in kinds:
+        if kind == "point":
+            comps.append(Point(x))
+            points.append((x, hits.pop()))
+        else:
+            comps.append(Interval(x, x + rat(rng.randint(1, 8), rng.choice((2, 3, 4)))))
+            values += _random_run(rng, comps[-1], targets.pop())
+            x = comps[-1].b
+        x += rat(rng.randint(1, 4), rng.choice((2, 3, 4)))
+    return plmap_from_breakpoints(Space1D(tuple(comps)), cod, values, points)
+
+
+def _verdict(m: PLMap):
+    try:
+        return is_irreducible(m).to_json()
+    except NotSurjective as exc:
+        return ("NotSurjective", str(exc))
+
+
+# folds whose overlap starts where two branch images share an endpoint
+SHARED_END_FOLDS = (
+    tent(),
+    # up to 1/2, on up to 1, back down to 1/2: the overlap (1/2, 1] starts at the shared 1/2
+    plmap_from_breakpoints(Space1D((Interval(0, 3),)), UNIT, [(0, 0), (1, rat(1, 2)), (2, 1), (3, rat(1, 2))]),
+    # the same over two domain components, the fold in the second
+    plmap_from_breakpoints(
+        TWO_INTERVALS, UNIT, [(0, 0), (1, rat(1, 2)), (2, rat(1, 2)), (rat(5, 2), 1), (3, rat(1, 2))]
+    ),
+)
+
+
+class TestRuleThreeOracle:
+    """The one-count rule 3 gives the per-branch rule's verdict, reason and witness."""
+
+    def test_verdicts_match_the_per_branch_rule(self, monkeypatch):
+        rng = random.Random(60_000)
+        maps = list(SHARED_END_FOLDS) + [_random_cover(rng) for _ in range(300)]
+        seen = set()
+        for m in maps:
+            got = _verdict(m)
+            with monkeypatch.context() as patch:
+                patch.setattr(plmap, "_first_overlap", first_overlap_by_branches)
+                assert _verdict(m) == got, m
+            seen.add(f"{len(m.domain.interval_components())} domain components")
+            seen |= {"point onto a codomain point" if any(p.at == v for p in m.codomain.point_components())
+                     else "point into the interval part" for _, v in m.point_images}
+            if m.codomain.point_components():
+                seen.add("codomain point")
+            if isinstance(got, dict):
+                seen.add(got.get("reason", "irreducible").split(" ")[0])
+        assert seen >= {
+            "1 domain components", "2 domain components", "point onto a codomain point",
+            "point into the interval part", "codomain point", "irreducible", "isolated", "constant", "piece",
+        }
+
+    def test_shared_end_folds_are_caught_by_rule_three(self):
+        reasons = [is_irreducible(m).reason for m in SHARED_END_FOLDS]
+        assert reasons == [
+            "piece image (0, 1) overlap is covered twice",
+            "piece image (1/2, 1) overlap is covered twice",
+            "piece image (1/2, 1) overlap is covered twice",
+        ]
+
+
+class TestTransportOracle:
+    """Bisected transports and endpoint intersections against the double loop."""
+
+    def test_span_intersect_matches_contains_on_a_five_point_grid(self):
+        spans = [
+            Span(rat(lo), rat(hi), li, hi_)
+            for lo in range(5) for hi in range(5) for li in (False, True) for hi_ in (False, True)
+        ]
+        for a in spans:
+            for b in spans:
+                assert plmap._span_intersect(a, b) == span_intersect_by_contains(a, b), (a, b)
+
+    def test_transports_match_the_double_loop(self):
+        rng = random.Random(61_000)
+        for _ in range(150):
+            m = _random_cover(rng)
+            for _ in range(4):
+                r = random_region(m.domain, rng, count=6, den=48)
+                s = random_region(m.codomain, rng, count=6, den=48)
+                assert m.image(r) == image_by_pairs(m, r)
+                assert m.preimage(s) == preimage_by_pairs(m, s)
+                u, v = r.regularize(), s.regularize()
+                assert m.psi(u) == psi_by_pairs(m, u)
+                assert m.phi(v) == phi_by_pairs(m, v)
+
+
+def _increasing_bijection(n: int) -> PLMap:
+    return plmap_from_breakpoints(UNIT, UNIT, [(rat(i, n), rat(i * i, n * n)) for i in range(n + 1)])
+
+
+class TestWorkCounts:
+    """Deterministic call counts that pin the cost of rule 3 and of preimage."""
+
+    def _count(self, monkeypatch, owners, name):
+        calls = [0]
+        original = getattr(owners[0], name)
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return original(*args, **kwargs)
+
+        for owner in owners:
+            monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def test_rule_three_canonicalizes_the_same_at_16_and_256_pieces(self, monkeypatch):
+        calls = self._count(monkeypatch, (space, plmap), "canonicalize")
+        counts = []
+        for n in (16, 256):
+            calls[0] = 0
+            assert is_irreducible(_increasing_bijection(n)).irreducible
+            counts.append(calls[0])
+        assert counts[0] == counts[1]
+
+    def test_preimage_visits_only_the_spans_that_meet_each_piece(self, monkeypatch):
+        m = _increasing_bijection(64)
+        s = Region.make(UNIT, [Span(rat(2 * k + 1, 64), rat(2 * k + 2, 64), False, False) for k in range(32)])
+        assert len(s.spans) == 32
+        calls = self._count(monkeypatch, (plmap,), "_span_intersect")
+        pre = m.preimage(s)
+        assert calls[0] <= 2 * (64 + 32)
+        assert pre == preimage_by_pairs(m, s)

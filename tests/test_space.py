@@ -1,6 +1,7 @@
 """Region calculus: canonical form, relative topology, regular-open algebra."""
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from conftest import (
     region,
 )
 from grid_oracle import GridOracle
+from regopen import space as space_module
 from regopen.errors import EmptySubspace, NotClosed, SpaceMismatch
 from regopen.rationals import rat
 from regopen.space import (
@@ -229,26 +231,80 @@ class TestGridOracleAgreement:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_all_operations_agree(self, seed):
-        rng = random.Random(seed)
-        for space in FIXTURE_SPACES:
-            oracle = GridOracle(space)
-            a = random_region(space, rng)
-            b = random_region(space, rng)
-            va, vb = oracle.vec(a), oracle.vec(b)
-            assert oracle.vec(a.union(b)) == oracle.union(va, vb)
-            assert oracle.vec(a.intersect(b)) == oracle.inter(va, vb)
-            assert oracle.vec(a.difference(b)) == oracle.inter(va, oracle.compl(vb))
-            assert oracle.vec(a.complement()) == oracle.compl(va)
-            assert oracle.vec(a.closure()) == oracle.closure(va)
-            assert oracle.vec(a.interior()) == oracle.interior(va)
-            assert oracle.vec(a.perp()) == oracle.perp(va)
-            assert oracle.vec(a.regularize()) == oracle.regularize(va)
-            u = random_regular_open(space, rng.randrange(2**30))
-            v = random_regular_open(space, rng.randrange(2**30))
-            vu, vv = oracle.vec(u), oracle.vec(v)
-            assert oracle.vec(ropen_join(u, v)) == oracle.join(vu, vv)
-            assert oracle.vec(ropen_meet(u, v)) == oracle.inter(vu, vv)
-            assert oracle.vec(ropen_neg(u)) == oracle.perp(vu)
+        _agree_with_grid(seed)
+
+    def test_fraction_sort_agrees(self, monkeypatch):
+        # a bound below every lcm sends every sweep to the Fraction sort
+        monkeypatch.setattr(space_module, "SWEEP_KEY_BITS", 0)
+        for seed in range(10):
+            _agree_with_grid(seed)
+
+
+def _agree_with_grid(seed: int) -> None:
+    rng = random.Random(seed)
+    for space in FIXTURE_SPACES:
+        oracle = GridOracle(space)
+        a = random_region(space, rng)
+        b = random_region(space, rng)
+        va, vb = oracle.vec(a), oracle.vec(b)
+        assert oracle.vec(a.union(b)) == oracle.union(va, vb)
+        assert oracle.vec(a.intersect(b)) == oracle.inter(va, vb)
+        assert oracle.vec(a.difference(b)) == oracle.inter(va, oracle.compl(vb))
+        assert oracle.vec(a.complement()) == oracle.compl(va)
+        assert oracle.vec(a.closure()) == oracle.closure(va)
+        assert oracle.vec(a.interior()) == oracle.interior(va)
+        assert oracle.vec(a.perp()) == oracle.perp(va)
+        assert oracle.vec(a.regularize()) == oracle.regularize(va)
+        u = random_regular_open(space, rng.randrange(2**30))
+        v = random_regular_open(space, rng.randrange(2**30))
+        vu, vv = oracle.vec(u), oracle.vec(v)
+        assert oracle.vec(ropen_join(u, v)) == oracle.join(vu, vv)
+        assert oracle.vec(ropen_meet(u, v)) == oracle.inter(vu, vv)
+        assert oracle.vec(ropen_neg(u)) == oracle.perp(vu)
+
+
+
+def _primes_from(start: int, count: int) -> list[int]:
+    out, k = [], start
+    while len(out) < count:
+        if all(k % d for d in range(2, int(k**0.5) + 1)):
+            out.append(k)
+        k += 1
+    return out
+
+
+def _times(spans, factor) -> list[Span]:
+    return [Span(s.lo * factor, s.hi * factor, s.lo_incl, s.hi_incl) for s in spans]
+
+
+class TestSweepFallback:
+    """Past `SWEEP_KEY_BITS` the sweep sorts Fractions; the regions do not change."""
+
+    def test_prime_denominators_match_a_rescaled_integer_sweep(self):
+        rng = random.Random(4099)
+        primes = _primes_from(1009, 1200)
+        rng.shuffle(primes)
+
+        def raw(ps):
+            out = []
+            for p, q in zip(ps[::2], ps[1::2]):
+                lo = rat(rng.randrange(p), p)
+                out.append(Span(lo, lo + rat(rng.randint(1, 2), q), rng.random() < 0.5, rng.random() < 0.5))
+            return out
+
+        a_raw, b_raw = raw(primes[:600]), raw(primes[600:])
+        a, b = canonicalize(UNIT_PT, a_raw).region, canonicalize(UNIT_PT, b_raw).region
+        for r in (a, b):  # every sweep below sees at least the endpoints of a or of b
+            common = math.lcm(*(v.denominator for s in r.spans for v in (s.lo, s.hi)))
+            assert common.bit_length() > space_module.SWEEP_KEY_BITS
+        # the copy scaled by the lcm has integer endpoints, so its sweeps take integer keys
+        common = math.lcm(*primes)
+        big = Space1D((Interval(0, common), Point(2 * common)))
+        a_big, b_big = canonicalize(big, _times(a_raw, common)).region, canonicalize(big, _times(b_raw, common)).region
+        pairs = [(a, a_big), (b, b_big), (a.complement(), a_big.complement())]
+        pairs += [(getattr(a, op)(b), getattr(a_big, op)(b_big)) for op in ("union", "intersect", "difference")]
+        for small, scaled in pairs:
+            assert Region(big, tuple(_times(small.spans, common))) == scaled
 
 
 class TestDecomposition:
