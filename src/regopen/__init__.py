@@ -40,6 +40,7 @@ from .cover_iso import (
     CantorBackend,
     check_essential,
     compose_equivalence,
+    verify_bridge,
 )
 from .cantor import (
     CantorClopen,
@@ -50,7 +51,6 @@ from .cantor import (
     psi_c,
     phi_c,
     check_irreducible_cantor,
-    verify_bridge,
 )
 from .ideals import (
     PLFunc,

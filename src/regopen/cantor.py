@@ -62,19 +62,6 @@ class CantorClopen:
     def is_full(self) -> bool:
         return self.words == ("",)
 
-    def depth(self) -> int:
-        return max((len(w) for w in self.words), default=0)
-
-    def leaves(self, k: int) -> frozenset[Word]:
-        """All length-k words inside the set. Requires k >= depth()."""
-        if k < self.depth():
-            raise ValueError("k below the antichain depth")
-        out = set()
-        for w in self.words:
-            for tail in range(2 ** (k - len(w))):
-                out.add(w + format(tail, f"0{k - len(w)}b") if k > len(w) else w)
-        return frozenset(out)
-
 
 EMPTY = CantorClopen(())
 FULL = CantorClopen(("",))
@@ -119,11 +106,6 @@ def value_interval(w: Word) -> tuple[Rational, Rational]:
     k = len(w)
     lo = rat(int(w, 2), 2**k) if k else rat(0)
     return lo, lo + rat(1, 2**k)
-
-
-def word_region(w: Word) -> Region:
-    lo, hi = value_interval(w)
-    return Region(UNIT_INTERVAL, (Span(lo, hi, True, True),))
 
 
 def closed_value_region(k: CantorClopen) -> Region:
@@ -249,75 +231,10 @@ def check_irreducible_cantor(depth: int = 8) -> CantorIrreducibilityReport:
             w = format(i, f"0{k}b")
             checked += 1
             rest_image = closed_value_region(clopen_compl(cylinder(w)))
-            expected = full.difference(word_region(w).interior())
+            lo, hi = value_interval(w)
+            cell = Region(UNIT_INTERVAL, (Span(lo, hi, True, True),)).interior()
+            expected = full.difference(cell)
             if rest_image != expected or rest_image == full:
                 ok = False
     return CantorIrreducibilityReport(depth, checked, ok)
 
-
-@dataclass(frozen=True)
-class BridgeReport:
-    depth: int
-    samples: int
-    seed: int
-    checks: int = 0
-    failures: tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def to_json(self) -> dict:
-        return {
-            "depth": self.depth,
-            "samples": self.samples,
-            "seed": self.seed,
-            "checks": self.checks,
-            "failures": list(self.failures),
-            "ok": self.ok,
-        }
-
-
-def verify_bridge(depth: int = 6, samples: int = 200, seed: int = 0) -> BridgeReport:
-    """Seeded round-trip and law checks for the psi_c/phi_c pair."""
-    from .space import ropen_join, ropen_meet, ropen_neg
-
-    if samples < 0:
-        raise ValueError("samples must be non-negative")
-    rng = random.Random(seed)
-    failures: list[str] = []
-    checks = 0
-
-    def need(cond: bool, label: str) -> None:
-        nonlocal checks
-        checks += 1
-        if not cond and len(failures) < 20:
-            failures.append(label)
-
-    for trial in range(samples):
-        d = rng.randint(1, depth)
-        ka = random_clopen(rng, d)
-        kb = random_clopen(rng, d)
-        v = random_dyadic_regular_open(rng, d)
-        need(phi_c(psi_c(ka)) == ka, f"phi(psi) trial {trial}")
-        need(psi_c(phi_c(v)) == v, f"psi(phi) trial {trial}")
-        need(
-            psi_c(clopen_union(ka, kb)) == ropen_join(psi_c(ka), psi_c(kb)),
-            f"psi join trial {trial}",
-        )
-        need(
-            psi_c(clopen_inter(ka, kb)) == ropen_meet(psi_c(ka), psi_c(kb)),
-            f"psi meet trial {trial}",
-        )
-        need(psi_c(clopen_compl(ka)) == ropen_neg(psi_c(ka)), f"psi neg trial {trial}")
-        va = psi_c(ka)
-        need(
-            phi_c(ropen_join(v, va)) == clopen_union(phi_c(v), phi_c(va)),
-            f"phi join trial {trial}",
-        )
-        need(
-            phi_c(ropen_meet(v, va)) == clopen_inter(phi_c(v), phi_c(va)),
-            f"phi meet trial {trial}",
-        )
-        need(phi_c(ropen_neg(v)) == clopen_compl(phi_c(v)), f"phi neg trial {trial}")
-    return BridgeReport(depth, samples, seed, checks, tuple(failures))

@@ -10,7 +10,7 @@ import traceback
 from typing import Optional
 
 from . import boolequiv, cantor, jsonio
-from .cover_iso import PLMapBackend, check_essential, compose_equivalence
+from .cover_iso import PLMapBackend, check_essential, compose_equivalence, verify_bridge
 from .errors import (
     ExprSyntaxError,
     NotIrreducible,
@@ -122,7 +122,7 @@ def _cmd_cantor_check(args) -> int:
     if args.depth > MAX_CANTOR_CHECK_DEPTH:
         raise ValueError(f"--depth is at most {MAX_CANTOR_CHECK_DEPTH}")
     irr = cantor.check_irreducible_cantor(args.depth)
-    bridge = cantor.verify_bridge(args.depth, args.samples, args.seed)
+    bridge = verify_bridge(args.depth, args.samples, args.seed)
     _emit({"irreducible": irr.to_json(), "bridge": bridge.to_json()})
     return EXIT_OK if irr.ok and bridge.ok else EXIT_VERDICT
 
@@ -204,8 +204,16 @@ def _cmd_compose(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Malformed arguments are malformed input: one JSON error line and exit 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="regopen", description=__doc__)
+    top = _Parser(prog="regopen", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("space", help="space inspection")

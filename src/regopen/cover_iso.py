@@ -82,13 +82,17 @@ def PLMapBackend(m: PLMap, name: str = "plmap", complexity: int = 3) -> Cover:
 
 
 def CantorBackend(depth: int = 6, check_depth: int = 8) -> Cover:
-    """The binary-expansion cover of [0,1] on its dyadic subalgebra."""
+    """The binary-expansion cover of [0,1] on its dyadic subalgebra.
+
+    Each sample draws its own depth from 1 to `depth`, so every depth is exercised.
+    """
     words = BooleanSide(
         "cantor", _cantor.clopen_union, _cantor.clopen_inter, _cantor.clopen_compl,
-        lambda rng: _cantor.random_clopen(rng, depth), encode_clopen,
+        lambda rng: _cantor.random_clopen(rng, rng.randint(1, depth)), encode_clopen,
     )
     unit = region_side(
-        _cantor.UNIT_INTERVAL, lambda rng: _cantor.random_dyadic_regular_open(rng, depth)
+        _cantor.UNIT_INTERVAL,
+        lambda rng: _cantor.random_dyadic_regular_open(rng, rng.randint(1, depth)),
     )
 
     def decide() -> Decision:
@@ -145,13 +149,15 @@ class CoverReport:
         }
 
 
-def check_essential(cover: Cover, samples: int = 100, seed: int = 0) -> CoverReport:
-    """Run the full battery against one cover; deterministic per seed."""
+def _battery(cover: Cover, samples: int, seed: int) -> tuple[dict, list, dict, list]:
+    """The three psi laws, the three phi laws and both inverse laws on seeded samples.
+
+    Returns the law passes and failures, then the inverse passes and
+    failures; at most ten failures of each kind are kept.
+    """
     if samples < 0:
         raise ValueError("samples must be non-negative")
     rng = random.Random(seed)
-    surjective, irreducible, witness, reason = cover.decide()
-
     law_passes = {name: 0 for name in LAW_NAMES}
     inverse_passes = {name: 0 for name in INVERSE_NAMES}
     law_failures: list = []
@@ -179,7 +185,13 @@ def check_essential(cover: Cover, samples: int = 100, seed: int = 0) -> CoverRep
                 score(law_passes, law_failures, f"{name}_{law}", ok, trial)
         score(inverse_passes, inverse_failures, "psi_phi_id", cover.psi(cover.phi(v1)) == v1, trial)
         score(inverse_passes, inverse_failures, "phi_psi_id", cover.phi(cover.psi(u1)) == u1, trial)
+    return law_passes, law_failures, inverse_passes, inverse_failures
 
+
+def check_essential(cover: Cover, samples: int = 100, seed: int = 0) -> CoverReport:
+    """Run the full battery against one cover; deterministic per seed."""
+    law_passes, law_failures, inverse_passes, inverse_failures = _battery(cover, samples, seed)
+    surjective, irreducible, witness, reason = cover.decide()
     return CoverReport(
         backend=cover.name,
         surjective=surjective,
@@ -193,6 +205,36 @@ def check_essential(cover: Cover, samples: int = 100, seed: int = 0) -> CoverRep
         inverse_passes=inverse_passes,
         inverse_failures=tuple(inverse_failures),
     )
+
+
+@dataclass(frozen=True)
+class BridgeReport:
+    depth: int
+    samples: int
+    seed: int
+    checks: int = 0
+    failures: tuple[str, ...] = ()
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+    def to_json(self) -> dict:
+        return {
+            "depth": self.depth,
+            "samples": self.samples,
+            "seed": self.seed,
+            "checks": self.checks,
+            "failures": list(self.failures),
+            "ok": self.ok,
+        }
+
+
+def verify_bridge(depth: int = 6, samples: int = 200, seed: int = 0) -> BridgeReport:
+    """The law battery on the psi_c/phi_c pair, without the cylinder decision."""
+    _, law_failures, _, inverse_failures = _battery(CantorBackend(depth), samples, seed)
+    failures = tuple(f"{f['law']} trial {f['trial']}" for f in law_failures + inverse_failures)
+    return BridgeReport(depth, samples, seed, 8 * samples, failures)
 
 
 @dataclass(frozen=True)

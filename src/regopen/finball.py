@@ -84,7 +84,7 @@ class TwoValuedHom:
 
 def dual_space(algebra: FiniteBooleanAlgebra) -> tuple[TwoValuedHom, ...]:
     """All two-valued homomorphisms: one evaluation per atom."""
-    return tuple(TwoValuedHom(i) for i in range(algebra.n))
+    return tuple([TwoValuedHom(i) for i in range(algebra.n)])
 
 
 def phi_hat(algebra: FiniteBooleanAlgebra, e: Element) -> frozenset[TwoValuedHom]:
@@ -123,7 +123,7 @@ class FinCover:
     index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        table = tuple(tuple(pair) for pair in self.table)
+        table = tuple([tuple(pair) for pair in self.table])
         object.__setattr__(self, "table", table)
         mapping = dict(table)
         if set(mapping) != set(self.domain.point_labels):

@@ -18,7 +18,7 @@ from .errors import (
     SpaceMismatch,
 )
 from .rationals import Rational, rat
-from .space import Point, Region, Space1D, Span, _sweep, canonicalize
+from .space import Region, Space1D, Span, _sweep, _within, canonicalize
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,10 @@ class Piece:
 
 def _settle(obj, space: Space1D, points_field: str) -> None:
     """Freeze `obj.pieces` and its (point, value) pairs, then check both over `space`."""
-    object.__setattr__(obj, "pieces", tuple(tuple(run) for run in obj.pieces))
-    points = tuple((rat(p), rat(v)) for p, v in getattr(obj, points_field))
+    # tuple() of a list allocates the final size; of a generator it resizes
+    # a guess, and each resized block then stays in the tuple free list
+    object.__setattr__(obj, "pieces", tuple([tuple(run) for run in obj.pieces]))
+    points = tuple([(rat(p), rat(v)) for p, v in getattr(obj, points_field)])
     object.__setattr__(obj, points_field, points)
     _check_runs(space, obj.pieces)
     _check_points(space, points, points_field)
@@ -169,20 +171,11 @@ class PLMap:
         """The codomain checks; the shared core has checked runs and points."""
         for run in self.pieces:
             for piece in run:
-                if not self._codomain_holds_interval(*piece.image_interval()):
+                if not _within(self.codomain, *piece.image_interval()):
                     raise ImageEscapesCodomain((piece.src_lo, piece.src_hi))
         for p, v in self.point_images:
             if not self.codomain.contains(v):
                 raise ImageEscapesCodomain(p)
-
-    def _codomain_holds_interval(self, lo: Rational, hi: Rational) -> bool:
-        for comp in self.codomain.components:
-            if isinstance(comp, Point):
-                if lo == hi == comp.at:
-                    return True
-            elif comp.a <= lo and hi <= comp.b:
-                return True
-        return False
 
     # --- evaluation and set maps ---
 

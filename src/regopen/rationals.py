@@ -1,22 +1,12 @@
-"""Exact rational arithmetic helpers.
-
-gmpy2's mpq is used when available (roughly an order of magnitude faster
-on the op chains the region calculus produces); fractions.Fraction is the
-drop-in fallback.  The two agree on hashing, ordering, equality and str()
-formatting, so the backend never leaks into results.
-"""
+"""Exact rational arithmetic helpers over fractions.Fraction."""
 from __future__ import annotations
 
 import re
-from typing import Any, Optional, Union
+from fractions import Fraction as Q
+from typing import Optional, Union
 
-try:
-    from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as Q  # type: ignore[assignment]
-
-# annotations use this alias; the runtime type depends on the backend
-Rational = Any
+# the name annotations use for an exact rational
+Rational = Q
 
 _RAT_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 

@@ -57,6 +57,15 @@ def _bounds(comp: Component):
     return comp.a, comp.b
 
 
+def _within(space: "Space1D", lo: Rational, hi: Rational) -> bool:
+    """Whether [lo, hi] lies inside one component of the space."""
+    for c in space.components:
+        a, b = _bounds(c)
+        if a <= lo and hi <= b:
+            return True
+    return False
+
+
 @dataclass(frozen=True)
 class Space1D:
     """A compact subset of the rational line in component form."""
@@ -76,11 +85,7 @@ class Space1D:
                 raise ValueError("components must be sorted with positive gaps")
 
     def contains(self, x: Rational) -> bool:
-        for c in self.components:
-            lo, hi = _bounds(c)
-            if lo <= x <= hi:
-                return True
-        return False
+        return _within(self, x, x)
 
     def full_region(self) -> "Region":
         return Region(self, tuple([Span(*_bounds(c), True, True) for c in self.components]))
@@ -89,10 +94,10 @@ class Space1D:
         return Region(self, ())
 
     def interval_components(self) -> tuple[Interval, ...]:
-        return tuple(c for c in self.components if isinstance(c, Interval))
+        return tuple([c for c in self.components if isinstance(c, Interval)])
 
     def point_components(self) -> tuple[Point, ...]:
-        return tuple(c for c in self.components if isinstance(c, Point))
+        return tuple([c for c in self.components if isinstance(c, Point)])
 
 
 @dataclass(frozen=True)
@@ -127,10 +132,6 @@ class Span:
             return True
         return self.lo == self.hi and not (self.lo_incl and self.hi_incl)
 
-    @property
-    def is_point(self) -> bool:
-        return self.lo == self.hi and self.lo_incl and self.hi_incl
-
 
 @dataclass(frozen=True)
 class Region:
@@ -149,7 +150,7 @@ class Region:
 
     @cached_property
     def _los(self) -> tuple[Rational, ...]:
-        return tuple(s.lo for s in self.spans)
+        return tuple([s.lo for s in self.spans])
 
     def contains(self, x: Rational) -> bool:
         # canonical spans are sorted and disjoint: one candidate suffices
@@ -303,16 +304,8 @@ def canonicalize(space: Space1D, raw_spans: Iterable[Span]) -> CanonicalizeResul
     The flag reports whether any nonempty raw span stuck out of the space.
     """
     live = [s for s in raw_spans if not s.is_empty]
-    clipped = any(not _inside_some_component(space, s) for s in live)
+    clipped = any(not _within(space, s.lo, s.hi) for s in live)
     return CanonicalizeResult(_sweep(space, _both, space.full_region().spans, live), clipped)
-
-
-def _inside_some_component(space: Space1D, s: Span) -> bool:
-    for c in space.components:
-        lo, hi = _bounds(c)
-        if lo <= s.lo and s.hi <= hi:
-            return True
-    return False
 
 
 # --- the Boolean algebra of regular open sets ---

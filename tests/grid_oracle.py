@@ -31,6 +31,7 @@ class GridOracle:
     def __init__(self, space: Space1D):
         self.space = space
         self.values = []   # grid point values, in order
+        self.index = []    # k with value k/2048, per position
         self.comp_id = []  # component index per position
         self.vertex = []   # True at even multiples of the step
         for ci, comp in enumerate(space.components):
@@ -39,6 +40,7 @@ class GridOracle:
                 if k % 2:
                     raise ValueError("space endpoints must be multiples of 1/1024")
                 self.values.append(comp.at)
+                self.index.append(k)
                 self.comp_id.append(ci)
                 self.vertex.append(True)
                 continue
@@ -47,13 +49,19 @@ class GridOracle:
                 raise ValueError("space endpoints must be multiples of 1/1024")
             for k in range(k0, k1 + 1):
                 self.values.append(k * STEP)
+                self.index.append(k)
                 self.comp_id.append(ci)
                 self.vertex.append(k % 2 == 0)
 
     def vec(self, r: Region) -> list[bool]:
         if r.space != self.space:
             raise ValueError("region over a different space")
-        return [r.contains(x) for x in self.values]
+        # membership read off the grid indices each span covers, so that the
+        # oracle never calls back into the library's own `contains`
+        inside = set()
+        for s in r.spans:
+            inside.update(range(_grid_index(s.lo) + (not s.lo_incl), _grid_index(s.hi) + s.hi_incl))
+        return [k in inside for k in self.index]
 
     # --- pointwise set operations ---
 

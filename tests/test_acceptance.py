@@ -25,9 +25,9 @@ from regopen.cantor import (
     dyadic_regular_open_from_cellmask,
     phi_c,
     psi_c,
-    verify_bridge,
 )
 from regopen.cli import main as cli_main
+from regopen.cover_iso import verify_bridge
 from regopen.finball import (
     FinCover,
     FiniteBooleanAlgebra,

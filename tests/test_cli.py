@@ -1,6 +1,7 @@
 """Command-line dispatch, exit codes, and output determinism."""
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -9,8 +10,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from regopen import cli, jsonio
+from regopen import cantor, cli, jsonio
 from regopen.cli import MAX_CANTOR_CHECK_DEPTH, MAX_GLEASON_POINTS, main
+from regopen.cover_iso import verify_bridge
 from regopen.ideals import plfunc_from_breakpoints
 from regopen.plmap import Piece, PLMap, identity_map, plmap_from_breakpoints
 from regopen.rationals import rat
@@ -217,6 +219,46 @@ class TestCantor:
         code, out = run(capsys, "cantor", "phi", "--region", v)
         assert code == 2 and out["at"] == "NonDyadicEndpoint"
 
+    def test_check_matches_the_golden_table(self, capsys):
+        for (depth, seed, samples), digest in CANTOR_CHECK_GOLDEN.items():
+            argv = ["cantor", "check", "--depth", str(depth), "--samples", str(samples)]
+            code = main(argv + ["--seed", str(seed)])
+            out = capsys.readouterr().out
+            assert (code, hashlib.sha256(out.encode()).hexdigest()[:16]) == (0, digest), argv
+        code = main(["cantor", "check", "--depth", "6", "--samples", "200", "--seed", "0"])
+        assert (code, capsys.readouterr().out) == (0, README_CANTOR_CHECK)
+
+    def test_check_catches_a_broken_meet(self, capsys, monkeypatch):
+        # a meet that returns the union breaks the psi and phi meet laws
+        monkeypatch.setattr(cantor, "clopen_inter", cantor.clopen_union)
+        rep = verify_bridge(4, 10, 0)
+        assert rep.ok is False and "psi_meet trial 0" in rep.failures
+        code, out = run(capsys, "cantor", "check", "--depth", "4", "--samples", "10")
+        assert code == 1 and out["bridge"]["ok"] is False
+
+
+# `regopen cantor check` stdout, as the first 16 hex digits of its sha256, keyed
+# by (depth, seed, samples); captured before the bridge ran on the cover battery
+CANTOR_CHECK_GOLDEN = {
+    (1, 0, 0): "1ae7082218ec78d7", (1, 0, 1): "bf011bf2783aeb41", (1, 0, 7): "3e07eb681f2123c2",
+    (1, 1, 0): "aee0fbf6edd61845", (1, 1, 1): "d6db7733ae12b1a5", (1, 1, 7): "ff468811df922d88",
+    (2, 0, 0): "1a62d9ac27f20e3a", (2, 0, 1): "1647068432b558c1", (2, 0, 7): "3c5979f1a5174397",
+    (2, 1, 0): "f14043f869a12049", (2, 1, 1): "773c6c9151785452", (2, 1, 7): "c1f800935a67d725",
+    (3, 0, 0): "af9745c9b9ca5c84", (3, 0, 1): "81adc258bd47c3bd", (3, 0, 7): "67e7e4ed13949848",
+    (3, 1, 0): "3eef0caa51e21b9b", (3, 1, 1): "1d9fd90bbf977823", (3, 1, 7): "83d1d0dcf4b70980",
+    (4, 0, 0): "d727b2aab0d38e4a", (4, 0, 1): "1440efab164369a1", (4, 0, 7): "433260499640becd",
+    (4, 1, 0): "d0a00c191d9d540a", (4, 1, 1): "b0d77405043eac42", (4, 1, 7): "a794145c8939f153",
+    (5, 0, 0): "4df2c5f9b1558c49", (5, 0, 1): "fc51414b76ffa7a1", (5, 0, 7): "d28c46cb7198568c",
+    (5, 1, 0): "1c5a1bd72fc63ae7", (5, 1, 1): "05d2ac7913f41228", (5, 1, 7): "167f63a59f1daecf",
+    (6, 0, 0): "43746ecaf1fcc34d", (6, 0, 1): "5b61f1105d2a7cf6", (6, 0, 7): "d656d31da22faf6a",
+    (6, 1, 0): "1b9f47249053c206", (6, 1, 1): "0802f3fe89cb7a2f", (6, 1, 7): "6fd7eb9760023d3c",
+}
+README_CANTOR_CHECK = (
+    '{"bridge":{"checks":1600,"depth":6,"failures":[],"ok":true,"samples":200,"seed":0},'
+    '"irreducible":{"cylinders_checked":126,"depth":6,"note":"base cylinders suffice: any closed '
+    'set missing a point of C misses a whole cylinder around it","ok":true}}\n'
+)
+
 
 class TestGleason:
     def test_three_points(self, capsys):
@@ -380,6 +422,12 @@ class TestCompose:
 
 
 class TestRobustness:
+    def test_malformed_arguments_are_input_errors(self, capsys):
+        # argparse reads "-:" as an option, so --expr gets no value
+        for argv in (["region", "eval", "--space", "[]", "--expr", "-:"], ["region", "eval"], []):
+            code, out = run(capsys, *argv)
+            assert code == 2 and out["at"] == "ValueError"
+
     def test_missing_file(self, capsys):
         code, out = run(capsys, "space", "info", "--space", "no/such/file.json")
         assert code == 2

@@ -239,6 +239,15 @@ class TestGridOracleAgreement:
         for seed in range(10):
             _agree_with_grid(seed)
 
+    def test_index_membership_matches_contains(self):
+        # the oracle reads membership off grid indices; Region.contains must agree
+        rng = random.Random(2048)
+        for space in FIXTURE_SPACES:
+            oracle = GridOracle(space)
+            for _ in range(4):
+                for r in (random_region(space, rng), random_regular_open(space, rng.randrange(2**30))):
+                    assert [r.contains(x) for x in oracle.values] == oracle.vec(r)
+
 
 def _agree_with_grid(seed: int) -> None:
     rng = random.Random(seed)
