@@ -20,7 +20,6 @@ from .errors import (
 from .exprlang import eval_expr, parse_expr
 from .finball import FiniteDiscreteSpace, gleason_cover, verify_projective_cover
 from .ideals import (
-    annihilator,
     ideal_join,
     ideal_meet,
     ideal_neg,
@@ -163,10 +162,9 @@ def _cmd_ideal(args) -> int:
         verdict = in_ideal(f, j)
         _emit({"member": verdict})
         return EXIT_OK if verdict else EXIT_VERDICT
-    if op in ("neg", "annihilator"):
+    if op in ("neg", "annihilator"):  # the annihilator is the pseudocomplement
         j = jsonio.decode_ideal(_load(args.ideal))
-        out = ideal_neg(j) if op == "neg" else annihilator(j)
-        _emit(jsonio.encode_ideal(out))
+        _emit(jsonio.encode_ideal(ideal_neg(j)))
         return EXIT_OK
     if op in ("join", "meet"):
         j1 = jsonio.decode_ideal(_load(args.ideal))
@@ -309,10 +307,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (NotIrreducible, NotSurjective) as exc:
         _emit({"error": str(exc), "verdict": False})
         return EXIT_VERDICT
-    except RegopenError as exc:
-        _emit({"error": str(exc), "at": type(exc).__name__})
-        return EXIT_INPUT
-    except (ValueError, KeyError, TypeError, OSError) as exc:
+    except (RegopenError, ValueError, KeyError, TypeError, OSError) as exc:
         _emit({"error": str(exc), "at": type(exc).__name__})
         return EXIT_INPUT
     except Exception as exc:  # no input may end in a traceback and exit 1

@@ -63,13 +63,11 @@ def region_side(space: Space1D, draw: Callable[[random.Random], Any]) -> Boolean
     return BooleanSide(space_key(space), ropen_join, ropen_meet, ropen_neg, draw, encode_region)
 
 
-def PLMapBackend(m: PLMap, name: str = "plmap", complexity: int = 3) -> Cover:
-    """The cover a piecewise-linear map gives; samples draw regular opens of `complexity`."""
+def PLMapBackend(m: PLMap, name: str = "plmap") -> Cover:
+    """The cover a piecewise-linear map gives; samples draw random regular opens."""
 
     def side(space: Space1D) -> BooleanSide:
-        return region_side(
-            space, lambda rng: random_regular_open(space, rng.randrange(2**62), complexity)
-        )
+        return region_side(space, lambda rng: random_regular_open(space, rng.randrange(2**62)))
 
     def decide() -> Decision:
         try:

@@ -167,7 +167,7 @@ def gleason_cover(x: FiniteDiscreteSpace) -> GleasonCoverResult:
     """
     algebra = FiniteBooleanAlgebra(x.point_labels)
     homs = dual_space(algebra)
-    p_space = FiniteDiscreteSpace(tuple(f"p{k}" for k in range(len(homs))))
+    p_space = FiniteDiscreteSpace(tuple([f"p{k}" for k in range(len(homs))]))
     table = []
     universe = frozenset(range(x.n))
     for k, hom in enumerate(homs):
@@ -235,7 +235,7 @@ def verify_projective_cover(
     """
     if f.domain != p or f.codomain != x:
         raise ValueError("cover does not connect the given spaces")
-    homs = tuple(TwoValuedHom(i) for i in f.index.values()) if homs is None else tuple(homs)
+    homs = tuple([TwoValuedHom(i) for i in f.index.values()]) if homs is None else tuple(homs)
     x_all = frozenset(range(x.n))
 
     def phi(v: frozenset[int]) -> frozenset[int]:

@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotIrreducible, SpaceMismatch
-from .plmap import Piece, PLMap, _locate, _preimage, _runs, _settle, is_irreducible
+from .plmap import Piece, PLMap, _carry, _locate, _runs, _settle, is_irreducible
 from .rationals import Rational
-from .space import Region, Space1D, Span, canonicalize, ropen_join, ropen_meet, ropen_neg
+from .space import Region, Space1D, Span, canonicalize, ropen_join, ropen_meet
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,7 @@ class PLFunc:
         _settle(self, self.space, "point_values")
 
     def value(self, x: Rational) -> Rational:
-        slope, intercept = _locate(self.pieces, self.point_values, x)
+        slope, intercept = _locate(self._branches, x)
         return slope * x + intercept
 
     def breakpoints(self) -> list[Rational]:
@@ -48,7 +48,7 @@ def plfunc_from_breakpoints(
 
 def pl_supp(f: PLFunc) -> Region:
     """Exact open region where f is nonzero: the complement of its zero set."""
-    zeros = _preimage(f.pieces, f.point_values, [Span(0, 0, True, True)])
+    zeros = _carry(f._branches, [Span(0, 0, True, True)], False)
     return canonicalize(f.space, zeros).region.complement()
 
 
@@ -81,10 +81,6 @@ def in_ideal(f: PLFunc, j: RegIdeal) -> bool:
     return pl_supp(f).difference(j.support).is_empty
 
 
-def annihilator(j: RegIdeal) -> RegIdeal:
-    return RegIdeal(j.space, j.support.perp())
-
-
 def ideal_join(j1: RegIdeal, j2: RegIdeal) -> RegIdeal:
     return RegIdeal(j1.space, ropen_join(j1.support, j2.support))
 
@@ -94,7 +90,11 @@ def ideal_meet(j1: RegIdeal, j2: RegIdeal) -> RegIdeal:
 
 
 def ideal_neg(j: RegIdeal) -> RegIdeal:
-    return RegIdeal(j.space, ropen_neg(j.support))
+    """The pseudocomplement of j, which is its annihilator: support perp(supp j)."""
+    return RegIdeal(j.space, j.support.perp())
+
+
+annihilator = ideal_neg
 
 
 def _require_essential(pi: PLMap) -> None:
@@ -141,10 +141,10 @@ def pullback(pi: PLMap, f: PLFunc) -> PLFunc:
             for x0, x1 in zip(ordered, ordered[1:]):
                 mid = (x0 + x1) / 2
                 y = piece.value(mid)
-                m, k = _locate(f.pieces, f.point_values, y)
+                m, k = _locate(f._branches, y)
                 out.append(
                     Piece(x0, x1, m * piece.slope, m * piece.intercept + k)
                 )
         runs.append(tuple(out))
-    points = tuple((p, f.value(v)) for p, v in pi.point_images)
+    points = [(p, f.value(v)) for p, v in pi.point_images]
     return PLFunc(pi.domain, tuple(runs), points)

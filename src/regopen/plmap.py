@@ -2,8 +2,10 @@
 
 A map carries, per interval component of the domain, a run of affine
 pieces that tile the component, plus an image point for every isolated
-point.  Everything (images, preimages, the irreducibility decision) is
-exact span arithmetic; no sampling enters the library semantics.
+point.  Both are read through one branch table: a branch is an affine
+piece, or an isolated point taken as a constant.  Everything (images,
+preimages, the irreducibility decision) is exact span arithmetic; no
+sampling enters the library semantics.
 """
 from __future__ import annotations
 
@@ -39,16 +41,16 @@ class Piece:
     def value(self, x: Rational) -> Rational:
         return self.slope * x + self.intercept
 
-    def image_interval(self) -> tuple[Rational, Rational]:
-        a, b = self.value(self.src_lo), self.value(self.src_hi)
-        return (a, b) if a <= b else (b, a)
-
 
 # --- the piecewise-linear core shared by maps and functions ---
 
 
 def _settle(obj, space: Space1D, points_field: str) -> None:
-    """Freeze `obj.pieces` and its (point, value) pairs, then check both over `space`."""
+    """Freeze `obj.pieces` and its (point, value) pairs, check both over
+    `space`, then build the branch table `obj._branches`: one
+    (src, dst, slope, intercept) per piece in run order, then one per
+    isolated point as a constant, with closed source and image spans.
+    """
     # tuple() of a list allocates the final size; of a generator it resizes
     # a guess, and each resized block then stays in the tuple free list
     object.__setattr__(obj, "pieces", tuple([tuple(run) for run in obj.pieces]))
@@ -56,6 +58,11 @@ def _settle(obj, space: Space1D, points_field: str) -> None:
     object.__setattr__(obj, points_field, points)
     _check_runs(space, obj.pieces)
     _check_points(space, points, points_field)
+    parts = [(Span(q.src_lo, q.src_hi, True, True), q.slope, q.intercept)
+             for run in obj.pieces for q in run]
+    parts += [(Span(p, p, True, True), rat(0), v) for p, v in points]
+    branches = tuple([(src, _affine_span(src, k, c), k, c) for src, k, c in parts])
+    object.__setattr__(obj, "_branches", branches)
 
 
 def _check_runs(space: Space1D, pieces) -> None:
@@ -84,15 +91,11 @@ def _check_points(space: Space1D, points, points_field: str) -> None:
         raise ValueError(f"duplicate point in {points_field}")
 
 
-def _locate(pieces, points, x: Rational) -> tuple[Rational, Rational]:
+def _locate(branches, x: Rational) -> tuple[Rational, Rational]:
     """Slope and intercept at x; an isolated point carries a constant."""
-    for p, v in points:
-        if x == p:
-            return rat(0), v
-    for run in pieces:
-        for piece in run:
-            if piece.src_lo <= x <= piece.src_hi:
-                return piece.slope, piece.intercept
+    for src, _, slope, intercept in branches:
+        if src.lo <= x <= src.hi:
+            return slope, intercept
     raise ValueError(f"{x} not in the domain")
 
 
@@ -107,30 +110,24 @@ def _meeting(spans: Sequence[Span], his: list, lo: Rational, hi: Rational) -> It
         yield spans[i]
 
 
-def _preimage(pieces, points, spans: Sequence[Span]) -> list[Span]:
-    """Raw spans of the x whose value lies in one of `spans`.
+def _carry(branches, spans: Sequence[Span], forward: bool) -> list[Span]:
+    """Raw spans of the image (forward) or the preimage of `spans`.
 
     `spans` must be sorted and disjoint (canonical region spans, or one
-    span); each piece then visits only the spans that meet its image.
+    span); each branch then visits only the spans that meet its source
+    (forward) or its image (back).
     """
     his = [t.hi for t in spans]
     raw: list[Span] = []
-    for run in pieces:
-        for piece in run:
-            src = Span(piece.src_lo, piece.src_hi, True, True)
-            meeting = _meeting(spans, his, *piece.image_interval())
-            if piece.slope == 0:
-                if any(t.contains(piece.intercept) for t in meeting):
-                    raw.append(src)
-                continue
-            inverse, offset = 1 / piece.slope, -piece.intercept / piece.slope
-            for t in meeting:
-                part = _span_intersect(_affine_span(t, inverse, offset), src)
-                if part is not None:
-                    raw.append(part)
-    for p, v in points:
-        if any(t.contains(v) for t in _meeting(spans, his, v, v)):
-            raw.append(Span(p, p, True, True))
+    for src, dst, slope, intercept in branches:
+        window, other = (src, dst) if forward else (dst, src)
+        if slope and not forward:
+            slope, intercept = 1 / slope, -intercept / slope
+        for t in _meeting(spans, his, window.lo, window.hi):
+            part = _span_intersect(t, window)
+            if part is not None:
+                # a slope-0 branch carries any meet onto its whole other side
+                raw.append(_affine_span(part, slope, intercept) if slope else other)
     return raw
 
 
@@ -169,41 +166,26 @@ class PLMap:
 
     def validate(self) -> None:
         """The codomain checks; the shared core has checked runs and points."""
-        for run in self.pieces:
-            for piece in run:
-                if not _within(self.codomain, *piece.image_interval()):
-                    raise ImageEscapesCodomain((piece.src_lo, piece.src_hi))
-        for p, v in self.point_images:
-            if not self.codomain.contains(v):
-                raise ImageEscapesCodomain(p)
+        for src, dst, _, _ in self._branches:
+            if not _within(self.codomain, dst.lo, dst.hi):
+                # a piece is located by its span, an isolated point by itself
+                raise ImageEscapesCodomain(src.lo if src.lo == src.hi else (src.lo, src.hi))
 
     # --- evaluation and set maps ---
 
     def value(self, x: Rational) -> Rational:
-        slope, intercept = _locate(self.pieces, self.point_images, x)
+        slope, intercept = _locate(self._branches, x)
         return slope * x + intercept
 
     def image(self, r: Region) -> Region:
         if r.space != self.domain:
             raise SpaceMismatch("region is not over the domain")
-        his = [s.hi for s in r.spans]
-        raw: list[Span] = []
-        for run in self.pieces:
-            for piece in run:
-                src = Span(piece.src_lo, piece.src_hi, True, True)
-                for s in _meeting(r.spans, his, piece.src_lo, piece.src_hi):
-                    part = _span_intersect(s, src)
-                    if part is not None:
-                        raw.append(_affine_span(part, piece.slope, piece.intercept))
-        for p, v in self.point_images:
-            if r.contains(p):
-                raw.append(Span(v, v, True, True))
-        return canonicalize(self.codomain, raw).region
+        return canonicalize(self.codomain, _carry(self._branches, r.spans, True)).region
 
     def preimage(self, s: Region) -> Region:
         if s.space != self.codomain:
             raise SpaceMismatch("region is not over the codomain")
-        return canonicalize(self.domain, _preimage(self.pieces, self.point_images, s.spans)).region
+        return canonicalize(self.domain, _carry(self._branches, s.spans, False)).region
 
     def is_surjective(self) -> bool:
         return self.image(self.domain.full_region()) == self.codomain.full_region()
@@ -271,9 +253,10 @@ def is_irreducible(m: PLMap) -> IrreducibilityVerdict:
     union of the other branches.  Any witness is re-verified by exact
     recomputation before it is returned.
 
-    Rule 3 is one coverage count over the n branch images (`_first_overlap`):
-    an O(n log n) sweep, then one bisection per piece, plus a walk of the
-    codomain components for each piece's image interior.
+    Rules 1 and 3 read one coverage count over the n branch images: an
+    O(n log n) sweep, then one bisection per isolated point (rule 1) and
+    one per piece (rule 3, `_first_overlap`), plus a walk of the codomain
+    components for each piece's image interior.
     """
     if not m.is_surjective():
         raise NotSurjective("irreducibility is only defined for surjective maps")
@@ -287,11 +270,13 @@ def is_irreducible(m: PLMap) -> IrreducibilityVerdict:
             raise AssertionError(f"internal witness failed re-verification: {reason}")
         return IrreducibilityVerdict(False, witness, reason)
 
+    twice = _sweep(m.codomain, _covered_twice, [dst for _, dst, _, _ in m._branches])
+
     # rule 1: an isolated point whose removal keeps the map onto
-    for p, _ in m.point_images:
+    p = _redundant_point(m, twice)
+    if p is not None:
         candidate = Region.make(m.domain, [Span(p, p, True, True)])
-        if m.image(full.difference(candidate)) == x_full:
-            return verified(candidate, f"isolated point {p} is redundant")
+        return verified(candidate, f"isolated point {p} is redundant")
 
     # rule 2: a constant piece always leaves both endpoints behind
     for run in m.pieces:
@@ -304,7 +289,7 @@ def is_irreducible(m: PLMap) -> IrreducibilityVerdict:
                 return verified(w, f"constant piece on [{piece.src_lo}, {piece.src_hi}]")
 
     # rule 3: a monotone piece whose image interior is covered elsewhere
-    found = _first_overlap(m)
+    found = _first_overlap(m, twice)
     if found is None:
         return IrreducibilityVerdict(True)
     piece, span = found
@@ -322,26 +307,37 @@ def _covered_twice(count: int) -> bool:
     return count >= 2
 
 
-def _first_overlap(m: PLMap) -> Optional[tuple[Piece, Span]]:
+def _redundant_point(m: PLMap, twice: Region) -> Optional[Rational]:
+    """The first isolated point whose removal keeps the map onto.
+
+    The map is onto, so dropping p keeps it onto exactly when another
+    branch also covers p's image: when `twice`, the part of the codomain
+    that at least two closed branch images hold, contains it.
+    """
+    for p, v in m.point_images:
+        if twice.contains(v):
+            return p
+    return None
+
+
+def _first_overlap(m: PLMap, twice: Region) -> Optional[tuple[Piece, Span]]:
     """The first piece, in run order, whose image interior meets the interior
     of the other branch images (pieces and point images), with the first span
     of that meet.  Every piece is monotone here (rule 2 ran first).
 
     Inside a piece's closed image, a point lies in another branch image
-    exactly when at least two closed branch images hold it.  So one coverage
-    sweep gives D = int{c >= 2} for all pieces at once, and each piece meets
-    D by bisection.  Canonical form is unique, so the first span is the one
-    that int(own) and int(others), built per piece, would give.
+    exactly when at least two closed branch images hold it.  So the one
+    coverage sweep `twice` gives D = int(twice) for all pieces at once, and
+    each piece meets D by bisection.  Canonical form is unique, so the first
+    span is the one that int(own) and int(others), built per piece, would give.
     """
-    pieces = [piece for run in m.pieces for piece in run]
-    images = [Span(*piece.image_interval(), True, True) for piece in pieces]
-    points = [Span(v, v, True, True) for _, v in m.point_images]
-    twice = _sweep(m.codomain, _covered_twice, images + points).interior().spans
-    his = [d.hi for d in twice]
-    for piece, image in zip(pieces, images):
+    inner = twice.interior().spans
+    his = [d.hi for d in inner]
+    # the branches list the pieces first, in run order, so zip stops before the points
+    for piece, (_, image, _, _) in zip([q for run in m.pieces for q in run], m._branches):
         # the image lies in one codomain component, so it is already canonical
         own = Region(m.codomain, (image,)).interior().spans[0]
-        for d in _meeting(twice, his, own.lo, own.hi):
+        for d in _meeting(inner, his, own.lo, own.hi):
             span = _span_intersect(d, own)
             if span is not None:
                 return piece, span

@@ -399,11 +399,11 @@ def theta(space: Space1D, w_atomic: Optional[Region], w_atomless: Optional[Regio
 # --- seeded random regular opens ---
 
 
-def random_regular_open(space: Space1D, seed: int, complexity: int = 3) -> Region:
-    """Deterministic pseudo-random regular open with at most `complexity` spans."""
+def random_regular_open(space: Space1D, seed: int) -> Region:
+    """Deterministic pseudo-random regular open with at most three spans."""
     rng = random.Random(seed)
     raw: list[Span] = []
-    for _ in range(rng.randint(1, max(1, complexity))):
+    for _ in range(rng.randint(1, 3)):
         comp = rng.choice(space.components)
         if isinstance(comp, Point):
             raw.append(Span(comp.at, comp.at, True, True))

@@ -1,11 +1,12 @@
-"""Reference transports and rule 3 for piecewise-linear maps, by brute force.
+"""Reference transports and rules 1 and 3 for piecewise-linear maps, by brute force.
 
-The library pairs each piece only with the region spans that meet it,
-intersects spans by comparing endpoints, and finds the rule-3 overlap of
-`is_irreducible` with one coverage count over all branch images.  These
+The library pairs each branch only with the region spans that meet it,
+intersects spans by comparing endpoints, and decides rules 1 and 3 of
+`is_irreducible` from one coverage count over all branch images.  These
 are the direct forms it replaced: every piece against every span, flags
-from `Span.contains`, and one canonicalization of the other branches per
-piece.  Tests compare the two on random maps.
+from `Span.contains`, one image of the domain without each isolated point,
+and one canonicalization of the other branches per piece.  Tests compare
+the two on random maps.
 
 Test-only device; the library itself never touches it.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 from typing import Optional
 
 from regopen.plmap import PLMap, Piece, _affine_span
+from regopen.rationals import Rational
 from regopen.space import Region, Span, canonicalize
 
 
@@ -71,13 +73,26 @@ def phi_by_pairs(m: PLMap, v: Region) -> Region:
     return preimage_by_pairs(m, v).closure().interior()
 
 
-def first_overlap_by_branches(m: PLMap) -> Optional[tuple[Piece, Span]]:
-    """Rule 3 branch by branch: int(own image) against int(union of the others)."""
+def redundant_point_by_images(m: PLMap, twice: Region) -> Optional[Rational]:
+    """Rule 1 point by point: the first isolated point whose removal leaves
+    the image of the rest of the domain the whole codomain.  `twice` is
+    ignored."""
+    full = m.domain.full_region()
+    for p, _ in m.point_images:
+        rest = full.difference(Region.make(m.domain, [Span(p, p, True, True)]))
+        if m.image(rest) == m.codomain.full_region():
+            return p
+    return None
+
+
+def first_overlap_by_branches(m: PLMap, twice: Region) -> Optional[tuple[Piece, Span]]:
+    """Rule 3 branch by branch: int(own image) against int(union of the others).
+    `twice` is ignored."""
     branches: list[tuple[Optional[Piece], Span]] = []
     for run in m.pieces:
         for piece in run:
-            lo, hi = piece.image_interval()
-            branches.append((piece, Span(lo, hi, True, True)))
+            a, b = piece.value(piece.src_lo), piece.value(piece.src_hi)
+            branches.append((piece, Span(min(a, b), max(a, b), True, True)))
     for _, v in m.point_images:
         branches.append((None, Span(v, v, True, True)))
     for i, (piece, image) in enumerate(branches):

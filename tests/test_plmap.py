@@ -25,6 +25,7 @@ from plmap_oracle import (
     phi_by_pairs,
     preimage_by_pairs,
     psi_by_pairs,
+    redundant_point_by_images,
     span_intersect_by_contains,
 )
 
@@ -425,7 +426,8 @@ SHARED_END_FOLDS = (
 
 
 class TestRuleThreeOracle:
-    """The one-count rule 3 gives the per-branch rule's verdict, reason and witness."""
+    """The one-count rules 1 and 3 give the per-point and per-branch rules'
+    verdicts, reasons and witnesses."""
 
     def test_verdicts_match_the_per_branch_rule(self, monkeypatch):
         rng = random.Random(60_000)
@@ -433,9 +435,11 @@ class TestRuleThreeOracle:
         seen = set()
         for m in maps:
             got = _verdict(m)
-            with monkeypatch.context() as patch:
-                patch.setattr(plmap, "_first_overlap", first_overlap_by_branches)
-                assert _verdict(m) == got, m
+            for name, oracle in (("_first_overlap", first_overlap_by_branches),
+                                 ("_redundant_point", redundant_point_by_images)):
+                with monkeypatch.context() as patch:
+                    patch.setattr(plmap, name, oracle)
+                    assert _verdict(m) == got, (name, m)
             seen.add(f"{len(m.domain.interval_components())} domain components")
             seen |= {"point onto a codomain point" if any(p.at == v for p in m.codomain.point_components())
                      else "point into the interval part" for _, v in m.point_images}
@@ -488,7 +492,7 @@ def _increasing_bijection(n: int) -> PLMap:
 
 
 class TestWorkCounts:
-    """Deterministic call counts that pin the cost of rule 3 and of preimage."""
+    """Deterministic call counts that pin the cost of rules 1 and 3 and of preimage."""
 
     def _count(self, monkeypatch, owners, name):
         calls = [0]
@@ -508,6 +512,16 @@ class TestWorkCounts:
         for n in (16, 256):
             calls[0] = 0
             assert is_irreducible(_increasing_bijection(n)).irreducible
+            counts.append(calls[0])
+        assert counts[0] == counts[1]
+
+    def test_rule_one_images_the_same_at_1_and_8_isolated_points(self, monkeypatch):
+        calls = self._count(monkeypatch, (PLMap,), "image")
+        counts = []
+        for k in (1, 8):
+            calls[0] = 0
+            spc = Space1D((Interval(0, 1),) + tuple(Point(2 + i) for i in range(k)))
+            assert is_irreducible(identity_map(spc)).irreducible
             counts.append(calls[0])
         assert counts[0] == counts[1]
 

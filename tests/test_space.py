@@ -381,8 +381,8 @@ class TestRandomRegularOpen:
     def test_deterministic_and_regular(self):
         for space in FIXTURE_SPACES:
             for seed in range(30):
-                r1 = random_regular_open(space, seed, complexity=3)
-                r2 = random_regular_open(space, seed, complexity=3)
+                r1 = random_regular_open(space, seed)
+                r2 = random_regular_open(space, seed)
                 assert r1 == r2
                 assert r1.is_regular_open()
                 assert len(r1.spans) <= 3
