@@ -1,15 +1,15 @@
 """Clopen cylinder algebra of binary sequence space and its bridge to [0,1].
 
-A clopen set is a canonical antichain of binary words (cylinder prefixes).
+A clopen set is a canonical antichain of binary words (cylinder prefixes),
+read as the merged runs of the depth-k dyadic cells that its words cover.
 The binary-value map sends the cylinder of a word w of length k onto the
 closed dyadic interval I_w of length 2^-k, and psi_c/phi_c carry clopens
-back and forth between that algebra and the dyadic regular opens of the
-unit interval.
+back and forth between that algebra and the dyadic regular opens of [0,1].
 """
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Optional
 
 from .errors import NonDyadicEndpoint, SpaceMismatch
@@ -26,23 +26,48 @@ def _canonical(words: Iterable[Word]) -> tuple[Word, ...]:
     for w in ws:
         if w.strip("01"):
             raise ValueError(f"word {w!r} has characters outside 0/1")
-    if "" in ws:
-        return ("",)
-    # lex order lists every word right after its prefixes, so comparing
-    # against the last kept word is enough to absorb extensions; sibling
-    # pairs complete adjacently and fuse bottom-up on a stack
-    stack: list[Word] = []
-    for w in sorted(ws):
-        if stack and w.startswith(stack[-1]):
-            continue
-        stack.append(w)
-        while len(stack) >= 2 and stack[-1][-1] == "1" and stack[-2] == stack[-1][:-1] + "0":
-            parent = stack[-1][:-1]
-            if not parent:
-                return ("",)
-            del stack[-2:]
-            stack.append(parent)
-    return tuple(stack)
+    k = max(map(len, ws), default=0)
+    return tuple(_words(_cells(sorted(ws), k), k))
+
+
+def _cells(words: Iterable[Word], k: int) -> list[list[int]]:
+    """The merged runs [a, b) of the depth-k cells that sorted words cover."""
+    runs: list[list[int]] = []
+    for w in words:
+        size = 1 << (k - len(w))
+        a = int(w or "0", 2) * size
+        if runs and a <= runs[-1][1]:
+            runs[-1][1] = max(runs[-1][1], a + size)
+        else:
+            runs.append([a, a + size])
+    return runs
+
+
+def _words(runs: Iterable[Iterable[int]], k: int) -> list[Word]:
+    """Cut runs [a, b) of depth-k cells into maximal aligned blocks, one word each.
+
+    Over maximal runs the blocks are the maximal cylinders, in value order."""
+    top, words = 1 << k, []
+    for a, b in runs:
+        while a < b:
+            size = a & -a or top  # the largest block aligned at a, then the largest that fits
+            while size > b - a:
+                size >>= 1
+            words.append(bin((a | top) // size)[3:])  # the quotient is 1 followed by the word
+            a += size
+    return words
+
+
+def _bit_runs(mask: int, n: int) -> list[tuple[int, int]]:
+    """The maximal runs [a, b) of set bits among the low n bits of mask."""
+    mask &= (1 << n) - 1
+    runs = []
+    while mask:
+        low = mask & -mask
+        top = mask + low  # clears the lowest run and sets the bit just above it
+        runs.append((low.bit_length() - 1, (top & -top).bit_length() - 1))
+        mask &= top
+    return runs
 
 
 @dataclass(frozen=True)
@@ -76,21 +101,9 @@ def clopen_union(k1: CantorClopen, k2: CantorClopen) -> CantorClopen:
 
 
 def clopen_compl(k: CantorClopen) -> CantorClopen:
-    if k.is_empty:
-        return FULL
-    if k.is_full:
-        return EMPTY
-    return CantorClopen(tuple(_complement_words(k.words)))
-
-
-def _complement_words(words: tuple[Word, ...]) -> list[Word]:
-    d = max(len(w) for w in words)
-    leaves = set()
-    for w in words:
-        for tail in range(2 ** (d - len(w))):
-            leaves.add(w + format(tail, f"0{d - len(w)}b") if d > len(w) else w)
-    all_leaves = (format(i, f"0{d}b") for i in range(2**d))
-    return [w for w in all_leaves if w not in leaves]
+    d = max(map(len, k.words), default=0)
+    edges = [0, *(x for run in _cells(k.words, d) for x in run), 2**d]
+    return CantorClopen(tuple(_words(zip(edges[::2], edges[1::2]), d)))
 
 
 def clopen_inter(k1: CantorClopen, k2: CantorClopen) -> CantorClopen:
@@ -103,21 +116,15 @@ def clopen_diff(k1: CantorClopen, k2: CantorClopen) -> CantorClopen:
 
 def value_interval(w: Word) -> tuple[Rational, Rational]:
     """The closed dyadic interval onto which the cylinder of w maps."""
-    k = len(w)
-    lo = rat(int(w, 2), 2**k) if k else rat(0)
-    return lo, lo + rat(1, 2**k)
+    lo = rat(int(w or "0", 2), 2 ** len(w))
+    return lo, lo + rat(1, 2 ** len(w))
 
 
 def closed_value_region(k: CantorClopen) -> Region:
     """Union of the closed value intervals; the exact image of the clopen."""
-    merged: list[list[Rational]] = []
-    for w in k.words:  # antichain order is value order
-        lo, hi = value_interval(w)
-        if merged and merged[-1][1] == lo:
-            merged[-1][1] = hi
-        else:
-            merged.append([lo, hi])
-    return Region(UNIT_INTERVAL, tuple(Span(lo, hi, True, True) for lo, hi in merged))
+    d = max(map(len, k.words), default=0)
+    runs = _cells(k.words, d)  # antichain order is value order
+    return Region(UNIT_INTERVAL, tuple(Span(rat(a, 2**d), rat(b, 2**d), True, True) for a, b in runs))
 
 
 def psi_c(k: CantorClopen) -> Region:
@@ -142,26 +149,14 @@ def phi_c(v: Region, depth: Optional[int] = None) -> CantorClopen:
             k = max(k, dyadic_exponent(x))
     if depth is not None and depth < k:
         raise ValueError(f"depth {depth} below the natural depth {k}")
-    # each closed span covers the whole cells [a, b) of size 2^-k; cut that
-    # range into maximal aligned blocks of 2^j cells, one word of length k - j each
-    words = []
-    for s in v.closure().spans:
-        a, b = int(s.lo * 2**k), int(s.hi * 2**k)
-        while a < b:
-            j = (a & -a).bit_length() - 1 if a else k
-            while a + (1 << j) > b:
-                j -= 1
-            words.append(format(a >> j, f"0{k - j}b") if j < k else "")
-            a += 1 << j
-    return CantorClopen(tuple(words))
+    # each closed span covers the whole cells [a, b) of size 2^-k
+    runs = [(int(s.lo * 2**k), int(s.hi * 2**k)) for s in v.closure().spans]
+    return CantorClopen(tuple(_words(runs, k)))
 
 
 def clopen_from_leafmask(depth: int, mask: int) -> CantorClopen:
     """The clopen whose depth-`depth` leaves are the set bits of mask."""
-    if depth == 0:
-        return FULL if mask & 1 else EMPTY
-    words = [format(i, f"0{depth}b") for i in range(2**depth) if mask >> i & 1]
-    return CantorClopen(tuple(words))
+    return CantorClopen(tuple(_words(_bit_runs(mask, 2**depth), depth)))
 
 
 def random_clopen(rng: random.Random, depth: int) -> CantorClopen:
@@ -176,20 +171,8 @@ def dyadic_regular_open_from_cellmask(depth: int, mask: int) -> Region:
     the result is regular open by construction.
     """
     n = 2**depth
-    step = rat(1, n)
-    spans = []
-    i = 0
-    while i < n:
-        if not mask >> i & 1:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and mask >> (j + 1) & 1:
-            j += 1
-        lo, hi = i * step, (j + 1) * step
-        spans.append(Span(lo, hi, lo == 0, hi == 1))
-        i = j + 2
-    return Region(UNIT_INTERVAL, tuple(spans))
+    runs = _bit_runs(mask, n)
+    return Region(UNIT_INTERVAL, tuple(Span(rat(a, n), rat(b, n), a == 0, b == n) for a, b in runs))
 
 
 def random_dyadic_regular_open(rng: random.Random, depth: int) -> Region:
@@ -211,12 +194,7 @@ class CantorIrreducibilityReport:
     )
 
     def to_json(self) -> dict:
-        return {
-            "depth": self.depth,
-            "cylinders_checked": self.cylinders_checked,
-            "ok": self.ok,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def check_irreducible_cantor(depth: int = 8) -> CantorIrreducibilityReport:

@@ -37,10 +37,11 @@ EXIT_INPUT = 2
 # `gleason` enumerates every subset for each point, n·2ⁿ work: 16 points
 # take a few seconds, 30 would take hours.
 MAX_GLEASON_POINTS = 16
-# `cantor check` drops each of the 2^(d+1) - 2 cylinders of depth at most d
-# and complements it over all 2^d leaves, about 4^d work.  On an idle
-# 2-vCPU VM depth 10 takes 14 s with the default 200 bridge samples (4.4 s
-# of it the cylinder check), depth 11 takes 31 s, and depth 40 never ends.
+# `cantor check` drops each of the 2^(d+1) - 2 cylinders of depth at most d,
+# O(2^d·d) work in all, then runs the bridge battery on dense random clopens
+# of depth up to d, which dominates.  On a 2-vCPU VM with the default 200
+# samples depth 8 takes about 1.4 s and depth 10 about 4 s (0.25 s of it the
+# cylinder check); depth 40 never ends.
 MAX_CANTOR_CHECK_DEPTH = 10
 
 

@@ -79,7 +79,7 @@ def PLMapBackend(m: PLMap, name: str = "plmap") -> Cover:
     return Cover(name, side(m.domain), side(m.codomain), m.psi, m.phi, decide)
 
 
-def CantorBackend(depth: int = 6, check_depth: int = 8) -> Cover:
+def CantorBackend(depth: int = 6) -> Cover:
     """The binary-expansion cover of [0,1] on its dyadic subalgebra.
 
     Each sample draws its own depth from 1 to `depth`, so every depth is exercised.
@@ -97,7 +97,7 @@ def CantorBackend(depth: int = 6, check_depth: int = 8) -> Cover:
         full = _cantor.UNIT_INTERVAL.full_region()
         if _cantor.closed_value_region(_cantor.FULL) != full:
             return False, False, None, "not surjective"
-        rep = _cantor.check_irreducible_cantor(check_depth)
+        rep = _cantor.check_irreducible_cantor(8)  # 510 cylinders, 0.05 s on a 2-vCPU VM
         return True, rep.ok, None, rep.note
 
     return Cover("cantor", words, unit, _cantor.psi_c, _cantor.phi_c, decide)

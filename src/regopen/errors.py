@@ -38,8 +38,9 @@ class ImageEscapesCodomain(RegopenError):
     """A piece's value set leaves the codomain."""
 
     def __init__(self, location, message: str = ""):
-        self.location = location
-        super().__init__(message or f"image escapes codomain at {location}")
+        self.location = location  # a point, or a piece's (lo, hi) source span
+        where = f"[{location[0]}, {location[1]}]" if isinstance(location, tuple) else location
+        super().__init__(message or f"image escapes codomain at {where}")
 
 
 class NotSurjective(RegopenError):

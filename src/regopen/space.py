@@ -100,7 +100,7 @@ class Space1D:
         return tuple([c for c in self.components if isinstance(c, Point)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Span:
     """One maximal run of a region: endpoints plus inclusion flags.
 

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from regopen import cantor
 from regopen.cantor import (
     EMPTY,
     FULL,
@@ -45,6 +46,21 @@ def leaves(k: CantorClopen, depth: int) -> frozenset[str]:
 
 def leafset(k: CantorClopen, depth: int) -> frozenset[str]:
     return leaves(k, depth) if not k.is_empty else frozenset()
+
+
+def leafmask(k: CantorClopen, depth: int) -> int:
+    """Oracle: bit i is leaf i of depth `depth`; the OR of each word's block of cells."""
+    mask = 0
+    for w in k.words:
+        tail = depth - len(w)
+        mask |= ((1 << (1 << tail)) - 1) << (int(w or "0", 2) << tail)
+    return mask
+
+
+def sparse_clopen(rng: random.Random, depth: int) -> CantorClopen:
+    """A few words of random lengths up to `depth`, prefixes and siblings allowed."""
+    lengths = [rng.randint(0, depth) for _ in range(rng.randint(0, 6))]
+    return CantorClopen(tuple(format(rng.getrandbits(n), f"0{n}b") if n else "" for n in lengths))
 
 
 class TestCanonicalForm:
@@ -110,6 +126,36 @@ class TestClopenOps:
             assert leafset(clopen_inter(a, b), d) == la & lb
             assert leafset(clopen_diff(a, b), d) == la - lb
             assert leafset(clopen_compl(a), d) == allw - la
+
+    def test_ops_match_leafmask_on_sparse_deep_pairs(self):
+        rng = random.Random(9016)
+        for _ in range(10_000):
+            d = rng.randint(1, 16)
+            a, b = sparse_clopen(rng, d), sparse_clopen(rng, d)
+            ma, mb, full = leafmask(a, d), leafmask(b, d), (1 << 2**d) - 1
+            assert leafmask(clopen_union(a, b), d) == ma | mb
+            assert leafmask(clopen_inter(a, b), d) == ma & mb
+            assert leafmask(clopen_diff(a, b), d) == ma & ~mb
+            assert leafmask(clopen_compl(a), d) == full & ~ma
+
+    def test_compl_of_a_deep_cylinder_formats_only_its_words(self, monkeypatch):
+        calls = 0
+
+        def counting(convert):
+            def wrapper(*args):
+                nonlocal calls
+                calls += 1
+                return convert(*args)
+
+            return wrapper
+
+        k = cylinder("0" * 20)
+        # the two builtins that spell an integer as a binary word
+        monkeypatch.setattr(cantor, "format", counting(format), raising=False)
+        monkeypatch.setattr(cantor, "bin", counting(bin), raising=False)
+        out = clopen_compl(k)
+        assert out.words == tuple("0" * i + "1" for i in reversed(range(20)))
+        assert calls <= 3 * len(out.words)
 
 
 class TestValueIntervals:
@@ -181,6 +227,12 @@ class TestCellMaskConstruction:
             ]
             slow = Region.make(UNIT_INTERVAL, raw).regularize()
             assert dyadic_regular_open_from_cellmask(d, mask) == slow
+
+    def test_bits_above_the_depth_are_ignored(self):
+        from regopen.cantor import dyadic_regular_open_from_cellmask
+
+        assert clopen_from_leafmask(2, 0b1_0110) == clopen_from_leafmask(2, 0b0110)
+        assert dyadic_regular_open_from_cellmask(2, 0b1_1000) == dyadic_regular_open_from_cellmask(2, 0b1000)
 
 
 def phi_c_by_cells(v: Region, depth: int | None = None) -> CantorClopen:

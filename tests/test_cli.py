@@ -164,6 +164,9 @@ class TestCover:
         )
         code, out = run(capsys, "cover", "check", "--map", broken)
         assert code == 2 and out["at"] == "ImageEscapesCodomain"
+        # the escaping piece is located by its rational source span
+        assert out["error"] == "image escapes codomain at [0, 1]"
+        assert "Fraction(" not in out["error"]
 
 
 class TestCantor:

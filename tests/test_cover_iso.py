@@ -79,7 +79,7 @@ class TestCheckEssential:
         assert rep.reason == "not surjective"
 
     def test_cantor_backend_passes(self):
-        rep = check_essential(CantorBackend(depth=6, check_depth=5), samples=60, seed=7)
+        rep = check_essential(CantorBackend(depth=6), samples=60, seed=7)
         assert rep.all_ok
 
     def test_deterministic_reports(self):
@@ -105,7 +105,7 @@ class TestCompose:
             assert ce.backward(v) == v
 
     def test_cantor_with_identity_unfolds_to_psi(self):
-        cantor = CantorBackend(depth=5, check_depth=4)
+        cantor = CantorBackend(depth=5)
         ce = compose_equivalence(cantor, identity_cover(cantor.dom, "cantor-identity"))
         rng = random.Random(12)
         for _ in range(25):
