@@ -20,7 +20,7 @@ from .errors import (
     SpaceMismatch,
 )
 from .rationals import Rational, rat
-from .space import Region, Space1D, Span, _sweep, _within, canonicalize
+from .space import Region, Space1D, Span, _span, _sweep, _within, canonicalize
 
 
 @dataclass(frozen=True)
@@ -213,17 +213,17 @@ def _span_intersect(a: Span, b: Span) -> Optional[Span]:
         hi, hi_incl = (a.hi, a.hi_incl) if a.hi < b.hi else (b.hi, b.hi_incl)
     if lo > hi or (lo == hi and not (lo_incl and hi_incl)):
         return None
-    return Span(lo, hi, lo_incl, hi_incl)
+    return _span(lo, hi, lo_incl, hi_incl)
 
 
 def _affine_span(s: Span, slope: Rational, intercept: Rational) -> Span:
     if slope == 0:
-        return Span(intercept, intercept, True, True)
+        return _span(intercept, intercept, True, True)
     lo = slope * s.lo + intercept
     hi = slope * s.hi + intercept
     if slope > 0:
-        return Span(lo, hi, s.lo_incl, s.hi_incl)
-    return Span(hi, lo, s.hi_incl, s.lo_incl)
+        return _span(lo, hi, s.lo_incl, s.hi_incl)
+    return _span(hi, lo, s.hi_incl, s.lo_incl)
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby
 from math import lcm
-from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import EmptySubspace, NotClosed, SpaceMismatch
@@ -59,11 +57,7 @@ def _bounds(comp: Component):
 
 def _within(space: "Space1D", lo: Rational, hi: Rational) -> bool:
     """Whether [lo, hi] lies inside one component of the space."""
-    for c in space.components:
-        a, b = _bounds(c)
-        if a <= lo and hi <= b:
-            return True
-    return False
+    return any(a <= lo and hi <= b for a, b in map(_bounds, space.components))
 
 
 @dataclass(frozen=True)
@@ -88,7 +82,7 @@ class Space1D:
         return _within(self, x, x)
 
     def full_region(self) -> "Region":
-        return Region(self, tuple([Span(*_bounds(c), True, True) for c in self.components]))
+        return Region(self, tuple([_span(*_bounds(c), True, True) for c in self.components]))
 
     def empty_region(self) -> "Region":
         return Region(self, ())
@@ -128,9 +122,20 @@ class Span:
 
     @property
     def is_empty(self) -> bool:
-        if self.lo > self.hi:
-            return True
-        return self.lo == self.hi and not (self.lo_incl and self.hi_incl)
+        return self.lo > self.hi or (self.lo == self.hi and not (self.lo_incl and self.hi_incl))
+
+
+_set_lo, _set_hi, _set_lo_incl, _set_hi_incl = (Span.__dict__[f].__set__ for f in Span.__slots__)
+
+
+def _span(lo: Rational, hi: Rational, lo_incl: bool, hi_incl: bool) -> Span:
+    """The trusted constructor: a span of library rationals, set with no coercion."""
+    s = object.__new__(Span)
+    _set_lo(s, lo)
+    _set_hi(s, hi)
+    _set_lo_incl(s, lo_incl)
+    _set_hi_incl(s, hi_incl)
+    return s
 
 
 @dataclass(frozen=True)
@@ -177,30 +182,42 @@ class Region:
     # --- topology (relative to the space) ---
 
     def closure(self) -> "Region":
-        out: list[Span] = []
+        # canonical spans touch only at a point both leave out: each run of
+        # touching spans closes into one span, and a closed span is kept
+        ends: list[Span] = []  # the first and the last span of each run
+        hi = None
         for s in self.spans:
-            closed = Span(s.lo, s.hi, True, True)
-            if out and out[-1].hi == closed.lo:
-                out[-1] = Span(out[-1].lo, closed.hi, True, True)
+            if s.lo.as_integer_ratio() == hi:
+                ends[-1] = s
             else:
-                out.append(closed)
-        return Region(self.space, tuple(out))
+                ends += (s, s)
+            hi = s.hi.as_integer_ratio()
+        return Region(self.space, tuple([
+            a if a is b and a.lo_incl and a.hi_incl else _span(a.lo, b.hi, True, True)
+            for a, b in zip(ends[::2], ends[1::2])
+        ]))
 
     def interior(self) -> "Region":
-        # canonical spans are never adjacent, so interior works span by span
-        comps = self.space.components
-        ci = 0
-        out = []
+        # canonical spans are never adjacent, so interior works span by span;
+        # ends are integer ratios, ordered by cross-multiplication
+        comps = iter(self.space.components)
+        out: list[Span] = []
+        comp = b = None
         for s in self.spans:
-            while not (_bounds(comps[ci])[0] <= s.lo and s.hi <= _bounds(comps[ci])[1]):
-                ci += 1
-            comp = comps[ci]
+            lo, hi = s.lo.as_integer_ratio(), s.hi.as_integer_ratio()
+            while b is None or hi[0] * b[1] > b[0] * hi[1]:
+                comp = next(comps, None)
+                if comp is None:
+                    break
+                a, b = (x.as_integer_ratio() for x in _bounds(comp))
+            if comp is None or lo[0] * a[1] < a[0] * lo[1]:
+                raise SpaceMismatch("region has a span outside its space")
             if isinstance(comp, Point):
                 out.append(s)
-                continue
-            t = Span(s.lo, s.hi, s.lo_incl and s.lo == comp.a, s.hi_incl and s.hi == comp.b)
-            if not t.is_empty:
-                out.append(t)
+            elif lo != hi:  # a point inside an interval is never open
+                lo_incl, hi_incl = s.lo_incl and lo == a, s.hi_incl and hi == b
+                same = lo_incl == s.lo_incl and hi_incl == s.hi_incl
+                out.append(s if same else _span(s.lo, s.hi, lo_incl, hi_incl))
         return Region(self.space, tuple(out))
 
     def perp(self) -> "Region":
@@ -250,17 +267,6 @@ def _minus(a: int, b: int) -> bool:
 SWEEP_KEY_BITS = 4096
 
 
-def _order_key(denominators: set) -> Callable:
-    """A key in the order of the values: an integer over L, or the value past the bound."""
-    common = 1
-    for d in denominators:
-        common = lcm(common, d)
-        if common.bit_length() > SWEEP_KEY_BITS:
-            return lambda v: v
-    scale = {d: common // d for d in denominators}
-    return lambda v: v.numerator * scale[v.denominator]
-
-
 def _sweep(space: Space1D, op: Callable[..., bool], *groups: Sequence[Span]) -> Region:
     """Combine groups of nonempty spans pointwise by `op` in one boundary sweep.
 
@@ -271,30 +277,45 @@ def _sweep(space: Space1D, op: Callable[..., bool], *groups: Sequence[Span]) -> 
     True.  `op` of all zeros must be False.  Runs come out maximal, so a
     result that lies inside the space is canonical.
 
-    The events sort on exact integer keys (see `SWEEP_KEY_BITS`), so a sweep
-    of n boundaries costs one O(n log n) integer sort and one linear pass.
+    Each boundary is read once, as an integer ratio n/d, and its cut sits at
+    2 * n * (L // d) + after (2 * rank + after past `SWEEP_KEY_BITS`): one
+    list of events, rewritten in place, one O(n log n) integer sort and one
+    linear pass.
     """
-    key = _order_key({v.denominator for spans in groups for s in spans for v in (s.lo, s.hi)})
-    events = []
+    events = [v.as_integer_ratio() for spans in groups for s in spans for v in (s.lo, s.hi)]
+    denominators = {d for _, d in events}
+    common = 1
+    for d in denominators:
+        common = lcm(common, d)
+        if common.bit_length() > SWEEP_KEY_BITS:  # rank the values by a Fraction sort
+            rank = {r: i for i, r in enumerate(sorted(set(events), key=lambda r: rat(*r)))}
+            events, common, denominators = [(rank[r], 1) for r in events], 1, {1}
+            break
+    scale = {d: 2 * (common // d) for d in denominators}
+    i = 0
     for g, spans in enumerate(groups):
         for s in spans:
-            events.append((key(s.lo), not s.lo_incl, g, 1, s.lo))
-            events.append((key(s.hi), s.hi_incl, g, -1, s.hi))
+            n, d = events[i]
+            events[i] = (n * scale[d] + (not s.lo_incl), g, 1, s.lo)
+            n, d = events[i + 1]
+            events[i + 1] = (n * scale[d] + s.hi_incl, g, -1, s.hi)
+            i += 2
     events.sort()
+    events.append((None, 0, 0, None))  # past every cut: flushes the last one
     count = [0] * len(groups)
     cuts: list = []
-    inside = False
-    for (_, after), at_cut in groupby(events, key=itemgetter(0, 1)):
-        for _, _, g, step, value in at_cut:
-            count[g] += step
-        if op(*count) != inside:
-            cuts.append((value, after))
-            inside = not inside
+    at = at_value = None
+    for pos, g, step, value in events:
+        if pos != at:  # the counts hold every event at the cut before
+            if op(*count) != len(cuts) % 2:
+                cuts.append((at_value, at))
+            at, at_value = pos, value
+        count[g] += step
     # tuple() of a list allocates the final size; of a generator it resizes
     # a guess, and each resized block then stays in the tuple free list
     return Region(space, tuple([
-        Span(lo, hi, not lo_after, hi_after)
-        for (lo, lo_after), (hi, hi_after) in zip(cuts[::2], cuts[1::2])
+        _span(lo, hi, lo_at & 1 == 0, hi_at & 1 == 1)
+        for (lo, lo_at), (hi, hi_at) in zip(cuts[::2], cuts[1::2])
     ]))
 
 
@@ -313,13 +334,11 @@ def canonicalize(space: Space1D, raw_spans: Iterable[Span]) -> CanonicalizeResul
 
 def ropen_join(u: Region, v: Region) -> Region:
     """Join: interior of the closure of the union."""
-    _check_space(u, v)
     return u.union(v).regularize()
 
 
 def ropen_meet(u: Region, v: Region) -> Region:
     """Meet: plain intersection (regular opens are closed under it)."""
-    _check_space(u, v)
     return u.intersect(v)
 
 
@@ -357,10 +376,7 @@ def subspace(space: Space1D, closed: Region) -> Space1D:
         raise EmptySubspace("cannot take the empty subspace")
     if closed != closed.closure():
         raise NotClosed("subspace requires a closed region")
-    comps: list[Component] = []
-    for s in closed.spans:
-        comps.append(Point(s.lo) if s.lo == s.hi else Interval(s.lo, s.hi))
-    return Space1D(tuple(comps))
+    return Space1D(tuple([Point(s.lo) if s.lo == s.hi else Interval(s.lo, s.hi) for s in closed.spans]))
 
 
 def embed(region: Region, space: Space1D) -> Region:
@@ -381,15 +397,12 @@ def theta(space: Space1D, w_atomic: Optional[Region], w_atomless: Optional[Regio
     dec = decompose_space(space)
     parts: list[Region] = []
     for w, sub in ((w_atomic, dec.sub_atomic), (w_atomless, dec.sub_atomless)):
-        if sub is None:
-            if w is not None and not w.is_empty:
-                raise SpaceMismatch("space has no matching factor for argument")
-            continue
-        if w is None:
-            continue
-        if w.space != sub:
-            raise SpaceMismatch("argument does not live over the decomposition factor")
-        parts.append(embed(w, space))
+        if sub is None and w is not None and not w.is_empty:
+            raise SpaceMismatch("space has no matching factor for argument")
+        if sub is not None and w is not None:
+            if w.space != sub:
+                raise SpaceMismatch("argument does not live over the decomposition factor")
+            parts.append(embed(w, space))
     acc = space.empty_region()
     for p in parts:
         acc = acc.union(p)
@@ -412,7 +425,5 @@ def random_regular_open(space: Space1D, seed: int) -> Region:
         i = rng.randrange(den)
         j = rng.randrange(i + 1, den + 1)
         width = comp.b - comp.a
-        lo = comp.a + width * i / den
-        hi = comp.a + width * j / den
-        raw.append(Span(lo, hi, False, False))
+        raw.append(Span(comp.a + width * i / den, comp.a + width * j / den, False, False))
     return canonicalize(space, raw).region.regularize()

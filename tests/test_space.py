@@ -1,6 +1,7 @@
 """Region calculus: canonical form, relative topology, regular-open algebra."""
 from __future__ import annotations
 
+import fractions
 import math
 import random
 
@@ -19,6 +20,7 @@ from conftest import (
     random_region,
     region,
 )
+import space_oracle as oracle
 from grid_oracle import GridOracle
 from regopen import space as space_module
 from regopen.errors import EmptySubspace, NotClosed, SpaceMismatch
@@ -224,6 +226,17 @@ class TestRelativeTopology:
         with pytest.raises(SpaceMismatch):
             ropen_join(region(UNIT, (0, 1, True, True)), region(TWO_INTERVALS, (0, 1, True, True)))
 
+    def test_interior_of_a_span_outside_the_space_is_a_mismatch(self):
+        # the public constructor does not check; interior used to raise IndexError
+        right = Region(UNIT, (Span(2, 3, True, True),))
+        left = Region(UNIT_PT, (Span(-1, rat(-1, 2), False, False),))
+        in_gap = Region(UNIT_PT, (Span(rat(3, 2), rat(3, 2), True, True),))
+        across = Region(TWO_INTERVALS, (Span(rat(1, 2), rat(5, 2), False, False),))
+        for r in (right, left, in_gap, across):
+            for op in (Region.interior, Region.regularize, lambda r: ropen_join(r, r)):
+                with pytest.raises(SpaceMismatch):
+                    op(r)
+
 
 class TestGridOracleAgreement:
     """Every operation is cross-checked against the independent 1/2048 oracle."""
@@ -386,3 +399,130 @@ class TestRandomRegularOpen:
                 assert r1 == r2
                 assert r1.is_regular_open()
                 assert len(r1.spans) <= 3
+
+
+def _exact(r: Region) -> list:
+    # reprs tell a Fraction from an int and a bool from 0/1
+    return [(repr(s.lo), repr(s.hi), repr(s.lo_incl), repr(s.hi_incl)) for s in r.spans]
+
+
+_ORACLE_SPACES = (
+    MIXED,
+    Space1D((Interval(0, 1), Point(rat(4, 3)), Interval(rat(3, 2), rat(5, 2)), Point(3), Point(rat(10, 3)))),
+)
+_PRIMES = _primes_from(1009, 40)
+
+
+def _oracle_raw(space: Space1D, rng: random.Random, den, count: int) -> list[Span]:
+    """Raw spans with endpoints over den(), touching component ends, with point spans.
+
+    Some spans stick out of the space or cross its gaps, so canonicalize clips.
+    """
+    ends = [v for c in space.components for v in ((c.at,) if isinstance(c, Point) else (c.a, c.b))]
+    lo_all, hi_all = min(ends), max(ends)
+    out = []
+    for _ in range(count):
+        d = den()
+        picks = [rat(rng.randint(math.floor(lo_all * d) - 1, math.ceil(hi_all * d) + 1), d) for _ in range(2)]
+        if rng.random() < 0.3:
+            picks[rng.randrange(2)] = rng.choice(ends)
+        lo, hi = min(picks), max(picks)
+        if rng.random() < 0.15:
+            out.append(Span(lo, lo, True, True))  # a point, inside an interval or at a component
+        else:
+            out.append(Span(lo, hi, rng.random() < 0.5, rng.random() < 0.5))
+    return out
+
+
+def _agree_with_space_oracle(space: Space1D, a_raw: list, b_raw: list) -> None:
+    a = canonicalize(space, a_raw).region
+    b = canonicalize(space, b_raw).region
+    assert _exact(a) == _exact(oracle.canonicalize_by_groupby(space, a_raw))
+    assert _exact(b) == _exact(oracle.canonicalize_by_groupby(space, b_raw))
+    c = a.complement()  # point spans of a leave spans of c that touch
+    pairs = [
+        (a.union(b), oracle.union(a, b)),
+        (a.intersect(b), oracle.intersect(a, b)),
+        (a.difference(b), oracle.difference(a, b)),
+        (c, oracle.complement(a)),
+        (a.perp(), oracle.complement(oracle.closure_by_spans(a))),
+        (ropen_join(a, b), oracle.regularize_by_spans(oracle.union(a, b))),
+    ]
+    for r in (a, c):
+        pairs += [
+            (r.closure(), oracle.closure_by_spans(r)),
+            (r.interior(), oracle.interior_by_spans(r)),
+            (r.regularize(), oracle.regularize_by_spans(r)),
+        ]
+    for got, want in pairs:
+        assert got.space is space
+        assert _exact(got) == _exact(want)
+
+
+class TestSpaceOracle:
+    """The integer-cut sweep, closure and interior against their direct forms."""
+
+    @pytest.mark.parametrize("bits", [None, 0])
+    def test_seeded_regions_match_exactly(self, monkeypatch, bits):
+        if bits is not None:  # every sweep takes the Fraction-sort fallback
+            monkeypatch.setattr(space_module, "SWEEP_KEY_BITS", bits)
+        rng = random.Random(1010)
+        dyadic, mixed, prime = (lambda: 1 << rng.randint(0, 10), lambda: rng.randint(1, 60),
+                                lambda: rng.choice(_PRIMES))
+        for den in (dyadic, mixed, prime):
+            for space in _ORACLE_SPACES:
+                for _ in range(25):
+                    a_raw, b_raw = (_oracle_raw(space, rng, den, rng.randint(0, 24)) for _ in range(2))
+                    _agree_with_space_oracle(space, a_raw, b_raw)
+
+    def test_lcm_above_the_key_bound_matches_exactly(self):
+        rng = random.Random(4096)
+        primes = _primes_from(1009, 800)
+        rng.shuffle(primes)
+        dens = iter(primes)
+        space = _ORACLE_SPACES[1]
+        a_raw = _oracle_raw(space, rng, lambda: next(dens), 400)
+        b_raw = _oracle_raw(space, rng, lambda: next(dens), 400)
+        for raw in (a_raw, b_raw):
+            common = math.lcm(*(v.denominator for s in raw for v in (s.lo, s.hi)))
+            assert common.bit_length() > space_module.SWEEP_KEY_BITS
+        _agree_with_space_oracle(space, a_raw, b_raw)
+
+
+class TestWorkCounts:
+    """Call counts that pin the cost of the sweep, closure and interior."""
+
+    def _dyadic_region(self, rng: random.Random, n: int) -> Region:
+        # n spans on a 1/8n grid of [0, 1], with point spans, plus the point 2
+        cuts = sorted(rng.sample(range(8 * n + 1), 2 * n - 2))
+        spans = [Span(rat(2), rat(2), True, True)]
+        for lo, hi in zip(cuts[::2], cuts[1::2]):
+            if rng.random() < 0.1:
+                spans.append(Span(rat(lo, 8 * n), rat(lo, 8 * n), True, True))
+            else:
+                spans.append(Span(rat(lo, 8 * n), rat(hi, 8 * n), rng.random() < 0.5, rng.random() < 0.5))
+        return canonicalize(UNIT_PT, spans).region
+
+    def test_1024_span_operations_compare_no_fractions_and_coerce_no_spans(self, monkeypatch):
+        rng = random.Random(1024)
+        a, b = self._dyadic_region(rng, 1024), self._dyadic_region(rng, 1024)
+        assert len(a.spans) > 900 and len(b.spans) > 900
+        calls = {"_richcmp": 0, "__eq__": 0, "__post_init__": 0}
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(fractions.Fraction, "_richcmp")
+        counted(fractions.Fraction, "__eq__")
+        counted(Span, "__post_init__")
+        ops = (lambda: a.union(b), lambda: a.intersect(b), lambda: a.difference(b), a.complement,
+               a.closure, a.interior, a.regularize, b.regularize)
+        for op in ops:
+            assert op().spans
+        assert calls == {"_richcmp": 0, "__eq__": 0, "__post_init__": 0}
