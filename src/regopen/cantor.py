@@ -83,10 +83,6 @@ class CantorClopen:
     def is_empty(self) -> bool:
         return not self.words
 
-    @property
-    def is_full(self) -> bool:
-        return self.words == ("",)
-
 
 EMPTY = CantorClopen(())
 FULL = CantorClopen(("",))

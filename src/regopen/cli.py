@@ -9,26 +9,8 @@ import sys
 import traceback
 from typing import Optional
 
-from . import boolequiv, cantor, jsonio
-from .cover_iso import PLMapBackend, check_essential, compose_equivalence, verify_bridge
-from .errors import (
-    ExprSyntaxError,
-    NotIrreducible,
-    NotSurjective,
-    RegopenError,
-)
-from .exprlang import eval_expr, parse_expr
-from .finball import FiniteDiscreteSpace, gleason_cover, verify_projective_cover
-from .ideals import (
-    ideal_join,
-    ideal_meet,
-    ideal_neg,
-    in_ideal,
-    omega,
-    pl_supp,
-    upsilon,
-)
-from .space import decompose_space
+from . import jsonio  # every handler writes through it; each imports the rest it needs
+from .errors import ExprSyntaxError, NotIrreducible, NotSurjective, RegopenError
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -59,7 +41,8 @@ def _emit(payload) -> None:
     sys.stdout.write(jsonio.canonical_json(payload) + "\n")
 
 
-def _descriptor_from(source: str) -> boolequiv.SpaceDescriptor:
+def _descriptor_from(source: str):
+    from . import boolequiv
     data = jsonio._object(_load(source), "a descriptor")
     comps = data.get("components", [])
     if comps and ("a" in comps[0] or "at" in comps[0]):
@@ -68,6 +51,8 @@ def _descriptor_from(source: str) -> boolequiv.SpaceDescriptor:
 
 
 def _cmd_space_info(args) -> int:
+    from . import boolequiv
+    from .space import decompose_space
     space = jsonio.decode_space(_load(args.space))
     dec = decompose_space(space)
     _emit(
@@ -83,6 +68,7 @@ def _cmd_space_info(args) -> int:
 
 
 def _cmd_region_eval(args) -> int:
+    from .exprlang import eval_expr, parse_expr
     space = jsonio.decode_space(_load(args.space))
     bindings = {}
     for item in args.bind or []:
@@ -103,6 +89,7 @@ def _cmd_region_eval(args) -> int:
 
 
 def _cmd_cover_check(args) -> int:
+    from .cover_iso import PLMapBackend, check_essential
     m = jsonio.decode_plmap(_load(args.map))
     report = check_essential(PLMapBackend(m), samples=args.samples, seed=args.seed)
     _emit(report.to_json())
@@ -119,6 +106,8 @@ def _cmd_cover_psi_phi(args, which: str) -> int:
 
 
 def _cmd_cantor_check(args) -> int:
+    from . import cantor
+    from .cover_iso import verify_bridge
     if args.depth > MAX_CANTOR_CHECK_DEPTH:
         raise ValueError(f"--depth is at most {MAX_CANTOR_CHECK_DEPTH}")
     irr = cantor.check_irreducible_cantor(args.depth)
@@ -128,12 +117,14 @@ def _cmd_cantor_check(args) -> int:
 
 
 def _cmd_cantor_psi(args) -> int:
+    from . import cantor
     k = jsonio.decode_clopen(_load(args.clopen))
     _emit({"region": jsonio.encode_region(cantor.psi_c(k))})
     return EXIT_OK
 
 
 def _cmd_cantor_phi(args) -> int:
+    from . import cantor
     region = jsonio.decode_region(cantor.UNIT_INTERVAL, _load(args.region))
     k = cantor.phi_c(region, depth=args.depth)
     _emit(jsonio.encode_clopen(k))
@@ -141,6 +132,7 @@ def _cmd_cantor_phi(args) -> int:
 
 
 def _cmd_gleason(args) -> int:
+    from .finball import FiniteDiscreteSpace, gleason_cover, verify_projective_cover
     if args.points > MAX_GLEASON_POINTS:
         raise ValueError(f"--points is at most {MAX_GLEASON_POINTS}")
     labels = tuple(f"x{i}" for i in range(args.points))
@@ -152,6 +144,7 @@ def _cmd_gleason(args) -> int:
 
 
 def _cmd_ideal(args) -> int:
+    from .ideals import ideal_join, ideal_meet, ideal_neg, in_ideal, omega, pl_supp, upsilon
     op = args.op
     if op == "supp":
         f = jsonio.decode_plfunc(_load(args.func))
@@ -182,6 +175,7 @@ def _cmd_ideal(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
+    from . import boolequiv
     verdict = boolequiv.equivalent(
         _descriptor_from(args.left), _descriptor_from(args.right)
     )
@@ -190,6 +184,7 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_compose(args) -> int:
+    from .cover_iso import PLMapBackend, compose_equivalence
     left = jsonio.decode_plmap(_load(args.left))
     right = jsonio.decode_plmap(_load(args.right))
     ce = compose_equivalence(PLMapBackend(left, "left"), PLMapBackend(right, "right"))

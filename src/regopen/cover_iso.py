@@ -13,7 +13,6 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from . import cantor as _cantor
 from .errors import DomainMismatch, NotIrreducible, NotSurjective
 from .jsonio import encode_clopen, encode_region
 from .plmap import PLMap, is_irreducible
@@ -84,6 +83,7 @@ def CantorBackend(depth: int = 6) -> Cover:
 
     Each sample draws its own depth from 1 to `depth`, so every depth is exercised.
     """
+    from . import cantor as _cantor
     words = BooleanSide(
         "cantor", _cantor.clopen_union, _cantor.clopen_inter, _cantor.clopen_compl,
         lambda rng: _cantor.random_clopen(rng, rng.randint(1, depth)), encode_clopen,

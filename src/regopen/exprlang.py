@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
 from .errors import ExprSyntaxError, SpaceMismatch, UnboundName
-from .rationals import Rational, parse_rat, rat_str
+from .rationals import Rational, parse_rat
 from .space import Region, Space1D, Span, ropen_join, ropen_meet
 
 # operator -> (arity, Region method or module-level function); names are
@@ -35,7 +35,7 @@ OPERATORS = {
     "join": (2, "ropen_join"), "meet": (2, "ropen_meet"),
     "union": (2, "union"), "inter": (2, "intersect"), "diff": (2, "difference"),
 }
-# parsing, evaluation and printing recurse once per level, so this bounds the stack
+# parsing and evaluation recurse once per level, so this bounds the stack
 MAX_NESTING = 200
 
 # one token per match; `\w`, `\d` and `\s` are str.isalnum (or "_"),
@@ -142,18 +142,6 @@ def parse_expr(text: str) -> Expr:
     if toks[at][0] != "end":
         fail("end of input")
     return out
-
-
-def print_expr(e: Expr) -> str:
-    if isinstance(e, Name):
-        return e.ident
-    if isinstance(e, IntervalLit):
-        return f"I({rat_str(e.a)},{rat_str(e.b)})"
-    if isinstance(e, PointLit):
-        return f"pt({rat_str(e.at)})"
-    if isinstance(e, Unary):
-        return f"{e.op}({print_expr(e.arg)})"
-    return f"{e.op}({print_expr(e.left)},{print_expr(e.right)})"
 
 
 @dataclass(frozen=True)

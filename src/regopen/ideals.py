@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotIrreducible, SpaceMismatch
-from .plmap import Piece, PLMap, _carry, _locate, _runs, _settle, is_irreducible
+from .plmap import (Piece, PLMap, _affine, _affine_span, _carry, _locate, _meeting, _ratios, _runs,
+                    _settle, _span_intersect, is_irreducible)
 from .rationals import Rational
 from .space import Region, Space1D, Span, canonicalize, ropen_join, ropen_meet
 
@@ -123,28 +124,32 @@ def is_essential_extension(pi: PLMap) -> bool:
 
 
 def pullback(pi: PLMap, f: PLFunc) -> PLFunc:
-    """The composed function f after the cover: exact piecewise composition."""
+    """The composed function f after the cover: exact piecewise composition.
+
+    Each meet of a monotone piece's image interior with a piece of f, found
+    and carried back by the transport kernel, is one piece of the composite.
+    """
     if f.space != pi.codomain:
         raise SpaceMismatch("function is not over the cover codomain")
-    cuts = sorted(set(f.breakpoints()))
-    runs = []
+    n = sum(map(len, f.pieces))  # the branches list the pieces first, in run order
+    sources = [_ratios(src) + (m, k) for src, _, m, k in f._branches[:n]]
+    runs, branches = [], iter(pi._branches)
     for run in pi.pieces:
         out = []
-        for piece in run:
-            xs = {piece.src_lo, piece.src_hi}
-            if piece.slope != 0:
-                for t in cuts:
-                    x = (t - piece.intercept) / piece.slope
-                    if piece.src_lo < x < piece.src_hi:
-                        xs.add(x)
-            ordered = sorted(xs)
-            for x0, x1 in zip(ordered, ordered[1:]):
-                mid = (x0 + x1) / 2
-                y = piece.value(mid)
-                m, k = _locate(f._branches, y)
-                out.append(
-                    Piece(x0, x1, m * piece.slope, m * piece.intercept + k)
-                )
+        for piece, (_, image, slope, intercept) in zip(run, branches):
+            if not slope:
+                m, k = _locate(f._branches, intercept)
+                out.append(Piece(piece.src_lo, piece.src_hi, m * slope, m * intercept + k))
+                continue
+            p, q, r = _affine(slope, intercept, True)
+            lo, hi, _, _ = _ratios(image)
+            inside, parts = (lo, hi, False, False), []  # a piece of f that only touches it is no meet
+            for t in _meeting(sources, lo, hi):
+                part = _span_intersect(t, inside)
+                if part is not None:
+                    x, m, k = _affine_span(part, p, q, r), t[4], t[5]
+                    parts.append(Piece(x.lo, x.hi, m * slope, m * intercept + k))
+            out += parts if p > 0 else parts[::-1]
         runs.append(tuple(out))
     points = [(p, f.value(v)) for p, v in pi.point_images]
     return PLFunc(pi.domain, tuple(runs), points)

@@ -2,14 +2,16 @@
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .cantor import CantorClopen
 from .errors import SpaceMismatch
-from .ideals import PLFunc, RegIdeal
-from .plmap import Piece, PLMap
 from .rationals import parse_rat, rat_str
 from .space import Interval, Point, Region, Space1D, Span, canonicalize
+
+if TYPE_CHECKING:  # the decoders that build these import them, so no codec loads them all
+    from .cantor import CantorClopen
+    from .ideals import PLFunc, RegIdeal
+    from .plmap import Piece, PLMap
 
 
 def canonical_json(obj: Any) -> str:
@@ -98,6 +100,7 @@ def _encode_piece(p: Piece) -> dict:
 
 
 def _decode_piece(data: dict) -> Piece:
+    from .plmap import Piece
     return Piece(
         parse_rat(data["src_lo"]),
         parse_rat(data["src_hi"]),
@@ -126,6 +129,7 @@ def encode_plmap(m: PLMap) -> dict:
 
 
 def decode_plmap(data: dict) -> PLMap:
+    from .plmap import PLMap
     return PLMap(
         decode_space(data["domain"]),
         decode_space(data["codomain"]),
@@ -143,6 +147,7 @@ def encode_plfunc(f: PLFunc) -> dict:
 
 
 def decode_plfunc(data: dict) -> PLFunc:
+    from .ideals import PLFunc
     return PLFunc(
         decode_space(data["space"]),
         tuple(tuple(_decode_piece(p) for p in run) for run in data["pieces"]),
@@ -157,6 +162,7 @@ def encode_clopen(k: CantorClopen) -> dict:
 
 
 def decode_clopen(data: dict) -> CantorClopen:
+    from .cantor import CantorClopen
     words = _object(data, "a clopen")["words"]
     if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
         raise ValueError(f"words must be a JSON list of strings, got {words!r}")
@@ -168,5 +174,6 @@ def encode_ideal(j: RegIdeal) -> dict:
 
 
 def decode_ideal(data: dict) -> RegIdeal:
+    from .ideals import RegIdeal
     space = decode_space(data["space"])
     return RegIdeal(space, decode_region(space, data["support"]))

@@ -19,8 +19,8 @@ from .errors import (
     NotSurjective,
     SpaceMismatch,
 )
-from .rationals import Rational, rat
-from .space import Region, Space1D, Span, _span, _sweep, _within, canonicalize
+from .rationals import Q, Rational, rat
+from .space import Region, Space1D, Span, _minus, _span, _sweep, canonicalize
 
 
 @dataclass(frozen=True)
@@ -58,10 +58,11 @@ def _settle(obj, space: Space1D, points_field: str) -> None:
     object.__setattr__(obj, points_field, points)
     _check_runs(space, obj.pieces)
     _check_points(space, points, points_field)
-    parts = [(Span(q.src_lo, q.src_hi, True, True), q.slope, q.intercept)
+    parts = [(_span(q.src_lo, q.src_hi, True, True), q.slope, q.intercept)
              for run in obj.pieces for q in run]
-    parts += [(Span(p, p, True, True), rat(0), v) for p, v in points]
-    branches = tuple([(src, _affine_span(src, k, c), k, c) for src, k, c in parts])
+    parts += [(_span(p, p, True, True), rat(0), v) for p, v in points]
+    branches = tuple([(src, _affine_span(_ratios(src), *_affine(k, c)) if k else _span(c, c, True, True),
+                       k, c) for src, k, c in parts])
     object.__setattr__(obj, "_branches", branches)
 
 
@@ -99,13 +100,31 @@ def _locate(branches, x: Rational) -> tuple[Rational, Rational]:
     raise ValueError(f"{x} not in the domain")
 
 
-def _meeting(spans: Sequence[Span], his: list, lo: Rational, hi: Rational) -> Iterable[Span]:
-    """The spans that can meet [lo, hi], found by bisection on their `his`.
+def _ratios(s: Span) -> tuple:
+    """The span as (lo, hi, lo_incl, hi_incl) with both ends integer ratios."""
+    return s.lo.as_integer_ratio(), s.hi.as_integer_ratio(), s.lo_incl, s.hi_incl
 
-    `spans` must be sorted and disjoint, as canonical region spans are.
+
+def _affine(slope: Rational, intercept: Rational, back: bool = False) -> tuple[int, int, int]:
+    """Integers (p, q, r), r > 0, that write x ↦ slope·x + intercept as
+    x ↦ (p·x + q) / r, or its inverse (r·x - q) / p when `back`: a swap."""
+    (kn, kd), (cn, cd) = slope.as_integer_ratio(), intercept.as_integer_ratio()
+    p, q, r = kn * cd, cn * kd, kd * cd
+    if not back:
+        return p, q, r
+    return (r, -q, p) if p > 0 else (-r, q, -p)
+
+
+def _meeting(spans: Sequence[tuple], lo: tuple, hi: tuple) -> Iterable[tuple]:
+    """The `_ratios` spans that can meet [lo, hi] (integer ratios), found by
+    bisection, by cross-multiplication, for the first whose hi is not below lo.
+
+    `spans` must be sorted with increasing ends, as canonical region spans are.
     """
-    for i in range(bisect_left(his, lo), len(spans)):
-        if spans[i].lo > hi:
+    (ln, ld), (hn, hd) = lo, hi
+    for i in range(bisect_left(spans, True, key=lambda t: t[1][0] * ld >= ln * t[1][1]), len(spans)):
+        n, d = spans[i][0]
+        if n * hd > hn * d:
             return
         yield spans[i]
 
@@ -115,19 +134,22 @@ def _carry(branches, spans: Sequence[Span], forward: bool) -> list[Span]:
 
     `spans` must be sorted and disjoint (canonical region spans, or one
     span); each branch then visits only the spans that meet its source
-    (forward) or its image (back).
+    (forward) or its image (back).  Every region boundary and every branch
+    end, slope and intercept is read once per call as an integer ratio, so
+    no two Fractions are compared, and each carried end is one `Q(n, d)`.
     """
-    his = [t.hi for t in spans]
+    ends = [_ratios(t) for t in spans]
     raw: list[Span] = []
     for src, dst, slope, intercept in branches:
         window, other = (src, dst) if forward else (dst, src)
-        if slope and not forward:
-            slope, intercept = 1 / slope, -intercept / slope
-        for t in _meeting(spans, his, window.lo, window.hi):
-            part = _span_intersect(t, window)
+        w = _ratios(window)
+        if slope:
+            p, q, r = _affine(slope, intercept, not forward)
+        for t in _meeting(ends, w[0], w[1]):
+            part = _span_intersect(t, w)
             if part is not None:
                 # a slope-0 branch carries any meet onto its whole other side
-                raw.append(_affine_span(part, slope, intercept) if slope else other)
+                raw.append(_affine_span(part, p, q, r) if slope else other)
     return raw
 
 
@@ -167,7 +189,7 @@ class PLMap:
     def validate(self) -> None:
         """The codomain checks; the shared core has checked runs and points."""
         for src, dst, _, _ in self._branches:
-            if not _within(self.codomain, dst.lo, dst.hi):
+            if _sweep(self.codomain, _minus, [dst], self.codomain.full_region().spans).spans:
                 # a piece is located by its span, an isolated point by itself
                 raise ImageEscapesCodomain(src.lo if src.lo == src.hi else (src.lo, src.hi))
 
@@ -201,29 +223,28 @@ class PLMap:
         return self.preimage(v).closure().interior()
 
 
-def _span_intersect(a: Span, b: Span) -> Optional[Span]:
-    """The larger lo and the smaller hi; on a tie both spans must include the end."""
-    if a.lo == b.lo:
-        lo, lo_incl = a.lo, a.lo_incl and b.lo_incl
-    else:
-        lo, lo_incl = (a.lo, a.lo_incl) if a.lo > b.lo else (b.lo, b.lo_incl)
-    if a.hi == b.hi:
-        hi, hi_incl = a.hi, a.hi_incl and b.hi_incl
-    else:
-        hi, hi_incl = (a.hi, a.hi_incl) if a.hi < b.hi else (b.hi, b.hi_incl)
-    if lo > hi or (lo == hi and not (lo_incl and hi_incl)):
+def _span_intersect(a: tuple, b: tuple) -> Optional[tuple]:
+    """The larger lo and the smaller hi of two `_ratios` spans, ordered by
+    cross-multiplication; on a tie both spans must include the end."""
+    (an, ad), (bn, bd) = a[0], b[0]
+    c = an * bd - bn * ad
+    lo, lo_incl = (a[0], a[2] and b[2]) if c == 0 else (a[0], a[2]) if c > 0 else (b[0], b[2])
+    (an, ad), (bn, bd) = a[1], b[1]
+    c = an * bd - bn * ad
+    hi, hi_incl = (a[1], a[3] and b[3]) if c == 0 else (a[1], a[3]) if c < 0 else (b[1], b[3])
+    c = lo[0] * hi[1] - hi[0] * lo[1]
+    if c > 0 or (c == 0 and not (lo_incl and hi_incl)):
         return None
-    return _span(lo, hi, lo_incl, hi_incl)
+    return lo, hi, lo_incl, hi_incl
 
 
-def _affine_span(s: Span, slope: Rational, intercept: Rational) -> Span:
-    if slope == 0:
-        return _span(intercept, intercept, True, True)
-    lo = slope * s.lo + intercept
-    hi = slope * s.hi + intercept
-    if slope > 0:
-        return _span(lo, hi, s.lo_incl, s.hi_incl)
-    return _span(hi, lo, s.hi_incl, s.lo_incl)
+def _affine_span(s: tuple, p: int, q: int, r: int) -> Span:
+    """The image of a `_ratios` span under x ↦ (p·x + q) / r, p ≠ 0 < r."""
+    (ln, ld), (hn, hd) = s[0], s[1]
+    lo, hi = Q(p * ln + q * ld, r * ld), Q(p * hn + q * hd, r * hd)
+    if p > 0:
+        return _span(lo, hi, s[2], s[3])
+    return _span(hi, lo, s[3], s[2])
 
 
 @dataclass(frozen=True)
@@ -331,16 +352,15 @@ def _first_overlap(m: PLMap, twice: Region) -> Optional[tuple[Piece, Span]]:
     each piece meets D by bisection.  Canonical form is unique, so the first
     span is the one that int(own) and int(others), built per piece, would give.
     """
-    inner = twice.interior().spans
-    his = [d.hi for d in inner]
+    inner = [_ratios(d) for d in twice.interior().spans]
     # the branches list the pieces first, in run order, so zip stops before the points
     for piece, (_, image, _, _) in zip([q for run in m.pieces for q in run], m._branches):
         # the image lies in one codomain component, so it is already canonical
-        own = Region(m.codomain, (image,)).interior().spans[0]
-        for d in _meeting(inner, his, own.lo, own.hi):
-            span = _span_intersect(d, own)
-            if span is not None:
-                return piece, span
+        own = _ratios(Region(m.codomain, (image,)).interior().spans[0])
+        for d in _meeting(inner, own[0], own[1]):
+            part = _span_intersect(d, own)
+            if part is not None:
+                return piece, _span(Q(*part[0]), Q(*part[1]), part[2], part[3])
     return None
 
 

@@ -54,8 +54,3 @@ def dyadic_exponent(x: Rational) -> int:
     if den & (den - 1) != 0:
         raise ValueError(f"not dyadic: {x}")
     return den.bit_length() - 1
-
-
-ZERO = rat(0)
-ONE = rat(1)
-HALF = rat(1, 2)

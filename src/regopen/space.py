@@ -16,6 +16,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
+from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import EmptySubspace, NotClosed, SpaceMismatch
@@ -55,11 +56,6 @@ def _bounds(comp: Component):
     return comp.a, comp.b
 
 
-def _within(space: "Space1D", lo: Rational, hi: Rational) -> bool:
-    """Whether [lo, hi] lies inside one component of the space."""
-    return any(a <= lo and hi <= b for a, b in map(_bounds, space.components))
-
-
 @dataclass(frozen=True)
 class Space1D:
     """A compact subset of the rational line in component form."""
@@ -79,7 +75,7 @@ class Space1D:
                 raise ValueError("components must be sorted with positive gaps")
 
     def contains(self, x: Rational) -> bool:
-        return _within(self, x, x)
+        return any(a <= x <= b for a, b in map(_bounds, self.components))
 
     def full_region(self) -> "Region":
         return Region(self, tuple([_span(*_bounds(c), True, True) for c in self.components]))
@@ -119,10 +115,6 @@ class Span:
         if self.lo == self.hi:
             return self.lo_incl and self.hi_incl
         return self.lo_incl if x == self.lo else self.hi_incl
-
-    @property
-    def is_empty(self) -> bool:
-        return self.lo > self.hi or (self.lo == self.hi and not (self.lo_incl and self.hi_incl))
 
 
 _set_lo, _set_hi, _set_lo_incl, _set_hi_incl = (Span.__dict__[f].__set__ for f in Span.__slots__)
@@ -275,12 +267,17 @@ def _sweep(space: Space1D, op: Callable[..., bool], *groups: Sequence[Span]) -> 
     [(lo, not lo_incl), (hi, hi_incl)).  Each group keeps a coverage count,
     and a cut is emitted wherever `op` of the counts flips between False and
     True.  `op` of all zeros must be False.  Runs come out maximal, so a
-    result that lies inside the space is canonical.
+    result that lies inside the space is canonical.  An empty raw span would
+    count backwards, so `canonicalize` drops those first.
+    """
+    return _combine(space, op, len(groups), _cut_events(groups))
+
+
+def _cut_events(groups: Sequence[Sequence[Span]]) -> list:
+    """One event (position, group, step, value) per boundary, lo then hi per span.
 
     Each boundary is read once, as an integer ratio n/d, and its cut sits at
-    2 * n * (L // d) + after (2 * rank + after past `SWEEP_KEY_BITS`): one
-    list of events, rewritten in place, one O(n log n) integer sort and one
-    linear pass.
+    2 * n * (L // d) + after (2 * rank + after past `SWEEP_KEY_BITS`).
     """
     events = [v.as_integer_ratio() for spans in groups for s in spans for v in (s.lo, s.hi)]
     denominators = {d for _, d in events}
@@ -300,9 +297,18 @@ def _sweep(space: Space1D, op: Callable[..., bool], *groups: Sequence[Span]) -> 
             n, d = events[i + 1]
             events[i + 1] = (n * scale[d] + s.hi_incl, g, -1, s.hi)
             i += 2
-    events.sort()
+    return events
+
+
+def _combine(space: Space1D, op: Callable[..., bool], n_groups: int, events: list) -> Region:
+    """The sweep proper: one O(n log n) integer sort and one linear pass.
+
+    The sort reads positions only: events at one position share its value,
+    and the counts are read only where it changes, so no values are compared.
+    """
+    events.sort(key=itemgetter(0))
     events.append((None, 0, 0, None))  # past every cut: flushes the last one
-    count = [0] * len(groups)
+    count = [0] * n_groups
     cuts: list = []
     at = at_value = None
     for pos, g, step, value in events:
@@ -323,10 +329,24 @@ def canonicalize(space: Space1D, raw_spans: Iterable[Span]) -> CanonicalizeResul
     """Clip raw spans to the space and merge them into canonical form.
 
     The flag reports whether any nonempty raw span stuck out of the space.
+    Raw spans are read on the sweep's cut positions, after the components'
+    own: one whose lo position is not below its hi position is empty
+    (reversed, or a point missing a flag) and drops out; a live one sticks
+    out when its cut range does not fit in that of the last component that
+    starts at or before it, found by bisection on the positions.
     """
-    live = [s for s in raw_spans if not s.is_empty]
-    clipped = any(not _within(space, s.lo, s.hi) for s in live)
-    return CanonicalizeResult(_sweep(space, _both, space.full_region().spans, live), clipped)
+    full = space.full_region().spans
+    events = _cut_events((full, list(raw_spans)))
+    n = 2 * len(full)
+    starts, ends = [e[0] for e in events[0:n:2]], [e[0] for e in events[1:n:2]]
+    live, clipped = events[:n], False
+    for lo, hi in zip(events[n::2], events[n + 1::2]):
+        if lo[0] < hi[0]:
+            live += (lo, hi)
+            if not clipped:
+                i = bisect_right(starts, lo[0]) - 1
+                clipped = i < 0 or hi[0] > ends[i]
+    return CanonicalizeResult(_combine(space, _both, 2, live), clipped)
 
 
 # --- the Boolean algebra of regular open sets ---
@@ -361,8 +381,8 @@ class Decomposition(NamedTuple):
 def decompose_space(space: Space1D) -> Decomposition:
     """Split a space into the closure of its isolated points and the rest."""
     isolated = tuple(p.at for p in space.point_components())
-    atomic = Region(space, tuple(Span(x, x, True, True) for x in isolated))
-    atomless = Region(space, tuple(Span(c.a, c.b, True, True) for c in space.interval_components()))
+    atomic = Region(space, tuple([_span(x, x, True, True) for x in isolated]))
+    atomless = Region(space, tuple([_span(c.a, c.b, True, True) for c in space.interval_components()]))
     sub_a = Space1D(space.point_components()) if isolated else None
     sub_c = Space1D(space.interval_components()) if space.interval_components() else None
     return Decomposition(isolated, atomic, atomless, sub_a, sub_c)

@@ -1,12 +1,13 @@
 """Reference boundary sweep, closure and interior, in their direct forms.
 
 The library reads each boundary once as an integer ratio, gives every cut
-an integer position, and runs closure and interior as single passes that
-compare no Fractions.  These are the forms it replaced: a sweep over
-events sorted on the Fraction values and grouped per cut with `groupby`,
-a closure that merges spans by comparing Fractions, and an interior that
-finds each span's component by Fraction comparisons.  Tests compare the
-two on seeded regions.
+an integer position, and runs canonicalize, closure and interior as
+single passes that compare no Fractions.  These are the forms it replaced:
+a sweep over events sorted on the Fraction values and grouped per cut
+with `groupby`, a canonicalize that drops empty raw spans and flags
+clipped ones by comparing Fractions, a closure that merges spans by
+comparing Fractions, and an interior that finds each span's component by
+Fraction comparisons.  Tests compare the two on seeded regions.
 
 Test-only device; the library itself never touches it.
 """
@@ -16,13 +17,23 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Callable, Sequence
 
-from regopen.space import Point, Region, Space1D, Span
+from regopen.space import CanonicalizeResult, Point, Region, Space1D, Span
 
 
 def _bounds(comp):
     if isinstance(comp, Point):
         return comp.at, comp.at
     return comp.a, comp.b
+
+
+def span_is_empty(s: Span) -> bool:
+    """A reversed span, or a one-point span without both flags."""
+    return s.lo > s.hi or (s.lo == s.hi and not (s.lo_incl and s.hi_incl))
+
+
+def within(space: Space1D, lo, hi) -> bool:
+    """Whether [lo, hi] lies inside one component of the space."""
+    return any(a <= lo and hi <= b for a, b in map(_bounds, space.components))
 
 
 def sweep_by_groupby(space: Space1D, op: Callable[..., bool], *groups: Sequence[Span]) -> Region:
@@ -51,9 +62,12 @@ def _full(space: Space1D) -> tuple:
     return tuple([Span(*_bounds(c), True, True) for c in space.components])
 
 
-def canonicalize_by_groupby(space: Space1D, raw_spans) -> Region:
-    live = [s for s in raw_spans if not s.is_empty]
-    return sweep_by_groupby(space, lambda a, b: a > 0 and b > 0, _full(space), live)
+def canonicalize_by_groupby(space: Space1D, raw_spans) -> CanonicalizeResult:
+    """The canonical region and whether a nonempty raw span stuck out of the space."""
+    live = [s for s in raw_spans if not span_is_empty(s)]
+    clipped = any(not within(space, s.lo, s.hi) for s in live)
+    return CanonicalizeResult(sweep_by_groupby(space, lambda a, b: a > 0 and b > 0, _full(space), live),
+                              clipped)
 
 
 def union(a: Region, b: Region) -> Region:
@@ -95,7 +109,7 @@ def interior_by_spans(r: Region) -> Region:
             out.append(s)
             continue
         t = Span(s.lo, s.hi, s.lo_incl and s.lo == comp.a, s.hi_incl and s.hi == comp.b)
-        if not t.is_empty:
+        if not span_is_empty(t):
             out.append(t)
     return Region(r.space, tuple(out))
 

@@ -74,7 +74,7 @@ class TestCanonicalForm:
 
     def test_deep_cascade_merges_to_full(self):
         words = tuple(format(i, "04b") for i in range(16))
-        assert CantorClopen(words).is_full
+        assert CantorClopen(words).words == ("",)
 
     def test_lex_order_is_value_order(self):
         k = CantorClopen(("10", "0", "111"))

@@ -8,17 +8,30 @@ import pytest
 from regopen.errors import ExprSyntaxError, SpaceMismatch, UnboundName
 from regopen.exprlang import (
     Binary,
+    Expr,
     IntervalLit,
     Name,
     PointLit,
     Unary,
     eval_expr,
     parse_expr,
-    print_expr,
 )
-from regopen.rationals import rat
+from regopen.rationals import rat, rat_str
 
 from conftest import MIXED, UNIT, UNIT_PT, region
+
+
+def print_expr(e: Expr) -> str:
+    """The canonical text of an expression: the round-trip oracle for the parser."""
+    if isinstance(e, Name):
+        return e.ident
+    if isinstance(e, IntervalLit):
+        return f"I({rat_str(e.a)},{rat_str(e.b)})"
+    if isinstance(e, PointLit):
+        return f"pt({rat_str(e.at)})"
+    if isinstance(e, Unary):
+        return f"{e.op}({print_expr(e.arg)})"
+    return f"{e.op}({print_expr(e.left)},{print_expr(e.right)})"
 
 
 class TestParse:

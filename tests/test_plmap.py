@@ -5,7 +5,10 @@ import random
 
 import pytest
 
+import fractions
+
 from regopen import plmap, space
+from regopen.ideals import pl_supp, pullback
 from regopen.errors import Discontinuity, ImageEscapesCodomain, NotSurjective
 from regopen.plmap import (
     IrreducibilityVerdict,
@@ -18,13 +21,23 @@ from regopen.plmap import (
 from regopen.rationals import rat
 from regopen.space import Interval, Point, Region, Space1D, Span
 
-from conftest import FIXTURE_SPACES, MIXED, TWO_INTERVALS, UNIT, UNIT_PT, random_region, region
+from conftest import (
+    FIXTURE_SPACES, MIXED, TWO_INTERVALS, UNIT, UNIT_PT, random_plfunc, random_region, region,
+)
 from plmap_oracle import (
+    branches_by_fractions,
+    carry_by_fractions,
     first_overlap_by_branches,
+    image_by_fractions,
     image_by_pairs,
+    phi_by_fractions,
     phi_by_pairs,
+    pl_supp_by_fractions,
+    preimage_by_fractions,
     preimage_by_pairs,
+    psi_by_fractions,
     psi_by_pairs,
+    pullback_by_cuts,
     redundant_point_by_images,
     span_intersect_by_contains,
 )
@@ -338,29 +351,33 @@ class TestBreakpointBuilder:
 # --- the bisecting transports and the one-count rule 3 against brute force ---
 
 
-def _random_run(rng: random.Random, comp: Interval, target: Interval) -> list:
-    """Breakpoints over comp with values in target: monotone onto, a fold, or a walk."""
-    den = 4 * rng.choice((2, 3, 4, 5, 8))
+def _random_run(rng: random.Random, comp: Interval, target: Interval, primes=()) -> list:
+    """Breakpoints over comp with values in target: monotone onto, a fold, or a walk.
+
+    With `primes`, breakpoints and values sit on grids of a prime size.
+    """
+    den = rng.choice(primes) if primes else 4 * rng.choice((2, 3, 4, 5, 8))
+    top = rng.choice(primes) if primes else 24
     inner = sorted(rng.sample(range(1, den), rng.randint(0, 5)))
     xs = [comp.a] + [comp.a + (comp.b - comp.a) * rat(i, den) for i in inner] + [comp.b]
 
     def grid(k):
-        return target.a + (target.b - target.a) * rat(k, 24)
+        return target.a + (target.b - target.a) * rat(k, top)
 
     style = rng.random()
     if style < 0.45:
-        ks = [0] + sorted(rng.sample(range(1, 24), len(xs) - 2)) + [24]
+        ks = [0] + sorted(rng.sample(range(1, top), len(xs) - 2)) + [top]
         vals = [grid(k) for k in (ks if rng.random() < 0.5 else reversed(ks))]
     elif style < 0.75:
         # a fold up to the top, back down to the bottom, the top or anywhere
-        vals = [grid(0)] + [grid(rng.randint(0, 24)) for _ in xs[1:]]
-        vals[rng.randrange(1, len(xs))] = grid(24)
+        vals = [grid(0)] + [grid(rng.randint(0, top)) for _ in xs[1:]]
+        vals[rng.randrange(1, len(xs))] = grid(top)
         if rng.random() < 0.5:
-            vals[-1] = grid(rng.choice((0, 24, rng.randint(0, 24))))
+            vals[-1] = grid(rng.choice((0, top, rng.randint(0, top))))
     else:
-        vals = [grid(rng.randint(0, 24)) for _ in xs]
+        vals = [grid(rng.randint(0, top)) for _ in xs]
         vals[rng.randrange(len(xs))] = grid(0)
-        vals[rng.randrange(len(xs))] = grid(24)
+        vals[rng.randrange(len(xs))] = grid(top)
     return list(zip(xs, vals))
 
 
@@ -378,10 +395,11 @@ def _random_space(rng: random.Random, points: bool) -> Space1D:
     return Space1D(tuple(comps))
 
 
-def _random_cover(rng: random.Random) -> PLMap:
+def _random_cover(rng: random.Random, primes=()) -> PLMap:
     """A map onto a random codomain: every interval component is some run's
     target, every isolated point some domain point's image; now and then an
-    extra run or an extra point lands anywhere.  Most are surjective."""
+    extra run or an extra point lands anywhere.  Most are surjective.  With
+    `primes`, runs sit on grids of a prime size (see `_random_run`)."""
     cod = _random_space(rng, points=rng.random() < 0.5)
     targets = list(cod.interval_components())
     targets += [rng.choice(targets) for _ in range(rng.choice((0, 0, 1)))]
@@ -400,7 +418,7 @@ def _random_cover(rng: random.Random) -> PLMap:
             points.append((x, hits.pop()))
         else:
             comps.append(Interval(x, x + rat(rng.randint(1, 8), rng.choice((2, 3, 4)))))
-            values += _random_run(rng, comps[-1], targets.pop())
+            values += _random_run(rng, comps[-1], targets.pop(), primes)
             x = comps[-1].b
         x += rat(rng.randint(1, 4), rng.choice((2, 3, 4)))
     return plmap_from_breakpoints(Space1D(tuple(comps)), cod, values, points)
@@ -471,7 +489,9 @@ class TestTransportOracle:
         ]
         for a in spans:
             for b in spans:
-                assert plmap._span_intersect(a, b) == span_intersect_by_contains(a, b), (a, b)
+                want = span_intersect_by_contains(a, b)
+                got = plmap._span_intersect(plmap._ratios(a), plmap._ratios(b))
+                assert got == (None if want is None else plmap._ratios(want)), (a, b)
 
     def test_transports_match_the_double_loop(self):
         rng = random.Random(61_000)
@@ -485,6 +505,54 @@ class TestTransportOracle:
                 u, v = r.regularize(), s.regularize()
                 assert m.psi(u) == psi_by_pairs(m, u)
                 assert m.phi(v) == phi_by_pairs(m, v)
+
+
+def _exact(spans) -> list:
+    # reprs tell a Fraction from an int and a bool from 0/1
+    return [(repr(s.lo), repr(s.hi), repr(s.lo_incl), repr(s.hi_incl)) for s in spans]
+
+
+_PRIMES = (1009, 1013, 1019, 1021, 1031, 1033, 1039, 1049)
+
+
+class TestIntegerKernelOracle:
+    """The integer-ratio transports against their Fraction-arithmetic forms,
+    exactly, types included."""
+
+    @pytest.mark.parametrize("bits", [None, 0])
+    def test_transports_match_the_fraction_kernel(self, monkeypatch, bits):
+        if bits is not None:  # every sweep takes the Fraction-sort fallback
+            monkeypatch.setattr(space, "SWEEP_KEY_BITS", bits)
+        rng = random.Random(62_000)
+        seen = set()
+        for i in range(80):
+            primes = _PRIMES if i % 2 else ()
+            den = rng.choice(_PRIMES) if primes else 48
+            m = _random_cover(rng, primes)
+            table = branches_by_fractions(m)
+            assert [(_exact([a, b]), repr(k), repr(c)) for a, b, k, c in m._branches] == \
+                [(_exact([a, b]), repr(k), repr(c)) for a, b, k, c in table]
+            seen |= {"negative slope" if k < 0 else "constant piece" if k == 0 else "positive slope"
+                     for run in m.pieces for k in (q.slope for q in run)}
+            seen |= {"isolated point"} if m.point_images else set()
+            for _ in range(3):
+                r = random_region(m.domain, rng, count=6, den=den)
+                s = random_region(m.codomain, rng, count=6, den=den)
+                for forward, t in ((True, r), (False, s)):
+                    assert _exact(plmap._carry(m._branches, t.spans, forward)) == \
+                        _exact(carry_by_fractions(table, t.spans, forward))
+                u, v = r.regularize(), s.regularize()
+                for got, want in ((m.image(r), image_by_fractions(m, r)),
+                                  (m.preimage(s), preimage_by_fractions(m, s)),
+                                  (m.psi(u), psi_by_fractions(m, u)),
+                                  (m.phi(v), phi_by_fractions(m, v))):
+                    assert _exact(got.spans) == _exact(want.spans)
+            f = random_plfunc(m.codomain, rng.randrange(10**6), den=den)
+            assert _exact(pl_supp(f).spans) == _exact(pl_supp_by_fractions(f).spans)
+            g, h = pullback(m, f), pullback_by_cuts(m, f)
+            assert (repr(g.pieces), repr(g.point_values)) == (repr(h.pieces), repr(h.point_values))
+            assert _exact(pl_supp(g).spans) == _exact(pl_supp_by_fractions(h).spans)
+        assert seen == {"negative slope", "constant piece", "positive slope", "isolated point"}
 
 
 def _increasing_bijection(n: int) -> PLMap:
@@ -524,6 +592,44 @@ class TestWorkCounts:
             assert is_irreducible(identity_map(spc)).irreducible
             counts.append(calls[0])
         assert counts[0] == counts[1]
+
+    def test_canonicalize_image_and_preimage_of_1024_spans_compare_no_fractions(self, monkeypatch):
+        rng = random.Random(1024)
+
+        def raw(n, den):
+            # n spans on a 1/den grid around [0, 1], with points, empty and out-of-space spans
+            out = []
+            for _ in range(n):
+                at = rng.randint(-8, den + 8)
+                lo, hi = rat(at, den), rat(at + rng.randint(1, 3), den)
+                kind = rng.random()
+                if kind < 0.1:
+                    out.append(Span(lo, lo, True, rng.random() < 0.5))  # a point, or one missing a flag
+                elif kind < 0.2:
+                    out.append(Span(hi, lo, True, True))  # reversed, or a point
+                else:
+                    out.append(Span(lo, hi, rng.random() < 0.5, rng.random() < 0.5))
+            return out + [Span(rat(2), rat(2), True, True), out[-1], Span(rat(3), rat(4), True, True)]
+
+        # 64 pieces on [0, 1] with folds and flat pieces, the point 2 onto 1/2
+        ys = [rat(rng.choice((0, rng.randint(0, 256), 256)), 256) for _ in range(65)]
+        m = plmap_from_breakpoints(UNIT_PT, UNIT, [(rat(i, 64), y) for i, y in enumerate(ys)],
+                                   [(2, rat(1, 2))])
+        assert any(q.slope < 0 for q in m.pieces[0]) and any(q.slope == 0 for q in m.pieces[0])
+        spans = raw(1024, 8192)
+        # about one raw span in five is empty, so 1,300 make regions of over 1024 spans
+        r, s = Region.make(UNIT_PT, raw(1300, 1 << 16)), Region.make(UNIT, raw(1300, 1 << 16))
+        assert len(r.spans) >= 1024 and len(s.spans) >= 1024
+        cases = {"canonicalize": lambda: space.canonicalize(UNIT_PT, spans),
+                 "image": lambda: m.image(r), "preimage": lambda: m.preimage(s)}
+        counts = {}
+        for case, run in cases.items():
+            calls = {name: self._count(monkeypatch, (fractions.Fraction,), name)
+                     for name in ("_richcmp", "__eq__")}
+            run()
+            counts[case] = {name: c[0] for name, c in calls.items()}
+            monkeypatch.undo()
+        assert counts == {case: {"_richcmp": 0, "__eq__": 0} for case in cases}
 
     def test_preimage_visits_only_the_spans_that_meet_each_piece(self, monkeypatch):
         m = _increasing_bijection(64)

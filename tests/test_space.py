@@ -416,10 +416,14 @@ _PRIMES = _primes_from(1009, 40)
 def _oracle_raw(space: Space1D, rng: random.Random, den, count: int) -> list[Span]:
     """Raw spans with endpoints over den(), touching component ends, with point spans.
 
-    Some spans stick out of the space or cross its gaps, so canonicalize clips.
+    Some spans stick out of the space on one side or both, lie in a gap or
+    cross one, so canonicalize clips; some are empty: reversed, or a point
+    missing a flag.
     """
     ends = [v for c in space.components for v in ((c.at,) if isinstance(c, Point) else (c.a, c.b))]
     lo_all, hi_all = min(ends), max(ends)
+    bounds = [(c.at, c.at) if isinstance(c, Point) else (c.a, c.b) for c in space.components]
+    gaps = [(left[1], right[0]) for left, right in zip(bounds, bounds[1:])]
     out = []
     for _ in range(count):
         d = den()
@@ -427,18 +431,32 @@ def _oracle_raw(space: Space1D, rng: random.Random, den, count: int) -> list[Spa
         if rng.random() < 0.3:
             picks[rng.randrange(2)] = rng.choice(ends)
         lo, hi = min(picks), max(picks)
-        if rng.random() < 0.15:
+        kind = rng.random()
+        if kind < 0.12:
             out.append(Span(lo, lo, True, True))  # a point, inside an interval or at a component
+        elif kind < 0.18:
+            out.append(Span(lo, lo, *rng.choice(((True, False), (False, True), (False, False)))))
+        elif kind < 0.24:
+            out.append(Span(hi, lo, rng.random() < 0.5, rng.random() < 0.5))  # reversed, or a point
+        elif kind < 0.3:
+            g0, g1 = rng.choice(gaps)
+            lo, hi = sorted(g0 + (g1 - g0) * rat(rng.randint(1, 2 * d - 1), 2 * d) for _ in range(2))
+            out.append(Span(lo, hi, rng.random() < 0.5, rng.random() < 0.5))
+        elif kind < 0.33:
+            out.append(Span(lo_all - rat(1, d), hi_all + rat(rng.randint(0, 1), d), True, False))
         else:
             out.append(Span(lo, hi, rng.random() < 0.5, rng.random() < 0.5))
     return out
 
 
 def _agree_with_space_oracle(space: Space1D, a_raw: list, b_raw: list) -> None:
+    # each span alone as well, so every span's clip flag is checked, not just the first one set
+    for raw in [a_raw, b_raw] + [[s] for s in a_raw]:
+        got, want = canonicalize(space, raw), oracle.canonicalize_by_groupby(space, raw)
+        assert got.region.space is space
+        assert (_exact(got.region), repr(got.clipped)) == (_exact(want.region), repr(want.clipped))
     a = canonicalize(space, a_raw).region
     b = canonicalize(space, b_raw).region
-    assert _exact(a) == _exact(oracle.canonicalize_by_groupby(space, a_raw))
-    assert _exact(b) == _exact(oracle.canonicalize_by_groupby(space, b_raw))
     c = a.complement()  # point spans of a leave spans of c that touch
     pairs = [
         (a.union(b), oracle.union(a, b)),
