@@ -13,8 +13,8 @@ from dataclasses import asdict, dataclass
 from typing import Iterable, Optional
 
 from .errors import NonDyadicEndpoint, SpaceMismatch
-from .rationals import Rational, dyadic_exponent, is_dyadic, rat
-from .space import Interval, Region, Space1D, Span
+from .rationals import Q, Rational, dyadic_exponent, is_dyadic, rat
+from .space import Interval, Region, Space1D, _region, _span
 
 Word = str
 
@@ -77,6 +77,8 @@ class CantorClopen:
     words: tuple[Word, ...]
 
     def __post_init__(self):
+        if isinstance(self.words, str):  # a bare word would be read as one word per character
+            raise TypeError(f"words must be a collection of words, got the string {self.words!r}")
         object.__setattr__(self, "words", _canonical(self.words))
 
     @property
@@ -119,8 +121,8 @@ def value_interval(w: Word) -> tuple[Rational, Rational]:
 def closed_value_region(k: CantorClopen) -> Region:
     """Union of the closed value intervals; the exact image of the clopen."""
     d = max(map(len, k.words), default=0)
-    runs = _cells(k.words, d)  # antichain order is value order
-    return Region(UNIT_INTERVAL, tuple(Span(rat(a, 2**d), rat(b, 2**d), True, True) for a, b in runs))
+    runs = _cells(k.words, d)  # in value order and a cell apart: the closed spans are canonical
+    return _region(UNIT_INTERVAL, tuple([_span(Q(a, 2**d), Q(b, 2**d), True, True) for a, b in runs]))
 
 
 def psi_c(k: CantorClopen) -> Region:
@@ -168,7 +170,7 @@ def dyadic_regular_open_from_cellmask(depth: int, mask: int) -> Region:
     """
     n = 2**depth
     runs = _bit_runs(mask, n)
-    return Region(UNIT_INTERVAL, tuple(Span(rat(a, n), rat(b, n), a == 0, b == n) for a, b in runs))
+    return _region(UNIT_INTERVAL, tuple([_span(Q(a, n), Q(b, n), a == 0, b == n) for a, b in runs]))
 
 
 def random_dyadic_regular_open(rng: random.Random, depth: int) -> Region:
@@ -206,7 +208,7 @@ def check_irreducible_cantor(depth: int = 8) -> CantorIrreducibilityReport:
             checked += 1
             rest_image = closed_value_region(clopen_compl(cylinder(w)))
             lo, hi = value_interval(w)
-            cell = Region(UNIT_INTERVAL, (Span(lo, hi, True, True),)).interior()
+            cell = _region(UNIT_INTERVAL, (_span(lo, hi, True, True),)).interior()
             expected = full.difference(cell)
             if rest_image != expected or rest_image == full:
                 ok = False

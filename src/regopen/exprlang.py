@@ -170,9 +170,9 @@ def _eval(e: Expr, space: Space1D, bindings: Mapping[str, Region]) -> Region:
             raise SpaceMismatch(f"binding {e.ident} is over a different space")
         return region
     if isinstance(e, IntervalLit):
-        return Region.make(space, [Span(e.a, e.b, False, False)])
+        return Region(space, [Span(e.a, e.b, False, False)])
     if isinstance(e, PointLit):
-        return Region.make(space, [Span(e.at, e.at, True, True)])
+        return Region(space, [Span(e.at, e.at, True, True)])
     operands = (e.arg,) if isinstance(e, Unary) else (e.left, e.right)
     args = [_eval(a, space, bindings) for a in operands]
     name = OPERATORS[e.op][1]

@@ -20,7 +20,7 @@ from .errors import (
     SpaceMismatch,
 )
 from .rationals import Q, Rational, rat
-from .space import Region, Space1D, Span, _minus, _span, _sweep, canonicalize
+from .space import Region, Space1D, Span, _minus, _region, _span, _sweep, canonicalize
 
 
 @dataclass(frozen=True)
@@ -296,7 +296,7 @@ def is_irreducible(m: PLMap) -> IrreducibilityVerdict:
     # rule 1: an isolated point whose removal keeps the map onto
     p = _redundant_point(m, twice)
     if p is not None:
-        candidate = Region.make(m.domain, [Span(p, p, True, True)])
+        candidate = Region(m.domain, [Span(p, p, True, True)])
         return verified(candidate, f"isolated point {p} is redundant")
 
     # rule 2: a constant piece always leaves both endpoints behind
@@ -304,7 +304,7 @@ def is_irreducible(m: PLMap) -> IrreducibilityVerdict:
         for piece in run:
             if piece.slope == 0:
                 third = (piece.src_hi - piece.src_lo) / 3
-                w = Region.make(
+                w = Region(
                     m.domain, [Span(piece.src_lo + third, piece.src_hi - third, False, False)]
                 )
                 return verified(w, f"constant piece on [{piece.src_lo}, {piece.src_hi}]")
@@ -320,7 +320,7 @@ def is_irreducible(m: PLMap) -> IrreducibilityVerdict:
     b = (w2 - piece.intercept) / piece.slope
     if a > b:
         a, b = b, a
-    witness = Region.make(m.domain, [Span(a, b, False, False)])
+    witness = Region(m.domain, [Span(a, b, False, False)])
     return verified(witness, f"piece image ({span.lo}, {span.hi}) overlap is covered twice")
 
 
@@ -356,7 +356,7 @@ def _first_overlap(m: PLMap, twice: Region) -> Optional[tuple[Piece, Span]]:
     # the branches list the pieces first, in run order, so zip stops before the points
     for piece, (_, image, _, _) in zip([q for run in m.pieces for q in run], m._branches):
         # the image lies in one codomain component, so it is already canonical
-        own = _ratios(Region(m.codomain, (image,)).interior().spans[0])
+        own = _ratios(_region(m.codomain, (image,)).interior().spans[0])
         for d in _meeting(inner, own[0], own[1]):
             part = _span_intersect(d, own)
             if part is not None:

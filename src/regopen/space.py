@@ -78,10 +78,10 @@ class Space1D:
         return any(a <= x <= b for a, b in map(_bounds, self.components))
 
     def full_region(self) -> "Region":
-        return Region(self, tuple([_span(*_bounds(c), True, True) for c in self.components]))
+        return _region(self, tuple([_span(*_bounds(c), True, True) for c in self.components]))
 
     def empty_region(self) -> "Region":
-        return Region(self, ())
+        return _region(self, ())
 
     def interval_components(self) -> tuple[Interval, ...]:
         return tuple([c for c in self.components if isinstance(c, Interval)])
@@ -132,14 +132,13 @@ def _span(lo: Rational, hi: Rational, lo_incl: bool, hi_incl: bool) -> Span:
 
 @dataclass(frozen=True)
 class Region:
-    """Canonical region of a space. Build via canonicalize/Region.make."""
+    """Canonical region of a space: any raw spans, clipped to it and merged."""
 
     space: Space1D
     spans: tuple[Span, ...]
 
-    @staticmethod
-    def make(space: Space1D, spans: Iterable[Span]) -> "Region":
-        return canonicalize(space, spans).region
+    def __post_init__(self):
+        object.__setattr__(self, "spans", canonicalize(self.space, self.spans).region.spans)
 
     @property
     def is_empty(self) -> bool:
@@ -184,7 +183,7 @@ class Region:
             else:
                 ends += (s, s)
             hi = s.hi.as_integer_ratio()
-        return Region(self.space, tuple([
+        return _region(self.space, tuple([
             a if a is b and a.lo_incl and a.hi_incl else _span(a.lo, b.hi, True, True)
             for a, b in zip(ends[::2], ends[1::2])
         ]))
@@ -210,7 +209,7 @@ class Region:
                 lo_incl, hi_incl = s.lo_incl and lo == a, s.hi_incl and hi == b
                 same = lo_incl == s.lo_incl and hi_incl == s.hi_incl
                 out.append(s if same else _span(s.lo, s.hi, lo_incl, hi_incl))
-        return Region(self.space, tuple(out))
+        return _region(self.space, tuple(out))
 
     def perp(self) -> "Region":
         """Complement of the closure: the Boolean negation on regular opens."""
@@ -228,6 +227,14 @@ class Region:
 
     def is_closed(self) -> bool:
         return self == self.closure()
+
+
+def _region(space: Space1D, spans: tuple[Span, ...]) -> Region:
+    """The trusted constructor: canonical spans of the library's own, set unchecked."""
+    r = object.__new__(Region)
+    object.__setattr__(r, "space", space)
+    object.__setattr__(r, "spans", spans)
+    return r
 
 
 class CanonicalizeResult(NamedTuple):
@@ -319,7 +326,7 @@ def _combine(space: Space1D, op: Callable[..., bool], n_groups: int, events: lis
         count[g] += step
     # tuple() of a list allocates the final size; of a generator it resizes
     # a guess, and each resized block then stays in the tuple free list
-    return Region(space, tuple([
+    return _region(space, tuple([
         _span(lo, hi, lo_at & 1 == 0, hi_at & 1 == 1)
         for (lo, lo_at), (hi, hi_at) in zip(cuts[::2], cuts[1::2])
     ]))
@@ -381,8 +388,8 @@ class Decomposition(NamedTuple):
 def decompose_space(space: Space1D) -> Decomposition:
     """Split a space into the closure of its isolated points and the rest."""
     isolated = tuple(p.at for p in space.point_components())
-    atomic = Region(space, tuple([_span(x, x, True, True) for x in isolated]))
-    atomless = Region(space, tuple([_span(c.a, c.b, True, True) for c in space.interval_components()]))
+    atomic = _region(space, tuple([_span(x, x, True, True) for x in isolated]))
+    atomless = _region(space, tuple([_span(c.a, c.b, True, True) for c in space.interval_components()]))
     sub_a = Space1D(space.point_components()) if isolated else None
     sub_c = Space1D(space.interval_components()) if space.interval_components() else None
     return Decomposition(isolated, atomic, atomless, sub_a, sub_c)
@@ -446,4 +453,4 @@ def random_regular_open(space: Space1D, seed: int) -> Region:
         j = rng.randrange(i + 1, den + 1)
         width = comp.b - comp.a
         raw.append(Span(comp.a + width * i / den, comp.a + width * j / den, False, False))
-    return canonicalize(space, raw).region.regularize()
+    return Region(space, raw).regularize()

@@ -51,7 +51,7 @@ def unit() -> Space1D:
 def region(space: Space1D, *spans) -> Region:
     """Shorthand: region(space, (lo, hi, lo_incl, hi_incl), ...) with exact parsing."""
     built = [Span(rat(str(lo)), rat(str(hi)), li, hi_i) for lo, hi, li, hi_i in spans]
-    return Region.make(space, built)
+    return Region(space, built)
 
 
 def random_raw_spans(space: Space1D, rng: random.Random, count: int = 4, den: int = 64):

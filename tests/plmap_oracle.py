@@ -186,7 +186,7 @@ def redundant_point_by_images(m: PLMap, twice: Region) -> Optional[Rational]:
     ignored."""
     full = m.domain.full_region()
     for p, _ in m.point_images:
-        rest = full.difference(Region.make(m.domain, [Span(p, p, True, True)]))
+        rest = full.difference(_canonical(m.domain, [Span(p, p, True, True)]))
         if m.image(rest) == m.codomain.full_region():
             return p
     return None
@@ -205,8 +205,8 @@ def first_overlap_by_branches(m: PLMap, twice: Region) -> Optional[tuple[Piece, 
     for i, (piece, image) in enumerate(branches):
         if piece is None:
             continue
-        own = Region.make(m.codomain, [image]).interior()
-        others = Region.make(m.codomain, [s for j, (_, s) in enumerate(branches) if j != i])
+        own = _canonical(m.codomain, [image]).interior()
+        others = _canonical(m.codomain, [s for j, (_, s) in enumerate(branches) if j != i])
         overlap = own.intersect(others.interior())
         if not overlap.is_empty:
             return piece, overlap.spans[0]

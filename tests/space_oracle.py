@@ -7,7 +7,9 @@ a sweep over events sorted on the Fraction values and grouped per cut
 with `groupby`, a canonicalize that drops empty raw spans and flags
 clipped ones by comparing Fractions, a closure that merges spans by
 comparing Fractions, and an interior that finds each span's component by
-Fraction comparisons.  Tests compare the two on seeded regions.
+Fraction comparisons.  Tests compare the two on seeded regions.  Results
+are built with the trusted `space._region`, so none passes through the
+library's canonicalize.
 
 Test-only device; the library itself never touches it.
 """
@@ -17,7 +19,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Callable, Sequence
 
-from regopen.space import CanonicalizeResult, Point, Region, Space1D, Span
+from regopen.space import CanonicalizeResult, Point, Region, Space1D, Span, _region
 
 
 def _bounds(comp):
@@ -52,7 +54,7 @@ def sweep_by_groupby(space: Space1D, op: Callable[..., bool], *groups: Sequence[
         if op(*count) != inside:
             cuts.append((value, after))
             inside = not inside
-    return Region(space, tuple([
+    return _region(space, tuple([
         Span(lo, hi, not lo_after, hi_after)
         for (lo, lo_after), (hi, hi_after) in zip(cuts[::2], cuts[1::2])
     ]))
@@ -94,7 +96,7 @@ def closure_by_spans(r: Region) -> Region:
             out[-1] = Span(out[-1].lo, closed.hi, True, True)
         else:
             out.append(closed)
-    return Region(r.space, tuple(out))
+    return _region(r.space, tuple(out))
 
 
 def interior_by_spans(r: Region) -> Region:
@@ -111,7 +113,7 @@ def interior_by_spans(r: Region) -> Region:
         t = Span(s.lo, s.hi, s.lo_incl and s.lo == comp.a, s.hi_incl and s.hi == comp.b)
         if not span_is_empty(t):
             out.append(t)
-    return Region(r.space, tuple(out))
+    return _region(r.space, tuple(out))
 
 
 def regularize_by_spans(r: Region) -> Region:

@@ -65,6 +65,7 @@ from regopen.space import (
     ropen_join,
     ropen_meet,
     ropen_neg,
+    _region,
     theta,
 )
 
@@ -228,13 +229,13 @@ def _random_surjection(seed: int) -> PLMap | None:
 def _oracle_candidate(space: Space1D, rng: random.Random) -> Region:
     comp = rng.choice(space.components)
     if isinstance(comp, Point):
-        return Region(space, (Span(comp.at, comp.at, True, True),))
+        return _region(space, (Span(comp.at, comp.at, True, True),))
     k = rng.randint(3, 9)
     pos = rng.randrange(2**k)
     width = comp.b - comp.a
     lo = comp.a + width * rat(pos, 2**k)
     hi = comp.a + width * rat(pos + 1, 2**k)
-    return Region.make(space, [Span(lo, hi, False, False)])
+    return Region(space, [Span(lo, hi, False, False)])
 
 
 @criterion(4, "cylinder irreducibility at depth 8 (510 cylinders); decision vs "
@@ -379,7 +380,7 @@ def _mask_region(space: Space1D, step, mask: int) -> Region:
             spans.append(Span(lo, hi, lo == comp.a, hi == comp.b))
             i = j
         bit += n
-    return Region(space, tuple(spans))
+    return _region(space, tuple(spans))
 
 
 SMALL = Space1D((Interval(0, rat(1, 8)), Point(rat(1, 4)), Interval(rat(3, 8), rat(1, 2))))

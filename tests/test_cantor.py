@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from regopen import cantor
+from regopen import cantor, space
 from regopen.cantor import (
     EMPTY,
     FULL,
@@ -85,6 +85,12 @@ class TestCanonicalForm:
     def test_bad_characters_rejected(self):
         with pytest.raises(ValueError):
             CantorClopen(("02",))
+
+    def test_a_bare_string_is_rejected(self):
+        # its characters would be read as the words "0" and "1": the full clopen
+        with pytest.raises(TypeError):
+            CantorClopen("0101")
+        assert cylinder("0101").words == ("0101",)
 
     def test_leaves_roundtrip(self):
         k = CantorClopen(("0", "10"))
@@ -225,7 +231,7 @@ class TestCellMaskConstruction:
                 for i in range(n)
                 if mask >> i & 1
             ]
-            slow = Region.make(UNIT_INTERVAL, raw).regularize()
+            slow = Region(UNIT_INTERVAL, raw).regularize()
             assert dyadic_regular_open_from_cellmask(d, mask) == slow
 
     def test_bits_above_the_depth_are_ignored(self):
@@ -263,7 +269,7 @@ class TestPhiDepthStability:
                 b = rng.randint(a, n)
                 flags = (True, True) if a == b else (rng.random() < 0.5, rng.random() < 0.5)
                 raw.append(Span(rat(a, n), rat(b, n), *flags))
-            v = Region.make(UNIT_INTERVAL, raw)
+            v = Region(UNIT_INTERVAL, raw)
             for depth in (None, d, d + 2):
                 assert phi_c(v, depth) == phi_c_by_cells(v, depth)
 
@@ -341,3 +347,34 @@ class TestIrreducibility:
     def test_removing_a_cylinder_loses_its_interior(self):
         rest = clopen_compl(cylinder("0"))
         assert closed_value_region(rest) == region(UNIT_INTERVAL, ("1/2", 1, True, True))
+
+
+class TestWorkCounts:
+    """The bridge builds its regions from spans it knows to be canonical."""
+
+    def test_bridge_builds_no_public_span_and_canonicalizes_nothing(self, monkeypatch):
+        rng = random.Random(2024)
+        ks = [sparse_clopen(rng, 12) for _ in range(20)]
+        masks = [rng.getrandbits(64) for _ in range(20)]
+        calls = {"__post_init__": 0, "canonicalize": 0}
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(Span, "__post_init__")
+        counted(space, "canonicalize")
+        built = [psi_c(k) for k in ks] + [cantor.dyadic_regular_open_from_cellmask(6, m) for m in masks]
+        back = [phi_c(v) for v in built]
+        assert check_irreducible_cantor(4).ok
+        assert calls == {"__post_init__": 0, "canonicalize": 0}
+        monkeypatch.undo()
+        # the regions built without a check are the canonical ones
+        for r in built + [closed_value_region(k) for k in ks]:
+            assert Region(r.space, r.spans) == r
+        assert back[:20] == ks

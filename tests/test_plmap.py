@@ -171,7 +171,7 @@ class TestImagePreimage:
                     if not m.codomain.contains(y):
                         continue
                     hit = not m.preimage(
-                        Region.make(m.codomain, [Span(y, y, True, True)])
+                        Region(m.codomain, [Span(y, y, True, True)])
                     ).intersect(r).is_empty
                     assert img.contains(y) == hit
 
@@ -618,7 +618,7 @@ class TestWorkCounts:
         assert any(q.slope < 0 for q in m.pieces[0]) and any(q.slope == 0 for q in m.pieces[0])
         spans = raw(1024, 8192)
         # about one raw span in five is empty, so 1,300 make regions of over 1024 spans
-        r, s = Region.make(UNIT_PT, raw(1300, 1 << 16)), Region.make(UNIT, raw(1300, 1 << 16))
+        r, s = Region(UNIT_PT, raw(1300, 1 << 16)), Region(UNIT, raw(1300, 1 << 16))
         assert len(r.spans) >= 1024 and len(s.spans) >= 1024
         cases = {"canonicalize": lambda: space.canonicalize(UNIT_PT, spans),
                  "image": lambda: m.image(r), "preimage": lambda: m.preimage(s)}
@@ -633,7 +633,7 @@ class TestWorkCounts:
 
     def test_preimage_visits_only_the_spans_that_meet_each_piece(self, monkeypatch):
         m = _increasing_bijection(64)
-        s = Region.make(UNIT, [Span(rat(2 * k + 1, 64), rat(2 * k + 2, 64), False, False) for k in range(32)])
+        s = Region(UNIT, [Span(rat(2 * k + 1, 64), rat(2 * k + 2, 64), False, False) for k in range(32)])
         assert len(s.spans) == 32
         calls = self._count(monkeypatch, (plmap,), "_span_intersect")
         pre = m.preimage(s)

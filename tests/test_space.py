@@ -31,6 +31,7 @@ from regopen.space import (
     Region,
     Space1D,
     Span,
+    _region,
     canonicalize,
     decompose_space,
     embed,
@@ -137,6 +138,36 @@ class TestCanonicalInvariants:
                 assert_canonical(r)
 
 
+class TestCanonicalByConstruction:
+    """The public constructor canonicalizes, so equal sets are equal regions."""
+
+    def test_touching_spans_are_the_closed_space(self):
+        r = Region(UNIT, (Span(0, rat(1, 2), True, False), Span(rat(1, 2), 1, True, True)))
+        assert r == UNIT.full_region()
+        assert r.is_closed()
+
+    def test_a_span_outside_the_space_clips_away(self):
+        r = Region(UNIT, (Span(2, 3, True, True),))
+        assert r.is_empty
+        assert r.closure() == r == UNIT.empty_region()
+
+    def test_a_region_built_from_a_list_is_hashable(self):
+        spans = [Span(0, rat(1, 4), False, False), Span(rat(1, 2), 1, False, True)]
+        assert hash(Region(UNIT, spans)) == hash(Region(UNIT, tuple(spans)))
+        assert type(Region(UNIT, spans).spans) is tuple
+
+    @settings(max_examples=60)
+    @given(st.integers(0, 2**32 - 1))
+    def test_construction_is_canonicalize_and_is_idempotent(self, seed):
+        rng = random.Random(seed)
+        for space in FIXTURE_SPACES:
+            raw = random_raw_spans(space, rng, count=8)
+            r = Region(space, raw)
+            assert r == canonicalize(space, raw).region
+            assert Region(r.space, r.spans) == r
+            assert_canonical(r)
+
+
 class TestRelativeTopology:
     def test_interior_keeps_space_boundary(self):
         r = region(UNIT, (0, "1/2", True, True))
@@ -227,11 +258,11 @@ class TestRelativeTopology:
             ropen_join(region(UNIT, (0, 1, True, True)), region(TWO_INTERVALS, (0, 1, True, True)))
 
     def test_interior_of_a_span_outside_the_space_is_a_mismatch(self):
-        # the public constructor does not check; interior used to raise IndexError
-        right = Region(UNIT, (Span(2, 3, True, True),))
-        left = Region(UNIT_PT, (Span(-1, rat(-1, 2), False, False),))
-        in_gap = Region(UNIT_PT, (Span(rat(3, 2), rat(3, 2), True, True),))
-        across = Region(TWO_INTERVALS, (Span(rat(1, 2), rat(5, 2), False, False),))
+        # the trusted constructor does not check; interior used to raise IndexError
+        right = _region(UNIT, (Span(2, 3, True, True),))
+        left = _region(UNIT_PT, (Span(-1, rat(-1, 2), False, False),))
+        in_gap = _region(UNIT_PT, (Span(rat(3, 2), rat(3, 2), True, True),))
+        across = _region(TWO_INTERVALS, (Span(rat(1, 2), rat(5, 2), False, False),))
         for r in (right, left, in_gap, across):
             for op in (Region.interior, Region.regularize, lambda r: ropen_join(r, r)):
                 with pytest.raises(SpaceMismatch):
@@ -326,7 +357,7 @@ class TestSweepFallback:
         pairs = [(a, a_big), (b, b_big), (a.complement(), a_big.complement())]
         pairs += [(getattr(a, op)(b), getattr(a_big, op)(b_big)) for op in ("union", "intersect", "difference")]
         for small, scaled in pairs:
-            assert Region(big, tuple(_times(small.spans, common))) == scaled
+            assert _region(big, tuple(_times(small.spans, common))) == scaled
 
 
 class TestDecomposition:
@@ -525,7 +556,7 @@ class TestWorkCounts:
         rng = random.Random(1024)
         a, b = self._dyadic_region(rng, 1024), self._dyadic_region(rng, 1024)
         assert len(a.spans) > 900 and len(b.spans) > 900
-        calls = {"_richcmp": 0, "__eq__": 0, "__post_init__": 0}
+        calls = {"_richcmp": 0, "__eq__": 0, "__post_init__": 0, "canonicalize": 0}
 
         def counted(owner, name):
             original = getattr(owner, name)
@@ -539,8 +570,9 @@ class TestWorkCounts:
         counted(fractions.Fraction, "_richcmp")
         counted(fractions.Fraction, "__eq__")
         counted(Span, "__post_init__")
+        counted(space_module, "canonicalize")  # the checked constructor runs it
         ops = (lambda: a.union(b), lambda: a.intersect(b), lambda: a.difference(b), a.complement,
                a.closure, a.interior, a.regularize, b.regularize)
         for op in ops:
             assert op().spans
-        assert calls == {"_richcmp": 0, "__eq__": 0, "__post_init__": 0}
+        assert calls == {"_richcmp": 0, "__eq__": 0, "__post_init__": 0, "canonicalize": 0}
