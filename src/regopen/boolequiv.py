@@ -10,10 +10,9 @@ component kinds only; no geometry is needed for the decision.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
-from .errors import EmptyDescriptor
+from .errors import EmptyDescriptor, _Value
 from .space import Point, Space1D
 
 OMEGA = "omega"
@@ -32,8 +31,7 @@ PARTS = {
 }
 
 
-@dataclass(frozen=True)
-class SpaceDescriptor:
+class SpaceDescriptor(_Value):
     """Multiset of component kinds; order is not significant."""
 
     components: tuple[str, ...]
@@ -58,8 +56,7 @@ def descriptor_from_json(data: dict) -> SpaceDescriptor:
     return SpaceDescriptor(tuple(entry["kind"] for entry in data["components"]))
 
 
-@dataclass(frozen=True)
-class BoolInvariant:
+class BoolInvariant(_Value):
     """Complete invariant: the isolated-point count, and `perfect_nonempty`,
     which says that the space minus the closure of its isolated points is
     nonempty.  It reads False for a space with a perfect part in which the
@@ -79,8 +76,7 @@ def invariant(d: SpaceDescriptor) -> BoolInvariant:
     return BoolInvariant(isol, any(outside for _, outside in parts))
 
 
-@dataclass(frozen=True)
-class EquivalenceVerdict:
+class EquivalenceVerdict(_Value):
     equivalent: bool
     left: BoolInvariant
     right: BoolInvariant

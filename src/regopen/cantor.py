@@ -9,10 +9,9 @@ back and forth between that algebra and the dyadic regular opens of [0,1].
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
 from typing import Iterable, Optional
 
-from .errors import NonDyadicEndpoint, SpaceMismatch
+from .errors import NonDyadicEndpoint, SpaceMismatch, _Value
 from .rationals import Q, Rational, dyadic_exponent, is_dyadic, rat
 from .space import Interval, Region, Space1D, _region, _span
 
@@ -70,8 +69,7 @@ def _bit_runs(mask: int, n: int) -> list[tuple[int, int]]:
     return runs
 
 
-@dataclass(frozen=True)
-class CantorClopen:
+class CantorClopen(_Value):
     """Canonical antichain of words; lexicographic order is value order."""
 
     words: tuple[Word, ...]
@@ -181,8 +179,7 @@ def random_dyadic_regular_open(rng: random.Random, depth: int) -> Region:
     return dyadic_regular_open_from_cellmask(depth, rng.getrandbits(2**depth))
 
 
-@dataclass(frozen=True)
-class CantorIrreducibilityReport:
+class CantorIrreducibilityReport(_Value):
     depth: int
     cylinders_checked: int
     ok: bool
@@ -192,7 +189,7 @@ class CantorIrreducibilityReport:
     )
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {f: getattr(self, f) for f in ("depth", "cylinders_checked", "ok", "note")}
 
 
 def check_irreducible_cantor(depth: int = 8) -> CantorIrreducibilityReport:

@@ -6,7 +6,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import traceback
 from typing import Optional
 
 from . import jsonio  # every handler writes through it; each imports the rest it needs
@@ -307,6 +306,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         _emit({"error": str(exc), "at": type(exc).__name__})
         return EXIT_INPUT
     except Exception as exc:  # no input may end in a traceback and exit 1
+        import traceback  # only this branch needs it, so no request pays its import
         traceback.print_exc(file=sys.stderr)
         _emit({"error": str(exc), "at": type(exc).__name__})
         return EXIT_INPUT

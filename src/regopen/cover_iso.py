@@ -10,10 +10,9 @@ common domain into an equivalence of their codomain algebras.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from .errors import DomainMismatch, NotIrreducible, NotSurjective
+from .errors import DomainMismatch, NotIrreducible, NotSurjective, _Value
 from .jsonio import encode_clopen, encode_region
 from .plmap import PLMap, is_irreducible
 from .space import Point, Space1D, random_regular_open, ropen_join, ropen_meet, ropen_neg
@@ -29,8 +28,7 @@ def space_key(space: Space1D) -> str:
     return "|".join(parts)
 
 
-@dataclass(frozen=True)
-class BooleanSide:
+class BooleanSide(_Value):
     """One Boolean algebra of a cover: operations, a seeded generator, a JSON form."""
 
     key: str
@@ -45,8 +43,7 @@ class BooleanSide:
 Decision = tuple[bool, bool, Optional[Any], str]
 
 
-@dataclass(frozen=True)
-class Cover:
+class Cover(_Value):
     """A cover dom -> cod seen through its Boolean sides."""
 
     name: str
@@ -107,8 +104,7 @@ LAW_NAMES = ("psi_join", "psi_meet", "psi_neg", "phi_join", "phi_meet", "phi_neg
 INVERSE_NAMES = ("psi_phi_id", "phi_psi_id")
 
 
-@dataclass(frozen=True)
-class CoverReport:
+class CoverReport(_Value):
     backend: str
     surjective: bool
     irreducible: bool
@@ -205,8 +201,7 @@ def check_essential(cover: Cover, samples: int = 100, seed: int = 0) -> CoverRep
     )
 
 
-@dataclass(frozen=True)
-class BridgeReport:
+class BridgeReport(_Value):
     depth: int
     samples: int
     seed: int
@@ -235,8 +230,7 @@ def verify_bridge(depth: int = 6, samples: int = 200, seed: int = 0) -> BridgeRe
     return BridgeReport(depth, samples, seed, 8 * samples, failures)
 
 
-@dataclass(frozen=True)
-class ComposedEquivalence:
+class ComposedEquivalence(_Value):
     """Two irreducible covers out of one domain compose to an isomorphism."""
 
     f: Cover  # Z -> X

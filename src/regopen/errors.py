@@ -1,5 +1,59 @@
-"""Exception types shared across the package."""
+"""Exception types and the frozen value-class base shared across the package."""
 from __future__ import annotations
+
+from operator import attrgetter
+
+
+class _Value:
+    """A frozen value class.  Its fields are its own annotations, in order, with
+    class attributes as defaults; equality and hash are those of the field
+    tuple, within one class, and the repr is `Class(field=value, ...)`."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        fields = cls.__fields = tuple(cls.__dict__.get("__annotations__", ()))
+        slots = cls.__dict__.get("__slots__", ())  # a slot's descriptor is no default
+        cls.__defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__ and f not in slots}
+        get = attrgetter(*fields)
+        cls.__key = staticmethod(get if len(fields) > 1 else lambda obj: (get(obj),))  # always a tuple
+
+    def __init__(self, *args, **kwargs):
+        fields = self.__fields
+        if kwargs or len(args) != len(fields):
+            values = {**self.__defaults, **kwargs, **dict(zip(fields, args))}
+            if len(args) > len(fields) or len(values) < len(fields) or kwargs.keys() - set(fields[len(args):]):
+                raise TypeError(f"{type(self).__qualname__} takes {fields}, got {args!r} and {kwargs!r}")
+            args = [values[f] for f in fields]
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        """A subclass checks and coerces its fields here, setting them with `object.__setattr__`."""
+
+    @classmethod
+    def _trusted(cls, *values):
+        """An instance of fields the library built valid: no coercion, no `__post_init__`."""
+        obj = object.__new__(cls)
+        for name, value in zip(cls.__fields, values):
+            object.__setattr__(obj, name, value)
+        return obj
+
+    def __eq__(self, other):
+        return self.__key(self) == self.__key(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self.__key(self))
+
+    def __repr__(self):
+        fields = ", ".join(map("{}={!r}".format, self.__fields, self.__key(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
 
 
 class RegopenError(Exception):

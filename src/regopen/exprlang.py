@@ -20,10 +20,9 @@ Operators nest at most MAX_NESTING deep; deeper input is a syntax error.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
-from .errors import ExprSyntaxError, SpaceMismatch, UnboundName
+from .errors import ExprSyntaxError, SpaceMismatch, UnboundName, _Value
 from .rationals import Rational, parse_rat
 from .space import Region, Space1D, Span, ropen_join, ropen_meet
 
@@ -44,30 +43,25 @@ _TOKEN = re.compile(r"(?P<space>\s+)|(?P<ident>[^\W\d]\w*)|(?P<rat>-?\d+(?P<slas
                     r"|(?P<punct>[(),])|(?P<stray>.)", re.DOTALL)
 
 
-@dataclass(frozen=True)
-class Name:
+class Name(_Value):
     ident: str
 
 
-@dataclass(frozen=True)
-class IntervalLit:
+class IntervalLit(_Value):
     a: Rational
     b: Rational
 
 
-@dataclass(frozen=True)
-class PointLit:
+class PointLit(_Value):
     at: Rational
 
 
-@dataclass(frozen=True)
-class Unary:
+class Unary(_Value):
     op: str
     arg: "Expr"
 
 
-@dataclass(frozen=True)
-class Binary:
+class Binary(_Value):
     op: str
     left: "Expr"
     right: "Expr"
@@ -144,8 +138,7 @@ def parse_expr(text: str) -> Expr:
     return out
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(_Value):
     region: Region
     open: bool
     closed: bool

@@ -10,16 +10,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .errors import NotSingleton, UnboundName
+from .errors import NotSingleton, UnboundName, _Value
 
 Element = frozenset  # of atom indices
 
 
-@dataclass(frozen=True)
-class FiniteBooleanAlgebra:
+class FiniteBooleanAlgebra(_Value):
     """Power-set algebra over named atoms."""
 
     atom_labels: tuple[str, ...]
@@ -72,8 +70,7 @@ class FiniteBooleanAlgebra:
         return sorted(self.atom_labels[i] for i in e)
 
 
-@dataclass(frozen=True)
-class TwoValuedHom:
+class TwoValuedHom(_Value):
     """A homomorphism onto {0, 1}: evaluation at one atom."""
 
     atom_index: int
@@ -95,8 +92,7 @@ def phi_hat(algebra: FiniteBooleanAlgebra, e: Element) -> frozenset[TwoValuedHom
 # --- finite discrete spaces and covers ---
 
 
-@dataclass(frozen=True)
-class FiniteDiscreteSpace:
+class FiniteDiscreteSpace(_Value):
     point_labels: tuple[str, ...]
 
     def __post_init__(self):
@@ -112,15 +108,12 @@ class FiniteDiscreteSpace:
         return len(self.point_labels)
 
 
-@dataclass(frozen=True)
-class FinCover:
+class FinCover(_Value):
     """A map between finite discrete spaces, stored as a label table."""
 
     domain: FiniteDiscreteSpace
     codomain: FiniteDiscreteSpace
     table: tuple[tuple[str, str], ...]
-    # codomain index of each domain label, in domain order; derived once from the table
-    index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         table = tuple([tuple(pair) for pair in self.table])
@@ -134,6 +127,7 @@ class FinCover:
         for v in mapping.values():
             if v not in cod_index:
                 raise ValueError(f"table value {v!r} not in codomain")
+        # not a field: the codomain index of each domain label, in domain order
         index = {lab: cod_index[mapping[lab]] for lab in self.domain.point_labels}
         object.__setattr__(self, "index", index)
 
@@ -182,8 +176,7 @@ def gleason_cover(x: FiniteDiscreteSpace) -> GleasonCoverResult:
     return GleasonCoverResult(p_space, FinCover(p_space, x, tuple(table)), homs)
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(_Value):
     """Outcome of the projective-cover checks, with witnesses on failure."""
 
     surjective: bool
@@ -192,7 +185,7 @@ class VerificationReport:
     phi_eq_cl_preimage: bool
     onto_sandwich: bool
     psi_inverts_phi: bool
-    witnesses: dict = field(default_factory=dict)
+    witnesses: dict
 
     @property
     def all_ok(self) -> bool:

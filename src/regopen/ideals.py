@@ -7,17 +7,14 @@ moving supports through the cover's phi/psi.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import NotIrreducible, SpaceMismatch
+from .errors import NotIrreducible, SpaceMismatch, _Value
 from .plmap import (Piece, PLMap, _affine, _affine_span, _carry, _locate, _meeting, _ratios, _runs,
                     _settle, _span_intersect, is_irreducible)
 from .rationals import Rational
 from .space import Region, Space1D, Span, canonicalize, ropen_join, ropen_meet
 
 
-@dataclass(frozen=True)
-class PLFunc:
+class PLFunc(_Value):
     """A continuous piecewise-linear real function on a space."""
 
     space: Space1D
@@ -53,8 +50,7 @@ def pl_supp(f: PLFunc) -> Region:
     return canonicalize(f.space, zeros).region.complement()
 
 
-@dataclass(frozen=True)
-class RegIdeal:
+class RegIdeal(_Value):
     """A regular ideal, keyed by its regular-open support."""
 
     space: Space1D
@@ -139,7 +135,7 @@ def pullback(pi: PLMap, f: PLFunc) -> PLFunc:
         for piece, (_, image, slope, intercept) in zip(run, branches):
             if not slope:
                 m, k = _locate(f._branches, intercept)
-                out.append(Piece(piece.src_lo, piece.src_hi, m * slope, m * intercept + k))
+                out.append(Piece._trusted(piece.src_lo, piece.src_hi, m * slope, m * intercept + k))
                 continue
             p, q, r = _affine(slope, intercept, True)
             lo, hi, _, _ = _ratios(image)
@@ -148,8 +144,9 @@ def pullback(pi: PLMap, f: PLFunc) -> PLFunc:
                 part = _span_intersect(t, inside)
                 if part is not None:
                     x, m, k = _affine_span(part, p, q, r), t[4], t[5]
-                    parts.append(Piece(x.lo, x.hi, m * slope, m * intercept + k))
+                    parts.append(Piece._trusted(x.lo, x.hi, m * slope, m * intercept + k))
             out += parts if p > 0 else parts[::-1]
         runs.append(tuple(out))
-    points = [(p, f.value(v)) for p, v in pi.point_images]
-    return PLFunc(pi.domain, tuple(runs), points)
+    g = PLFunc._trusted(pi.domain, tuple(runs), tuple([(p, f.value(v)) for p, v in pi.point_images]))
+    _settle(g, pi.domain, "point_values", check=False)  # its pieces tile and join by construction
+    return g

@@ -10,21 +10,14 @@ sampling enters the library semantics.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import (
-    Discontinuity,
-    ImageEscapesCodomain,
-    NotSurjective,
-    SpaceMismatch,
-)
+from .errors import Discontinuity, ImageEscapesCodomain, NotSurjective, SpaceMismatch, _Value
 from .rationals import Q, Rational, rat
 from .space import Region, Space1D, Span, _minus, _region, _span, _sweep, canonicalize
 
 
-@dataclass(frozen=True)
-class Piece:
+class Piece(_Value):
     """One affine piece: x ↦ slope·x + intercept on [src_lo, src_hi]."""
 
     src_lo: Rational
@@ -45,22 +38,22 @@ class Piece:
 # --- the piecewise-linear core shared by maps and functions ---
 
 
-def _settle(obj, space: Space1D, points_field: str) -> None:
-    """Freeze `obj.pieces` and its (point, value) pairs, check both over
-    `space`, then build the branch table `obj._branches`: one
-    (src, dst, slope, intercept) per piece in run order, then one per
-    isolated point as a constant, with closed source and image spans.
-    """
-    # tuple() of a list allocates the final size; of a generator it resizes
-    # a guess, and each resized block then stays in the tuple free list
-    object.__setattr__(obj, "pieces", tuple([tuple(run) for run in obj.pieces]))
-    points = tuple([(rat(p), rat(v)) for p, v in getattr(obj, points_field)])
-    object.__setattr__(obj, points_field, points)
-    _check_runs(space, obj.pieces)
-    _check_points(space, points, points_field)
+def _settle(obj, space: Space1D, points_field: str, check: bool = True) -> None:
+    """Freeze `obj.pieces` and its (point, value) pairs and check both over
+    `space`, unless `check` is false (the library built them valid), then build
+    the branch table `obj._branches`: one (src, dst, slope, intercept) per piece
+    in run order, then one per isolated point as a constant, all spans closed."""
+    if check:
+        # tuple() of a list allocates the final size; of a generator it resizes
+        # a guess, and each resized block then stays in the tuple free list
+        object.__setattr__(obj, "pieces", tuple([tuple(run) for run in obj.pieces]))
+        points = tuple([(rat(p), rat(v)) for p, v in getattr(obj, points_field)])
+        object.__setattr__(obj, points_field, points)
+        _check_runs(space, obj.pieces)
+        _check_points(space, points, points_field)
     parts = [(_span(q.src_lo, q.src_hi, True, True), q.slope, q.intercept)
              for run in obj.pieces for q in run]
-    parts += [(_span(p, p, True, True), rat(0), v) for p, v in points]
+    parts += [(_span(p, p, True, True), rat(0), v) for p, v in getattr(obj, points_field)]
     branches = tuple([(src, _affine_span(_ratios(src), *_affine(k, c)) if k else _span(c, c, True, True),
                        k, c) for src, k, c in parts])
     object.__setattr__(obj, "_branches", branches)
@@ -173,8 +166,7 @@ def _runs(space: Space1D, values: Iterable[tuple[Rational, Rational]]):
     return tuple(runs)
 
 
-@dataclass(frozen=True)
-class PLMap:
+class PLMap(_Value):
     """A continuous piecewise-linear map between two spaces."""
 
     domain: Space1D
@@ -247,8 +239,7 @@ def _affine_span(s: tuple, p: int, q: int, r: int) -> Span:
     return _span(hi, lo, s[3], s[2])
 
 
-@dataclass(frozen=True)
-class IrreducibilityVerdict:
+class IrreducibilityVerdict(_Value):
     """Decision plus, when reducible, a verified open witness."""
 
     irreducible: bool

@@ -13,18 +13,16 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
-from .errors import EmptySubspace, NotClosed, SpaceMismatch
+from .errors import EmptySubspace, NotClosed, SpaceMismatch, _Value
 from .rationals import Rational, rat
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(_Value):
     """Closed interval component [a, b] with a < b."""
 
     a: Rational
@@ -37,8 +35,7 @@ class Interval:
             raise ValueError(f"interval needs a < b, got [{self.a}, {self.b}]")
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(_Value):
     """Isolated point component."""
 
     at: Rational
@@ -56,8 +53,7 @@ def _bounds(comp: Component):
     return comp.a, comp.b
 
 
-@dataclass(frozen=True)
-class Space1D:
+class Space1D(_Value):
     """A compact subset of the rational line in component form."""
 
     components: tuple[Component, ...]
@@ -90,14 +86,14 @@ class Space1D:
         return tuple([c for c in self.components if isinstance(c, Point)])
 
 
-@dataclass(frozen=True, slots=True)
-class Span:
+class Span(_Value):
     """One maximal run of a region: endpoints plus inclusion flags.
 
     lo == hi is a single point and must have both flags set; raw input
     spans that are reversed or degenerate without both flags are empty.
     """
 
+    __slots__ = ("lo", "hi", "lo_incl", "hi_incl")
     lo: Rational
     hi: Rational
     lo_incl: bool
@@ -130,8 +126,7 @@ def _span(lo: Rational, hi: Rational, lo_incl: bool, hi_incl: bool) -> Span:
     return s
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(_Value):
     """Canonical region of a space: any raw spans, clipped to it and merged."""
 
     space: Space1D

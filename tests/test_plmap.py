@@ -8,7 +8,7 @@ import pytest
 import fractions
 
 from regopen import plmap, space
-from regopen.ideals import pl_supp, pullback
+from regopen.ideals import PLFunc, pl_supp, pullback
 from regopen.errors import Discontinuity, ImageEscapesCodomain, NotSurjective
 from regopen.plmap import (
     IrreducibilityVerdict,
@@ -639,3 +639,20 @@ class TestWorkCounts:
         pre = m.preimage(s)
         assert calls[0] <= 2 * (64 + 32)
         assert pre == preimage_by_pairs(m, s)
+
+    def test_pullback_rechecks_none_of_its_own_pieces(self, monkeypatch):
+        # composites that tile and join by construction: no run check and no
+        # coerced piece, yet the same pieces and branch table as a checked PLFunc
+        rng = random.Random(97)
+        covers = [_random_cover(rng) for _ in range(12)]
+        funcs = [random_plfunc(m.codomain, rng.randrange(10**6)) for m in covers]
+        wants = [pullback_by_cuts(m, f) for m, f in zip(covers, funcs)]
+        runs = self._count(monkeypatch, (plmap,), "_check_runs")
+        coerced = self._count(monkeypatch, (Piece,), "__post_init__")
+        gots = [pullback(m, f) for m, f in zip(covers, funcs)]
+        assert (runs[0], coerced[0]) == (0, 0)
+        monkeypatch.undo()
+        assert sum(len(run) for g in gots for run in g.pieces) > 3 * len(gots)
+        for g, want in zip(gots, wants):
+            assert (repr(g.pieces), repr(g.point_values)) == (repr(want.pieces), repr(want.point_values))
+            assert g._branches == PLFunc(g.space, g.pieces, g.point_values)._branches
