@@ -21,8 +21,9 @@ MAX_GLEASON_POINTS = 16
 # `cantor check` drops each of the 2^(d+1) - 2 cylinders of depth at most d,
 # O(2^d·d) work in all, then runs the bridge battery on dense random clopens
 # of depth up to d, which dominates.  On a 2-vCPU VM with the default 200
-# samples depth 8 takes about 1.4 s and depth 10 about 4 s (0.25 s of it the
-# cylinder check); depth 40 never ends.
+# samples a `cantor check` process takes about 0.8-1.1 s at depth 8 and
+# 2.5-3.8 s at depth 10 (0.05 s and 0.2 s of it the cylinder check); depth
+# 40 never ends.
 MAX_CANTOR_CHECK_DEPTH = 10
 
 
@@ -36,10 +37,6 @@ def _load(source: str):
         return json.load(fh)
 
 
-def _emit(payload) -> None:
-    sys.stdout.write(jsonio.canonical_json(payload) + "\n")
-
-
 def _descriptor_from(source: str):
     from . import boolequiv
     data = jsonio._object(_load(source), "a descriptor")
@@ -49,24 +46,21 @@ def _descriptor_from(source: str):
     return boolequiv.descriptor_from_json(data)
 
 
-def _cmd_space_info(args) -> int:
+def _cmd_space_info(args):
     from . import boolequiv
     from .space import decompose_space
     space = jsonio.decode_space(_load(args.space))
     dec = decompose_space(space)
-    _emit(
-        {
-            "space": jsonio.encode_space(space),
-            "isolated": [jsonio.rat_str(x) for x in dec.isolated],
-            "atomic_part": jsonio.encode_region(dec.atomic_part),
-            "atomless_part": jsonio.encode_region(dec.atomless_part),
-            "descriptor": boolequiv.from_space1d(space).to_json(),
-        }
-    )
-    return EXIT_OK
+    return {
+        "space": jsonio.encode_space(space),
+        "isolated": [jsonio.rat_str(x) for x in dec.isolated],
+        "atomic_part": jsonio.encode_region(dec.atomic_part),
+        "atomless_part": jsonio.encode_region(dec.atomless_part),
+        "descriptor": boolequiv.from_space1d(space).to_json(),
+    }, True
 
 
-def _cmd_region_eval(args) -> int:
+def _cmd_region_eval(args):
     from .exprlang import eval_expr, parse_expr
     space = jsonio.decode_space(_load(args.space))
     bindings = {}
@@ -76,61 +70,51 @@ def _cmd_region_eval(args) -> int:
             raise ValueError(f"binding {item!r} is not NAME=JSON")
         bindings[name] = jsonio.decode_region(space, _load(src))
     result = eval_expr(parse_expr(args.expr), space, bindings)
-    _emit(
-        {
-            "region": jsonio.encode_region(result.region),
-            "open": result.open,
-            "closed": result.closed,
-            "regular_open": result.regular_open,
-        }
-    )
-    return EXIT_OK
+    return {
+        "region": jsonio.encode_region(result.region),
+        "open": result.open,
+        "closed": result.closed,
+        "regular_open": result.regular_open,
+    }, True
 
 
-def _cmd_cover_check(args) -> int:
+def _cmd_cover_check(args):
     from .cover_iso import PLMapBackend, check_essential
     m = jsonio.decode_plmap(_load(args.map))
     report = check_essential(PLMapBackend(m), samples=args.samples, seed=args.seed)
-    _emit(report.to_json())
-    return EXIT_OK if report.all_ok else EXIT_VERDICT
+    return report.to_json(), report.all_ok
 
 
-def _cmd_cover_psi_phi(args, which: str) -> int:
+def _cmd_cover_psi_phi(args):
     m = jsonio.decode_plmap(_load(args.map))
-    space = m.domain if which == "psi" else m.codomain
-    region = jsonio.decode_region(space, _load(args.region))
-    out = m.psi(region) if which == "psi" else m.phi(region)
-    _emit({"region": jsonio.encode_region(out)})
-    return EXIT_OK
+    psi = args.subcommand == "psi"
+    region = jsonio.decode_region(m.domain if psi else m.codomain, _load(args.region))
+    return {"region": jsonio.encode_region(m.psi(region) if psi else m.phi(region))}, True
 
 
-def _cmd_cantor_check(args) -> int:
+def _cmd_cantor_check(args):
     from . import cantor
     from .cover_iso import verify_bridge
     if args.depth > MAX_CANTOR_CHECK_DEPTH:
         raise ValueError(f"--depth is at most {MAX_CANTOR_CHECK_DEPTH}")
     irr = cantor.check_irreducible_cantor(args.depth)
     bridge = verify_bridge(args.depth, args.samples, args.seed)
-    _emit({"irreducible": irr.to_json(), "bridge": bridge.to_json()})
-    return EXIT_OK if irr.ok and bridge.ok else EXIT_VERDICT
+    return {"irreducible": irr.to_json(), "bridge": bridge.to_json()}, irr.ok and bridge.ok
 
 
-def _cmd_cantor_psi(args) -> int:
+def _cmd_cantor_psi(args):
     from . import cantor
     k = jsonio.decode_clopen(_load(args.clopen))
-    _emit({"region": jsonio.encode_region(cantor.psi_c(k))})
-    return EXIT_OK
+    return {"region": jsonio.encode_region(cantor.psi_c(k))}, True
 
 
-def _cmd_cantor_phi(args) -> int:
+def _cmd_cantor_phi(args):
     from . import cantor
     region = jsonio.decode_region(cantor.UNIT_INTERVAL, _load(args.region))
-    k = cantor.phi_c(region, depth=args.depth)
-    _emit(jsonio.encode_clopen(k))
-    return EXIT_OK
+    return jsonio.encode_clopen(cantor.phi_c(region, depth=args.depth)), True
 
 
-def _cmd_gleason(args) -> int:
+def _cmd_gleason(args):
     from .finball import FiniteDiscreteSpace, gleason_cover, verify_projective_cover
     if args.points > MAX_GLEASON_POINTS:
         raise ValueError(f"--points is at most {MAX_GLEASON_POINTS}")
@@ -138,63 +122,79 @@ def _cmd_gleason(args) -> int:
     space = FiniteDiscreteSpace(labels)
     result = gleason_cover(space)
     report = verify_projective_cover(result.P, result.f, space, result.homs)
-    _emit(report.to_json())
-    return EXIT_OK if report.all_ok else EXIT_VERDICT
+    return report.to_json(), report.all_ok
 
 
-def _cmd_ideal(args) -> int:
+def _cmd_ideal(args):
     from .ideals import ideal_join, ideal_meet, ideal_neg, in_ideal, omega, pl_supp, upsilon
     op = args.op
     if op == "supp":
         f = jsonio.decode_plfunc(_load(args.func))
-        _emit({"region": jsonio.encode_region(pl_supp(f))})
-        return EXIT_OK
+        return {"region": jsonio.encode_region(pl_supp(f))}, True
     if op == "member":
         f = jsonio.decode_plfunc(_load(args.func))
         j = jsonio.decode_ideal(_load(args.ideal))
         verdict = in_ideal(f, j)
-        _emit({"member": verdict})
-        return EXIT_OK if verdict else EXIT_VERDICT
+        return {"member": verdict}, verdict
     if op in ("neg", "annihilator"):  # the annihilator is the pseudocomplement
         j = jsonio.decode_ideal(_load(args.ideal))
-        _emit(jsonio.encode_ideal(ideal_neg(j)))
-        return EXIT_OK
+        return jsonio.encode_ideal(ideal_neg(j)), True
     if op in ("join", "meet"):
         j1 = jsonio.decode_ideal(_load(args.ideal))
         j2 = jsonio.decode_ideal(_load(args.right))
-        out = ideal_join(j1, j2) if op == "join" else ideal_meet(j1, j2)
-        _emit(jsonio.encode_ideal(out))
-        return EXIT_OK
+        return jsonio.encode_ideal(ideal_join(j1, j2) if op == "join" else ideal_meet(j1, j2)), True
     # upsilon / omega
     pi = jsonio.decode_plmap(_load(args.map))
     j = jsonio.decode_ideal(_load(args.ideal))
-    out = upsilon(pi, j) if op == "upsilon" else omega(pi, j)
-    _emit(jsonio.encode_ideal(out))
-    return EXIT_OK
+    return jsonio.encode_ideal(upsilon(pi, j) if op == "upsilon" else omega(pi, j)), True
 
 
-def _cmd_equiv(args) -> int:
+def _cmd_equiv(args):
     from . import boolequiv
     verdict = boolequiv.equivalent(
         _descriptor_from(args.left), _descriptor_from(args.right)
     )
-    _emit(verdict.to_json())
-    return EXIT_OK if verdict.equivalent else EXIT_VERDICT
+    return verdict.to_json(), verdict.equivalent
 
 
-def _cmd_compose(args) -> int:
+def _cmd_compose(args):
     from .cover_iso import PLMapBackend, compose_equivalence
     left = jsonio.decode_plmap(_load(args.left))
     right = jsonio.decode_plmap(_load(args.right))
     ce = compose_equivalence(PLMapBackend(left, "left"), PLMapBackend(right, "right"))
     if args.region is None:
-        _emit({"ok": True, "domain_key": ce.f.dom.key})
-        return EXIT_OK
+        return {"ok": True, "domain_key": ce.f.dom.key}, True
     forward = args.direction == "forward"
     v = jsonio.decode_region(right.codomain if forward else left.codomain, _load(args.region))
-    out = ce.forward(v) if forward else ce.backward(v)
-    _emit({"region": jsonio.encode_region(out)})
-    return EXIT_OK
+    return {"region": jsonio.encode_region(ce.forward(v) if forward else ce.backward(v))}, True
+
+
+_REQUIRED = {"required": True}
+# Each command once: its path, its group's help, the name of its handler in
+# this module (looked up when a request runs) and its arguments.  A handler
+# returns the payload and the verdict; `main` writes the line and exits 0 or 1.
+_COMMANDS = (
+    ("space info", "space inspection", "_cmd_space_info", {"--space": _REQUIRED}),
+    ("region eval", "region expressions", "_cmd_region_eval", {
+        "--space": _REQUIRED, "--expr": _REQUIRED, "--bind": {"action": "append", "metavar": "NAME=JSON"}}),
+    ("cover check", "piecewise-linear covers", "_cmd_cover_check", {
+        "--map": _REQUIRED, "--samples": {"type": int, "default": 100}, "--seed": {"type": int, "default": 0}}),
+    ("cover psi", "piecewise-linear covers", "_cmd_cover_psi_phi", {"--map": _REQUIRED, "--region": _REQUIRED}),
+    ("cover phi", "piecewise-linear covers", "_cmd_cover_psi_phi", {"--map": _REQUIRED, "--region": _REQUIRED}),
+    ("cantor check", "the binary-expansion cover", "_cmd_cantor_check", {
+        "--depth": {"type": int, "default": 6}, "--samples": {"type": int, "default": 200},
+        "--seed": {"type": int, "default": 0}}),
+    ("cantor psi", "the binary-expansion cover", "_cmd_cantor_psi", {"--clopen": _REQUIRED}),
+    ("cantor phi", "the binary-expansion cover", "_cmd_cantor_phi", {"--region": _REQUIRED, "--depth": {"type": int}}),
+    ("gleason", "finite projective covers", "_cmd_gleason", {"--points": {"type": int, "required": True}}),
+    ("ideal", "regular ideals", "_cmd_ideal", {
+        "op": {"choices": ["supp", "member", "join", "meet", "neg", "annihilator", "upsilon", "omega"]},
+        "--func": {}, "--ideal": {}, "--right": {}, "--map": {}}),
+    ("equiv", "Boolean equivalence of descriptors", "_cmd_equiv", {"left": {}, "right": {}}),
+    ("compose", "compose two covers over a common domain", "_cmd_compose", {
+        "--left": _REQUIRED, "--right": _REQUIRED, "--region": {},
+        "--direction": {"choices": ["forward", "backward"], "default": "forward"}}),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -205,111 +205,51 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parsers of the group `argv[0]` names; of every group when it names
+    none, so the top-level help and errors list them all."""
+    groups = list(dict.fromkeys(path.split()[0] for path, *_ in _COMMANDS))
+    named = argv[0] if argv and argv[0] in groups else None
     top = _Parser(prog="regopen", description=__doc__)
-    sub = top.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("space", help="space inspection")
-    sp_sub = sp.add_subparsers(dest="subcommand", required=True)
-    info = sp_sub.add_parser("info")
-    info.add_argument("--space", required=True)
-    info.set_defaults(handler=_cmd_space_info)
-
-    rg = sub.add_parser("region", help="region expressions")
-    rg_sub = rg.add_subparsers(dest="subcommand", required=True)
-    ev = rg_sub.add_parser("eval")
-    ev.add_argument("--space", required=True)
-    ev.add_argument("--expr", required=True)
-    ev.add_argument("--bind", action="append", metavar="NAME=JSON")
-    ev.set_defaults(handler=_cmd_region_eval)
-
-    cv = sub.add_parser("cover", help="piecewise-linear covers")
-    cv_sub = cv.add_subparsers(dest="subcommand", required=True)
-    ck = cv_sub.add_parser("check")
-    ck.add_argument("--map", required=True)
-    ck.add_argument("--samples", type=int, default=100)
-    ck.add_argument("--seed", type=int, default=0)
-    ck.set_defaults(handler=_cmd_cover_check)
-    for which in ("psi", "phi"):
-        pp = cv_sub.add_parser(which)
-        pp.add_argument("--map", required=True)
-        pp.add_argument("--region", required=True)
-        pp.set_defaults(handler=lambda args, w=which: _cmd_cover_psi_phi(args, w))
-
-    cn = sub.add_parser("cantor", help="the binary-expansion cover")
-    cn_sub = cn.add_subparsers(dest="subcommand", required=True)
-    cc = cn_sub.add_parser("check")
-    cc.add_argument("--depth", type=int, default=6)
-    cc.add_argument("--samples", type=int, default=200)
-    cc.add_argument("--seed", type=int, default=0)
-    cc.set_defaults(handler=_cmd_cantor_check)
-    cp = cn_sub.add_parser("psi")
-    cp.add_argument("--clopen", required=True)
-    cp.set_defaults(handler=_cmd_cantor_psi)
-    cf = cn_sub.add_parser("phi")
-    cf.add_argument("--region", required=True)
-    cf.add_argument("--depth", type=int, default=None)
-    cf.set_defaults(handler=_cmd_cantor_phi)
-
-    gl = sub.add_parser("gleason", help="finite projective covers")
-    gl.add_argument("--points", type=int, required=True)
-    gl.set_defaults(handler=_cmd_gleason)
-
-    idl = sub.add_parser("ideal", help="regular ideals")
-    idl.add_argument(
-        "op",
-        choices=["supp", "member", "join", "meet", "neg", "annihilator", "upsilon", "omega"],
-    )
-    idl.add_argument("--func")
-    idl.add_argument("--ideal")
-    idl.add_argument("--right")
-    idl.add_argument("--map")
-    idl.set_defaults(handler=_cmd_ideal)
-
-    eq = sub.add_parser("equiv", help="Boolean equivalence of descriptors")
-    eq.add_argument("left")
-    eq.add_argument("right")
-    eq.set_defaults(handler=_cmd_equiv)
-
-    co = sub.add_parser("compose", help="compose two covers over a common domain")
-    co.add_argument("--left", required=True)
-    co.add_argument("--right", required=True)
-    co.add_argument("--region")
-    co.add_argument("--direction", choices=["forward", "backward"], default="forward")
-    co.set_defaults(handler=_cmd_compose)
-
+    # the usage line of an error at the top lists every group, built or not; with
+    # all built argparse derives the same text, and its messages name `command`
+    sub = top.add_subparsers(dest="command", required=True,
+                             metavar="{%s}" % ",".join(groups) if named else None)
+    leaves = {}
+    for path, group_help, handler, arguments in _COMMANDS:
+        group, *leaf = path.split()
+        if named not in (None, group):
+            continue
+        if group not in leaves:
+            parser = sub.add_parser(group, help=group_help)
+            leaves[group] = parser.add_subparsers(dest="subcommand", required=True) if leaf else None
+        if leaf:
+            parser = leaves[group].add_parser(leaf[0])
+        for name, kwargs in arguments.items():
+            parser.add_argument(name, **kwargs)
+        parser.set_defaults(handler=handler)
     return top
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
-        return args.handler(args)
+        args = _build_parser(argv).parse_args(argv)
+        payload, ok = globals()[args.handler](args)
+        code = EXIT_OK if ok else EXIT_VERDICT
     except ExprSyntaxError as exc:
-        _emit(
-            {
-                "error": str(exc),
-                "at": {
-                    "line": exc.line,
-                    "col": exc.col,
-                    "expected": list(exc.expected),
-                    "found": exc.found,
-                },
-            }
-        )
-        return EXIT_INPUT
+        at = {"line": exc.line, "col": exc.col, "expected": list(exc.expected), "found": exc.found}
+        payload, code = {"error": str(exc), "at": at}, EXIT_INPUT
     except (NotIrreducible, NotSurjective) as exc:
-        _emit({"error": str(exc), "verdict": False})
-        return EXIT_VERDICT
+        payload, code = {"error": str(exc), "verdict": False}, EXIT_VERDICT
     except (RegopenError, ValueError, KeyError, TypeError, OSError) as exc:
-        _emit({"error": str(exc), "at": type(exc).__name__})
-        return EXIT_INPUT
+        payload, code = {"error": str(exc), "at": type(exc).__name__}, EXIT_INPUT
     except Exception as exc:  # no input may end in a traceback and exit 1
         import traceback  # only this branch needs it, so no request pays its import
         traceback.print_exc(file=sys.stderr)
-        _emit({"error": str(exc), "at": type(exc).__name__})
-        return EXIT_INPUT
+        payload, code = {"error": str(exc), "at": type(exc).__name__}, EXIT_INPUT
+    sys.stdout.write(jsonio.canonical_json(payload) + "\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -41,6 +41,8 @@ class _Value:
         return obj
 
     def __eq__(self, other):
+        if self is other:  # exact: no field of a value class is a float or other non-reflexive value
+            return True
         return self.__key(self) == self.__key(other) if other.__class__ is self.__class__ else NotImplemented
 
     def __hash__(self):

@@ -1,10 +1,15 @@
 """Command-line dispatch, exit codes, and output determinism."""
 from __future__ import annotations
 
+import argparse
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -517,6 +522,130 @@ class TestRobustness:
         assert code == 2
         assert captured.out == '{"at":"AttributeError","error":"boom"}\n'
         assert "Traceback" in captured.err and "AttributeError: boom" in captured.err
+
+
+# --- the argparse surface ----------------------------------------------------
+
+ALL_GROUPS = "{space,region,cover,cantor,gleason,ideal,equiv,compose}"
+# stdout and exit code of help and argument errors, byte for byte at 80 columns
+PINNED = [
+    (["--help"], 0, f"""usage: regopen [-h]
+               {ALL_GROUPS} ...
+
+Command-line surface: JSON in, canonical JSON out, exit codes that separate
+negative verdicts (1) from malformed input (2).
+
+positional arguments:
+  {ALL_GROUPS}
+    space               space inspection
+    region              region expressions
+    cover               piecewise-linear covers
+    cantor              the binary-expansion cover
+    gleason             finite projective covers
+    ideal               regular ideals
+    equiv               Boolean equivalence of descriptors
+    compose             compose two covers over a common domain
+
+options:
+  -h, --help            show this help message and exit
+"""),
+    (["space", "--help"], 0, """usage: regopen space [-h] {info} ...
+
+positional arguments:
+  {info}
+
+options:
+  -h, --help  show this help message and exit
+"""),
+    (["cover", "check", "--help"], 0, """usage: regopen cover check [-h] --map MAP [--samples SAMPLES] [--seed SEED]
+
+options:
+  -h, --help         show this help message and exit
+  --map MAP
+  --samples SAMPLES
+  --seed SEED
+"""),
+    (["ideal", "--help"], 0, """usage: regopen ideal [-h] [--func FUNC] [--ideal IDEAL] [--right RIGHT]
+                     [--map MAP]
+                     {supp,member,join,meet,neg,annihilator,upsilon,omega}
+
+positional arguments:
+  {supp,member,join,meet,neg,annihilator,upsilon,omega}
+
+options:
+  -h, --help            show this help message and exit
+  --func FUNC
+  --ideal IDEAL
+  --right RIGHT
+  --map MAP
+"""),
+    (["compose", "--help"], 0, """usage: regopen compose [-h] --left LEFT --right RIGHT [--region REGION]
+                       [--direction {forward,backward}]
+
+options:
+  -h, --help            show this help message and exit
+  --left LEFT
+  --right RIGHT
+  --region REGION
+  --direction {forward,backward}
+"""),
+    ([], 2, '{"at":"ValueError","error":"the following arguments are required: command"}\n'),
+    (["nope"], 2, '{"at":"ValueError","error":"argument command: invalid choice: \'nope\' (choose from '
+                  "'space', 'region', 'cover', 'cantor', 'gleason', 'ideal', 'equiv', 'compose')\"}\n"),
+    (["space"], 2, '{"at":"ValueError","error":"the following arguments are required: subcommand"}\n'),
+    (["space", "info"], 2, '{"at":"ValueError","error":"the following arguments are required: --space"}\n'),
+    (["cantor", "check", "--depth", "x"], 2, '{"at":"ValueError","error":"argument --depth: invalid int value: \'x\'"}\n'),
+    (["ideal", "bogus"], 2, '{"at":"ValueError","error":"argument op: invalid choice: \'bogus\' (choose from '
+                            "'supp', 'member', 'join', 'meet', 'neg', 'annihilator', 'upsilon', 'omega')\"}\n"),
+    (["compose", "--direction", "sideways", "--left", UNIT_JSON, "--right", UNIT_JSON], 2,
+     '{"at":"ValueError","error":"argument --direction: invalid choice: \'sideways\' (choose from '
+     "'forward', 'backward')\"}\n"),
+    (["cover", "psi", "--map"], 2, '{"at":"ValueError","error":"argument --map: expected one argument"}\n'),
+    (["space", "info", "--space", "{}", "extra"], 2, '{"at":"ValueError","error":"unrecognized arguments: extra"}\n'),
+]
+
+
+def outcome(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one in-process request; help exits through SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestArgparseSurface:
+    @pytest.mark.parametrize("argv, code, stdout", PINNED, ids=[" ".join(argv[:3] if len(argv) > 5 else argv) or "no arguments" for argv, *_ in PINNED])
+    def test_help_and_argument_errors_are_pinned(self, argv, code, stdout, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert outcome(argv)[:2] == (code, stdout)
+
+    def test_a_top_level_usage_line_lists_every_group(self, monkeypatch):
+        # the first word names a group, yet the usage line of an error at the top lists them all
+        monkeypatch.setenv("COLUMNS", "80")
+        err = outcome(["space", "info", "--space", "{}", "extra"])[2]
+        assert err == f"usage: regopen [-h]\n               {ALL_GROUPS} ...\n"
+
+    def test_a_request_builds_only_its_own_parsers(self, capsys, monkeypatch):
+        built, init = [], argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda parser, *a, **k: built.append(parser) or init(parser, *a, **k))
+        code, out = run(capsys, "space", "info", "--space", UNIT_JSON)
+        assert code == 0 and out["isolated"] == []
+        assert len(built) == 3  # the top, `space` and `space info`; all commands make 17
+
+    def test_the_script_entry_point_reads_sys_argv(self, capsys):
+        # `main()` without arguments, as the `regopen` script calls it
+        argv = ["equiv", '{"components":[{"kind":"interval"}]}', '{"components":[{"kind":"point"}]}']
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from regopen.cli import main; sys.exit(main())", *argv],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (main(argv), capsys.readouterr().out)
+        assert proc.returncode == 1 and json.loads(proc.stdout)["equivalent"] is False
 
 
 # --- fuzzing every subcommand -----------------------------------------------

@@ -142,6 +142,15 @@ def test_one_field_classes_hash_a_one_tuple():
     assert {Point(1), Point(2), Point(1)} == {Point(2), Point(1)}
 
 
+def test_a_value_compared_with_itself_computes_no_key(monkeypatch):
+    # `r.union(r)` checks that the space equals itself: identity settles it
+    key, calls = Space1D._Value__key, []
+    monkeypatch.setattr(Space1D, "_Value__key", staticmethod(lambda obj: calls.append(obj) or key(obj)))
+    r = region(UNIT_PT, (0, "1/2", True, False))
+    assert r.union(r) == r and calls == []
+    assert r.space != Space1D((Interval(0, 2),)) and len(calls) == 2  # two distinct spaces do
+
+
 def test_another_class_with_the_same_fields_is_unequal():
     pairs = [(Interval(0, 1), exprlang.IntervalLit(Fraction(0), Fraction(1))),
              (Point(2), exprlang.PointLit(Fraction(2))),
