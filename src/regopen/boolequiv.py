@@ -65,9 +65,6 @@ class BoolInvariant(_Value):
     isol_card: Union[int, str]  # a count, or OMEGA
     perfect_nonempty: bool
 
-    def to_json(self) -> dict:
-        return {"isol_card": self.isol_card, "perfect_nonempty": self.perfect_nonempty}
-
 
 def invariant(d: SpaceDescriptor) -> BoolInvariant:
     parts = [PARTS[kind] for kind in d.components]
@@ -83,13 +80,6 @@ class EquivalenceVerdict(_Value):
 
     def __bool__(self) -> bool:
         return self.equivalent
-
-    def to_json(self) -> dict:
-        return {
-            "equivalent": self.equivalent,
-            "left": self.left.to_json(),
-            "right": self.right.to_json(),
-        }
 
 
 def equivalent(d1: SpaceDescriptor, d2: SpaceDescriptor) -> EquivalenceVerdict:

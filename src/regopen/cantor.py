@@ -79,10 +79,6 @@ class CantorClopen(_Value):
             raise TypeError(f"words must be a collection of words, got the string {self.words!r}")
         object.__setattr__(self, "words", _canonical(self.words))
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.words
-
 
 EMPTY = CantorClopen(())
 FULL = CantorClopen(("",))
@@ -187,9 +183,6 @@ class CantorIrreducibilityReport(_Value):
         "base cylinders suffice: any closed set missing a point of C misses "
         "a whole cylinder around it"
     )
-
-    def to_json(self) -> dict:
-        return {f: getattr(self, f) for f in ("depth", "cylinders_checked", "ok", "note")}
 
 
 def check_irreducible_cantor(depth: int = 8) -> CantorIrreducibilityReport:

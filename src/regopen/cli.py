@@ -52,11 +52,11 @@ def _cmd_space_info(args):
     space = jsonio.decode_space(_load(args.space))
     dec = decompose_space(space)
     return {
-        "space": jsonio.encode_space(space),
-        "isolated": [jsonio.rat_str(x) for x in dec.isolated],
-        "atomic_part": jsonio.encode_region(dec.atomic_part),
-        "atomless_part": jsonio.encode_region(dec.atomless_part),
-        "descriptor": boolequiv.from_space1d(space).to_json(),
+        "space": space,
+        "isolated": dec.isolated,
+        "atomic_part": dec.atomic_part,
+        "atomless_part": dec.atomless_part,
+        "descriptor": boolequiv.from_space1d(space),
     }, True
 
 
@@ -69,27 +69,21 @@ def _cmd_region_eval(args):
         if not _ or not name:
             raise ValueError(f"binding {item!r} is not NAME=JSON")
         bindings[name] = jsonio.decode_region(space, _load(src))
-    result = eval_expr(parse_expr(args.expr), space, bindings)
-    return {
-        "region": jsonio.encode_region(result.region),
-        "open": result.open,
-        "closed": result.closed,
-        "regular_open": result.regular_open,
-    }, True
+    return eval_expr(parse_expr(args.expr), space, bindings), True
 
 
 def _cmd_cover_check(args):
     from .cover_iso import PLMapBackend, check_essential
     m = jsonio.decode_plmap(_load(args.map))
     report = check_essential(PLMapBackend(m), samples=args.samples, seed=args.seed)
-    return report.to_json(), report.all_ok
+    return report, report.all_ok
 
 
 def _cmd_cover_psi_phi(args):
     m = jsonio.decode_plmap(_load(args.map))
     psi = args.subcommand == "psi"
     region = jsonio.decode_region(m.domain if psi else m.codomain, _load(args.region))
-    return {"region": jsonio.encode_region(m.psi(region) if psi else m.phi(region))}, True
+    return {"region": m.psi(region) if psi else m.phi(region)}, True
 
 
 def _cmd_cantor_check(args):
@@ -99,19 +93,19 @@ def _cmd_cantor_check(args):
         raise ValueError(f"--depth is at most {MAX_CANTOR_CHECK_DEPTH}")
     irr = cantor.check_irreducible_cantor(args.depth)
     bridge = verify_bridge(args.depth, args.samples, args.seed)
-    return {"irreducible": irr.to_json(), "bridge": bridge.to_json()}, irr.ok and bridge.ok
+    return {"irreducible": irr, "bridge": bridge}, irr.ok and bridge.ok
 
 
 def _cmd_cantor_psi(args):
     from . import cantor
     k = jsonio.decode_clopen(_load(args.clopen))
-    return {"region": jsonio.encode_region(cantor.psi_c(k))}, True
+    return {"region": cantor.psi_c(k)}, True
 
 
 def _cmd_cantor_phi(args):
     from . import cantor
     region = jsonio.decode_region(cantor.UNIT_INTERVAL, _load(args.region))
-    return jsonio.encode_clopen(cantor.phi_c(region, depth=args.depth)), True
+    return cantor.phi_c(region, depth=args.depth), True
 
 
 def _cmd_gleason(args):
@@ -122,7 +116,7 @@ def _cmd_gleason(args):
     space = FiniteDiscreteSpace(labels)
     result = gleason_cover(space)
     report = verify_projective_cover(result.P, result.f, space, result.homs)
-    return report.to_json(), report.all_ok
+    return report, report.all_ok
 
 
 def _cmd_ideal(args):
@@ -130,7 +124,7 @@ def _cmd_ideal(args):
     op = args.op
     if op == "supp":
         f = jsonio.decode_plfunc(_load(args.func))
-        return {"region": jsonio.encode_region(pl_supp(f))}, True
+        return {"region": pl_supp(f)}, True
     if op == "member":
         f = jsonio.decode_plfunc(_load(args.func))
         j = jsonio.decode_ideal(_load(args.ideal))
@@ -138,15 +132,15 @@ def _cmd_ideal(args):
         return {"member": verdict}, verdict
     if op in ("neg", "annihilator"):  # the annihilator is the pseudocomplement
         j = jsonio.decode_ideal(_load(args.ideal))
-        return jsonio.encode_ideal(ideal_neg(j)), True
+        return ideal_neg(j), True
     if op in ("join", "meet"):
         j1 = jsonio.decode_ideal(_load(args.ideal))
         j2 = jsonio.decode_ideal(_load(args.right))
-        return jsonio.encode_ideal(ideal_join(j1, j2) if op == "join" else ideal_meet(j1, j2)), True
+        return ideal_join(j1, j2) if op == "join" else ideal_meet(j1, j2), True
     # upsilon / omega
     pi = jsonio.decode_plmap(_load(args.map))
     j = jsonio.decode_ideal(_load(args.ideal))
-    return jsonio.encode_ideal(upsilon(pi, j) if op == "upsilon" else omega(pi, j)), True
+    return upsilon(pi, j) if op == "upsilon" else omega(pi, j), True
 
 
 def _cmd_equiv(args):
@@ -154,7 +148,7 @@ def _cmd_equiv(args):
     verdict = boolequiv.equivalent(
         _descriptor_from(args.left), _descriptor_from(args.right)
     )
-    return verdict.to_json(), verdict.equivalent
+    return verdict, verdict.equivalent
 
 
 def _cmd_compose(args):
@@ -166,13 +160,14 @@ def _cmd_compose(args):
         return {"ok": True, "domain_key": ce.f.dom.key}, True
     forward = args.direction == "forward"
     v = jsonio.decode_region(right.codomain if forward else left.codomain, _load(args.region))
-    return {"region": jsonio.encode_region(ce.forward(v) if forward else ce.backward(v))}, True
+    return {"region": ce.forward(v) if forward else ce.backward(v)}, True
 
 
 _REQUIRED = {"required": True}
 # Each command once: its path, its group's help, the name of its handler in
 # this module (looked up when a request runs) and its arguments.  A handler
-# returns the payload and the verdict; `main` writes the line and exits 0 or 1.
+# returns the payload and the verdict; `main` encodes the payload, writes the
+# line and exits 0 or 1.
 _COMMANDS = (
     ("space info", "space inspection", "_cmd_space_info", {"--space": _REQUIRED}),
     ("region eval", "region expressions", "_cmd_region_eval", {
@@ -235,8 +230,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = _build_parser(argv).parse_args(argv)
-        payload, ok = globals()[args.handler](args)
-        code = EXIT_OK if ok else EXIT_VERDICT
+        value, ok = globals()[args.handler](args)
+        payload, code = jsonio.encode_value(value), EXIT_OK if ok else EXIT_VERDICT
     except ExprSyntaxError as exc:
         at = {"line": exc.line, "col": exc.col, "expected": list(exc.expected), "found": exc.found}
         payload, code = {"error": str(exc), "at": at}, EXIT_INPUT

@@ -13,7 +13,7 @@ import random
 from typing import Any, Callable, Optional
 
 from .errors import DomainMismatch, NotIrreducible, NotSurjective, _Value
-from .jsonio import encode_clopen, encode_region
+from .jsonio import encode_value
 from .plmap import PLMap, is_irreducible
 from .space import Point, Space1D, random_regular_open, ropen_join, ropen_meet, ropen_neg
 
@@ -29,14 +29,13 @@ def space_key(space: Space1D) -> str:
 
 
 class BooleanSide(_Value):
-    """One Boolean algebra of a cover: operations, a seeded generator, a JSON form."""
+    """One Boolean algebra of a cover: its operations and a seeded generator."""
 
     key: str
     join: Callable[[Any, Any], Any]
     meet: Callable[[Any, Any], Any]
     neg: Callable[[Any], Any]
     random: Callable[[random.Random], Any]
-    encode: Callable[[Any], Any]
 
 
 # (surjective, irreducible, witness in the domain or None, reason)
@@ -56,7 +55,7 @@ class Cover(_Value):
 
 def region_side(space: Space1D, draw: Callable[[random.Random], Any]) -> BooleanSide:
     """The regular-open algebra of a space, with `draw` as its generator."""
-    return BooleanSide(space_key(space), ropen_join, ropen_meet, ropen_neg, draw, encode_region)
+    return BooleanSide(space_key(space), ropen_join, ropen_meet, ropen_neg, draw)
 
 
 def PLMapBackend(m: PLMap, name: str = "plmap") -> Cover:
@@ -83,7 +82,7 @@ def CantorBackend(depth: int = 6) -> Cover:
     from . import cantor as _cantor
     words = BooleanSide(
         "cantor", _cantor.clopen_union, _cantor.clopen_inter, _cantor.clopen_compl,
-        lambda rng: _cantor.random_clopen(rng, rng.randint(1, depth)), encode_clopen,
+        lambda rng: _cantor.random_clopen(rng, rng.randint(1, depth)),
     )
     unit = region_side(
         _cantor.UNIT_INTERVAL,
@@ -125,22 +124,6 @@ class CoverReport(_Value):
             and not self.law_failures
             and not self.inverse_failures
         )
-
-    def to_json(self) -> dict:
-        return {
-            "backend": self.backend,
-            "surjective": self.surjective,
-            "irreducible": self.irreducible,
-            "witness": self.witness,
-            "reason": self.reason,
-            "samples": self.samples,
-            "seed": self.seed,
-            "law_passes": dict(sorted(self.law_passes.items())),
-            "law_failures": list(self.law_failures),
-            "inverse_passes": dict(sorted(self.inverse_passes.items())),
-            "inverse_failures": list(self.inverse_failures),
-            "all_ok": self.all_ok,
-        }
 
 
 def _battery(cover: Cover, samples: int, seed: int) -> tuple[dict, list, dict, list]:
@@ -190,7 +173,7 @@ def check_essential(cover: Cover, samples: int = 100, seed: int = 0) -> CoverRep
         backend=cover.name,
         surjective=surjective,
         irreducible=irreducible,
-        witness=cover.dom.encode(witness) if witness is not None else None,
+        witness=encode_value(witness),
         reason=reason,
         samples=samples,
         seed=seed,
@@ -211,16 +194,6 @@ class BridgeReport(_Value):
     @property
     def ok(self) -> bool:
         return not self.failures
-
-    def to_json(self) -> dict:
-        return {
-            "depth": self.depth,
-            "samples": self.samples,
-            "seed": self.seed,
-            "checks": self.checks,
-            "failures": list(self.failures),
-            "ok": self.ok,
-        }
 
 
 def verify_bridge(depth: int = 6, samples: int = 200, seed: int = 0) -> BridgeReport:

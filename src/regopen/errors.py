@@ -40,6 +40,16 @@ class _Value:
             object.__setattr__(obj, name, value)
         return obj
 
+    def to_json(self) -> dict:
+        """Each field through `jsonio.encode_value`, in order, then each property
+        the class itself defines: its verdict."""
+        from .jsonio import encode_value
+        out = {name: encode_value(value) for name, value in zip(self.__fields, self.__key(self))}
+        for name, attr in vars(type(self)).items():
+            if isinstance(attr, property):
+                out[name] = encode_value(getattr(self, name))
+        return out
+
     def __eq__(self, other):
         if self is other:  # exact: no field of a value class is a float or other non-reflexive value
             return True

@@ -199,17 +199,10 @@ class VerificationReport(_Value):
         )
 
     def to_json(self) -> dict:
-        out = {
-            "surjective": self.surjective,
-            "irreducible": self.irreducible,
-            "rigid": self.rigid,
-            "phi_eq_cl_preimage": self.phi_eq_cl_preimage,
-            "onto_sandwich": self.onto_sandwich,
-            "psi_inverts_phi": self.psi_inverts_phi,
-            "all_ok": self.all_ok,
-        }
-        if self.witnesses:
-            out["witnesses"] = self.witnesses
+        """The fields and `all_ok`; `witnesses` only when some check failed."""
+        out = super().to_json()
+        if not self.witnesses:
+            del out["witnesses"]
         return out
 
 

@@ -1,11 +1,11 @@
-"""JSON codecs for every interchange type; rationals travel as strings."""
+"""JSON codecs: one encoder for every value, one decoder per interchange type; rationals travel as strings."""
 from __future__ import annotations
 
 import json
 from typing import TYPE_CHECKING, Any
 
-from .errors import SpaceMismatch
-from .rationals import parse_rat, rat_str
+from .errors import SpaceMismatch, _Value
+from .rationals import Q, parse_rat, rat_str
 from .space import Interval, Point, Region, Space1D, Span, canonicalize
 
 if TYPE_CHECKING:  # the decoders that build these import them, so no codec loads them all
@@ -17,6 +17,25 @@ if TYPE_CHECKING:  # the decoders that build these import them, so no codec load
 def canonical_json(obj: Any) -> str:
     """Sorted keys, no whitespace: byte-stable for identical values."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def encode_value(x: Any) -> Any:
+    """The JSON form of a value: a rational as its string, a space and a region
+    in their own forms below, any other value class as its `to_json()`
+    (its fields, then its verdict), containers item by item."""
+    if isinstance(x, Q):
+        return rat_str(x)
+    if isinstance(x, Region):
+        return encode_region(x)
+    if isinstance(x, Space1D):
+        return encode_space(x)
+    if isinstance(x, _Value):
+        return x.to_json()
+    if isinstance(x, (tuple, list)):
+        return [encode_value(v) for v in x]
+    if isinstance(x, dict):
+        return {k: encode_value(v) for k, v in x.items()}
+    return x
 
 
 # --- spaces ---
@@ -90,15 +109,6 @@ def decode_region(space: Space1D, data: dict) -> Region:
 
 # --- piecewise-linear maps and functions ---
 
-def _encode_piece(p: Piece) -> dict:
-    return {
-        "src_lo": rat_str(p.src_lo),
-        "src_hi": rat_str(p.src_hi),
-        "slope": rat_str(p.slope),
-        "intercept": rat_str(p.intercept),
-    }
-
-
 def _decode_piece(data: dict) -> Piece:
     from .plmap import Piece
     return Piece(
@@ -109,23 +119,10 @@ def _decode_piece(data: dict) -> Piece:
     )
 
 
-def _encode_pairs(pairs) -> list:
-    return [[rat_str(a), rat_str(b)] for a, b in pairs]
-
-
 def _decode_pairs(data) -> tuple:
     if not isinstance(data, list) or not all(isinstance(p, list) and len(p) == 2 for p in data):
         raise ValueError(f"pairs must be a JSON list of two-element lists, got {data!r}")
     return tuple((parse_rat(a), parse_rat(b)) for a, b in data)
-
-
-def encode_plmap(m: PLMap) -> dict:
-    return {
-        "domain": encode_space(m.domain),
-        "codomain": encode_space(m.codomain),
-        "pieces": [[_encode_piece(p) for p in run] for run in m.pieces],
-        "point_images": _encode_pairs(m.point_images),
-    }
 
 
 def decode_plmap(data: dict) -> PLMap:
@@ -136,14 +133,6 @@ def decode_plmap(data: dict) -> PLMap:
         tuple(tuple(_decode_piece(p) for p in run) for run in data["pieces"]),
         _decode_pairs(data.get("point_images", [])),
     )
-
-
-def encode_plfunc(f: PLFunc) -> dict:
-    return {
-        "space": encode_space(f.space),
-        "pieces": [[_encode_piece(p) for p in run] for run in f.pieces],
-        "point_values": _encode_pairs(f.point_values),
-    }
 
 
 def decode_plfunc(data: dict) -> PLFunc:
@@ -157,20 +146,12 @@ def decode_plfunc(data: dict) -> PLFunc:
 
 # --- clopens and ideals ---
 
-def encode_clopen(k: CantorClopen) -> dict:
-    return {"words": list(k.words)}
-
-
 def decode_clopen(data: dict) -> CantorClopen:
     from .cantor import CantorClopen
     words = _object(data, "a clopen")["words"]
     if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
         raise ValueError(f"words must be a JSON list of strings, got {words!r}")
     return CantorClopen(tuple(words))
-
-
-def encode_ideal(j: RegIdeal) -> dict:
-    return {"space": encode_space(j.space), "support": encode_region(j.support)}
 
 
 def decode_ideal(data: dict) -> RegIdeal:

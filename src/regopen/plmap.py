@@ -246,16 +246,6 @@ class IrreducibilityVerdict(_Value):
     witness: Optional[Region] = None
     reason: str = ""
 
-    def to_json(self) -> dict:
-        from .jsonio import encode_region
-
-        out: dict = {"irreducible": self.irreducible}
-        if self.reason:
-            out["reason"] = self.reason
-        if self.witness is not None:
-            out["witness"] = encode_region(self.witness)
-        return out
-
 
 def is_irreducible(m: PLMap) -> IrreducibilityVerdict:
     """Decide whether no proper closed subset of the domain still surjects.

@@ -45,7 +45,7 @@ def leaves(k: CantorClopen, depth: int) -> frozenset[str]:
 
 
 def leafset(k: CantorClopen, depth: int) -> frozenset[str]:
-    return leaves(k, depth) if not k.is_empty else frozenset()
+    return leaves(k, depth) if k.words else frozenset()
 
 
 def leafmask(k: CantorClopen, depth: int) -> int:
@@ -190,7 +190,7 @@ class TestBridgeExamples:
         rng = random.Random(8)
         for _ in range(100):
             k = random_clopen(rng, rng.randint(1, 6))
-            if not k.is_empty:
+            if k.words:
                 assert not psi_c(k).is_empty
 
     def test_phi_examples(self):

@@ -35,7 +35,7 @@ def run(capsys, *argv: str) -> tuple[int, dict]:
 
 
 def plmap_json(m: PLMap) -> str:
-    return json.dumps(jsonio.encode_plmap(m))
+    return json.dumps(jsonio.encode_value(m))
 
 
 def region_json(r: Region) -> str:
@@ -288,7 +288,7 @@ class TestIdeal:
     def test_supp(self, capsys):
         f = plfunc_from_breakpoints(UNIT, [(0, 0), (1, 1)])
         code, out = run(
-            capsys, "ideal", "supp", "--func", json.dumps(jsonio.encode_plfunc(f))
+            capsys, "ideal", "supp", "--func", json.dumps(jsonio.encode_value(f))
         )
         assert code == 0
         assert out["region"]["spans"] == [
@@ -305,7 +305,7 @@ class TestIdeal:
         )
         code, out = run(
             capsys, "ideal", "member", "--func",
-            json.dumps(jsonio.encode_plfunc(f)), "--ideal", wide,
+            json.dumps(jsonio.encode_value(f)), "--ideal", wide,
         )
         assert code == 0 and out["member"] is True
         narrow = json.dumps(
@@ -314,7 +314,7 @@ class TestIdeal:
         )
         code, out = run(
             capsys, "ideal", "member", "--func",
-            json.dumps(jsonio.encode_plfunc(f)), "--ideal", narrow,
+            json.dumps(jsonio.encode_value(f)), "--ideal", narrow,
         )
         assert code == 1 and out["member"] is False
 
@@ -684,10 +684,10 @@ PIECES = st.lists(
     st.lists(_obj(src_lo=RAT, src_hi=RAT, slope=RAT, intercept=RAT), max_size=2), max_size=2
 )
 PLMAP = _mostly(
-    [jsonio.encode_plmap(m) for m in MAPS], _obj(domain=SPACE, codomain=SPACE, pieces=PIECES, point_images=PAIRS)
+    [jsonio.encode_value(m) for m in MAPS], _obj(domain=SPACE, codomain=SPACE, pieces=PIECES, point_images=PAIRS)
 )
 PLFUNC = _mostly(
-    [jsonio.encode_plfunc(plfunc_from_breakpoints(UNIT, [(0, 0), (rat(1, 2), 1), (1, 0)]))],
+    [jsonio.encode_value(plfunc_from_breakpoints(UNIT, [(0, 0), (rat(1, 2), 1), (1, 0)]))],
     _obj(space=SPACE, pieces=PIECES, point_values=PAIRS),
 )
 IDEAL = _mostly(

@@ -425,10 +425,17 @@ def _random_cover(rng: random.Random, primes=()) -> PLMap:
 
 
 def _verdict(m: PLMap):
+    """The verdict, with `reason` and `witness` only when set."""
     try:
-        return is_irreducible(m).to_json()
+        v = is_irreducible(m)
     except NotSurjective as exc:
         return ("NotSurjective", str(exc))
+    out = {"irreducible": v.irreducible}
+    if v.reason:
+        out["reason"] = v.reason
+    if v.witness is not None:
+        out["witness"] = v.witness
+    return out
 
 
 # folds whose overlap starts where two branch images share an endpoint

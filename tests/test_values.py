@@ -38,7 +38,7 @@ VALUE_CLASSES = [
     (ideals.RegIdeal, "space support", {}),
     (cantor.CantorClopen, "words", {}),
     (cantor.CantorIrreducibilityReport, "depth cylinders_checked ok note", {"note": NOTE}),
-    (cover_iso.BooleanSide, "key join meet neg random encode", {}),
+    (cover_iso.BooleanSide, "key join meet neg random", {}),
     (cover_iso.Cover, "name dom cod psi phi decide", {}),
     (cover_iso.CoverReport, "backend surjective irreducible witness reason samples seed law_passes "
                             "law_failures inverse_passes inverse_failures", {}),

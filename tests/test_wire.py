@@ -2,20 +2,23 @@
 CLI or a caller encodes, and decode(encode(x)) == x for every codec pair."""
 from __future__ import annotations
 
+import json
+import random
+
 import pytest
 
 from regopen import jsonio
 from regopen.boolequiv import descriptor, equivalent
-from regopen.cantor import CantorClopen, check_irreducible_cantor
+from regopen.cantor import CantorClopen, check_irreducible_cantor, random_clopen
 from regopen.cover_iso import BridgeReport, PLMapBackend, check_essential, verify_bridge
-from regopen.exprlang import EvalResult, eval_expr, parse_expr
+from regopen.exprlang import eval_expr, parse_expr
 from regopen.finball import FinCover, FiniteDiscreteSpace, gleason_cover, verify_projective_cover
-from regopen.ideals import PLFunc, RegIdeal, plfunc_from_breakpoints
-from regopen.plmap import PLMap, identity_map, plmap_from_breakpoints
+from regopen.ideals import RegIdeal, plfunc_from_breakpoints
+from regopen.plmap import identity_map, plmap_from_breakpoints
 from regopen.rationals import rat
-from regopen.space import Region, Span
+from regopen.space import Interval, Point, Region, Space1D, Span
 
-from conftest import UNIT, UNIT_PT
+from conftest import UNIT, UNIT_PT, random_region
 
 TENT = plmap_from_breakpoints(UNIT, UNIT, [(0, 0), (rat(1, 2), 1), (1, 0)])
 X2 = FiniteDiscreteSpace(("x0", "x1"))
@@ -99,22 +102,105 @@ PINNED = {
 }
 
 
-def _encode(x):
-    if isinstance(x, PLMap):
-        return jsonio.encode_plmap(x)
-    if isinstance(x, PLFunc):
-        return jsonio.encode_plfunc(x)
-    if isinstance(x, CantorClopen):
-        return jsonio.encode_clopen(x)
-    if isinstance(x, RegIdeal):
-        return jsonio.encode_ideal(x)
-    if isinstance(x, EvalResult):
-        return {"region": jsonio.encode_region(x.region), "open": x.open, "closed": x.closed,
-                "regular_open": x.regular_open}
-    return x.to_json()
-
-
 @pytest.mark.parametrize("name", PINNED)
 def test_pinned_bytes(name):
     make, wire = PINNED[name]
-    assert jsonio.canonical_json(_encode(make())) == wire
+    assert jsonio.canonical_json(jsonio.encode_value(make())) == wire
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_wire_form_is_json_native(name):
+    """No tuple, rational or non-string key survives: plain `json` round-trips it."""
+    wire = jsonio.encode_value(PINNED[name][0]())
+    assert json.loads(json.dumps(wire)) == wire
+
+
+# --- decode(encode(x)) == x on seeded values ---
+
+PRIMES = (3, 5, 7, 11, 13)
+
+
+def _q(rng: random.Random, lo: int, hi: int):
+    return rat(rng.randint(lo, hi), rng.choice(PRIMES))
+
+
+def _space(rng: random.Random) -> Space1D:
+    """At least one interval and one isolated point, in random order."""
+    kinds = ["interval", "point"] + [rng.choice(("interval", "point")) for _ in range(rng.randint(0, 3))]
+    rng.shuffle(kinds)
+    comps, x = [], _q(rng, -10, 0)
+    for kind in kinds:
+        if kind == "point":
+            comps.append(Point(x))
+        else:
+            comps.append(Interval(x, x + _q(rng, 1, 9)))
+            x = comps[-1].b
+        x += _q(rng, 1, 9)
+    return Space1D(tuple(comps))
+
+
+def _breakpoints(rng: random.Random, space: Space1D) -> list:
+    """Values in [-10, 10] at both ends and some inner points of each interval:
+    slopes of both signs, and now and then a flat piece."""
+    values = []
+    for comp in space.interval_components():
+        inner = sorted({comp.a + (comp.b - comp.a) * rat(rng.randint(1, 12), 13) for _ in range(rng.randint(0, 3))})
+        for x in [comp.a, *inner, comp.b]:
+            values.append((x, values[-1][1] if values and rng.random() < 0.2 else _q(rng, -30, 30)))
+    return values
+
+
+CODOMAIN = Space1D((Interval(-10, 10), Point(11)))
+
+
+def _plmap(rng: random.Random):
+    space = _space(rng)
+    points = [(p.at, rng.choice((_q(rng, -30, 30), rat(11)))) for p in space.point_components()]
+    return plmap_from_breakpoints(space, CODOMAIN, _breakpoints(rng, space), points)
+
+
+def _plfunc(rng: random.Random):
+    space = _space(rng)
+    points = tuple((p.at, _q(rng, -30, 30)) for p in space.point_components())
+    return plfunc_from_breakpoints(space, _breakpoints(rng, space), points)
+
+
+def _clopen(rng: random.Random) -> CantorClopen:
+    if rng.random() < 0.5:
+        return random_clopen(rng, rng.randint(1, 6))
+    return CantorClopen(tuple(format(rng.getrandbits(k), f"0{k}b") for k in (rng.randint(1, 8) for _ in range(3))))
+
+
+def _ideal(rng: random.Random) -> RegIdeal:
+    space = _space(rng)
+    return RegIdeal(space, random_region(space, rng, 5, 13).regularize())
+
+
+CODECS = {
+    "space": (_space, jsonio.decode_space),
+    "plmap": (_plmap, jsonio.decode_plmap),
+    "plfunc": (_plfunc, jsonio.decode_plfunc),
+    "clopen": (_clopen, jsonio.decode_clopen),
+    "ideal": (_ideal, jsonio.decode_ideal),
+}
+
+
+def _round_trip(x):
+    return json.loads(jsonio.canonical_json(jsonio.encode_value(x)))
+
+
+@pytest.mark.parametrize("name", CODECS)
+def test_codec_round_trip(name):
+    make, decode = CODECS[name]
+    rng = random.Random(name)
+    for _ in range(40):
+        x = make(rng)
+        assert decode(_round_trip(x)) == x
+
+
+def test_region_round_trip():
+    rng = random.Random(1_515)
+    for _ in range(40):
+        space = _space(rng)
+        r = random_region(space, rng, 5, 13)
+        assert jsonio.decode_region(space, _round_trip(r)) == r
