@@ -15,9 +15,10 @@ EXIT_OK = 0
 EXIT_VERDICT = 1
 EXIT_INPUT = 2
 
-# `gleason` enumerates every subset for each point, n·2ⁿ work: 16 points
-# take a few seconds, 30 would take hours.
-MAX_GLEASON_POINTS = 16
+# `gleason` builds and checks the cover in time linear in the points: on a
+# 2-vCPU VM the cover and its checks take about 18 ms at 4096 points and
+# 0.4 s at 65,536.  The bound keeps a request's work small.
+MAX_GLEASON_POINTS = 4096
 # `cantor check` drops each of the 2^(d+1) - 2 cylinders of depth at most d,
 # O(2^d·d) work in all, then runs the bridge battery on dense random clopens
 # of depth up to d, which dominates.  On a 2-vCPU VM with the default 200

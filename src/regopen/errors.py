@@ -88,10 +88,6 @@ class UnboundName(RegopenError):
     """A term or expression referenced a name with no binding."""
 
 
-class NotSingleton(RegopenError):
-    """A filter intersection that must be a single point was not."""
-
-
 class Discontinuity(RegopenError):
     """A piecewise map has mismatched values at a shared breakpoint."""
 

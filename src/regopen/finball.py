@@ -3,16 +3,16 @@
 A finite Boolean algebra is the power set of its atoms; elements are
 frozensets of atom indices.  Every two-valued homomorphism of such an
 algebra is evaluation at a single atom, so the dual space is carried by
-the atom indices themselves.  The cover construction intersects the
-closed sets a homomorphism votes for and lands on exactly one point.
+the atom indices themselves.  A finite discrete space is extremally
+disconnected, hence its own projective cover, and every cover check is
+read in closed form over the fibres.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .errors import NotSingleton, UnboundName, _Value
+from .errors import _Value
 
 Element = frozenset  # of atom indices
 
@@ -54,21 +54,6 @@ class FiniteBooleanAlgebra(_Value):
     def neg(self, a: Element) -> Element:
         return self.one - a
 
-    def elements(self) -> Iterable[Element]:
-        for r in range(self.n + 1):
-            for combo in itertools.combinations(range(self.n), r):
-                yield frozenset(combo)
-
-    def from_labels(self, labels: Iterable[str]) -> Element:
-        idx = {lab: i for i, lab in enumerate(self.atom_labels)}
-        try:
-            return frozenset(idx[lab] for lab in labels)
-        except KeyError as exc:
-            raise UnboundName(f"unknown atom label {exc.args[0]!r}") from exc
-
-    def to_labels(self, e: Element) -> list[str]:
-        return sorted(self.atom_labels[i] for i in e)
-
 
 class TwoValuedHom(_Value):
     """A homomorphism onto {0, 1}: evaluation at one atom."""
@@ -82,11 +67,6 @@ class TwoValuedHom(_Value):
 def dual_space(algebra: FiniteBooleanAlgebra) -> tuple[TwoValuedHom, ...]:
     """All two-valued homomorphisms: one evaluation per atom."""
     return tuple([TwoValuedHom(i) for i in range(algebra.n)])
-
-
-def phi_hat(algebra: FiniteBooleanAlgebra, e: Element) -> frozenset[TwoValuedHom]:
-    """The clopen set of homomorphisms sending e to 1."""
-    return frozenset(p for p in dual_space(algebra) if p(e))
 
 
 # --- finite discrete spaces and covers ---
@@ -131,20 +111,6 @@ class FinCover(_Value):
         index = {lab: cod_index[mapping[lab]] for lab in self.domain.point_labels}
         object.__setattr__(self, "index", index)
 
-    def apply(self, label: str) -> str:
-        return self.codomain.point_labels[self.index[label]]
-
-    def image_of(self, subset: frozenset[int]) -> frozenset[int]:
-        """Index-level image of a set of domain point indices."""
-        dom = self.domain.point_labels
-        return frozenset(self.index[dom[i]] for i in subset)
-
-    def preimage_of(self, subset: frozenset[int]) -> frozenset[int]:
-        return frozenset(i for i, x in enumerate(self.index.values()) if x in subset)
-
-    def is_surjective(self) -> bool:
-        return len(set(self.index.values())) == self.codomain.n
-
 
 class GleasonCoverResult(NamedTuple):
     P: FiniteDiscreteSpace
@@ -156,24 +122,14 @@ def gleason_cover(x: FiniteDiscreteSpace) -> GleasonCoverResult:
     """Build the dual-space cover of a finite discrete space.
 
     Regular opens of x are all subsets; the k-th point of the cover is
-    the evaluation homomorphism at atom k, and it is sent to the unique
-    point in the intersection of all closed sets it votes for.
+    the evaluation homomorphism at atom k.  The closed sets it votes for
+    are the subsets holding atom k (cl V = V in a discrete space), whose
+    intersection is exactly {k}: the cover is the identity p_k -> x_k.
     """
-    algebra = FiniteBooleanAlgebra(x.point_labels)
-    homs = dual_space(algebra)
-    p_space = FiniteDiscreteSpace(tuple([f"p{k}" for k in range(len(homs))]))
-    table = []
-    universe = frozenset(range(x.n))
-    for k, hom in enumerate(homs):
-        acc = universe
-        for v in algebra.elements():
-            if hom(v):
-                acc = acc & v  # discrete: cl V = V
-        if len(acc) != 1:
-            raise NotSingleton(f"hom {k} pins {len(acc)} points")
-        (target,) = acc
-        table.append((p_space.point_labels[k], x.point_labels[target]))
-    return GleasonCoverResult(p_space, FinCover(p_space, x, tuple(table)), homs)
+    homs = dual_space(FiniteBooleanAlgebra(x.point_labels))
+    p_space = FiniteDiscreteSpace(tuple([f"p{k}" for k in range(x.n)]))
+    table = tuple(zip(p_space.point_labels, x.point_labels))
+    return GleasonCoverResult(p_space, FinCover(p_space, x, table), homs)
 
 
 class VerificationReport(_Value):
@@ -212,48 +168,52 @@ def verify_projective_cover(
     x: FiniteDiscreteSpace,
     homs: Optional[Sequence[TwoValuedHom]] = None,
 ) -> VerificationReport:
-    """Exhaustively check the cover properties of f: P -> X.
+    """Check the cover properties of f: P -> X, in closed form over the fibres.
 
-    Without `homs`, each point p of P is the evaluation at its image f(p).
-    All subsets of both spaces are enumerated, so keep |P| and |X| small.
-    Each failed property reports the first subset, in bit order, on which
-    it fails.
+    Without `homs`, each point p of P is the evaluation at its image f(p);
+    hom k stands for point k of P.  Each failed property reports the first
+    subset, in bit order, on which it fails, read off the fibres in
+    O(|P| + |X|) without enumerating subsets:
+    - φ(V) = {k : hom k holds on V}, f⁻¹, f∘φ and φ∘f all preserve unions,
+      so a subset fails only if one of its points does, and the first
+      failure is the singleton of the lowest failing point;
+    - a proper subset of P maps onto X iff it meets every fibre, which
+      needs f surjective with some fibre of two points; the fibre minima
+      are then the least such subset in bit order, since any other
+      differs from them first, at its highest differing bit, by a larger
+      element.
     """
     if f.domain != p or f.codomain != x:
         raise ValueError("cover does not connect the given spaces")
-    homs = tuple([TwoValuedHom(i) for i in f.index.values()]) if homs is None else tuple(homs)
-    x_all = frozenset(range(x.n))
+    images = list(f.index.values())
+    fibres = _fibres(images)
+    # phi({a}): the homs that hold on atom a, in increasing order
+    votes = _fibres(images if homs is None else [hom.atom_index for hom in homs])
 
-    def phi(v: frozenset[int]) -> frozenset[int]:
-        return frozenset(k for k, hom in enumerate(homs) if hom(v))
+    def first(space: FiniteDiscreteSpace, fails) -> Optional[list[str]]:
+        return next(([lab] for i, lab in enumerate(space.point_labels) if fails(i)), None)
 
-    def first_failure(space: FiniteDiscreteSpace, fails) -> Optional[list[str]]:
-        for bits in range(2 ** space.n):
-            subset = frozenset(i for i in range(space.n) if bits >> i & 1)
-            if fails(subset):
-                return sorted(space.point_labels[i] for i in subset)
-        return None
-
-    # rigid: the only h with f∘h = f is the identity.  Such h send each
-    # point into its fibre; the first one tried, each point to the first
-    # point of its fibre, is the identity exactly when every fibre is a
-    # single point, and otherwise is the witness.
-    fibres = _fibres(f)
-    moved = {lab: fibres[i][0] for lab, i in f.index.items() if fibres[i][0] != lab}
+    surjective = len(fibres) == x.n
+    shared = surjective and len(fibres) < p.n  # some fibre has two points
     # discrete spaces: cl and int are identities, so psi = f(-) and
     # phi = cl f^{-1}(-) = f^{-1}(-); "onto" (f(phi(B)) = B) is also the
     # first half of psi inverting phi
-    onto = first_failure(x, lambda b: f.image_of(phi(b)) != b)
+    onto = first(x, lambda b: not votes.get(b) or any(images[k] != b for k in votes[b]))
     found = {  # in VerificationReport's field order
-        "irreducible": first_failure(p, lambda e: len(e) < p.n and f.image_of(e) == x_all),
-        "rigid": moved or None,
-        "phi_eq_cl_preimage": first_failure(x, lambda v: phi(v) != f.preimage_of(v)),
+        "irreducible": sorted(p.point_labels[ps[0]] for ps in fibres.values()) if shared else None,
+        # rigid: the only h with f∘h = f is the identity.  Such h send each
+        # point into its fibre; the first one tried, each point to the first
+        # point of its fibre, is the identity exactly when every fibre is a
+        # single point, and otherwise is the witness.
+        "rigid": {p.point_labels[i]: p.point_labels[fibres[b][0]]
+                  for i, b in enumerate(images) if fibres[b][0] != i} or None,
+        "phi_eq_cl_preimage": first(x, lambda v: votes.get(v, []) != fibres.get(v, [])),
         "onto_sandwich": onto,
         "psi_inverts_phi": onto if onto is not None
-        else first_failure(p, lambda e: phi(f.image_of(e)) != e),
+        else first(p, lambda i: votes.get(images[i]) != [i]),
     }
     witnesses = {name: w for name, w in found.items() if w is not None}
-    return VerificationReport(f.is_surjective(), *(w is None for w in found.values()), witnesses)
+    return VerificationReport(surjective, *(w is None for w in found.values()), witnesses)
 
 
 def unique_cover_homeomorphism(f1: FinCover, f2: FinCover) -> tuple[dict, int]:
@@ -268,19 +228,19 @@ def unique_cover_homeomorphism(f1: FinCover, f2: FinCover) -> tuple[dict, int]:
         raise ValueError("covers must share the codomain")
     if f1.domain.n != f2.domain.n:
         raise ValueError("cover domains differ in size")
-    fibres1, fibres2 = _fibres(f1), _fibres(f2)
+    fibres1, fibres2 = _fibres(f1.index.values()), _fibres(f2.index.values())
     if {x: len(ps) for x, ps in fibres1.items()} != {x: len(ps) for x, ps in fibres2.items()}:
         raise ValueError("no homeomorphism over the codomain exists")
     unused = {x: iter(ps) for x, ps in fibres2.items()}
-    mapping = {lab: next(unused[x]) for lab, x in f1.index.items()}
+    mapping = {lab: f2.domain.point_labels[next(unused[x])] for lab, x in f1.index.items()}
     return mapping, math.prod(math.factorial(len(ps)) for ps in fibres1.values())
 
 
-def _fibres(f: FinCover) -> dict[int, list[str]]:
-    """Domain labels over each codomain index, in domain index order."""
-    fibres: dict[int, list[str]] = {}
-    for lab, i in f.index.items():
-        fibres.setdefault(i, []).append(lab)
+def _fibres(images: Iterable[int]) -> dict[int, list[int]]:
+    """The indices i over each value of images[i], in increasing order."""
+    fibres: dict[int, list[int]] = {}
+    for i, b in enumerate(images):
+        fibres.setdefault(b, []).append(i)
     return fibres
 
 

@@ -70,6 +70,7 @@ from regopen.space import (
 )
 
 from conftest import FIXTURE_SPACES, MIXED, TWO_INTERVALS, UNIT, random_plfunc, random_region
+import finball_oracle
 from grid_oracle import GridOracle
 
 ZERO_TWO = Space1D((Interval(0, 2),))
@@ -149,6 +150,10 @@ def test_criterion_2_finite_cover_suite():
         assert rep.onto_sandwich
         assert rep.psi_inverts_phi
         assert rep.all_ok and not rep.witnesses
+        # the enumerating construction and checks, every subset of both spaces
+        oracle = finball_oracle.gleason_cover(x)
+        assert oracle == res
+        assert finball_oracle.verify_projective_cover(oracle.P, oracle.f, x, oracle.homs) == rep
 
     for n in range(1, 7):
         x = FiniteDiscreteSpace(tuple(f"x{i}" for i in range(n)))

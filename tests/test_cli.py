@@ -278,8 +278,13 @@ class TestGleason:
         ):
             assert out[key] is True
 
+    def test_4096_points_verify(self, capsys):
+        # linear work: 2^4096 subsets could never be enumerated
+        code, out = run(capsys, "gleason", "--points", "4096")
+        assert code == 0 and out["all_ok"] is True
+
     def test_points_above_the_bound_are_input_errors(self, capsys):
-        for points in (MAX_GLEASON_POINTS + 1, 30):
+        for points in (MAX_GLEASON_POINTS + 1, 10**6):
             code, out = run(capsys, "gleason", "--points", str(points))
             assert code == 2 and out["at"] == "ValueError"
 

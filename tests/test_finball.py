@@ -5,21 +5,35 @@ import itertools
 
 import pytest
 
-from regopen.errors import UnboundName
+import finball_oracle as oracle
+from finball_oracle import subsets
 from regopen.finball import (
     FinCover,
     FiniteBooleanAlgebra,
     FiniteDiscreteSpace,
     TwoValuedHom,
+    VerificationReport,
     dual_space,
     gleason_cover,
     iso_check,
-    phi_hat,
     unique_cover_homeomorphism,
     verify_projective_cover,
 )
+from regopen.jsonio import canonical_json, encode_value
 
 ABC = FiniteBooleanAlgebra(("a", "b", "c"))
+
+
+def element(algebra: FiniteBooleanAlgebra, *labels: str) -> frozenset:
+    return frozenset(algebra.atom_labels.index(lab) for lab in labels)
+
+
+def labels_of(algebra: FiniteBooleanAlgebra, e: frozenset) -> list[str]:
+    return sorted(algebra.atom_labels[i] for i in e)
+
+
+def wire(report: VerificationReport) -> str:
+    return canonical_json(encode_value(report))
 
 
 def exhaustive_two_valued_homs(n: int) -> list[int]:
@@ -76,10 +90,11 @@ def rigidity_by_enumeration(f: FinCover) -> tuple[bool, dict | None]:
     first h that moves a point is the witness, given on the points it moves.
     """
     p = f.domain.point_labels
+    over = dict(f.table)
     fibres: dict[str, list[int]] = {}
     for i, lab in enumerate(p):
-        fibres.setdefault(f.apply(lab), []).append(i)
-    for combo in itertools.product(*(fibres[f.apply(lab)] for lab in p)):
+        fibres.setdefault(over[lab], []).append(i)
+    for combo in itertools.product(*(fibres[over[lab]] for lab in p)):
         if any(c != i for i, c in enumerate(combo)):
             return False, {p[i]: p[c] for i, c in enumerate(combo) if i != c}
     return True, None
@@ -118,17 +133,13 @@ class TestAlgebraBasics:
             FiniteBooleanAlgebra(())
 
     def test_ops(self):
-        x = ABC.from_labels(["a"])
-        y = ABC.from_labels(["a", "b"])
-        assert ABC.to_labels(ABC.join(x, y)) == ["a", "b"]
-        assert ABC.to_labels(ABC.meet(x, y)) == ["a"]
-        assert ABC.to_labels(ABC.neg(y)) == ["c"]
+        x = element(ABC, "a")
+        y = element(ABC, "a", "b")
+        assert labels_of(ABC, ABC.join(x, y)) == ["a", "b"]
+        assert labels_of(ABC, ABC.meet(x, y)) == ["a"]
+        assert labels_of(ABC, ABC.neg(y)) == ["c"]
         assert ABC.one == frozenset({0, 1, 2})
-        assert len(list(ABC.elements())) == 8
-
-    def test_unknown_label(self):
-        with pytest.raises(UnboundName):
-            ABC.from_labels(["a", "zz"])
+        assert ABC.zero == frozenset() and ABC.atom(1) == element(ABC, "b")
 
 
 class TestDualSpace:
@@ -161,28 +172,11 @@ class TestDualSpace:
     def test_hom_preserves_structure(self):
         algebra = FiniteBooleanAlgebra(("a", "b", "c"))
         for p in dual_space(algebra):
-            for u in algebra.elements():
+            for u in subsets(algebra.n):
                 assert p(algebra.neg(u)) == 1 - p(u)
-                for v in algebra.elements():
+                for v in subsets(algebra.n):
                     assert p(algebra.join(u, v)) == p(u) | p(v)
                     assert p(algebra.meet(u, v)) == p(u) & p(v)
-
-
-class TestPhiHat:
-    def test_is_boolean_isomorphism(self):
-        algebra = FiniteBooleanAlgebra(tuple("pqrstu"[:6]))
-        seen = set()
-        for u in algebra.elements():
-            seen.add(phi_hat(algebra, u))
-            for v in algebra.elements():
-                assert phi_hat(algebra, algebra.join(u, v)) == phi_hat(algebra, u) | phi_hat(algebra, v)
-                assert phi_hat(algebra, algebra.meet(u, v)) == phi_hat(algebra, u) & phi_hat(algebra, v)
-            assert phi_hat(algebra, algebra.neg(u)) == frozenset(dual_space(algebra)) - phi_hat(algebra, u)
-        assert len(seen) == 2 ** algebra.n  # injective onto the power set of homs
-
-    def test_example(self):
-        homs = dual_space(ABC)
-        assert phi_hat(ABC, ABC.from_labels(["a", "c"])) == frozenset({homs[0], homs[2]})
 
 
 class TestGleasonCover:
@@ -199,7 +193,7 @@ class TestGleasonCover:
         # hom k is evaluation at atom k and lands on point k
         for k, lab in enumerate(p.point_labels):
             assert homs[k].atom_index == k
-            assert f.apply(lab) == x.point_labels[k]
+            assert dict(f.table)[lab] == x.point_labels[k]
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_all_sizes_verify(self, n):
@@ -251,6 +245,52 @@ class TestVerifyFixtures:
         assert report.all_ok, report.witnesses
 
 
+class TestAgainstEnumeratingOracle:
+    """The closed forms against the enumerating cover and checks they replaced."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_gleason_cover(self, n):
+        x = FiniteDiscreteSpace(tuple(f"x{i}" for i in range(n)))
+        assert gleason_cover(x) == oracle.gleason_cover(x)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_cover_up_to_relabelling(self, n):
+        for f1 in partition_covers(n):
+            for order in (list(range(n)), list(range(n))[::-1], [(i + 1) % n for i in range(n)]):
+                f = relabel(f1, order)
+                args = (f.domain, f, f.codomain)
+                assert wire(verify_projective_cover(*args)) == wire(oracle.verify_projective_cover(*args))
+
+    def test_every_homs_tuple(self):
+        # every map P -> X and every tuple of homs, atom indices 0..|X|,
+        # where atom |X| lies outside X and holds on no subset
+        for n, m in itertools.product(range(1, 4), repeat=2):
+            p = FiniteDiscreteSpace(tuple(f"p{i}" for i in range(n)))
+            x = FiniteDiscreteSpace(tuple(f"x{k}" for k in range(m)))
+            for images in itertools.product(x.point_labels, repeat=n):
+                f = FinCover(p, x, tuple(zip(p.point_labels, images)))
+                for atoms in itertools.product(range(m + 1), repeat=n):
+                    homs = tuple(TwoValuedHom(a) for a in atoms)
+                    assert wire(verify_projective_cover(p, f, x, homs)) == \
+                        wire(oracle.verify_projective_cover(p, f, x, homs))
+
+
+class TestWorkBound:
+    def test_two_point_fibres_at_64_points(self):
+        # 2^64 subsets: an enumeration could not finish
+        p = FiniteDiscreteSpace(tuple(f"p{i}" for i in range(64)))
+        x = FiniteDiscreteSpace(tuple(f"x{b}" for b in range(32)))
+        f = FinCover(p, x, tuple((f"p{i}", f"x{i % 32}") for i in range(64)))
+        report = verify_projective_cover(p, f, x)
+        assert report.surjective and not report.irreducible and not report.rigid
+        assert report.phi_eq_cl_preimage and report.onto_sandwich and not report.psi_inverts_phi
+        assert report.witnesses == {
+            "irreducible": sorted(f"p{i}" for i in range(32)),
+            "rigid": {f"p{i}": f"p{i - 32}" for i in range(32, 64)},
+            "psi_inverts_phi": ["p0"],
+        }
+
+
 class TestRigidity:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_closed_form_matches_enumeration_on_every_cover(self, n):
@@ -275,8 +315,9 @@ class TestUniqueHomeomorphism:
         f2 = FinCover(f2_raw.domain, x, f2_raw.table)
         phi, count = unique_cover_homeomorphism(f1, f2)
         assert count == 1
+        over1, over2 = dict(f1.table), dict(f2.table)
         for lab, target in phi.items():
-            assert f2.apply(target) == f1.apply(lab)
+            assert over2[target] == over1[lab]
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_closed_form_matches_enumeration_on_every_cover(self, n):
@@ -332,7 +373,7 @@ class TestAlgebraHelpers:
         def push(e):
             return frozenset(remap[i] for i in e)
 
-        for u, v in itertools.product(b1.elements(), repeat=2):
+        for u, v in itertools.product(subsets(b1.n), repeat=2):
             assert push(b1.join(u, v)) == b2.join(push(u), push(v))
             assert push(b1.meet(u, v)) == b2.meet(push(u), push(v))
             assert push(b1.neg(u)) == b2.neg(push(u))
