@@ -27,7 +27,7 @@ _EXPORTS = {
     ), "cantor"),
     **dict.fromkeys((
         "PLFunc", "RegIdeal", "ideal_from_open", "supp", "in_ideal", "annihilator", "ideal_join",
-        "ideal_meet", "ideal_neg", "upsilon", "omega", "pullback", "pl_supp", "is_essential_extension",
+        "ideal_meet", "ideal_neg", "upsilon", "omega", "pullback", "pl_supp",
     ), "ideals"),
     **dict.fromkeys(("descriptor", "invariant", "equivalent", "from_space1d"), "boolequiv"),
     **dict.fromkeys(("parse_expr", "eval_expr"), "exprlang"),

@@ -171,9 +171,9 @@ def verify_projective_cover(
     """Check the cover properties of f: P -> X, in closed form over the fibres.
 
     Without `homs`, each point p of P is the evaluation at its image f(p);
-    hom k stands for point k of P.  Each failed property reports the first
-    subset, in bit order, on which it fails, read off the fibres in
-    O(|P| + |X|) without enumerating subsets:
+    hom k stands for point k of P, so `homs` has one hom per point.  Each
+    failed property reports the first subset, in bit order, on which it
+    fails, read off the fibres in O(|P| + |X|) without enumerating subsets:
     - φ(V) = {k : hom k holds on V}, f⁻¹, f∘φ and φ∘f all preserve unions,
       so a subset fails only if one of its points does, and the first
       failure is the singleton of the lowest failing point;
@@ -185,6 +185,8 @@ def verify_projective_cover(
     """
     if f.domain != p or f.codomain != x:
         raise ValueError("cover does not connect the given spaces")
+    if homs is not None and len(homs) != p.n:
+        raise ValueError(f"need one hom per point of P: {len(homs)} homs for {p.n} points")
     images = list(f.index.values())
     fibres = _fibres(images)
     # phi({a}): the homs that hold on atom a, in increasing order

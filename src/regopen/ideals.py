@@ -11,7 +11,7 @@ from .errors import NotIrreducible, SpaceMismatch, _Value
 from .plmap import (Piece, PLMap, _affine, _affine_span, _carry, _locate, _meeting, _ratios, _runs,
                     _settle, _span_intersect, is_irreducible)
 from .rationals import Rational
-from .space import Region, Space1D, Span, canonicalize, ropen_join, ropen_meet
+from .space import Region, Space1D, Span, _union_ratios, ropen_join, ropen_meet
 
 
 class PLFunc(_Value):
@@ -47,7 +47,7 @@ def plfunc_from_breakpoints(
 def pl_supp(f: PLFunc) -> Region:
     """Exact open region where f is nonzero: the complement of its zero set."""
     zeros = _carry(f._branches, [Span(0, 0, True, True)], False)
-    return canonicalize(f.space, zeros).region.complement()
+    return _union_ratios(f.space, zeros).complement()
 
 
 class RegIdeal(_Value):
@@ -113,10 +113,6 @@ def omega(pi: PLMap, k: RegIdeal) -> RegIdeal:
         raise SpaceMismatch("ideal is not over the cover domain")
     _require_essential(pi)
     return RegIdeal(pi.codomain, pi.psi(k.support))
-
-
-def is_essential_extension(pi: PLMap) -> bool:
-    return is_irreducible(pi).irreducible
 
 
 def pullback(pi: PLMap, f: PLFunc) -> PLFunc:

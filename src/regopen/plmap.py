@@ -10,11 +10,12 @@ sampling enters the library semantics.
 from __future__ import annotations
 
 from bisect import bisect_left
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .errors import Discontinuity, ImageEscapesCodomain, NotSurjective, SpaceMismatch, _Value
 from .rationals import Q, Rational, rat
-from .space import Region, Space1D, Span, _minus, _region, _span, _sweep, canonicalize
+from .space import Region, Space1D, Span, _minus, _region, _span, _sweep, _union_ratios
 
 
 class Piece(_Value):
@@ -122,27 +123,31 @@ def _meeting(spans: Sequence[tuple], lo: tuple, hi: tuple) -> Iterable[tuple]:
         yield spans[i]
 
 
-def _carry(branches, spans: Sequence[Span], forward: bool) -> list[Span]:
-    """Raw spans of the image (forward) or the preimage of `spans`.
+def _carry(branches, spans: Sequence[Span], forward: bool) -> list[tuple]:
+    """Raw spans of the image (forward) or the preimage of `spans`, each
+    (lo, hi, lo_incl, hi_incl) with integer-ratio ends in lowest terms.
 
     `spans` must be sorted and disjoint (canonical region spans, or one
     span); each branch then visits only the spans that meet its source
     (forward) or its image (back).  Every region boundary and every branch
     end, slope and intercept is read once per call as an integer ratio, so
-    no two Fractions are compared, and each carried end is one `Q(n, d)`.
+    no two Fractions are compared and none is built: `_union_ratios` makes
+    Fractions of the ends that survive the union.  Every carried span is
+    nonempty and lies in the target space.
     """
     ends = [_ratios(t) for t in spans]
-    raw: list[Span] = []
+    raw: list[tuple] = []
     for src, dst, slope, intercept in branches:
         window, other = (src, dst) if forward else (dst, src)
         w = _ratios(window)
         if slope:
             p, q, r = _affine(slope, intercept, not forward)
+        else:  # a slope-0 branch carries any meet onto its whole other side
+            whole = _ratios(other)
         for t in _meeting(ends, w[0], w[1]):
             part = _span_intersect(t, w)
             if part is not None:
-                # a slope-0 branch carries any meet onto its whole other side
-                raw.append(_affine_span(part, p, q, r) if slope else other)
+                raw.append(_affine_ratios(part, p, q, r) if slope else whole)
     return raw
 
 
@@ -194,12 +199,12 @@ class PLMap(_Value):
     def image(self, r: Region) -> Region:
         if r.space != self.domain:
             raise SpaceMismatch("region is not over the domain")
-        return canonicalize(self.codomain, _carry(self._branches, r.spans, True)).region
+        return _union_ratios(self.codomain, _carry(self._branches, r.spans, True))
 
     def preimage(self, s: Region) -> Region:
         if s.space != self.codomain:
             raise SpaceMismatch("region is not over the codomain")
-        return canonicalize(self.domain, _carry(self._branches, s.spans, False)).region
+        return _union_ratios(self.domain, _carry(self._branches, s.spans, False))
 
     def is_surjective(self) -> bool:
         return self.image(self.domain.full_region()) == self.codomain.full_region()
@@ -230,13 +235,23 @@ def _span_intersect(a: tuple, b: tuple) -> Optional[tuple]:
     return lo, hi, lo_incl, hi_incl
 
 
-def _affine_span(s: tuple, p: int, q: int, r: int) -> Span:
-    """The image of a `_ratios` span under x ↦ (p·x + q) / r, p ≠ 0 < r."""
+def _affine_ratios(s: tuple, p: int, q: int, r: int) -> tuple:
+    """The image of a `_ratios` span under x ↦ (p·x + q) / r, p ≠ 0 < r,
+    with both ends in lowest terms: one gcd each, and d > 0 as r, d > 0."""
     (ln, ld), (hn, hd) = s[0], s[1]
-    lo, hi = Q(p * ln + q * ld, r * ld), Q(p * hn + q * hd, r * hd)
-    if p > 0:
-        return _span(lo, hi, s[2], s[3])
-    return _span(hi, lo, s[3], s[2])
+    n, d = p * ln + q * ld, r * ld
+    g = gcd(n, d)
+    lo = n // g, d // g
+    n, d = p * hn + q * hd, r * hd
+    g = gcd(n, d)
+    hi = n // g, d // g
+    return (lo, hi, s[2], s[3]) if p > 0 else (hi, lo, s[3], s[2])
+
+
+def _affine_span(s: tuple, p: int, q: int, r: int) -> Span:
+    """`_affine_ratios` as a Span."""
+    lo, hi, lo_incl, hi_incl = _affine_ratios(s, p, q, r)
+    return _span(Q(*lo), Q(*hi), lo_incl, hi_incl)
 
 
 class IrreducibilityVerdict(_Value):

@@ -19,7 +19,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import EmptySubspace, NotClosed, SpaceMismatch, _Value
-from .rationals import Rational, rat
+from .rationals import Q, Rational, rat
 
 
 class Interval(_Value):
@@ -275,29 +275,37 @@ def _sweep(space: Space1D, op: Callable[..., bool], *groups: Sequence[Span]) -> 
     return _combine(space, op, len(groups), _cut_events(groups))
 
 
-def _cut_events(groups: Sequence[Sequence[Span]]) -> list:
-    """One event (position, group, step, value) per boundary, lo then hi per span.
+def _positions(ends: list) -> list:
+    """Even sweep positions of integer-ratio values n/d, d > 0, in their order.
 
-    Each boundary is read once, as an integer ratio n/d, and its cut sits at
-    2 * n * (L // d) + after (2 * rank + after past `SWEEP_KEY_BITS`).
+    A value sits at 2 * n * (L // d), L the lcm of the denominators, so a
+    cut just after it can take the odd position above.  Past
+    `SWEEP_KEY_BITS` the values are ranked by a Fraction sort instead, at
+    2 * rank; equal values must then be equal ratios, in lowest terms.
     """
-    events = [v.as_integer_ratio() for spans in groups for s in spans for v in (s.lo, s.hi)]
-    denominators = {d for _, d in events}
+    denominators = {d for _, d in ends}
     common = 1
     for d in denominators:
         common = lcm(common, d)
-        if common.bit_length() > SWEEP_KEY_BITS:  # rank the values by a Fraction sort
-            rank = {r: i for i, r in enumerate(sorted(set(events), key=lambda r: rat(*r)))}
-            events, common, denominators = [(rank[r], 1) for r in events], 1, {1}
-            break
+        if common.bit_length() > SWEEP_KEY_BITS:
+            rank = {r: 2 * i for i, r in enumerate(sorted(set(ends), key=lambda r: Q(*r)))}
+            return [rank[r] for r in ends]
     scale = {d: 2 * (common // d) for d in denominators}
+    return [n * scale[d] for n, d in ends]
+
+
+def _cut_events(groups: Sequence[Sequence[Span]]) -> list:
+    """One event (position, group, step, value) per boundary, lo then hi per span.
+
+    Each boundary is read once, as an integer ratio, and its cut sits at
+    its `_positions` entry plus `after`.
+    """
+    events = _positions([v.as_integer_ratio() for spans in groups for s in spans for v in (s.lo, s.hi)])
     i = 0
     for g, spans in enumerate(groups):
         for s in spans:
-            n, d = events[i]
-            events[i] = (n * scale[d] + (not s.lo_incl), g, 1, s.lo)
-            n, d = events[i + 1]
-            events[i + 1] = (n * scale[d] + s.hi_incl, g, -1, s.hi)
+            events[i] = (events[i] + (not s.lo_incl), g, 1, s.lo)
+            events[i + 1] = (events[i + 1] + s.hi_incl, g, -1, s.hi)
             i += 2
     return events
 
@@ -325,6 +333,34 @@ def _combine(space: Space1D, op: Callable[..., bool], n_groups: int, events: lis
         _span(lo, hi, lo_at & 1 == 0, hi_at & 1 == 1)
         for (lo, lo_at), (hi, hi_at) in zip(cuts[::2], cuts[1::2])
     ]))
+
+
+def _union_ratios(space: Space1D, spans: list) -> Region:
+    """The canonical union of nonempty spans (lo, hi, lo_incl, hi_incl) of
+    `space` whose ends are integer ratios (n, d) in lowest terms, d > 0.
+
+    The transports carry such spans: `PLMap.validate` puts every branch
+    image in the codomain, and preimage parts are sub-spans of branch
+    sources, so no span needs clipping and no full region joins the sweep.
+    Each span is the cut range [lo, hi) on the `_positions` of its ends, as
+    in `_cut_events`; after one sort by lo, a range that starts past the
+    run so far begins a new run.  Only the ends of the runs become
+    Fractions.
+    """
+    at = _positions([end for s in spans for end in s[:2]])
+    ranges = [(a + (not s[2]), b + s[3], s[0], s[1]) for a, b, s in zip(at[::2], at[1::2], spans)]
+    ranges.sort(key=itemgetter(0))
+    out: list[Span] = []
+    if ranges:
+        lo_at, hi_at, lo, hi = ranges[0]
+        for a, b, x, y in ranges:
+            if a > hi_at:
+                out.append(_span(Q(*lo), Q(*hi), lo_at & 1 == 0, hi_at & 1 == 1))
+                lo_at, hi_at, lo, hi = a, b, x, y
+            elif b > hi_at:
+                hi_at, hi = b, y
+        out.append(_span(Q(*lo), Q(*hi), lo_at & 1 == 0, hi_at & 1 == 1))
+    return _region(space, tuple(out))
 
 
 def canonicalize(space: Space1D, raw_spans: Iterable[Span]) -> CanonicalizeResult:

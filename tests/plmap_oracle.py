@@ -1,9 +1,10 @@
 """Reference transports and rules 1 and 3 for piecewise-linear maps, by brute force.
 
 The library pairs each branch only with the region spans that meet it,
-intersects spans by cross-multiplying integer ratios, carries each end
-with one `Fraction(n, d)`, and decides rules 1 and 3 of `is_irreducible`
-from one coverage count over all branch images.  These are the forms it
+intersects spans by cross-multiplying integer ratios, carries each piece
+as a span of integer ratios and makes `Fraction`s only of the ends of the
+merged runs, and decides rules 1 and 3 of `is_irreducible` from one
+coverage count over all branch images.  These are the forms it
 replaced: the bisected transport kernel in Fraction arithmetic (`_carry`,
 `_span_intersect`, `_affine_span`, and `pullback` by dividing each cut),
 every piece against every span, flags from `Span.contains`, one image of

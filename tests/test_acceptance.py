@@ -45,7 +45,6 @@ from regopen.ideals import (
     ideal_meet,
     ideal_neg,
     in_ideal,
-    is_essential_extension,
     omega,
     pl_supp,
     pullback,
@@ -311,7 +310,7 @@ def test_criterion_5_ideal_layer():
 
     fixtures = [_halving(), _kinked(), _glue_map(), identity_map(MIXED)]
     for fi, pi in enumerate(fixtures):
-        assert is_essential_extension(pi)
+        assert is_irreducible(pi).irreducible
         dom, cod = pi.domain, pi.codomain
         base = 1_000_000 * (fi + 1)
         js = [RegIdeal(cod, random_regular_open(cod, base + k)) for k in range(200)]

@@ -236,6 +236,15 @@ class TestVerifyFixtures:
         assert report.surjective and report.irreducible and report.rigid
         assert not report.phi_eq_cl_preimage
 
+    def test_homs_of_another_length_than_p_are_rejected(self):
+        # hom k stands for point k of P: a second hom on an atom of X once raised IndexError
+        x = FiniteDiscreteSpace(("x0",))
+        p = FiniteDiscreteSpace(("p0",))
+        f = FinCover(p, x, (("p0", "x0"),))
+        for homs in ((TwoValuedHom(0), TwoValuedHom(0)), ()):
+            with pytest.raises(ValueError, match="one hom per point"):
+                verify_projective_cover(p, f, x, homs)
+
     def test_permuted_bijection_verifies_by_default(self):
         # same-size covers get no special homs: p is evaluated at its image f(p)
         x = FiniteDiscreteSpace(("a", "b", "c"))

@@ -15,7 +15,6 @@ from regopen.ideals import (
     ideal_meet,
     ideal_neg,
     in_ideal,
-    is_essential_extension,
     omega,
     pl_supp,
     plfunc_from_breakpoints,
@@ -23,7 +22,7 @@ from regopen.ideals import (
     supp,
     upsilon,
 )
-from regopen.plmap import Piece, PLMap, identity_map, plmap_from_breakpoints
+from regopen.plmap import Piece, PLMap, identity_map, is_irreducible, plmap_from_breakpoints
 from regopen.rationals import rat
 from regopen.space import Interval, Region, Space1D, Span, random_regular_open
 
@@ -260,9 +259,9 @@ class TestTransport:
             upsilon(halving(), j)
 
     def test_essential_extension_flag(self):
-        assert is_essential_extension(halving())
+        assert is_irreducible(halving()).irreducible
         tent = plmap_from_breakpoints(UNIT, UNIT, [(0, 0), (rat(1, 2), 1), (1, 0)])
-        assert not is_essential_extension(tent)
+        assert not is_irreducible(tent).irreducible
 
 
 class TestPullback:

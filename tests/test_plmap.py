@@ -519,12 +519,17 @@ def _exact(spans) -> list:
     return [(repr(s.lo), repr(s.hi), repr(s.lo_incl), repr(s.hi_incl)) for s in spans]
 
 
+def _ratio_spans(spans) -> list:
+    return [(s.lo.as_integer_ratio(), s.hi.as_integer_ratio(), s.lo_incl, s.hi_incl) for s in spans]
+
+
 _PRIMES = (1009, 1013, 1019, 1021, 1031, 1033, 1039, 1049)
 
 
 class TestIntegerKernelOracle:
     """The integer-ratio transports against their Fraction-arithmetic forms,
-    exactly, types included."""
+    exactly, types included: carried spans as the Fraction kernel's ends
+    read through `as_integer_ratio()`, in order and with their flags."""
 
     @pytest.mark.parametrize("bits", [None, 0])
     def test_transports_match_the_fraction_kernel(self, monkeypatch, bits):
@@ -546,8 +551,8 @@ class TestIntegerKernelOracle:
                 r = random_region(m.domain, rng, count=6, den=den)
                 s = random_region(m.codomain, rng, count=6, den=den)
                 for forward, t in ((True, r), (False, s)):
-                    assert _exact(plmap._carry(m._branches, t.spans, forward)) == \
-                        _exact(carry_by_fractions(table, t.spans, forward))
+                    assert repr(plmap._carry(m._branches, t.spans, forward)) == \
+                        repr(_ratio_spans(carry_by_fractions(table, t.spans, forward)))
                 u, v = r.regularize(), s.regularize()
                 for got, want in ((m.image(r), image_by_fractions(m, r)),
                                   (m.preimage(s), preimage_by_fractions(m, s)),
@@ -566,6 +571,14 @@ def _increasing_bijection(n: int) -> PLMap:
     return plmap_from_breakpoints(UNIT, UNIT, [(rat(i, n), rat(i * i, n * n)) for i in range(n + 1)])
 
 
+def _fold_map(rng: random.Random) -> PLMap:
+    """64 pieces on [0, 1] with folds and flat pieces, the point 2 onto 1/2."""
+    ys = [rat(rng.choice((0, rng.randint(0, 256), 256)), 256) for _ in range(65)]
+    m = plmap_from_breakpoints(UNIT_PT, UNIT, [(rat(i, 64), y) for i, y in enumerate(ys)], [(2, rat(1, 2))])
+    assert any(q.slope < 0 for q in m.pieces[0]) and any(q.slope == 0 for q in m.pieces[0])
+    return m
+
+
 class TestWorkCounts:
     """Deterministic call counts that pin the cost of rules 1 and 3 and of preimage."""
 
@@ -581,14 +594,15 @@ class TestWorkCounts:
             monkeypatch.setattr(owner, name, counted)
         return calls
 
-    def test_rule_three_canonicalizes_the_same_at_16_and_256_pieces(self, monkeypatch):
-        calls = self._count(monkeypatch, (space, plmap), "canonicalize")
+    def test_rule_three_sweeps_the_same_at_16_and_256_pieces(self, monkeypatch):
+        calls = self._count(monkeypatch, (space, plmap), "_union_ratios")
         counts = []
         for n in (16, 256):
             calls[0] = 0
             assert is_irreducible(_increasing_bijection(n)).irreducible
             counts.append(calls[0])
         assert counts[0] == counts[1]
+        assert counts[0] > 0
 
     def test_rule_one_images_the_same_at_1_and_8_isolated_points(self, monkeypatch):
         calls = self._count(monkeypatch, (PLMap,), "image")
@@ -618,11 +632,7 @@ class TestWorkCounts:
                     out.append(Span(lo, hi, rng.random() < 0.5, rng.random() < 0.5))
             return out + [Span(rat(2), rat(2), True, True), out[-1], Span(rat(3), rat(4), True, True)]
 
-        # 64 pieces on [0, 1] with folds and flat pieces, the point 2 onto 1/2
-        ys = [rat(rng.choice((0, rng.randint(0, 256), 256)), 256) for _ in range(65)]
-        m = plmap_from_breakpoints(UNIT_PT, UNIT, [(rat(i, 64), y) for i, y in enumerate(ys)],
-                                   [(2, rat(1, 2))])
-        assert any(q.slope < 0 for q in m.pieces[0]) and any(q.slope == 0 for q in m.pieces[0])
+        m = _fold_map(rng)
         spans = raw(1024, 8192)
         # about one raw span in five is empty, so 1,300 make regions of over 1024 spans
         r, s = Region(UNIT_PT, raw(1300, 1 << 16)), Region(UNIT, raw(1300, 1 << 16))
@@ -637,6 +647,36 @@ class TestWorkCounts:
             counts[case] = {name: c[0] for name, c in calls.items()}
             monkeypatch.undo()
         assert counts == {case: {"_richcmp": 0, "__eq__": 0} for case in cases}
+
+    def test_image_and_preimage_of_64_pieces_build_two_fractions_per_span(self, monkeypatch):
+        # carried ends stay integer ratios: only the ends of the union's runs become Fractions
+        m = _fold_map(random.Random(64))
+        for r in (Region(UNIT_PT, [Span(rat(k, 8), rat(2 * k + 1, 16), True, False) for k in range(8)]),
+                  m.domain.full_region()):
+            s = m.image(r)
+            cases = ((lambda: m.image(r), image_by_pairs(m, r)), (lambda: m.preimage(s), preimage_by_pairs(m, s)))
+            for run, want in cases:
+                built = self._count(monkeypatch, (fractions.Fraction,), "__new__")
+                got = run()
+                monkeypatch.undo()
+                assert 0 < built[0] <= 2 * len(got.spans)
+                assert got == want
+
+    def test_carried_union_ranks_by_fractions_past_the_key_bound(self, monkeypatch):
+        m = _fold_map(random.Random(65))
+        s = Region(UNIT, [Span(rat(k, 7), rat(3 * k + 1, 21), False, True) for k in range(7)])
+        raw = plmap._carry(m._branches, s.spans, False)
+        distinct = len({end for t in raw for end in t[:2]})
+        regions, compared = [], []
+        for bits in (space.SWEEP_KEY_BITS, 0):  # 0: every union takes the Fraction-rank fallback
+            monkeypatch.setattr(space, "SWEEP_KEY_BITS", bits)
+            calls = self._count(monkeypatch, (fractions.Fraction,), "_richcmp")
+            regions.append(space._union_ratios(m.domain, raw))
+            compared.append(calls[0])
+            monkeypatch.undo()
+        assert compared[0] == 0 and compared[1] >= distinct - 1 > 0
+        assert _exact(regions[0].spans) == _exact(regions[1].spans)
+        assert regions[0] == preimage_by_pairs(m, s)
 
     def test_preimage_visits_only_the_spans_that_meet_each_piece(self, monkeypatch):
         m = _increasing_bijection(64)
