@@ -212,12 +212,22 @@ class PLMap(_Value):
     # --- the induced maps on regular opens ---
 
     def psi(self, u: Region) -> Region:
-        """Interior of the image of the closure."""
-        return self.image(u.closure()).interior()
+        """Interior of the image of the closure.
+
+        A continuous map of a compact space has f(cl A) = cl f(A), and the
+        closure of a finite union is the union of the closures: so the
+        carried spans of u are read closed in one union sweep, then `interior`.
+        """
+        if u.space != self.domain:
+            raise SpaceMismatch("region is not over the domain")
+        return _union_ratios(self.codomain, _carry(self._branches, u.spans, True), True).interior()
 
     def phi(self, v: Region) -> Region:
-        """Interior of the closure of the preimage."""
-        return self.preimage(v).closure().interior()
+        """Interior of the closure of the preimage: the carried spans of v
+        read closed in one union sweep, then `interior`."""
+        if v.space != self.codomain:
+            raise SpaceMismatch("region is not over the codomain")
+        return _union_ratios(self.domain, _carry(self._branches, v.spans, False), True).interior()
 
 
 def _span_intersect(a: tuple, b: tuple) -> Optional[tuple]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
@@ -207,8 +207,12 @@ class Region(_Value):
         return _region(self.space, tuple(out))
 
     def perp(self) -> "Region":
-        """Complement of the closure: the Boolean negation on regular opens."""
-        return self.closure().complement()
+        """Complement of the closure: the Boolean negation on regular opens.
+
+        One sweep of the full region minus this one read closed, so no
+        closure is built on the way.
+        """
+        return _sweep(self.space, _minus, self.space.full_region().spans, self.spans, closed=True)
 
     def regularize(self) -> "Region":
         """Interior of the closure."""
@@ -261,7 +265,7 @@ def _minus(a: int, b: int) -> bool:
 SWEEP_KEY_BITS = 4096
 
 
-def _sweep(space: Space1D, op: Callable[..., bool], *groups: Sequence[Span]) -> Region:
+def _sweep(space: Space1D, op: Callable[..., bool], *groups: Sequence[Span], closed: bool = False) -> Region:
     """Combine groups of nonempty spans pointwise by `op` in one boundary sweep.
 
     A boundary is a cut (value, after): after=False sits just before the
@@ -270,9 +274,10 @@ def _sweep(space: Space1D, op: Callable[..., bool], *groups: Sequence[Span]) -> 
     and a cut is emitted wherever `op` of the counts flips between False and
     True.  `op` of all zeros must be False.  Runs come out maximal, so a
     result that lies inside the space is canonical.  An empty raw span would
-    count backwards, so `canonicalize` drops those first.
+    count backwards, so `canonicalize` drops those first.  With `closed`,
+    every span counts as its closure, the cut range [(lo, False), (hi, True)).
     """
-    return _combine(space, op, len(groups), _cut_events(groups))
+    return _combine(space, op, len(groups), _cut_events(groups, closed))
 
 
 def _positions(ends: list) -> list:
@@ -294,18 +299,19 @@ def _positions(ends: list) -> list:
     return [n * scale[d] for n, d in ends]
 
 
-def _cut_events(groups: Sequence[Sequence[Span]]) -> list:
+def _cut_events(groups: Sequence[Sequence[Span]], closed: bool = False) -> list:
     """One event (position, group, step, value) per boundary, lo then hi per span.
 
     Each boundary is read once, as an integer ratio, and its cut sits at
-    its `_positions` entry plus `after`.
+    its `_positions` entry plus `after`; with `closed` every span is read
+    as its closure, so each lo cut sits before its value and each hi cut after.
     """
     events = _positions([v.as_integer_ratio() for spans in groups for s in spans for v in (s.lo, s.hi)])
     i = 0
     for g, spans in enumerate(groups):
         for s in spans:
-            events[i] = (events[i] + (not s.lo_incl), g, 1, s.lo)
-            events[i + 1] = (events[i + 1] + s.hi_incl, g, -1, s.hi)
+            events[i] = (events[i] + (not (closed or s.lo_incl)), g, 1, s.lo)
+            events[i + 1] = (events[i + 1] + (closed or s.hi_incl), g, -1, s.hi)
             i += 2
     return events
 
@@ -335,9 +341,11 @@ def _combine(space: Space1D, op: Callable[..., bool], n_groups: int, events: lis
     ]))
 
 
-def _union_ratios(space: Space1D, spans: list) -> Region:
+def _union_ratios(space: Space1D, spans: list, closed: bool = False) -> Region:
     """The canonical union of nonempty spans (lo, hi, lo_incl, hi_incl) of
-    `space` whose ends are integer ratios (n, d) in lowest terms, d > 0.
+    `space` whose ends are integer ratios (n, d) in lowest terms, d > 0, or
+    with `closed` the union of their closures, which is the closure of
+    their union.
 
     The transports carry such spans: `PLMap.validate` puts every branch
     image in the codomain, and preimage parts are sub-spans of branch
@@ -348,7 +356,8 @@ def _union_ratios(space: Space1D, spans: list) -> Region:
     Fractions.
     """
     at = _positions([end for s in spans for end in s[:2]])
-    ranges = [(a + (not s[2]), b + s[3], s[0], s[1]) for a, b, s in zip(at[::2], at[1::2], spans)]
+    ranges = [(a + (not (closed or s[2])), b + (closed or s[3]), s[0], s[1])
+              for a, b, s in zip(at[::2], at[1::2], spans)]
     ranges.sort(key=itemgetter(0))
     out: list[Span] = []
     if ranges:
@@ -391,8 +400,13 @@ def canonicalize(space: Space1D, raw_spans: Iterable[Span]) -> CanonicalizeResul
 
 
 def ropen_join(u: Region, v: Region) -> Region:
-    """Join: interior of the closure of the union."""
-    return u.union(v).regularize()
+    """Join: interior of the closure of the union.
+
+    The closure of the union is the union of the closures, so one sweep
+    reads both operands closed and `interior` finishes.
+    """
+    _check_space(u, v)
+    return _sweep(u.space, _union, u.spans, v.spans, closed=True).interior()
 
 
 def ropen_meet(u: Region, v: Region) -> Region:
@@ -471,17 +485,30 @@ def theta(space: Space1D, w_atomic: Optional[Region], w_atomless: Optional[Regio
 
 
 def random_regular_open(space: Space1D, seed: int) -> Region:
-    """Deterministic pseudo-random regular open with at most three spans."""
+    """Deterministic pseudo-random regular open with at most three spans.
+
+    Each draw is an isolated point or an open span (a + (b-a)·i/den,
+    a + (b-a)·j/den) of an interval [a, b], its ends made as integer ratios
+    with one gcd each; the result is the interior of the closed union of
+    the draws, one `_union_ratios` sweep and no canonicalize.
+    """
     rng = random.Random(seed)
-    raw: list[Span] = []
+    raw: list[tuple] = []
     for _ in range(rng.randint(1, 3)):
         comp = rng.choice(space.components)
         if isinstance(comp, Point):
-            raw.append(Span(comp.at, comp.at, True, True))
+            at = comp.at.as_integer_ratio()
+            raw.append((at, at, True, True))
             continue
         den = 1 << rng.randint(2, 6)
         i = rng.randrange(den)
         j = rng.randrange(i + 1, den + 1)
-        width = comp.b - comp.a
-        raw.append(Span(comp.a + width * i / den, comp.a + width * j / den, False, False))
-    return Region(space, raw).regularize()
+        (an, ad), (bn, bd) = comp.a.as_integer_ratio(), comp.b.as_integer_ratio()
+        base, width, d = an * bd * den, bn * ad - an * bd, ad * bd * den
+        ends = []
+        for k in (i, j):
+            n = base + width * k
+            g = gcd(n, d)
+            ends.append((n // g, d // g))
+        raw.append((*ends, False, False))
+    return _union_ratios(space, raw, True).interior()

@@ -11,6 +11,11 @@ every piece against every span, flags from `Span.contains`, one image of
 the domain without each isolated point, and one canonicalization of the
 other branches per piece.  Tests compare the two on random maps.
 
+psi and phi read the carried spans closed in one union sweep; the
+compositions they replaced, through the library's own image, preimage,
+closure and interior, are kept as `psi_by_composition` and
+`phi_by_composition`.
+
 Test-only device; the library itself never touches it.
 """
 from __future__ import annotations
@@ -97,6 +102,14 @@ def psi_by_fractions(m: PLMap, u: Region) -> Region:
 
 def phi_by_fractions(m: PLMap, v: Region) -> Region:
     return space_oracle.regularize_by_spans(preimage_by_fractions(m, v))
+
+
+def psi_by_composition(m: PLMap, u: Region) -> Region:
+    return m.image(u.closure()).interior()
+
+
+def phi_by_composition(m: PLMap, v: Region) -> Region:
+    return m.preimage(v).closure().interior()
 
 
 def pl_supp_by_fractions(f: PLFunc) -> Region:

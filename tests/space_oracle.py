@@ -11,10 +11,16 @@ Fraction comparisons.  Tests compare the two on seeded regions.  Results
 are built with the trusted `space._region`, so none passes through the
 library's canonicalize.
 
+The library's join, perp and seeded draws read spans closed in the sweep
+itself; the compositions they replaced (union then regularize, closure
+then complement, and draws in Fraction arithmetic through the checked
+constructor) are kept below as well.
+
 Test-only device; the library itself never touches it.
 """
 from __future__ import annotations
 
+import random
 from itertools import groupby
 from operator import itemgetter
 from typing import Callable, Sequence
@@ -118,3 +124,30 @@ def interior_by_spans(r: Region) -> Region:
 
 def regularize_by_spans(r: Region) -> Region:
     return interior_by_spans(closure_by_spans(r))
+
+
+def join_by_composition(u: Region, v: Region) -> Region:
+    """The join as union, then closure, then interior."""
+    return u.union(v).regularize()
+
+
+def perp_by_composition(r: Region) -> Region:
+    """The negation as closure, then complement."""
+    return r.closure().complement()
+
+
+def random_regular_open_by_fractions(space: Space1D, seed: int) -> Region:
+    """The seeded draw in Fraction arithmetic, canonicalized, then regularized."""
+    rng = random.Random(seed)
+    raw: list[Span] = []
+    for _ in range(rng.randint(1, 3)):
+        comp = rng.choice(space.components)
+        if isinstance(comp, Point):
+            raw.append(Span(comp.at, comp.at, True, True))
+            continue
+        den = 1 << rng.randint(2, 6)
+        i = rng.randrange(den)
+        j = rng.randrange(i + 1, den + 1)
+        width = comp.b - comp.a
+        raw.append(Span(comp.a + width * i / den, comp.a + width * j / den, False, False))
+    return Region(space, raw).regularize()

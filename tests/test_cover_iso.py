@@ -1,6 +1,7 @@
 """Backend-generic essential-cover engine and composed equivalences."""
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -11,11 +12,13 @@ from regopen.cover_iso import (
     CantorBackend,
     Cover,
     PLMapBackend,
+    _battery,
     check_essential,
     compose_equivalence,
     space_key,
 )
 from regopen.errors import DomainMismatch, NotIrreducible
+from regopen.jsonio import canonical_json
 from regopen.plmap import PLMap, Piece, identity_map, plmap_from_breakpoints
 from regopen.rationals import rat
 from regopen.space import Interval, Space1D, random_regular_open
@@ -41,6 +44,10 @@ def tent_backend() -> Cover:
 
 def halving_backend() -> Cover:
     return PLMapBackend(PLMap(ZERO_TWO, UNIT, ((Piece(0, 2, rat(1, 2), 0),),)), "halving")
+
+
+def shrink_backend() -> Cover:
+    return PLMapBackend(PLMap(UNIT, UNIT, ((Piece(0, 1, rat(1, 2), 0),),)), "shrink")
 
 
 def kinked_backend() -> Cover:
@@ -73,8 +80,7 @@ class TestCheckEssential:
         assert not rep.all_ok
 
     def test_not_surjective_short_circuits(self):
-        m = PLMap(UNIT, UNIT, ((Piece(0, 1, rat(1, 2), 0),),))
-        rep = check_essential(PLMapBackend(m, "shrink"), samples=5, seed=6)
+        rep = check_essential(shrink_backend(), samples=5, seed=6)
         assert not rep.surjective and not rep.irreducible
         assert rep.reason == "not surjective"
 
@@ -94,6 +100,40 @@ class TestCheckEssential:
             "law_failures", "inverse_passes", "inverse_failures", "samples", "seed",
         ):
             assert key in js
+
+
+def counting(cover: Cover, calls: dict) -> Cover:
+    """The same cover, counting its psi and phi calls."""
+
+    def count(name, f):
+        def counted(x):
+            calls[name] += 1
+            return f(x)
+        return counted
+
+    return Cover(cover.name, cover.dom, cover.cod, count("psi", cover.psi), count("phi", cover.phi),
+                 cover.decide)
+
+
+class TestBattery:
+    def test_six_psi_and_six_phi_transports_per_trial(self):
+        # the inverse laws reuse psi(u1) and phi(v1) from the law checks
+        for cover in (halving_backend(), tent_backend(), CantorBackend(depth=4)):
+            for n in (0, 1, 9):
+                calls = {"psi": 0, "phi": 0}
+                want = _battery(cover, n, 3)
+                assert _battery(counting(cover, calls), n, 3) == want
+                assert calls == {"psi": 6 * n, "phi": 6 * n}
+
+    def test_reports_keep_their_bytes(self):
+        # sha256 of the canonical JSON of 80 reports, captured before the
+        # inverse laws reused the law checks' transports: the draws and the
+        # failing trials (tent and shrink fail) must not move
+        backends = (identity_backend(MIXED), tent_backend(), shrink_backend(), halving_backend())
+        reports = [check_essential(b, samples=12, seed=seed).to_json() for b in backends for seed in range(20)]
+        assert sum(len(r["law_failures"]) + len(r["inverse_failures"]) for r in reports) == 799
+        digest = hashlib.sha256(canonical_json(reports).encode()).hexdigest()
+        assert digest == "c5853491e312d84afe1c78b0bb2635ffb3eccaaf51e6dbfd738905ad641c1828"
 
 
 class TestCompose:
@@ -143,6 +183,5 @@ class TestCompose:
             compose_equivalence(tent_backend(), identity_backend(UNIT))
 
     def test_non_surjective_cover_refused(self):
-        m = PLMap(UNIT, UNIT, ((Piece(0, 1, rat(1, 2), 0),),))
         with pytest.raises(NotIrreducible):
-            compose_equivalence(PLMapBackend(m, "shrink"), identity_backend(UNIT))
+            compose_equivalence(shrink_backend(), identity_backend(UNIT))

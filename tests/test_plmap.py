@@ -9,7 +9,7 @@ import fractions
 
 from regopen import plmap, space
 from regopen.ideals import PLFunc, pl_supp, pullback
-from regopen.errors import Discontinuity, ImageEscapesCodomain, NotSurjective
+from regopen.errors import Discontinuity, ImageEscapesCodomain, NotSurjective, SpaceMismatch
 from regopen.plmap import (
     IrreducibilityVerdict,
     Piece,
@@ -30,11 +30,13 @@ from plmap_oracle import (
     first_overlap_by_branches,
     image_by_fractions,
     image_by_pairs,
+    phi_by_composition,
     phi_by_fractions,
     phi_by_pairs,
     pl_supp_by_fractions,
     preimage_by_fractions,
     preimage_by_pairs,
+    psi_by_composition,
     psi_by_fractions,
     psi_by_pairs,
     pullback_by_cuts,
@@ -567,6 +569,55 @@ class TestIntegerKernelOracle:
         assert seen == {"negative slope", "constant piece", "positive slope", "isolated point"}
 
 
+def _at_branch_ends(rng: random.Random, space: Space1D, ends: list) -> Region:
+    """Raw spans that start or stop exactly at branch ends, with points,
+    closed, open and half-open spans among them."""
+    raw = []
+    for _ in range(rng.randint(1, 5)):
+        lo, hi = sorted((rng.choice(ends), rng.choice(ends)))
+        if rng.random() < 0.2:
+            raw.append(Span(lo, lo, True, True))
+        else:
+            raw.append(Span(lo, hi, rng.random() < 0.5, rng.random() < 0.5))
+    return Region(space, raw)
+
+
+class TestClosedTransportOracle:
+    """psi and phi, one closed union sweep then `interior`, against the
+    compositions through image or preimage, closure and interior: exactly,
+    on raw regions as well as on regular opens."""
+
+    @pytest.mark.parametrize("bits", [None, 0])
+    def test_psi_and_phi_match_the_compositions(self, monkeypatch, bits):
+        if bits is not None:  # every union takes the Fraction-rank fallback
+            monkeypatch.setattr(space, "SWEEP_KEY_BITS", bits)
+        rng = random.Random(63_000)
+        seen = set()
+        for i in range(60):
+            primes = _PRIMES if i % 2 else ()
+            den = rng.choice(_PRIMES) if primes else 48
+            m = _random_cover(rng, primes)
+            seen |= {"constant piece" for run in m.pieces for q in run if q.slope == 0}
+            seen |= {"isolated point"} if m.point_images else set()
+            src_ends = [v for src, _, _, _ in m._branches for v in (src.lo, src.hi)]
+            dst_ends = [v for _, dst, _, _ in m._branches for v in (dst.lo, dst.hi)]
+            for _ in range(3):
+                us = [random_region(m.domain, rng, count=6, den=den), _at_branch_ends(rng, m.domain, src_ends)]
+                vs = [random_region(m.codomain, rng, count=6, den=den), _at_branch_ends(rng, m.codomain, dst_ends)]
+                for u in us + [u.regularize() for u in us]:
+                    assert _exact(m.psi(u).spans) == _exact(psi_by_composition(m, u).spans)
+                for v in vs + [v.regularize() for v in vs]:
+                    assert _exact(m.phi(v).spans) == _exact(phi_by_composition(m, v).spans)
+        assert seen == {"constant piece", "isolated point"}
+
+    def test_psi_and_phi_refuse_a_region_over_the_wrong_space(self):
+        m = _fold_map(random.Random(66))
+        with pytest.raises(SpaceMismatch, match="not over the domain"):
+            m.psi(UNIT.full_region())
+        with pytest.raises(SpaceMismatch, match="not over the codomain"):
+            m.phi(UNIT_PT.full_region())
+
+
 def _increasing_bijection(n: int) -> PLMap:
     return plmap_from_breakpoints(UNIT, UNIT, [(rat(i, n), rat(i * i, n * n)) for i in range(n + 1)])
 
@@ -703,3 +754,18 @@ class TestWorkCounts:
         for g, want in zip(gots, wants):
             assert (repr(g.pieces), repr(g.point_values)) == (repr(want.pieces), repr(want.point_values))
             assert g._branches == PLFunc(g.space, g.pieces, g.point_values)._branches
+
+    def test_psi_and_phi_build_no_closure_and_no_image_or_preimage(self, monkeypatch):
+        # one closed union sweep over the carried spans, then interior
+        m = _fold_map(random.Random(67))
+        r = Region(UNIT_PT, [Span(rat(k, 8), rat(2 * k + 1, 16), True, False) for k in range(8)]
+                   + [Span(rat(2), rat(2), True, True)])
+        s = m.image(r)
+        counts = {(owner.__name__, name): self._count(monkeypatch, (owner,), name)
+                  for owner, name in ((Region, "closure"), (Region, "regularize"),
+                                      (PLMap, "image"), (PLMap, "preimage"))}
+        for u in (r, r.interior()):
+            assert m.psi(u).spans
+        for v in (s, s.interior()):
+            assert m.phi(v).spans
+        assert {key: c[0] for key, c in counts.items()} == {key: 0 for key in counts}

@@ -497,6 +497,11 @@ def _agree_with_space_oracle(space: Space1D, a_raw: list, b_raw: list) -> None:
         (a.perp(), oracle.complement(oracle.closure_by_spans(a))),
         (ropen_join(a, b), oracle.regularize_by_spans(oracle.union(a, b))),
     ]
+    # the closed sweeps against the compositions they replaced
+    for r in (a, c):
+        pairs += [(r.perp(), oracle.perp_by_composition(r)),
+                  (ropen_join(r, b), oracle.join_by_composition(r, b)),
+                  (ropen_join(b, r), oracle.join_by_composition(b, r))]
     for r in (a, c):
         pairs += [
             (r.closure(), oracle.closure_by_spans(r)),
@@ -538,6 +543,28 @@ class TestSpaceOracle:
         _agree_with_space_oracle(space, a_raw, b_raw)
 
 
+# interval ends with denominators 7, 3 and 6, so no draw's ends are dyadic
+_DRAW_SPACE = Space1D((Interval(rat(-3, 7), rat(2, 3)), Point(1), Interval(rat(17, 6), rat(7, 2)),
+                       Point(rat(11, 3))))
+
+
+class TestRandomRegularOpenOracle:
+    """The integer-ratio draws against the Fraction-arithmetic draws, exactly."""
+
+    def test_3000_seeds_match_the_fraction_draws(self):
+        for seed in range(3000):
+            got = random_regular_open(_DRAW_SPACE, seed)
+            assert got.space is _DRAW_SPACE
+            assert _exact(got) == _exact(oracle.random_regular_open_by_fractions(_DRAW_SPACE, seed)), seed
+
+    def test_fraction_rank_fallback_draws_match(self, monkeypatch):
+        monkeypatch.setattr(space_module, "SWEEP_KEY_BITS", 0)
+        for space in (_DRAW_SPACE,) + FIXTURE_SPACES:
+            for seed in range(100):
+                want = oracle.random_regular_open_by_fractions(space, seed)
+                assert _exact(random_regular_open(space, seed)) == _exact(want), (space, seed)
+
+
 class TestWorkCounts:
     """Call counts that pin the cost of the sweep, closure and interior."""
 
@@ -552,27 +579,45 @@ class TestWorkCounts:
                 spans.append(Span(rat(lo, 8 * n), rat(hi, 8 * n), rng.random() < 0.5, rng.random() < 0.5))
         return canonicalize(UNIT_PT, spans).region
 
+    def _counted(self, monkeypatch, targets) -> dict:
+        calls = {name: 0 for _, name in targets}
+        for owner, name in targets:
+            original = getattr(owner, name)
+
+            def wrapper(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+        return calls
+
     def test_1024_span_operations_compare_no_fractions_and_coerce_no_spans(self, monkeypatch):
         rng = random.Random(1024)
         a, b = self._dyadic_region(rng, 1024), self._dyadic_region(rng, 1024)
         assert len(a.spans) > 900 and len(b.spans) > 900
-        calls = {"_richcmp": 0, "__eq__": 0, "__post_init__": 0, "canonicalize": 0}
-
-        def counted(owner, name):
-            original = getattr(owner, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(owner, name, wrapper)
-
-        counted(fractions.Fraction, "_richcmp")
-        counted(fractions.Fraction, "__eq__")
-        counted(Span, "__post_init__")
-        counted(space_module, "canonicalize")  # the checked constructor runs it
+        calls = self._counted(monkeypatch, [
+            (fractions.Fraction, "_richcmp"), (fractions.Fraction, "__eq__"), (Span, "__post_init__"),
+            (space_module, "canonicalize"),  # the checked constructor runs it
+        ])
         ops = (lambda: a.union(b), lambda: a.intersect(b), lambda: a.difference(b), a.complement,
-               a.closure, a.interior, a.regularize, b.regularize)
+               a.closure, a.interior, a.regularize, b.regularize, lambda: ropen_join(a, b), a.perp)
         for op in ops:
             assert op().spans
         assert calls == {"_richcmp": 0, "__eq__": 0, "__post_init__": 0, "canonicalize": 0}
+
+    def test_join_and_perp_build_no_closure(self, monkeypatch):
+        # the closure is read in the sweep itself
+        rng = random.Random(77)
+        regions = [self._dyadic_region(rng, 16) for _ in range(4)]
+        calls = self._counted(monkeypatch, [(Region, name) for name in ("closure", "regularize", "union",
+                                                                        "complement")])
+        for a, b in zip(regions, regions[1:]):
+            assert ropen_join(a, b).spans and a.perp().spans and ropen_neg(b).spans
+        assert calls == {"closure": 0, "regularize": 0, "union": 0, "complement": 0}
+
+    def test_draws_canonicalize_nothing(self, monkeypatch):
+        # the draws' ends are carried as integer ratios into one closed union sweep
+        calls = self._counted(monkeypatch, [(space_module, "canonicalize"), (Region, "closure")])
+        for seed in range(40):
+            assert random_regular_open(_DRAW_SPACE, seed).spans
+        assert calls == {"canonicalize": 0, "closure": 0}
