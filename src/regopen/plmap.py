@@ -9,13 +9,13 @@ sampling enters the library semantics.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .errors import Discontinuity, ImageEscapesCodomain, NotSurjective, SpaceMismatch, _Value
 from .rationals import Q, Rational, rat
-from .space import Region, Space1D, Span, _minus, _region, _span, _sweep, _union_ratios
+from .space import Region, Space1D, Span, _span, _sweep, _union_ratios
 
 
 class Piece(_Value):
@@ -185,8 +185,10 @@ class PLMap(_Value):
 
     def validate(self) -> None:
         """The codomain checks; the shared core has checked runs and points."""
+        comps = self.codomain.full_region().spans
         for src, dst, _, _ in self._branches:
-            if _sweep(self.codomain, _minus, [dst], self.codomain.full_region().spans).spans:
+            i = bisect_right(comps, dst.lo, key=lambda c: c.lo) - 1  # the one component that can hold dst
+            if i < 0 or dst.hi > comps[i].hi:
                 # a piece is located by its span, an isolated point by itself
                 raise ImageEscapesCodomain(src.lo if src.lo == src.hi else (src.lo, src.hi))
 
@@ -207,7 +209,8 @@ class PLMap(_Value):
         return _union_ratios(self.domain, _carry(self._branches, s.spans, False))
 
     def is_surjective(self) -> bool:
-        return self.image(self.domain.full_region()) == self.codomain.full_region()
+        images = [_ratios(dst) for _, dst, _, _ in self._branches]  # the image of the domain is their union
+        return _union_ratios(self.codomain, images) == self.codomain.full_region()
 
     # --- the induced maps on regular opens ---
 
@@ -280,10 +283,9 @@ def is_irreducible(m: PLMap) -> IrreducibilityVerdict:
     union of the other branches.  Any witness is re-verified by exact
     recomputation before it is returned.
 
-    Rules 1 and 3 read one coverage count over the n branch images: an
-    O(n log n) sweep, then one bisection per isolated point (rule 1) and
-    one per piece (rule 3, `_first_overlap`), plus a walk of the codomain
-    components for each piece's image interior.
+    Surjectivity is one union sweep of the n branch images, and rules 1 and
+    3 read one coverage count over them: an O(n log n) sweep, then one
+    bisection per isolated point (rule 1) and one per piece (rule 3).
     """
     if not m.is_surjective():
         raise NotSurjective("irreducibility is only defined for surjective maps")
@@ -310,9 +312,7 @@ def is_irreducible(m: PLMap) -> IrreducibilityVerdict:
         for piece in run:
             if piece.slope == 0:
                 third = (piece.src_hi - piece.src_lo) / 3
-                w = Region(
-                    m.domain, [Span(piece.src_lo + third, piece.src_hi - third, False, False)]
-                )
+                w = Region(m.domain, [Span(piece.src_lo + third, piece.src_hi - third, False, False)])
                 return verified(w, f"constant piece on [{piece.src_lo}, {piece.src_hi}]")
 
     # rule 3: a monotone piece whose image interior is covered elsewhere
@@ -355,16 +355,16 @@ def _first_overlap(m: PLMap, twice: Region) -> Optional[tuple[Piece, Span]]:
     Inside a piece's closed image, a point lies in another branch image
     exactly when at least two closed branch images hold it.  So the one
     coverage sweep `twice` gives D = int(twice) for all pieces at once, and
-    each piece meets D by bisection.  Canonical form is unique, so the first
-    span is the one that int(own) and int(others), built per piece, would give.
+    each piece meets D by bisection with its open image span: it differs from
+    int(own) only in flags at component ends, where no meet is a lone point
+    (D has none inside an interval), so the first meet has the same ends.
     """
     inner = [_ratios(d) for d in twice.interior().spans]
     # the branches list the pieces first, in run order, so zip stops before the points
     for piece, (_, image, _, _) in zip([q for run in m.pieces for q in run], m._branches):
-        # the image lies in one codomain component, so it is already canonical
-        own = _ratios(_region(m.codomain, (image,)).interior().spans[0])
-        for d in _meeting(inner, own[0], own[1]):
-            part = _span_intersect(d, own)
+        lo, hi, _, _ = _ratios(image)
+        for d in _meeting(inner, lo, hi):
+            part = _span_intersect(d, (lo, hi, False, False))
             if part is not None:
                 return piece, _span(Q(*part[0]), Q(*part[1]), part[2], part[3])
     return None

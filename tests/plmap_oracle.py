@@ -16,6 +16,12 @@ compositions they replaced, through the library's own image, preimage,
 closure and interior, are kept as `psi_by_composition` and
 `phi_by_composition`.
 
+Surjectivity, the codomain check and rule 3 read the branch images off the
+table; the derivations they replaced are kept as `is_surjective_by_image`
+(the image of the whole domain), `validate_by_sweeps` (one sweep per
+branch against the full codomain) and `first_overlap_by_interiors` (rule 3
+against int(own), one region and one `interior` per piece).
+
 Test-only device; the library itself never touches it.
 """
 from __future__ import annotations
@@ -24,10 +30,11 @@ from bisect import bisect_left
 from typing import Optional
 
 import space_oracle
+from regopen.errors import ImageEscapesCodomain
 from regopen.ideals import PLFunc
-from regopen.plmap import PLMap, Piece, _locate
-from regopen.rationals import Rational, rat
-from regopen.space import Region, Span
+from regopen.plmap import PLMap, Piece, _locate, _meeting, _ratios, _span_intersect
+from regopen.rationals import Q, Rational, rat
+from regopen.space import Region, Span, _minus, _region, _span, _sweep
 
 
 def _canonical(space, raw) -> Region:
@@ -224,4 +231,27 @@ def first_overlap_by_branches(m: PLMap, twice: Region) -> Optional[tuple[Piece, 
         overlap = own.intersect(others.interior())
         if not overlap.is_empty:
             return piece, overlap.spans[0]
+    return None
+
+
+def is_surjective_by_image(m: PLMap) -> bool:
+    return m.image(m.domain.full_region()) == m.codomain.full_region()
+
+
+def validate_by_sweeps(m: PLMap) -> None:
+    """Each branch image minus the full codomain, one sweep per branch."""
+    for src, dst, _, _ in m._branches:
+        if _sweep(m.codomain, _minus, [dst], m.codomain.full_region().spans).spans:
+            raise ImageEscapesCodomain(src.lo if src.lo == src.hi else (src.lo, src.hi))
+
+
+def first_overlap_by_interiors(m: PLMap, twice: Region) -> Optional[tuple[Piece, Span]]:
+    """Rule 3 on the one coverage count, each piece's image read as int(own)."""
+    inner = [_ratios(d) for d in twice.interior().spans]
+    for piece, (_, image, _, _) in zip([q for run in m.pieces for q in run], m._branches):
+        own = _ratios(_region(m.codomain, (image,)).interior().spans[0])
+        for d in _meeting(inner, own[0], own[1]):
+            part = _span_intersect(d, own)
+            if part is not None:
+                return piece, _span(Q(*part[0]), Q(*part[1]), part[2], part[3])
     return None

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import random
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 from regopen import jsonio
 from regopen.boolequiv import descriptor, equivalent
@@ -473,6 +475,8 @@ def test_criterion_8_cli_determinism():
 
     cmd = [sys.executable, "-m", "regopen.cli",
            "cantor", "check", "--depth", "4", "--samples", "20", "--seed", "5"]
-    runs = [subprocess.run(cmd, capture_output=True) for _ in range(2)]
+    # the child imports the package from this source tree, installed or not
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    runs = [subprocess.run(cmd, capture_output=True, env=env) for _ in range(2)]
     assert runs[0].returncode == runs[1].returncode == 0
     assert runs[0].stdout == runs[1].stdout and runs[0].stdout

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -28,8 +29,10 @@ from plmap_oracle import (
     branches_by_fractions,
     carry_by_fractions,
     first_overlap_by_branches,
+    first_overlap_by_interiors,
     image_by_fractions,
     image_by_pairs,
+    is_surjective_by_image,
     phi_by_composition,
     phi_by_fractions,
     phi_by_pairs,
@@ -42,6 +45,7 @@ from plmap_oracle import (
     pullback_by_cuts,
     redundant_point_by_images,
     span_intersect_by_contains,
+    validate_by_sweeps,
 )
 
 
@@ -102,6 +106,29 @@ class TestValidation:
     def test_point_image_must_land_in_codomain(self):
         with pytest.raises(ImageEscapesCodomain):
             PLMap(UNIT_PT, UNIT, ((Piece(0, 1, 1, 0),),), ((2, 5),))
+
+    def test_escaping_piece_is_reported_before_an_escaping_point_image(self):
+        # the branch table lists the pieces first, then the isolated points
+        with pytest.raises(ImageEscapesCodomain) as exc:
+            PLMap(UNIT_PT, UNIT, ((Piece(0, rat(1, 2), 1, 0), Piece(rat(1, 2), 1, 3, -1)),), ((2, 5),))
+        assert exc.value.location == (rat(1, 2), 1)
+        assert str(exc.value) == "image escapes codomain at [1/2, 1]"
+
+    def test_image_ending_on_a_component_end_is_accepted(self):
+        # [0, 1] onto [1/2, 1] and [2, 3] onto [2, 3]: images end exactly at 1 and at 2, 3
+        runs = ((Piece(0, 1, rat(1, 2), rat(1, 2)),), (Piece(2, 3, 1, 0),))
+        assert PLMap(TWO_INTERVALS, TWO_INTERVALS, runs).validate() is None
+        with pytest.raises(ImageEscapesCodomain) as exc:  # one past the end, at 1 + 1/64
+            PLMap(TWO_INTERVALS, TWO_INTERVALS, ((Piece(0, 1, rat(33, 64), rat(1, 2)),), runs[1]))
+        assert exc.value.location == (0, 1)
+        assert str(exc.value) == "image escapes codomain at [0, 1]"
+
+    def test_point_image_on_an_isolated_codomain_point_is_accepted(self):
+        assert PLMap(UNIT_PT, UNIT_PT, ((Piece(0, 1, 1, 0),),), ((2, 2),)).validate() is None
+        with pytest.raises(ImageEscapesCodomain) as exc:  # the gap beside the point
+            PLMap(UNIT_PT, UNIT_PT, ((Piece(0, 1, 1, 0),),), ((2, rat(3, 2)),))
+        assert exc.value.location == 2
+        assert str(exc.value) == "image escapes codomain at 2"
 
     def test_zero_length_piece_rejected(self):
         with pytest.raises(ValueError):
@@ -402,6 +429,11 @@ def _random_cover(rng: random.Random, primes=()) -> PLMap:
     target, every isolated point some domain point's image; now and then an
     extra run or an extra point lands anywhere.  Most are surjective.  With
     `primes`, runs sit on grids of a prime size (see `_random_run`)."""
+    return plmap_from_breakpoints(*_random_cover_args(rng, primes))
+
+
+def _random_cover_args(rng: random.Random, primes=()) -> tuple:
+    """The arguments of `plmap_from_breakpoints` for `_random_cover`."""
     cod = _random_space(rng, points=rng.random() < 0.5)
     targets = list(cod.interval_components())
     targets += [rng.choice(targets) for _ in range(rng.choice((0, 0, 1)))]
@@ -423,7 +455,22 @@ def _random_cover(rng: random.Random, primes=()) -> PLMap:
             values += _random_run(rng, comps[-1], targets.pop(), primes)
             x = comps[-1].b
         x += rat(rng.randint(1, 4), rng.choice((2, 3, 4)))
-    return plmap_from_breakpoints(Space1D(tuple(comps)), cod, values, points)
+    return Space1D(tuple(comps)), cod, values, points
+
+
+def _moved(rng: random.Random, args: tuple) -> tuple:
+    """`_random_cover_args` with one or two breakpoint values or point images
+    moved onto a codomain end, an isolated codomain point, a gap or past the
+    codomain, so that some images escape, some across a gap."""
+    dom, cod, values, points = args
+    ends = [x for c in cod.components for x in ((c.at,) if isinstance(c, Point) else (c.a, c.b))]
+    targets = ends + [(a + b) / 2 for a, b in zip(ends, ends[1:])] + [ends[0] - 1, ends[-1] + 1]
+    values, points = list(values), list(points)
+    for _ in range(rng.randint(1, 2)):
+        moved = points if points and rng.random() < 0.4 else values
+        i = rng.randrange(len(moved))
+        moved[i] = (moved[i][0], rng.choice(targets))
+    return dom, cod, values, points
 
 
 def _verdict(m: PLMap):
@@ -486,6 +533,82 @@ class TestRuleThreeOracle:
             "piece image (1/2, 1) overlap is covered twice",
             "piece image (1/2, 1) overlap is covered twice",
         ]
+
+
+def _outcome(args: tuple) -> tuple:
+    """The construction error as (type, message, location), or the map with
+    its surjectivity and its verdict (or the NotSurjective raised)."""
+    try:
+        m = plmap_from_breakpoints(*args)
+    except ImageEscapesCodomain as exc:
+        return type(exc), str(exc), exc.location
+    try:
+        verdict = is_irreducible(m)
+    except NotSurjective as exc:
+        verdict = exc
+    return m, m.is_surjective(), verdict
+
+
+def _features(args: tuple, outcome: tuple) -> set:
+    """The kinds of space, map and outcome that one oracle case covers."""
+    dom, cod, values, points = args
+    cod_points = {p.at for p in cod.point_components()}
+    cod_ends = {x for c in cod.interval_components() for x in (c.a, c.b)}
+    seen = {f"{min(len(s.components), 2)} {side} components" for side, s in (("domain", dom), ("codomain", cod))}
+    seen |= {"domain point"} if points else set()
+    seen |= {"codomain point"} if cod_points else set()
+    if outcome[0] is ImageEscapesCodomain:
+        location = outcome[2]
+        if not isinstance(location, tuple):
+            return seen | {"escape at a point image"}
+        y = dict(values)  # a piece's source ends are consecutive breakpoints
+        return seen | {"escape across a gap" if all(cod.contains(y[x]) for x in location)
+                       else "escape past the codomain"}
+    m, _, verdict = outcome
+    seen |= {"constant piece" for run in m.pieces for q in run if q.slope == 0}
+    seen |= {"point image on a codomain point" for _, v in points if v in cod_points}
+    seen |= {"image ends on a component end"
+             for _, dst, k, _ in m._branches if k and {dst.lo, dst.hi} & cod_ends}
+    if isinstance(verdict, NotSurjective):
+        return seen | {"not surjective"}
+    if verdict.irreducible:
+        return seen | {"irreducible"}
+    overlap = re.fullmatch(r"piece image \((\S+), (\S+)\) overlap is covered twice", verdict.reason)
+    if overlap and {rat(overlap[1]), rat(overlap[2])} & cod_ends:
+        seen.add("overlap ends on a component end")
+    return seen | {verdict.reason.split(" ")[0]}
+
+
+class TestBranchTableOracle:
+    """Surjectivity, the codomain check and rule 3, read off the branch table,
+    against the derivations they replaced: every verdict, surjectivity and
+    construction error equal by repr, one derivation swapped in at a time."""
+
+    @pytest.mark.parametrize("bits", [None, 0])
+    def test_outcomes_match_the_replaced_derivations(self, monkeypatch, bits):
+        if bits is not None:  # every sweep and union takes the Fraction-rank fallback
+            monkeypatch.setattr(space, "SWEEP_KEY_BITS", bits)
+        oracles = ((PLMap, "is_surjective", is_surjective_by_image),
+                   (PLMap, "validate", validate_by_sweeps),
+                   (plmap, "_first_overlap", first_overlap_by_interiors))
+        rng = random.Random(64_000)
+        seen = set()
+        for i in range(240):
+            args = _random_cover_args(rng, _PRIMES if i % 3 == 2 else ())
+            if i % 2:
+                args = _moved(rng, args)
+            got = _outcome(args)
+            for owner, name, oracle in oracles:
+                with monkeypatch.context() as patch:
+                    patch.setattr(owner, name, oracle)
+                    assert repr(_outcome(args)) == repr(got), (name, args)
+            seen |= _features(args, got)
+        assert seen >= {
+            "2 domain components", "2 codomain components", "domain point", "codomain point",
+            "escape at a point image", "escape across a gap", "escape past the codomain",
+            "constant piece", "point image on a codomain point", "image ends on a component end",
+            "not surjective", "irreducible", "isolated", "constant", "piece", "overlap ends on a component end",
+        }
 
 
 class TestTransportOracle:
@@ -656,14 +779,31 @@ class TestWorkCounts:
         assert counts[0] > 0
 
     def test_rule_one_images_the_same_at_1_and_8_isolated_points(self, monkeypatch):
-        calls = self._count(monkeypatch, (PLMap,), "image")
+        # rule 1 reads the one coverage sweep over the branch images
+        calls = self._count(monkeypatch, (space, plmap), "_sweep")
         counts = []
         for k in (1, 8):
+            m = identity_map(Space1D((Interval(0, 1),) + tuple(Point(2 + i) for i in range(k))))
             calls[0] = 0
-            spc = Space1D((Interval(0, 1),) + tuple(Point(2 + i) for i in range(k)))
-            assert is_irreducible(identity_map(spc)).irreducible
+            assert is_irreducible(m).irreducible
             counts.append(calls[0])
         assert counts[0] == counts[1]
+        assert counts[0] > 0
+
+    def test_deciding_a_64_piece_bijection_carries_nothing_and_takes_one_interior(self, monkeypatch):
+        # surjectivity and rule 3 read the branch images off the table
+        m = _increasing_bijection(64)
+        counts = {name: self._count(monkeypatch, (owner,), name)
+                  for owner, name in ((plmap, "_carry"), (PLMap, "image"), (Region, "interior"))}
+        assert is_irreducible(m).irreducible
+        assert {name: c[0] for name, c in counts.items()} == {"_carry": 0, "image": 0, "interior": 1}
+
+    def test_building_a_64_piece_bijection_sweeps_nothing(self, monkeypatch):
+        # the codomain check reads each branch image against the component bounds
+        calls = self._count(monkeypatch, (space, plmap), "_sweep")
+        m = _increasing_bijection(64)
+        assert len(m.pieces[0]) == 64
+        assert calls[0] == 0
 
     def test_canonicalize_image_and_preimage_of_1024_spans_compare_no_fractions(self, monkeypatch):
         rng = random.Random(1024)
