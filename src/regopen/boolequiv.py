@@ -10,10 +10,12 @@ component kinds only; no geometry is needed for the decision.
 """
 from __future__ import annotations
 
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 from .errors import EmptyDescriptor, _Value
-from .space import Point, Space1D
+
+if TYPE_CHECKING:
+    from .space import Space1D
 
 OMEGA = "omega"
 
@@ -88,7 +90,4 @@ def equivalent(d1: SpaceDescriptor, d2: SpaceDescriptor) -> EquivalenceVerdict:
 
 
 def from_space1d(space: Space1D) -> SpaceDescriptor:
-    kinds = tuple(
-        "point" if isinstance(comp, Point) else "interval" for comp in space.components
-    )
-    return SpaceDescriptor(kinds)
+    return SpaceDescriptor(tuple([c.kind for c in space.components]))

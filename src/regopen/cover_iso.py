@@ -13,7 +13,6 @@ import random
 from typing import Any, Callable, Optional
 
 from .errors import DomainMismatch, NotIrreducible, NotSurjective, _Value
-from .jsonio import encode_value
 from .plmap import PLMap, is_irreducible
 from .space import Point, Space1D, random_regular_open, ropen_join, ropen_meet, ropen_neg
 
@@ -179,7 +178,7 @@ def check_essential(cover: Cover, samples: int = 100, seed: int = 0) -> CoverRep
         backend=cover.name,
         surjective=surjective,
         irreducible=irreducible,
-        witness=encode_value(witness),
+        witness=witness,
         reason=reason,
         samples=samples,
         seed=seed,

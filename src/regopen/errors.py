@@ -42,7 +42,7 @@ class _Value:
 
     def to_json(self) -> dict:
         """Each field through `jsonio.encode_value`, in order, then each property
-        the class itself defines: its verdict."""
+        its class defines: a report's verdict, a component's kind."""
         from .jsonio import encode_value
         out = {name: encode_value(value) for name, value in zip(self.__fields, self.__key(self))}
         for name, attr in vars(type(self)).items():

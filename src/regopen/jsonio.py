@@ -1,4 +1,5 @@
-"""JSON codecs: one encoder for every value, one decoder per interchange type; rationals travel as strings."""
+"""JSON codecs: one encoder, which writes every value from its fields, and one
+decoder per interchange type; rationals travel as strings."""
 from __future__ import annotations
 
 import json
@@ -6,12 +7,12 @@ from typing import TYPE_CHECKING, Any
 
 from .errors import SpaceMismatch, _Value
 from .rationals import Q, parse_rat, rat_str
-from .space import Interval, Point, Region, Space1D, Span, canonicalize
 
 if TYPE_CHECKING:  # the decoders that build these import them, so no codec loads them all
     from .cantor import CantorClopen
     from .ideals import PLFunc, RegIdeal
     from .plmap import Piece, PLMap
+    from .space import Region, Space1D
 
 
 def canonical_json(obj: Any) -> str:
@@ -20,15 +21,11 @@ def canonical_json(obj: Any) -> str:
 
 
 def encode_value(x: Any) -> Any:
-    """The JSON form of a value: a rational as its string, a space and a region
-    in their own forms below, any other value class as its `to_json()`
-    (its fields, then its verdict), containers item by item."""
+    """The JSON form of a value: a rational as its string, any value class as
+    its `to_json()` (its fields, then each property its class defines: a
+    report's verdict, a component's kind), containers item by item."""
     if isinstance(x, Q):
         return rat_str(x)
-    if isinstance(x, Region):
-        return encode_region(x)
-    if isinstance(x, Space1D):
-        return encode_space(x)
     if isinstance(x, _Value):
         return x.to_json()
     if isinstance(x, (tuple, list)):
@@ -38,17 +35,7 @@ def encode_value(x: Any) -> Any:
     return x
 
 
-# --- spaces ---
-
-def encode_space(space: Space1D) -> dict:
-    comps = []
-    for c in space.components:
-        if isinstance(c, Point):
-            comps.append({"kind": "point", "at": rat_str(c.at)})
-        else:
-            comps.append({"kind": "interval", "a": rat_str(c.a), "b": rat_str(c.b)})
-    return {"components": comps}
-
+# --- spaces and regions ---
 
 def _object(data, what: str) -> dict:
     if not isinstance(data, dict):
@@ -57,6 +44,7 @@ def _object(data, what: str) -> dict:
 
 
 def decode_space(data: dict) -> Space1D:
+    from .space import Interval, Point, Space1D
     comps = []
     for entry in _object(data, "a space")["components"]:
         kind = _object(entry, "a component").get("kind")
@@ -69,22 +57,6 @@ def decode_space(data: dict) -> Space1D:
     return Space1D(tuple(comps))
 
 
-# --- regions ---
-
-def encode_region(region: Region) -> dict:
-    return {
-        "spans": [
-            {
-                "lo": rat_str(s.lo),
-                "hi": rat_str(s.hi),
-                "lo_incl": s.lo_incl,
-                "hi_incl": s.hi_incl,
-            }
-            for s in region.spans
-        ]
-    }
-
-
 def _flag(value) -> bool:
     if not isinstance(value, bool):
         raise ValueError(f"inclusion flag must be a JSON boolean, got {value!r}")
@@ -92,6 +64,7 @@ def _flag(value) -> bool:
 
 
 def decode_region(space: Space1D, data: dict) -> Region:
+    from .space import Span, canonicalize
     spans = [
         Span(
             parse_rat(s["lo"]),

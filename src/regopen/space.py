@@ -34,6 +34,10 @@ class Interval(_Value):
         if not self.a < self.b:
             raise ValueError(f"interval needs a < b, got [{self.a}, {self.b}]")
 
+    @property
+    def kind(self) -> str:
+        return "interval"
+
 
 class Point(_Value):
     """Isolated point component."""
@@ -42,6 +46,10 @@ class Point(_Value):
 
     def __post_init__(self):
         object.__setattr__(self, "at", rat(self.at))
+
+    @property
+    def kind(self) -> str:
+        return "point"
 
 
 Component = Union[Interval, Point]
@@ -138,6 +146,10 @@ class Region(_Value):
     @property
     def is_empty(self) -> bool:
         return not self.spans
+
+    def to_json(self) -> dict:
+        """Its spans only: a region is read over the space its request names."""
+        return {"spans": [s.to_json() for s in self.spans]}
 
     @cached_property
     def _los(self) -> tuple[Rational, ...]:

@@ -455,7 +455,7 @@ def _run_cli(argv: list[str]) -> tuple[int, bytes]:
 @criterion(8, "repeated CLI runs with fixed seeds emit byte-identical output")
 def test_criterion_8_cli_determinism():
     ident = json.dumps(jsonio.encode_value(identity_map(MIXED)))
-    unit = json.dumps(jsonio.encode_space(UNIT))
+    unit = json.dumps(jsonio.encode_value(UNIT))
     commands = [
         ["cantor", "check", "--depth", "5", "--samples", "50", "--seed", "11"],
         ["cover", "check", "--map", ident, "--samples", "25", "--seed", "3"],

@@ -39,7 +39,7 @@ def plmap_json(m: PLMap) -> str:
 
 
 def region_json(r: Region) -> str:
-    return json.dumps(jsonio.encode_region(r))
+    return json.dumps(jsonio.encode_value(r))
 
 
 def halving() -> PLMap:

@@ -21,7 +21,7 @@ from regopen.errors import DomainMismatch, NotIrreducible
 from regopen.jsonio import canonical_json
 from regopen.plmap import PLMap, Piece, identity_map, plmap_from_breakpoints
 from regopen.rationals import rat
-from regopen.space import Interval, Space1D, random_regular_open
+from regopen.space import Interval, Region, Space1D, random_regular_open
 
 from conftest import FIXTURE_SPACES, MIXED, UNIT, region
 
@@ -76,7 +76,7 @@ class TestCheckEssential:
         rep = check_essential(tent_backend(), samples=10, seed=5)
         assert rep.surjective
         assert not rep.irreducible
-        assert rep.witness is not None and rep.witness["spans"]
+        assert isinstance(rep.witness, Region) and rep.witness.space == UNIT and not rep.witness.is_empty
         assert not rep.all_ok
 
     def test_not_surjective_short_circuits(self):

@@ -3,6 +3,7 @@
 are read from the import-time lines on stderr."""
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -16,6 +17,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # and `traceback` serves only the unexpected-exception branch
 NEVER = {"dataclasses", "inspect", "traceback"}
 NOT_FOR_SPACE_INFO = {f"regopen.{m}" for m in ("plmap", "cantor", "cover_iso", "ideals", "finball", "exprlang")}
+# requests that read no rational space: a finite cover, and two descriptors
+NO_SPACE = {"gleason", "equiv"}
 
 UNIT = '{"components":[{"kind":"interval","a":"0","b":"1"}]}'
 HALF = '{"spans":[{"lo":"0","hi":"1/2","lo_incl":true,"hi_incl":false}]}'  # regular open in [0, 1]
@@ -61,3 +64,33 @@ def test_a_request_loads_no_module_it_does_not_need(name):
     assert NEVER.isdisjoint(modules), sorted(NEVER & modules)
     if name == "space info":
         assert NOT_FOR_SPACE_INFO.isdisjoint(modules), sorted(NOT_FOR_SPACE_INFO & modules)
+    if name in NO_SPACE:
+        assert "regopen.space" not in modules
+
+
+def test_the_codec_and_the_descriptors_load_without_the_space_module():
+    code = "import sys, regopen.jsonio, regopen.boolequiv; print('regopen.space' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.stdout.strip() == "False", proc.stderr
+
+
+def _load_time_imports(node):
+    """The import statements a module runs as it loads: none inside a function."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child
+        elif not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _load_time_imports(child)
+
+
+def test_only_the_cli_imports_the_codec_as_it_loads():
+    importers = set()
+    for path in sorted((SRC / "regopen").glob("*.py")):
+        for imp in _load_time_imports(ast.parse(path.read_text(encoding="utf-8"))):
+            names = {a.name.split(".")[-1] for a in imp.names}
+            if isinstance(imp, ast.ImportFrom) and imp.module:
+                names.add(imp.module.split(".")[-1])
+            if "jsonio" in names:
+                importers.add(path.name)
+    assert importers == {"cli.py"}
