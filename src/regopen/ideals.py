@@ -8,9 +8,9 @@ moving supports through the cover's phi/psi.
 from __future__ import annotations
 
 from .errors import NotIrreducible, SpaceMismatch, _Value
-from .plmap import (Piece, PLMap, _affine, _affine_span, _carry, _locate, _meeting, _ratios, _runs,
-                    _settle, _span_intersect, is_irreducible)
-from .rationals import Rational
+from .plmap import (Piece, PLMap, _affine_ratios, _carry, _locate, _meeting, _runs, _settle, _span_intersect,
+                    is_irreducible)
+from .rationals import Q, Rational
 from .space import Region, Space1D, Span, _union_ratios, ropen_join, ropen_meet
 
 
@@ -46,7 +46,7 @@ def plfunc_from_breakpoints(
 
 def pl_supp(f: PLFunc) -> Region:
     """Exact open region where f is nonzero: the complement of its zero set."""
-    zeros = _carry(f._branches, [Span(0, 0, True, True)], False)
+    zeros = _carry(f._int_branches, [Span(0, 0, True, True)], False)
     return _union_ratios(f.space, zeros).complement()
 
 
@@ -124,23 +124,22 @@ def pullback(pi: PLMap, f: PLFunc) -> PLFunc:
     if f.space != pi.codomain:
         raise SpaceMismatch("function is not over the cover codomain")
     n = sum(map(len, f.pieces))  # the branches list the pieces first, in run order
-    sources = [_ratios(src) + (m, k) for src, _, m, k in f._branches[:n]]
-    runs, branches = [], iter(pi._branches)
+    sources = [src + (m, k) for (src, _, _, _), (_, _, m, k) in zip(f._int_branches[:n], f._branches)]
+    runs, branches = [], zip(pi._branches, pi._int_branches)
     for run in pi.pieces:
         out = []
-        for piece, (_, image, slope, intercept) in zip(run, branches):
+        for piece, ((_, _, slope, intercept), (_, (lo, hi, _, _), _, back)) in zip(run, branches):
             if not slope:
                 m, k = _locate(f._branches, intercept)
                 out.append(Piece._trusted(piece.src_lo, piece.src_hi, m * slope, m * intercept + k))
                 continue
-            p, q, r = _affine(slope, intercept, True)
-            lo, hi, _, _ = _ratios(image)
+            p, q, r = back
             inside, parts = (lo, hi, False, False), []  # a piece of f that only touches it is no meet
             for t in _meeting(sources, lo, hi):
                 part = _span_intersect(t, inside)
                 if part is not None:
-                    x, m, k = _affine_span(part, p, q, r), t[4], t[5]
-                    parts.append(Piece._trusted(x.lo, x.hi, m * slope, m * intercept + k))
+                    (a, b, _, _), m, k = _affine_ratios(part, p, q, r), t[4], t[5]
+                    parts.append(Piece._trusted(Q(*a), Q(*b), m * slope, m * intercept + k))
             out += parts if p > 0 else parts[::-1]
         runs.append(tuple(out))
     g = PLFunc._trusted(pi.domain, tuple(runs), tuple([(p, f.value(v)) for p, v in pi.point_images]))

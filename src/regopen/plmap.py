@@ -9,13 +9,13 @@ sampling enters the library semantics.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .errors import Discontinuity, ImageEscapesCodomain, NotSurjective, SpaceMismatch, _Value
 from .rationals import Q, Rational, rat
-from .space import Region, Space1D, Span, _span, _sweep, _union_ratios
+from .space import Region, Space1D, Span, _regular_union, _span, _sweep, _union_ratios
 
 
 class Piece(_Value):
@@ -42,8 +42,11 @@ class Piece(_Value):
 def _settle(obj, space: Space1D, points_field: str, check: bool = True) -> None:
     """Freeze `obj.pieces` and its (point, value) pairs and check both over
     `space`, unless `check` is false (the library built them valid), then build
-    the branch table `obj._branches`: one (src, dst, slope, intercept) per piece
-    in run order, then one per isolated point as a constant, all spans closed."""
+    the branch table: one branch per piece in run order, then one per isolated
+    point as a constant, all spans closed.  `obj._branches` holds each branch
+    as (src, dst, slope, intercept), and `obj._int_branches`, row for row, as
+    (src, dst, forward, backward): its spans as `_ratios` and the `_affine`
+    integers of its map and of the inverse, both None for a constant."""
     if check:
         # tuple() of a list allocates the final size; of a generator it resizes
         # a guess, and each resized block then stays in the tuple free list
@@ -52,12 +55,23 @@ def _settle(obj, space: Space1D, points_field: str, check: bool = True) -> None:
         object.__setattr__(obj, points_field, points)
         _check_runs(space, obj.pieces)
         _check_points(space, points, points_field)
-    parts = [(_span(q.src_lo, q.src_hi, True, True), q.slope, q.intercept)
-             for run in obj.pieces for q in run]
-    parts += [(_span(p, p, True, True), rat(0), v) for p, v in getattr(obj, points_field)]
-    branches = tuple([(src, _affine_span(_ratios(src), *_affine(k, c)) if k else _span(c, c, True, True),
-                       k, c) for src, k, c in parts])
-    object.__setattr__(obj, "_branches", branches)
+    parts = [(q.src_lo, q.src_hi, q.slope, q.intercept) for run in obj.pieces for q in run]
+    parts += [(p, p, rat(0), v) for p, v in getattr(obj, points_field)]
+    branches, table = [], []
+    for lo, hi, k, c in parts:
+        src = (lo.as_integer_ratio(), hi.as_integer_ratio(), True, True)
+        if k:
+            forward, backward = _affine(k, c)
+            dst = _affine_ratios(src, *forward)
+            image = _span(Q(*dst[0]), Q(*dst[1]), True, True)
+        else:
+            forward = backward = None
+            dst = (c.as_integer_ratio(),) * 2 + (True, True)
+            image = _span(c, c, True, True)
+        branches.append((_span(lo, hi, True, True), image, k, c))
+        table.append((src, dst, forward, backward))
+    object.__setattr__(obj, "_branches", tuple(branches))
+    object.__setattr__(obj, "_int_branches", tuple(table))
 
 
 def _check_runs(space: Space1D, pieces) -> None:
@@ -99,14 +113,13 @@ def _ratios(s: Span) -> tuple:
     return s.lo.as_integer_ratio(), s.hi.as_integer_ratio(), s.lo_incl, s.hi_incl
 
 
-def _affine(slope: Rational, intercept: Rational, back: bool = False) -> tuple[int, int, int]:
+def _affine(slope: Rational, intercept: Rational) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
     """Integers (p, q, r), r > 0, that write x ↦ slope·x + intercept as
-    x ↦ (p·x + q) / r, or its inverse (r·x - q) / p when `back`: a swap."""
+    x ↦ (p·x + q) / r, then those of its inverse (r·x - q) / p: a swap, with
+    the signs moved so that the divisor stays positive."""
     (kn, kd), (cn, cd) = slope.as_integer_ratio(), intercept.as_integer_ratio()
     p, q, r = kn * cd, cn * kd, kd * cd
-    if not back:
-        return p, q, r
-    return (r, -q, p) if p > 0 else (-r, q, -p)
+    return (p, q, r), ((r, -q, p) if p > 0 else (-r, q, -p))
 
 
 def _meeting(spans: Sequence[tuple], lo: tuple, hi: tuple) -> Iterable[tuple]:
@@ -123,31 +136,27 @@ def _meeting(spans: Sequence[tuple], lo: tuple, hi: tuple) -> Iterable[tuple]:
         yield spans[i]
 
 
-def _carry(branches, spans: Sequence[Span], forward: bool) -> list[tuple]:
-    """Raw spans of the image (forward) or the preimage of `spans`, each
-    (lo, hi, lo_incl, hi_incl) with integer-ratio ends in lowest terms.
+def _carry(table, spans: Sequence[Span], forward: bool) -> list[tuple]:
+    """Raw spans of the image (forward) or the preimage of `spans` under the
+    branches of an integer table `_int_branches`, each (lo, hi, lo_incl,
+    hi_incl) with integer-ratio ends in lowest terms.
 
     `spans` must be sorted and disjoint (canonical region spans, or one
     span); each branch then visits only the spans that meet its source
-    (forward) or its image (back).  Every region boundary and every branch
-    end, slope and intercept is read once per call as an integer ratio, so
-    no two Fractions are compared and none is built: `_union_ratios` makes
-    Fractions of the ends that survive the union.  Every carried span is
-    nonempty and lies in the target space.
+    (forward) or its image (back).  Every region boundary is read once per
+    call as an integer ratio, and every branch end and affine map comes from
+    the table, built once per map, so no two Fractions are compared and none
+    is built: `_union_ratios` or `_regular_union` makes Fractions of the ends
+    that survive.  Every carried span is nonempty and lies in the target space.
     """
     ends = [_ratios(t) for t in spans]
     raw: list[tuple] = []
-    for src, dst, slope, intercept in branches:
-        window, other = (src, dst) if forward else (dst, src)
-        w = _ratios(window)
-        if slope:
-            p, q, r = _affine(slope, intercept, not forward)
-        else:  # a slope-0 branch carries any meet onto its whole other side
-            whole = _ratios(other)
-        for t in _meeting(ends, w[0], w[1]):
-            part = _span_intersect(t, w)
-            if part is not None:
-                raw.append(_affine_ratios(part, p, q, r) if slope else whole)
+    for src, dst, fwd, back in table:
+        window, other, affine = (src, dst, fwd) if forward else (dst, src, back)
+        for t in _meeting(ends, window[0], window[1]):
+            part = _span_intersect(t, window)
+            if part is not None:  # a constant branch carries any meet onto its whole other side
+                raw.append(_affine_ratios(part, *affine) if affine else other)
     return raw
 
 
@@ -185,10 +194,11 @@ class PLMap(_Value):
 
     def validate(self) -> None:
         """The codomain checks; the shared core has checked runs and points."""
-        comps = self.codomain.full_region().spans
-        for src, dst, _, _ in self._branches:
-            i = bisect_right(comps, dst.lo, key=lambda c: c.lo) - 1  # the one component that can hold dst
-            if i < 0 or dst.hi > comps[i].hi:
+        comps = self.codomain._ends
+        for (src, _, _, _), (_, ((n, d), (hn, hd), _, _), _, _) in zip(self._branches, self._int_branches):
+            # the one component that can hold the image: the last that starts at or before its lo
+            i = bisect_left(comps, True, key=lambda c: c[0][0] * d > n * c[0][1]) - 1
+            if i < 0 or hn * comps[i][1][1] > comps[i][1][0] * hd:
                 # a piece is located by its span, an isolated point by itself
                 raise ImageEscapesCodomain(src.lo if src.lo == src.hi else (src.lo, src.hi))
 
@@ -201,15 +211,15 @@ class PLMap(_Value):
     def image(self, r: Region) -> Region:
         if r.space != self.domain:
             raise SpaceMismatch("region is not over the domain")
-        return _union_ratios(self.codomain, _carry(self._branches, r.spans, True))
+        return _union_ratios(self.codomain, _carry(self._int_branches, r.spans, True))
 
     def preimage(self, s: Region) -> Region:
         if s.space != self.codomain:
             raise SpaceMismatch("region is not over the codomain")
-        return _union_ratios(self.domain, _carry(self._branches, s.spans, False))
+        return _union_ratios(self.domain, _carry(self._int_branches, s.spans, False))
 
     def is_surjective(self) -> bool:
-        images = [_ratios(dst) for _, dst, _, _ in self._branches]  # the image of the domain is their union
+        images = [dst for _, dst, _, _ in self._int_branches]  # the image of the domain is their union
         return _union_ratios(self.codomain, images) == self.codomain.full_region()
 
     # --- the induced maps on regular opens ---
@@ -218,19 +228,20 @@ class PLMap(_Value):
         """Interior of the image of the closure.
 
         A continuous map of a compact space has f(cl A) = cl f(A), and the
-        closure of a finite union is the union of the closures: so the
-        carried spans of u are read closed in one union sweep, then `interior`.
+        closure of a finite union is the union of the closures: so psi(u) is
+        int(cl(U)), U the union of the carried spans of u, which is one
+        `_regular_union` pass over them.
         """
         if u.space != self.domain:
             raise SpaceMismatch("region is not over the domain")
-        return _union_ratios(self.codomain, _carry(self._branches, u.spans, True), True).interior()
+        return _regular_union(self.codomain, _carry(self._int_branches, u.spans, True))
 
     def phi(self, v: Region) -> Region:
-        """Interior of the closure of the preimage: the carried spans of v
-        read closed in one union sweep, then `interior`."""
+        """Interior of the closure of the preimage: one `_regular_union` pass
+        over the carried spans of v."""
         if v.space != self.codomain:
             raise SpaceMismatch("region is not over the codomain")
-        return _union_ratios(self.domain, _carry(self._branches, v.spans, False), True).interior()
+        return _regular_union(self.domain, _carry(self._int_branches, v.spans, False))
 
 
 def _span_intersect(a: tuple, b: tuple) -> Optional[tuple]:
@@ -259,12 +270,6 @@ def _affine_ratios(s: tuple, p: int, q: int, r: int) -> tuple:
     g = gcd(n, d)
     hi = n // g, d // g
     return (lo, hi, s[2], s[3]) if p > 0 else (hi, lo, s[3], s[2])
-
-
-def _affine_span(s: tuple, p: int, q: int, r: int) -> Span:
-    """`_affine_ratios` as a Span."""
-    lo, hi, lo_incl, hi_incl = _affine_ratios(s, p, q, r)
-    return _span(Q(*lo), Q(*hi), lo_incl, hi_incl)
 
 
 class IrreducibilityVerdict(_Value):
@@ -330,7 +335,7 @@ def is_irreducible(m: PLMap) -> IrreducibilityVerdict:
     return verified(witness, f"piece image ({span.lo}, {span.hi}) overlap is covered twice")
 
 
-def _covered_twice(count: int) -> bool:
+def _covered_twice(count: int, high: int) -> bool:
     return count >= 2
 
 
@@ -361,8 +366,7 @@ def _first_overlap(m: PLMap, twice: Region) -> Optional[tuple[Piece, Span]]:
     """
     inner = [_ratios(d) for d in twice.interior().spans]
     # the branches list the pieces first, in run order, so zip stops before the points
-    for piece, (_, image, _, _) in zip([q for run in m.pieces for q in run], m._branches):
-        lo, hi, _, _ = _ratios(image)
+    for piece, (_, (lo, hi, _, _), _, _) in zip([q for run in m.pieces for q in run], m._int_branches):
         for d in _meeting(inner, lo, hi):
             part = _span_intersect(d, (lo, hi, False, False))
             if part is not None:

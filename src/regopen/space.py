@@ -82,7 +82,16 @@ class Space1D(_Value):
         return any(a <= x <= b for a, b in map(_bounds, self.components))
 
     def full_region(self) -> "Region":
+        return self._full
+
+    @cached_property
+    def _full(self) -> "Region":
         return _region(self, tuple([_span(*_bounds(c), True, True) for c in self.components]))
+
+    @cached_property
+    def _ends(self) -> tuple:
+        """Each component's bounds (lo, hi), left to right, as integer ratios."""
+        return tuple([(a.as_integer_ratio(), b.as_integer_ratio()) for a, b in map(_bounds, self.components)])
 
     def empty_region(self) -> "Region":
         return _region(self, ())
@@ -198,19 +207,18 @@ class Region(_Value):
     def interior(self) -> "Region":
         # canonical spans are never adjacent, so interior works span by span;
         # ends are integer ratios, ordered by cross-multiplication
-        comps = iter(self.space.components)
+        comps = iter(self.space._ends)
         out: list[Span] = []
-        comp = b = None
+        a = b = None
         for s in self.spans:
             lo, hi = s.lo.as_integer_ratio(), s.hi.as_integer_ratio()
             while b is None or hi[0] * b[1] > b[0] * hi[1]:
-                comp = next(comps, None)
-                if comp is None:
+                a, b = next(comps, (None, None))
+                if b is None:
                     break
-                a, b = (x.as_integer_ratio() for x in _bounds(comp))
-            if comp is None or lo[0] * a[1] < a[0] * lo[1]:
+            if b is None or lo[0] * a[1] < a[0] * lo[1]:
                 raise SpaceMismatch("region has a span outside its space")
-            if isinstance(comp, Point):
+            if a == b:  # an isolated point
                 out.append(s)
             elif lo != hi:  # a point inside an interval is never open
                 lo_incl, hi_incl = s.lo_incl and lo == a, s.hi_incl and hi == b
@@ -258,16 +266,16 @@ def _check_space(a: Region, b: Region) -> None:
         raise SpaceMismatch("regions live over different spaces")
 
 
-def _union(a: int, b: int) -> bool:
-    return a > 0 or b > 0
+def _union(c: int, high: int) -> bool:
+    return c > 0
 
 
-def _both(a: int, b: int) -> bool:
-    return a > 0 and b > 0
+def _both(c: int, high: int) -> bool:
+    return c > high and c & (high - 1) != 0
 
 
-def _minus(a: int, b: int) -> bool:
-    return a > 0 and b == 0
+def _minus(c: int, high: int) -> bool:
+    return 0 < c < high
 
 
 # Boundaries sort as integers n * (L // d) while L, the lcm of their
@@ -277,19 +285,21 @@ def _minus(a: int, b: int) -> bool:
 SWEEP_KEY_BITS = 4096
 
 
-def _sweep(space: Space1D, op: Callable[..., bool], *groups: Sequence[Span], closed: bool = False) -> Region:
+def _sweep(space: Space1D, op: Callable[[int, int], bool], *groups: Sequence[Span],
+           closed: bool = False) -> Region:
     """Combine groups of nonempty spans pointwise by `op` in one boundary sweep.
 
     A boundary is a cut (value, after): after=False sits just before the
     value and after=True just after it, so a span is the half-open cut range
-    [(lo, not lo_incl), (hi, hi_incl)).  Each group keeps a coverage count,
-    and a cut is emitted wherever `op` of the counts flips between False and
-    True.  `op` of all zeros must be False.  Runs come out maximal, so a
-    result that lies inside the space is canonical.  An empty raw span would
-    count backwards, so `canonicalize` drops those first.  With `closed`,
-    every span counts as its closure, the cut range [(lo, False), (hi, True)).
+    [(lo, not lo_incl), (hi, hi_incl)).  The sweep keeps the groups' coverage
+    counts packed in one integer, and a cut is emitted wherever `op` of that
+    integer and `high` flips between False and True.  `op` of zero must be
+    False.  Runs come out maximal, so a result that lies inside the space is
+    canonical.  An empty raw span would count backwards, so `canonicalize`
+    drops those first.  With `closed`, every span counts as its closure, the
+    cut range [(lo, False), (hi, True)).
     """
-    return _combine(space, op, len(groups), _cut_events(groups, closed))
+    return _combine(space, op, *_cut_events(groups, closed))
 
 
 def _positions(ends: list) -> list:
@@ -311,40 +321,48 @@ def _positions(ends: list) -> list:
     return [n * scale[d] for n, d in ends]
 
 
-def _cut_events(groups: Sequence[Sequence[Span]], closed: bool = False) -> list:
-    """One event (position, group, step, value) per boundary, lo then hi per span.
+def _cut_events(groups: Sequence[Sequence[Span]], closed: bool = False) -> tuple[list, int]:
+    """One event (position, step, value) per boundary, lo then hi per span,
+    and the `high` of the packed counts.
 
     Each boundary is read once, as an integer ratio, and its cut sits at
     its `_positions` entry plus `after`; with `closed` every span is read
-    as its closure, so each lo cut sits before its value and each hi cut after.
+    as its closure, so each lo cut sits before its value and each hi cut
+    after.  The groups' coverage counts are packed in one integer: a span of
+    group g steps it by high**g, `high` a power of two above every group's
+    span count, so group 0's count is `c & (high - 1)` and, of two groups,
+    group 1's is `c // high`.
     """
     events = _positions([v.as_integer_ratio() for spans in groups for s in spans for v in (s.lo, s.hi)])
-    i = 0
-    for g, spans in enumerate(groups):
+    high = 1 << (len(events) // 2).bit_length()
+    i, weight = 0, 1
+    for spans in groups:
         for s in spans:
-            events[i] = (events[i] + (not (closed or s.lo_incl)), g, 1, s.lo)
-            events[i + 1] = (events[i + 1] + (closed or s.hi_incl), g, -1, s.hi)
+            events[i] = (events[i] + (not (closed or s.lo_incl)), weight, s.lo)
+            events[i + 1] = (events[i + 1] + (closed or s.hi_incl), -weight, s.hi)
             i += 2
-    return events
+        weight *= high
+    return events, high
 
 
-def _combine(space: Space1D, op: Callable[..., bool], n_groups: int, events: list) -> Region:
+def _combine(space: Space1D, op: Callable[[int, int], bool], events: list, high: int) -> Region:
     """The sweep proper: one O(n log n) integer sort and one linear pass.
 
     The sort reads positions only: events at one position share its value,
-    and the counts are read only where it changes, so no values are compared.
+    and the count is read only where it changes, so no values are compared.
     """
     events.sort(key=itemgetter(0))
-    events.append((None, 0, 0, None))  # past every cut: flushes the last one
-    count = [0] * n_groups
+    events.append((None, 0, None))  # past every cut: flushes the last one
+    count, inside = 0, False
     cuts: list = []
     at = at_value = None
-    for pos, g, step, value in events:
-        if pos != at:  # the counts hold every event at the cut before
-            if op(*count) != len(cuts) % 2:
+    for pos, step, value in events:
+        if pos != at:  # the count holds every event at the cut before
+            if op(count, high) != inside:
                 cuts.append((at_value, at))
+                inside = not inside
             at, at_value = pos, value
-        count[g] += step
+        count += step
     # tuple() of a list allocates the final size; of a generator it resizes
     # a guess, and each resized block then stays in the tuple free list
     return _region(space, tuple([
@@ -353,11 +371,24 @@ def _combine(space: Space1D, op: Callable[..., bool], n_groups: int, events: lis
     ]))
 
 
-def _union_ratios(space: Space1D, spans: list, closed: bool = False) -> Region:
+def _merged(ranges: list):
+    """The maximal runs (lo_at, hi_at, lo, hi) of ranges sorted by lo_at: a
+    range that starts past the run so far begins a new run."""
+    if not ranges:
+        return
+    lo_at, hi_at, lo, hi = ranges[0]
+    for a, b, x, y in ranges:
+        if a > hi_at:
+            yield lo_at, hi_at, lo, hi
+            lo_at, hi_at, lo, hi = a, b, x, y
+        elif b > hi_at:
+            hi_at, hi = b, y
+    yield lo_at, hi_at, lo, hi
+
+
+def _union_ratios(space: Space1D, spans: list) -> Region:
     """The canonical union of nonempty spans (lo, hi, lo_incl, hi_incl) of
-    `space` whose ends are integer ratios (n, d) in lowest terms, d > 0, or
-    with `closed` the union of their closures, which is the closure of
-    their union.
+    `space` whose ends are integer ratios (n, d) in lowest terms, d > 0.
 
     The transports carry such spans: `PLMap.validate` puts every branch
     image in the codomain, and preimage parts are sub-spans of branch
@@ -368,19 +399,41 @@ def _union_ratios(space: Space1D, spans: list, closed: bool = False) -> Region:
     Fractions.
     """
     at = _positions([end for s in spans for end in s[:2]])
-    ranges = [(a + (not (closed or s[2])), b + (closed or s[3]), s[0], s[1])
-              for a, b, s in zip(at[::2], at[1::2], spans)]
+    ranges = [(a + (not s[2]), b + s[3], s[0], s[1]) for a, b, s in zip(at[::2], at[1::2], spans)]
     ranges.sort(key=itemgetter(0))
+    return _region(space, tuple([_span(Q(*lo), Q(*hi), lo_at & 1 == 0, hi_at & 1 == 1)
+                                 for lo_at, hi_at, lo, hi in _merged(ranges)]))
+
+
+def _regular_union(space: Space1D, spans: list) -> Region:
+    """int(cl(U)), U the union of nonempty spans as `_union_ratios` takes them.
+
+    One sort by lo merges the spans' closures into the runs of cl(U), and
+    each run is opened against the component that holds it, at the same
+    `_positions`: it keeps an end only where the component does, and a lone
+    point only if it is isolated.  A run outside every component raises
+    `SpaceMismatch`, as `Region.interior` does.
+    """
+    bounds = space._ends
+    at = _positions([end for b in bounds for end in b] + [end for s in spans for end in s[:2]])
+    k = 2 * len(bounds)
+    ranges = [(a, b, s[0], s[1]) for a, b, s in zip(at[k::2], at[k + 1::2], spans)]
+    ranges.sort(key=itemgetter(0))
+    comps = iter(zip(at[0:k:2], at[1:k:2], space.full_region().spans))
     out: list[Span] = []
-    if ranges:
-        lo_at, hi_at, lo, hi = ranges[0]
-        for a, b, x, y in ranges:
-            if a > hi_at:
-                out.append(_span(Q(*lo), Q(*hi), lo_at & 1 == 0, hi_at & 1 == 1))
-                lo_at, hi_at, lo, hi = a, b, x, y
-            elif b > hi_at:
-                hi_at, hi = b, y
-        out.append(_span(Q(*lo), Q(*hi), lo_at & 1 == 0, hi_at & 1 == 1))
+    c_hi = None
+    for lo_at, hi_at, lo, hi in _merged(ranges):
+        while c_hi is None or hi_at > c_hi:
+            c_lo, c_hi, comp = next(comps, (None, None, None))
+            if c_hi is None:
+                break
+        if c_hi is None or lo_at < c_lo:
+            raise SpaceMismatch("region has a span outside its space")
+        lo_incl, hi_incl = lo_at == c_lo, hi_at == c_hi
+        if lo_incl and hi_incl:  # the whole component, an isolated point included
+            out.append(comp)
+        elif lo_at != hi_at:  # a point inside an interval is never open
+            out.append(_span(comp.lo if lo_incl else Q(*lo), comp.hi if hi_incl else Q(*hi), lo_incl, hi_incl))
     return _region(space, tuple(out))
 
 
@@ -395,7 +448,7 @@ def canonicalize(space: Space1D, raw_spans: Iterable[Span]) -> CanonicalizeResul
     starts at or before it, found by bisection on the positions.
     """
     full = space.full_region().spans
-    events = _cut_events((full, list(raw_spans)))
+    events, high = _cut_events((full, list(raw_spans)))
     n = 2 * len(full)
     starts, ends = [e[0] for e in events[0:n:2]], [e[0] for e in events[1:n:2]]
     live, clipped = events[:n], False
@@ -405,7 +458,7 @@ def canonicalize(space: Space1D, raw_spans: Iterable[Span]) -> CanonicalizeResul
             if not clipped:
                 i = bisect_right(starts, lo[0]) - 1
                 clipped = i < 0 or hi[0] > ends[i]
-    return CanonicalizeResult(_combine(space, _both, 2, live), clipped)
+    return CanonicalizeResult(_combine(space, _both, live, high), clipped)
 
 
 # --- the Boolean algebra of regular open sets ---
@@ -523,4 +576,4 @@ def random_regular_open(space: Space1D, seed: int) -> Region:
             g = gcd(n, d)
             ends.append((n // g, d // g))
         raw.append((*ends, False, False))
-    return _union_ratios(space, raw, True).interior()
+    return _regular_union(space, raw)

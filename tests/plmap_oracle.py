@@ -6,14 +6,14 @@ as a span of integer ratios and makes `Fraction`s only of the ends of the
 merged runs, and decides rules 1 and 3 of `is_irreducible` from one
 coverage count over all branch images.  These are the forms it
 replaced: the bisected transport kernel in Fraction arithmetic (`_carry`,
-`_span_intersect`, `_affine_span`, and `pullback` by dividing each cut),
+`_span_intersect`, `_affine_ratios`, and `pullback` by dividing each cut),
 every piece against every span, flags from `Span.contains`, one image of
 the domain without each isolated point, and one canonicalization of the
 other branches per piece.  Tests compare the two on random maps.
 
-psi and phi read the carried spans closed in one union sweep; the
-compositions they replaced, through the library's own image, preimage,
-closure and interior, are kept as `psi_by_composition` and
+psi and phi make int(cl(U)) of the carried spans' union U in one hull
+pass; the compositions they replaced, through the library's own image,
+preimage, closure and interior, are kept as `psi_by_composition` and
 `phi_by_composition`.
 
 Surjectivity, the codomain check and rule 3 read the branch images off the

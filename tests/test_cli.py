@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from regopen import cantor, cli, jsonio
-from regopen.cli import MAX_CANTOR_CHECK_DEPTH, MAX_GLEASON_POINTS, main
+from regopen.cli import MAX_CANTOR_CHECK_DEPTH, MAX_GLEASON_POINTS, MAX_SAMPLES, main
 from regopen.cover_iso import verify_bridge
 from regopen.ideals import plfunc_from_breakpoints
 from regopen.plmap import Piece, PLMap, identity_map, plmap_from_breakpoints
@@ -158,6 +159,18 @@ class TestCover:
         code, out = run(capsys, "cover", "check", "--map", plmap_json(identity_map(UNIT)), "--samples", "0")
         assert code == 0 and out["samples"] == 0
 
+    def test_samples_above_the_bound_are_input_errors_before_any_work(self, capsys):
+        # the one-point identity keeps the run at the bound cheap
+        point = plmap_json(identity_map(Space1D((Point(0),))))
+        code, out = run(capsys, "cover", "check", "--map", point, "--samples", str(MAX_SAMPLES))
+        assert code in (0, 1) and out["samples"] == MAX_SAMPLES
+        for samples in (MAX_SAMPLES + 1, 10**9):
+            start = time.perf_counter()
+            code, out = run(capsys, "cover", "check", "--map", plmap_json(identity_map(UNIT)),
+                            "--samples", str(samples))
+            assert time.perf_counter() - start < 0.1
+            assert code == 2 and out == {"error": f"--samples is at most {MAX_SAMPLES}", "at": "ValueError"}
+
     def test_invalid_map_is_input_error(self, capsys):
         broken = json.dumps(
             {
@@ -205,6 +218,15 @@ class TestCantor:
         assert code == 2 and out["at"] == "ValueError"
         code, out = run(capsys, "cantor", "check", "--depth", "3", "--samples", "0")
         assert code == 0 and out["bridge"]["samples"] == 0 and out["bridge"]["checks"] == 0
+
+    def test_samples_above_the_bound_are_input_errors_before_any_work(self, capsys):
+        code, out = run(capsys, "cantor", "check", "--depth", "1", "--samples", str(MAX_SAMPLES))
+        assert code in (0, 1) and out["bridge"]["samples"] == MAX_SAMPLES
+        for samples in (MAX_SAMPLES + 1, 10**9):
+            start = time.perf_counter()
+            code, out = run(capsys, "cantor", "check", "--depth", str(MAX_CANTOR_CHECK_DEPTH), "--samples", str(samples))
+            assert time.perf_counter() - start < 0.1
+            assert code == 2 and out == {"error": f"--samples is at most {MAX_SAMPLES}", "at": "ValueError"}
 
     def test_phi_at_depth_40(self, capsys):
         v = '{"spans":[{"lo":"0","hi":"1","lo_incl":true,"hi_incl":true}]}'
@@ -727,6 +749,7 @@ def _argv(*parts):
 
 
 SMALL = st.integers(-1, 3)
+SAMPLES = SMALL | st.integers(MAX_SAMPLES + 1, 10**9)
 SUBCOMMANDS = {
     "space info": _argv(st.just(["space", "info", "--space"]), _arg(SPACE)),
     "region eval": _argv(
@@ -734,7 +757,7 @@ SUBCOMMANDS = {
         _flag("--bind", _arg(REGION).map(lambda r: "v=" + r)),
     ),
     "cover check": _argv(
-        st.just(["cover", "check", "--map"]), _arg(PLMAP), _flag("--samples", SMALL), _flag("--seed", SMALL),
+        st.just(["cover", "check", "--map"]), _arg(PLMAP), _flag("--samples", SAMPLES), _flag("--seed", SMALL),
     ),
     **{
         f"cover {which}": _argv(st.just(["cover", which, "--map"]), _arg(PLMAP), st.just("--region"), _arg(REGION))
@@ -743,7 +766,7 @@ SUBCOMMANDS = {
     "cantor check": _argv(
         st.just(["cantor", "check"]),
         _flag("--depth", st.integers(-1, 8) | st.integers(MAX_CANTOR_CHECK_DEPTH + 1, 10**9)), st.just(["--samples"]),
-        SMALL.map(str), _flag("--seed", SMALL),
+        SAMPLES.map(str), _flag("--seed", SMALL),
     ),
     "cantor psi": _argv(st.just(["cantor", "psi", "--clopen"]), _arg(CLOPEN)),
     "cantor phi": _argv(

@@ -610,6 +610,34 @@ class TestBranchTableOracle:
             "not surjective", "irreducible", "isolated", "constant", "piece", "overlap ends on a component end",
         }
 
+    def test_integer_rows_match_the_fraction_branches(self):
+        # each stored row against `_ratios` and `_affine` of its Fraction branch, by repr
+        def rows_by_derivation(obj) -> list:
+            return [(plmap._ratios(src), plmap._ratios(dst), *(plmap._affine(k, c) if k else (None, None)))
+                    for src, dst, k, c in obj._branches]
+
+        rng = random.Random(64_000)  # the outcome test's maps
+        built, seen = [], set()
+        for i in range(240):
+            args = _random_cover_args(rng, _PRIMES if i % 3 == 2 else ())
+            if i % 2:
+                args = _moved(rng, args)
+            try:
+                built.append(plmap_from_breakpoints(*args))
+            except ImageEscapesCodomain:
+                pass
+        rng = random.Random(64_001)
+        for _ in range(60):  # pullback builds its table through `_settle(check=False)`
+            m = _random_cover(rng, _PRIMES if rng.random() < 0.5 else ())
+            built.append(pullback(m, random_plfunc(m.codomain, rng.randrange(10**6))))
+        assert len(built) > 200
+        for obj in built:
+            assert len(obj._int_branches) == len(obj._branches)
+            assert repr(list(obj._int_branches)) == repr(rows_by_derivation(obj))
+            seen |= {type(obj).__name__} | {"negative slope" if k < 0 else "constant" if k == 0 else "positive slope"
+                                            for _, _, k, _ in obj._branches}
+        assert seen == {"PLMap", "PLFunc", "negative slope", "constant", "positive slope"}
+
 
 class TestTransportOracle:
     """Bisected transports and endpoint intersections against the double loop."""
@@ -676,7 +704,7 @@ class TestIntegerKernelOracle:
                 r = random_region(m.domain, rng, count=6, den=den)
                 s = random_region(m.codomain, rng, count=6, den=den)
                 for forward, t in ((True, r), (False, s)):
-                    assert repr(plmap._carry(m._branches, t.spans, forward)) == \
+                    assert repr(plmap._carry(m._int_branches, t.spans, forward)) == \
                         repr(_ratio_spans(carry_by_fractions(table, t.spans, forward)))
                 u, v = r.regularize(), s.regularize()
                 for got, want in ((m.image(r), image_by_fractions(m, r)),
@@ -856,7 +884,7 @@ class TestWorkCounts:
     def test_carried_union_ranks_by_fractions_past_the_key_bound(self, monkeypatch):
         m = _fold_map(random.Random(65))
         s = Region(UNIT, [Span(rat(k, 7), rat(3 * k + 1, 21), False, True) for k in range(7)])
-        raw = plmap._carry(m._branches, s.spans, False)
+        raw = plmap._carry(m._int_branches, s.spans, False)
         distinct = len({end for t in raw for end in t[:2]})
         regions, compared = [], []
         for bits in (space.SWEEP_KEY_BITS, 0):  # 0: every union takes the Fraction-rank fallback
@@ -896,7 +924,7 @@ class TestWorkCounts:
             assert g._branches == PLFunc(g.space, g.pieces, g.point_values)._branches
 
     def test_psi_and_phi_build_no_closure_and_no_image_or_preimage(self, monkeypatch):
-        # one closed union sweep over the carried spans, then interior
+        # one hull pass over the carried spans
         m = _fold_map(random.Random(67))
         r = Region(UNIT_PT, [Span(rat(k, 8), rat(2 * k + 1, 16), True, False) for k in range(8)]
                    + [Span(rat(2), rat(2), True, True)])
@@ -909,3 +937,29 @@ class TestWorkCounts:
         for v in (s, s.interior()):
             assert m.phi(v).spans
         assert {key: c[0] for key, c in counts.items()} == {key: 0 for key in counts}
+
+    def test_psi_and_phi_of_64_pieces_read_the_table_and_take_no_interior(self, monkeypatch):
+        # the branch table's integer rows and the spaces' bounds are built once,
+        # and one hull pass opens the runs: no per-call derivation and no interior
+        m = _fold_map(random.Random(68))
+        rng = random.Random(68)
+        us = [random_region(m.domain, rng, count=6, den=64).regularize() for _ in range(50)]
+        vs = [random_region(m.codomain, rng, count=6, den=64).regularize() for _ in range(50)]
+        wants = [(psi_by_pairs(m, u), phi_by_pairs(m, v)) for u, v in zip(us, vs)]
+        branch_spans = {id(span) for row in m._branches for span in row[:2]}
+        ratios = plmap._ratios
+        on_branches = [0]
+
+        def counted_ratios(s):
+            on_branches[0] += id(s) in branch_spans
+            return ratios(s)
+
+        monkeypatch.setattr(plmap, "_ratios", counted_ratios)
+        affine = self._count(monkeypatch, (plmap,), "_affine")
+        interior = self._count(monkeypatch, (Region,), "interior")
+        gots = [(m.psi(u), m.phi(v)) for u, v in zip(us, vs)]
+        assert {"_affine": affine[0], "_ratios of a branch span": on_branches[0], "interior": interior[0]} == \
+            {"_affine": 0, "_ratios of a branch span": 0, "interior": 0}
+        assert gots == wants
+        for x in (m.domain, m.codomain):
+            assert x.full_region() is x.full_region()

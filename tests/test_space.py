@@ -264,7 +264,8 @@ class TestRelativeTopology:
         in_gap = _region(UNIT_PT, (Span(rat(3, 2), rat(3, 2), True, True),))
         across = _region(TWO_INTERVALS, (Span(rat(1, 2), rat(5, 2), False, False),))
         for r in (right, left, in_gap, across):
-            for op in (Region.interior, Region.regularize, lambda r: ropen_join(r, r)):
+            for op in (Region.interior, Region.regularize, lambda r: ropen_join(r, r),
+                       lambda r: space_module._regular_union(r.space, _ratio_spans(r.spans))):
                 with pytest.raises(SpaceMismatch):
                     op(r)
 
@@ -432,6 +433,10 @@ class TestRandomRegularOpen:
                 assert len(r1.spans) <= 3
 
 
+def _ratio_spans(spans) -> list:
+    return [(s.lo.as_integer_ratio(), s.hi.as_integer_ratio(), s.lo_incl, s.hi_incl) for s in spans]
+
+
 def _exact(r: Region) -> list:
     # reprs tell a Fraction from an int and a bool from 0/1
     return [(repr(s.lo), repr(s.hi), repr(s.lo_incl), repr(s.hi_incl)) for s in r.spans]
@@ -497,11 +502,13 @@ def _agree_with_space_oracle(space: Space1D, a_raw: list, b_raw: list) -> None:
         (a.perp(), oracle.complement(oracle.closure_by_spans(a))),
         (ropen_join(a, b), oracle.regularize_by_spans(oracle.union(a, b))),
     ]
-    # the closed sweeps against the compositions they replaced
+    # the closed sweeps and the hull pass against the compositions they replaced
     for r in (a, c):
         pairs += [(r.perp(), oracle.perp_by_composition(r)),
                   (ropen_join(r, b), oracle.join_by_composition(r, b)),
-                  (ropen_join(b, r), oracle.join_by_composition(b, r))]
+                  (ropen_join(b, r), oracle.join_by_composition(b, r)),
+                  (space_module._regular_union(space, _ratio_spans(b.spans + r.spans)),
+                   oracle.join_by_composition(b, r))]
     for r in (a, c):
         pairs += [
             (r.closure(), oracle.closure_by_spans(r)),
@@ -616,7 +623,7 @@ class TestWorkCounts:
         assert calls == {"closure": 0, "regularize": 0, "union": 0, "complement": 0}
 
     def test_draws_canonicalize_nothing(self, monkeypatch):
-        # the draws' ends are carried as integer ratios into one closed union sweep
+        # the draws' ends are carried as integer ratios into one hull pass
         calls = self._counted(monkeypatch, [(space_module, "canonicalize"), (Region, "closure")])
         for seed in range(40):
             assert random_regular_open(_DRAW_SPACE, seed).spans
