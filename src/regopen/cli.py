@@ -32,6 +32,14 @@ MAX_CANTOR_CHECK_DEPTH = 10
 # [0, 1] takes about 0.6 s, and a `cantor check` process about 0.5 s at
 # depth 1 and 7.4-8.5 s at depth 10; 10^9 samples would run for days.
 MAX_SAMPLES = 1000
+# `cantor phi` cuts each span of the region's closure into at most 2k words
+# of at most k characters, k the natural depth (the largest dyadic exponent of
+# an endpoint), so its output grows as k^2 bytes while the request carries a
+# denominator of 2^k, at least 0.3k digits, per deep end: the output is at
+# most about 1.7(k + 7) bytes per request byte.  The bound keeps that within
+# 440 times the request; with no bound, the region (2^-k, 1 - 2^-k) wrote
+# 64.1 MB in 2.8 s at k = 8000 on a 2-vCPU VM.
+MAX_CANTOR_PHI_DEPTH = 256
 
 
 def _check_samples(samples: int) -> None:
@@ -119,6 +127,8 @@ def _cmd_cantor_psi(args):
 def _cmd_cantor_phi(args):
     from . import cantor
     region = jsonio.decode_region(cantor.UNIT_INTERVAL, _load(args.region))
+    if any(x.denominator > 1 << MAX_CANTOR_PHI_DEPTH for s in region.spans for x in (s.lo, s.hi)):
+        raise ValueError(f"cantor phi takes endpoint denominators of at most 2^{MAX_CANTOR_PHI_DEPTH}")
     return cantor.phi_c(region, depth=args.depth), True
 
 

@@ -8,7 +8,7 @@ moving supports through the cover's phi/psi.
 from __future__ import annotations
 
 from .errors import NotIrreducible, SpaceMismatch, _Value
-from .plmap import (Piece, PLMap, _affine_ratios, _carry, _locate, _meeting, _runs, _settle, _span_intersect,
+from .plmap import (Piece, PLMap, _affine_ratios, _carry, _meeting, _runs, _settle, _span_intersect, _value,
                     is_irreducible)
 from .rationals import Q, Rational
 from .space import Region, Space1D, Span, _union_ratios, ropen_join, ropen_meet
@@ -25,8 +25,7 @@ class PLFunc(_Value):
         _settle(self, self.space, "point_values")
 
     def value(self, x: Rational) -> Rational:
-        slope, intercept = _locate(self._branches, x)
-        return slope * x + intercept
+        return _value(self, self.point_values, x)
 
     def breakpoints(self) -> list[Rational]:
         out = []
@@ -46,7 +45,7 @@ def plfunc_from_breakpoints(
 
 def pl_supp(f: PLFunc) -> Region:
     """Exact open region where f is nonzero: the complement of its zero set."""
-    zeros = _carry(f._int_branches, [Span(0, 0, True, True)], False)
+    zeros = _carry(f._branches, [Span(0, 0, True, True)], False)
     return _union_ratios(f.space, zeros).complement()
 
 
@@ -123,15 +122,15 @@ def pullback(pi: PLMap, f: PLFunc) -> PLFunc:
     """
     if f.space != pi.codomain:
         raise SpaceMismatch("function is not over the cover codomain")
-    n = sum(map(len, f.pieces))  # the branches list the pieces first, in run order
-    sources = [src + (m, k) for (src, _, _, _), (_, _, m, k) in zip(f._int_branches[:n], f._branches)]
-    runs, branches = [], zip(pi._branches, pi._int_branches)
+    pieces = [h for run in f.pieces for h in run]  # the branches list them first, so zip stops at the points
+    sources = [src + (h.slope, h.intercept) for (src, _, _, _), h in zip(f._branches, pieces)]
+    runs, branches = [], iter(pi._branches)
     for run in pi.pieces:
         out = []
-        for piece, ((_, _, slope, intercept), (_, (lo, hi, _, _), _, back)) in zip(run, branches):
+        for piece, (_, (lo, hi, _, _), _, back) in zip(run, branches):
+            slope, intercept = piece.slope, piece.intercept
             if not slope:
-                m, k = _locate(f._branches, intercept)
-                out.append(Piece._trusted(piece.src_lo, piece.src_hi, m * slope, m * intercept + k))
+                out.append(Piece._trusted(piece.src_lo, piece.src_hi, slope, f.value(intercept)))
                 continue
             p, q, r = back
             inside, parts = (lo, hi, False, False), []  # a piece of f that only touches it is no meet

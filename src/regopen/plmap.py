@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import Discontinuity, ImageEscapesCodomain, NotSurjective, SpaceMismatch, _Value
 from .rationals import Q, Rational, rat
-from .space import Region, Space1D, Span, _regular_union, _span, _sweep, _union_ratios
+from .space import Region, Space1D, Span, _covered_twice, _regular_union, _span, _union_ratios
 
 
 class Piece(_Value):
@@ -44,9 +44,9 @@ def _settle(obj, space: Space1D, points_field: str, check: bool = True) -> None:
     `space`, unless `check` is false (the library built them valid), then build
     the branch table: one branch per piece in run order, then one per isolated
     point as a constant, all spans closed.  `obj._branches` holds each branch
-    as (src, dst, slope, intercept), and `obj._int_branches`, row for row, as
-    (src, dst, forward, backward): its spans as `_ratios` and the `_affine`
-    integers of its map and of the inverse, both None for a constant."""
+    as one integer row (src, dst, forward, backward): its source and image
+    spans as `_ratios` and the `_affine` integers of its map and of the
+    inverse, both None for a constant.  No Span and no Fraction is built."""
     if check:
         # tuple() of a list allocates the final size; of a generator it resizes
         # a guess, and each resized block then stays in the tuple free list
@@ -56,22 +56,25 @@ def _settle(obj, space: Space1D, points_field: str, check: bool = True) -> None:
         _check_runs(space, obj.pieces)
         _check_points(space, points, points_field)
     parts = [(q.src_lo, q.src_hi, q.slope, q.intercept) for run in obj.pieces for q in run]
-    parts += [(p, p, rat(0), v) for p, v in getattr(obj, points_field)]
-    branches, table = [], []
+    parts += [(p, p, 0, v) for p, v in getattr(obj, points_field)]
+    table = []
     for lo, hi, k, c in parts:
         src = (lo.as_integer_ratio(), hi.as_integer_ratio(), True, True)
         if k:
             forward, backward = _affine(k, c)
-            dst = _affine_ratios(src, *forward)
-            image = _span(Q(*dst[0]), Q(*dst[1]), True, True)
+            table.append((src, _affine_ratios(src, *forward), forward, backward))
         else:
-            forward = backward = None
-            dst = (c.as_integer_ratio(),) * 2 + (True, True)
-            image = _span(c, c, True, True)
-        branches.append((_span(lo, hi, True, True), image, k, c))
-        table.append((src, dst, forward, backward))
-    object.__setattr__(obj, "_branches", tuple(branches))
-    object.__setattr__(obj, "_int_branches", tuple(table))
+            table.append((src, (c.as_integer_ratio(),) * 2 + (True, True), None, None))
+    object.__setattr__(obj, "_branches", tuple(table))
+
+
+def _value(obj, points, x: Rational) -> Rational:
+    """The value at x of the first piece that holds it, else of the isolated point x."""
+    held = [q.value(x) for run in obj.pieces for q in run if q.src_lo <= x <= q.src_hi]
+    held += [v for p, v in points if p == x]
+    if not held:
+        raise ValueError(f"{x} not in the domain")
+    return held[0]
 
 
 def _check_runs(space: Space1D, pieces) -> None:
@@ -98,14 +101,6 @@ def _check_points(space: Space1D, points, points_field: str) -> None:
         raise ValueError(f"{points_field} must cover the isolated points exactly")
     if len(given) != len(points):
         raise ValueError(f"duplicate point in {points_field}")
-
-
-def _locate(branches, x: Rational) -> tuple[Rational, Rational]:
-    """Slope and intercept at x; an isolated point carries a constant."""
-    for src, _, slope, intercept in branches:
-        if src.lo <= x <= src.hi:
-            return slope, intercept
-    raise ValueError(f"{x} not in the domain")
 
 
 def _ratios(s: Span) -> tuple:
@@ -138,8 +133,8 @@ def _meeting(spans: Sequence[tuple], lo: tuple, hi: tuple) -> Iterable[tuple]:
 
 def _carry(table, spans: Sequence[Span], forward: bool) -> list[tuple]:
     """Raw spans of the image (forward) or the preimage of `spans` under the
-    branches of an integer table `_int_branches`, each (lo, hi, lo_incl,
-    hi_incl) with integer-ratio ends in lowest terms.
+    branches of a table `_branches`, each (lo, hi, lo_incl, hi_incl) with
+    integer-ratio ends in lowest terms.
 
     `spans` must be sorted and disjoint (canonical region spans, or one
     span); each branch then visits only the spans that meet its source
@@ -195,31 +190,30 @@ class PLMap(_Value):
     def validate(self) -> None:
         """The codomain checks; the shared core has checked runs and points."""
         comps = self.codomain._ends
-        for (src, _, _, _), (_, ((n, d), (hn, hd), _, _), _, _) in zip(self._branches, self._int_branches):
+        for (lo, hi, _, _), ((n, d), (hn, hd), _, _), _, _ in self._branches:
             # the one component that can hold the image: the last that starts at or before its lo
             i = bisect_left(comps, True, key=lambda c: c[0][0] * d > n * c[0][1]) - 1
             if i < 0 or hn * comps[i][1][1] > comps[i][1][0] * hd:
                 # a piece is located by its span, an isolated point by itself
-                raise ImageEscapesCodomain(src.lo if src.lo == src.hi else (src.lo, src.hi))
+                raise ImageEscapesCodomain(Q(*lo) if lo == hi else (Q(*lo), Q(*hi)))
 
     # --- evaluation and set maps ---
 
     def value(self, x: Rational) -> Rational:
-        slope, intercept = _locate(self._branches, x)
-        return slope * x + intercept
+        return _value(self, self.point_images, x)
 
     def image(self, r: Region) -> Region:
         if r.space != self.domain:
             raise SpaceMismatch("region is not over the domain")
-        return _union_ratios(self.codomain, _carry(self._int_branches, r.spans, True))
+        return _union_ratios(self.codomain, _carry(self._branches, r.spans, True))
 
     def preimage(self, s: Region) -> Region:
         if s.space != self.codomain:
             raise SpaceMismatch("region is not over the codomain")
-        return _union_ratios(self.domain, _carry(self._int_branches, s.spans, False))
+        return _union_ratios(self.domain, _carry(self._branches, s.spans, False))
 
     def is_surjective(self) -> bool:
-        images = [dst for _, dst, _, _ in self._int_branches]  # the image of the domain is their union
+        images = [dst for _, dst, _, _ in self._branches]  # the image of the domain is their union
         return _union_ratios(self.codomain, images) == self.codomain.full_region()
 
     # --- the induced maps on regular opens ---
@@ -234,14 +228,14 @@ class PLMap(_Value):
         """
         if u.space != self.domain:
             raise SpaceMismatch("region is not over the domain")
-        return _regular_union(self.codomain, _carry(self._int_branches, u.spans, True))
+        return _regular_union(self.codomain, _carry(self._branches, u.spans, True))
 
     def phi(self, v: Region) -> Region:
         """Interior of the closure of the preimage: one `_regular_union` pass
         over the carried spans of v."""
         if v.space != self.codomain:
             raise SpaceMismatch("region is not over the codomain")
-        return _regular_union(self.domain, _carry(self._int_branches, v.spans, False))
+        return _regular_union(self.domain, _carry(self._branches, v.spans, False))
 
 
 def _span_intersect(a: tuple, b: tuple) -> Optional[tuple]:
@@ -288,9 +282,9 @@ def is_irreducible(m: PLMap) -> IrreducibilityVerdict:
     union of the other branches.  Any witness is re-verified by exact
     recomputation before it is returned.
 
-    Surjectivity is one union sweep of the n branch images, and rules 1 and
-    3 read one coverage count over them: an O(n log n) sweep, then one
-    bisection per isolated point (rule 1) and one per piece (rule 3).
+    Surjectivity is one union pass of the n branch images in the table, and
+    rules 1 and 3 read the runs two of them hold, one `_covered_twice` pass:
+    O(n log n), then one bisection per isolated point and one per piece.
     """
     if not m.is_surjective():
         raise NotSurjective("irreducibility is only defined for surjective maps")
@@ -304,7 +298,7 @@ def is_irreducible(m: PLMap) -> IrreducibilityVerdict:
             raise AssertionError(f"internal witness failed re-verification: {reason}")
         return IrreducibilityVerdict(False, witness, reason)
 
-    twice = _sweep(m.codomain, _covered_twice, [dst for _, dst, _, _ in m._branches])
+    twice = _covered_twice([dst for _, dst, _, _ in m._branches])
 
     # rule 1: an isolated point whose removal keeps the map onto
     p = _redundant_point(m, twice)
@@ -335,38 +329,36 @@ def is_irreducible(m: PLMap) -> IrreducibilityVerdict:
     return verified(witness, f"piece image ({span.lo}, {span.hi}) overlap is covered twice")
 
 
-def _covered_twice(count: int, high: int) -> bool:
-    return count >= 2
-
-
-def _redundant_point(m: PLMap, twice: Region) -> Optional[Rational]:
+def _redundant_point(m: PLMap, twice: list) -> Optional[Rational]:
     """The first isolated point whose removal keeps the map onto.
 
-    The map is onto, so dropping p keeps it onto exactly when another
-    branch also covers p's image: when `twice`, the part of the codomain
-    that at least two closed branch images hold, contains it.
+    The map is onto, so dropping p keeps it onto exactly when another branch
+    also covers p's image: when it meets `twice`, the runs that at least two
+    closed branch images hold, found by bisection.
     """
-    for p, v in m.point_images:
-        if twice.contains(v):
+    rows = m._branches[sum(map(len, m.pieces)):]  # the branches list the points last, in order
+    for (p, _), (_, dst, _, _) in zip(m.point_images, rows):
+        if any(_span_intersect(t, dst) is not None for t in _meeting(twice, dst[0], dst[1])):
             return p
     return None
 
 
-def _first_overlap(m: PLMap, twice: Region) -> Optional[tuple[Piece, Span]]:
+def _first_overlap(m: PLMap, twice: list) -> Optional[tuple[Piece, Span]]:
     """The first piece, in run order, whose image interior meets the interior
     of the other branch images (pieces and point images), with the first span
     of that meet.  Every piece is monotone here (rule 2 ran first).
 
     Inside a piece's closed image, a point lies in another branch image
-    exactly when at least two closed branch images hold it.  So the one
-    coverage sweep `twice` gives D = int(twice) for all pieces at once, and
-    each piece meets D by bisection with its open image span: it differs from
-    int(own) only in flags at component ends, where no meet is a lone point
-    (D has none inside an interval), so the first meet has the same ends.
+    exactly when at least two closed branch images hold it.  So the closed
+    runs `twice` give D = int(twice) for all pieces in one `_regular_union`
+    pass, and each piece meets D by bisection with its open image row: it
+    differs from int(own) only in flags at component ends, where no meet is
+    a lone point (D has none inside an interval), so the first meet has the
+    same ends.
     """
-    inner = [_ratios(d) for d in twice.interior().spans]
+    inner = [_ratios(d) for d in _regular_union(m.codomain, twice).spans]
     # the branches list the pieces first, in run order, so zip stops before the points
-    for piece, (_, (lo, hi, _, _), _, _) in zip([q for run in m.pieces for q in run], m._int_branches):
+    for piece, (_, (lo, hi, _, _), _, _) in zip([q for run in m.pieces for q in run], m._branches):
         for d in _meeting(inner, lo, hi):
             part = _span_intersect(d, (lo, hi, False, False))
             if part is not None:

@@ -9,6 +9,11 @@ from typing import Optional, Union
 Rational = Q
 
 _RAT_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+# The most digits `parse_rat` reads in a numerator or a denominator, leading
+# zeros included: CPython's default limit on int-from-string conversion, which
+# 3.10.6 and older lack and `sys.set_int_max_str_digits` can move.  Declared
+# here, it gives every literal the same fate on every interpreter.
+MAX_LITERAL_DIGITS = 4300
 
 
 def rat(num: Union[int, str, Rational], den: Optional[int] = None) -> Rational:
@@ -29,6 +34,8 @@ def parse_rat(s: str) -> Rational:
     m = _RAT_RE.match(s.strip())
     if not m:
         raise ValueError(f"not a rational literal: {s!r}")
+    if max(len(m.group(1).lstrip("-")), len(m.group(2) or "")) > MAX_LITERAL_DIGITS:
+        raise ValueError(f"a rational literal's numerator and denominator have at most {MAX_LITERAL_DIGITS} digits")
     num = int(m.group(1))
     if m.group(2) is None:
         return Q(num)

@@ -405,6 +405,23 @@ def _union_ratios(space: Space1D, spans: list) -> Region:
                                  for lo_at, hi_at, lo, hi in _merged(ranges)]))
 
 
+def _covered_twice(spans: list) -> list:
+    """The maximal runs, in order, of the points that two of the spans hold,
+    spans and runs as `_union_ratios` takes them.  After one sort by lo, a
+    cut range holds twice what it shares with the furthest-reaching range
+    before it; those parts come in lo order, and `_merged` joins them."""
+    at = _positions([end for s in spans for end in s[:2]])
+    ranges = [(a + (not s[2]), b + s[3], s[0], s[1]) for a, b, s in zip(at[::2], at[1::2], spans)]
+    ranges.sort(key=itemgetter(0))
+    parts, reach = [], None
+    for r in ranges:
+        if reach is not None and r[0] < reach[1]:
+            parts.append(r if r[1] <= reach[1] else (r[0], reach[1], r[2], reach[3]))
+        if reach is None or r[1] > reach[1]:
+            reach = r
+    return [(lo, hi, lo_at & 1 == 0, hi_at & 1 == 1) for lo_at, hi_at, lo, hi in _merged(parts)]
+
+
 def _regular_union(space: Space1D, spans: list) -> Region:
     """int(cl(U)), U the union of nonempty spans as `_union_ratios` takes them.
 

@@ -16,11 +16,17 @@ pass; the compositions they replaced, through the library's own image,
 preimage, closure and interior, are kept as `psi_by_composition` and
 `phi_by_composition`.
 
-Surjectivity, the codomain check and rule 3 read the branch images off the
-table; the derivations they replaced are kept as `is_surjective_by_image`
-(the image of the whole domain), `validate_by_sweeps` (one sweep per
-branch against the full codomain) and `first_overlap_by_interiors` (rule 3
-against int(own), one region and one `interior` per piece).
+Each map keeps its branches once, as integer rows; `branches_by_fractions`
+is the `Fraction` form (src, dst, slope, intercept) that the rows replaced,
+and `locate_by_fractions` the lookup of a slope and intercept in it that
+evaluation replaced with a read of the pieces.  Surjectivity, the codomain
+check and rule 3 read the branch images off the table; the derivations they
+replaced are kept as `is_surjective_by_image` (the image of the whole
+domain), `validate_by_sweeps` (one sweep per branch against the full
+codomain) and `first_overlap_by_interiors` (rule 3 against int(own), one
+region and one `interior` per piece).  Rules 1 and 3 read the runs that two
+branch images hold from one `space._covered_twice` pass; the coverage sweep
+it replaced is `covered_twice_by_sweep`.
 
 Test-only device; the library itself never touches it.
 """
@@ -32,7 +38,7 @@ from typing import Optional
 import space_oracle
 from regopen.errors import ImageEscapesCodomain
 from regopen.ideals import PLFunc
-from regopen.plmap import PLMap, Piece, _locate, _meeting, _ratios, _span_intersect
+from regopen.plmap import PLMap, Piece, _meeting, _ratios, _span_intersect
 from regopen.rationals import Q, Rational, rat
 from regopen.space import Region, Span, _minus, _region, _span, _sweep
 
@@ -75,6 +81,14 @@ def branches_by_fractions(obj) -> list:
              for run in obj.pieces for q in run]
     parts += [(Span(p, p, True, True), rat(0), v) for p, v in points]
     return [(src, affine_span_by_fractions(src, k, c), k, c) for src, k, c in parts]
+
+
+def locate_by_fractions(branches, x: Rational) -> tuple[Rational, Rational]:
+    """Slope and intercept at x; an isolated point carries a constant."""
+    for src, _, slope, intercept in branches:
+        if src.lo <= x <= src.hi:
+            return slope, intercept
+    raise ValueError(f"{x} not in the domain")
 
 
 def carry_by_fractions(branches, spans, forward: bool) -> list[Span]:
@@ -128,6 +142,7 @@ def pullback_by_cuts(pi: PLMap, f: PLFunc) -> PLFunc:
     """Each cut of f divided back through every monotone piece, each
     sub-piece's branch of f located at its midpoint."""
     cuts = sorted(set(f.breakpoints()))
+    branches = branches_by_fractions(f)
     runs = []
     for run in pi.pieces:
         out = []
@@ -140,7 +155,7 @@ def pullback_by_cuts(pi: PLMap, f: PLFunc) -> PLFunc:
                         xs.add(x)
             ordered = sorted(xs)
             for x0, x1 in zip(ordered, ordered[1:]):
-                m, k = _locate(f._branches, piece.value((x0 + x1) / 2))
+                m, k = locate_by_fractions(branches, piece.value((x0 + x1) / 2))
                 out.append(Piece(x0, x1, m * piece.slope, m * piece.intercept + k))
         runs.append(tuple(out))
     points = [(p, f.value(v)) for p, v in pi.point_images]
@@ -240,18 +255,26 @@ def is_surjective_by_image(m: PLMap) -> bool:
 
 def validate_by_sweeps(m: PLMap) -> None:
     """Each branch image minus the full codomain, one sweep per branch."""
-    for src, dst, _, _ in m._branches:
+    for src, dst, _, _ in branches_by_fractions(m):
         if _sweep(m.codomain, _minus, [dst], m.codomain.full_region().spans).spans:
             raise ImageEscapesCodomain(src.lo if src.lo == src.hi else (src.lo, src.hi))
 
 
-def first_overlap_by_interiors(m: PLMap, twice: Region) -> Optional[tuple[Piece, Span]]:
-    """Rule 3 on the one coverage count, each piece's image read as int(own)."""
-    inner = [_ratios(d) for d in twice.interior().spans]
-    for piece, (_, image, _, _) in zip([q for run in m.pieces for q in run], m._branches):
+def first_overlap_by_interiors(m: PLMap, twice: list) -> Optional[tuple[Piece, Span]]:
+    """Rule 3 on the runs held twice, read as a region and opened by
+    `interior`, each piece's image read as int(own)."""
+    held = _region(m.codomain, tuple([_span(Q(*lo), Q(*hi), a, b) for lo, hi, a, b in twice]))
+    inner = [_ratios(d) for d in held.interior().spans]
+    for piece, (_, image, _, _) in zip([q for run in m.pieces for q in run], branches_by_fractions(m)):
         own = _ratios(_region(m.codomain, (image,)).interior().spans[0])
         for d in _meeting(inner, own[0], own[1]):
             part = _span_intersect(d, own)
             if part is not None:
                 return piece, _span(Q(*part[0]), Q(*part[1]), part[2], part[3])
     return None
+
+
+def covered_twice_by_sweep(space, spans: list[Span]) -> list:
+    """The runs of `space` that at least two of the spans hold, as `_ratios`:
+    one coverage sweep that keeps the points whose count is at least 2."""
+    return [_ratios(s) for s in _sweep(space, lambda count, high: count >= 2, spans).spans]

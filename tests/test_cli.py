@@ -17,11 +17,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from regopen import cantor, cli, jsonio
-from regopen.cli import MAX_CANTOR_CHECK_DEPTH, MAX_GLEASON_POINTS, MAX_SAMPLES, main
+from regopen.cli import MAX_CANTOR_CHECK_DEPTH, MAX_CANTOR_PHI_DEPTH, MAX_GLEASON_POINTS, MAX_SAMPLES, main
 from regopen.cover_iso import verify_bridge
 from regopen.ideals import plfunc_from_breakpoints
 from regopen.plmap import Piece, PLMap, identity_map, plmap_from_breakpoints
-from regopen.rationals import rat
+from regopen.rationals import MAX_LITERAL_DIGITS, rat
 from regopen.space import Interval, Point, Region, Space1D, Span
 
 from conftest import UNIT, UNIT_PT, region
@@ -100,6 +100,27 @@ class TestRegionEval:
         )
         assert code == 2
         assert out["at"]["line"] == 1 and out["at"]["col"] == 8
+
+    def test_literal_digits_at_the_bound_and_past_it(self, capsys):
+        # the bound is CPython's default, so no literal's exit code moves on a default interpreter
+        assert MAX_LITERAL_DIGITS == getattr(sys.int_info, "default_max_str_digits", 4300)
+        n = MAX_LITERAL_DIGITS
+
+        def eval_bound(lo, hi):
+            bound = json.dumps({"spans": [{"lo": lo, "hi": hi, "lo_incl": True, "hi_incl": False}]})
+            start = time.perf_counter()
+            code, out = run(capsys, "region", "eval", "--space", UNIT_JSON, "--expr", "v", "--bind", f"v={bound}")
+            return code, out, time.perf_counter() - start
+
+        # the sign is no digit, and leading zeros are, as CPython counts them
+        for lo, hi in (("-" + "0" * n, "1/" + "3" * n), ("0", "1" * n + "/" + "3" * n)):
+            code, out, _ = eval_bound(lo, hi)
+            assert code == 0 and out["region"]["spans"][0]["hi"] == str(rat(hi))
+        for lo, hi in (("-" + "0" * (n + 1), "1"), ("0", "1/" + "3" * (n + 1)), ("0", "1" * (n + 1) + "/" + "3" * n)):
+            code, out, seconds = eval_bound(lo, hi)
+            assert seconds < 0.1
+            assert code == 2 and out == {
+                "error": f"a rational literal's numerator and denominator have at most {n} digits", "at": "ValueError"}
 
     def test_unbound_name(self, capsys):
         code, out = run(
@@ -239,6 +260,26 @@ class TestCantor:
         v = '{"spans":[{"lo":"0","hi":"%s","lo_incl":true,"hi_incl":false}]}' % hi
         code, out = run(capsys, "cantor", "phi", "--region", v)
         assert code == 0 and out["words"] == ["0", "1" + "0" * 39]
+
+    def test_phi_natural_depth_at_the_bound_and_past_it(self, capsys):
+        def deep(lo, hi):
+            return json.dumps({"spans": [{"lo": lo, "hi": hi, "lo_incl": False, "hi_incl": False}]},
+                              separators=(",", ":"))
+
+        top = 2**MAX_CANTOR_PHI_DEPTH
+        # the most words per request byte at the bound: a deep end cut up to 1/2 and back
+        for request in (deep(f"1/{top}", f"{top - 1}/{top}"), deep(f"1/{top}", "1")):
+            code = main(["cantor", "phi", "--region", request])
+            out = capsys.readouterr().out
+            words = json.loads(out)["words"]
+            assert code == 0 and max(map(len, words)) == MAX_CANTOR_PHI_DEPTH
+            assert len(out) <= 440 * len(request)
+        for request in (deep(f"1/{2 * top}", "1"), deep("0", f"{2 * top - 1}/{2 * top}"), deep(f"1/{top + 1}", "1")):
+            start = time.perf_counter()
+            code, out = run(capsys, "cantor", "phi", "--region", request, "--depth", str(10**6))
+            assert time.perf_counter() - start < 0.1
+            assert code == 2 and out == {
+                "error": f"cantor phi takes endpoint denominators of at most 2^{MAX_CANTOR_PHI_DEPTH}", "at": "ValueError"}
 
     def test_phi_negative_depth_is_input_error(self, capsys):
         code, out = run(capsys, "cantor", "phi", "--region", '{"spans":[]}', "--depth", "-1")
@@ -677,7 +718,9 @@ class TestArgparseSurface:
 
 # --- fuzzing every subcommand -----------------------------------------------
 
-RATS = ["0", "1", "2", "3", "-1", "1/2", "1/4", "3/4", "5/8", "1/3", "1/0", "x", " 1 ", ""]
+RATS = ["0", "1", "2", "3", "-1", "1/2", "1/4", "3/4", "5/8", "1/3", "1/0", "x", " 1 ", "",
+        # at and past the digit bound, above and below the bar
+        "1/" + "3" * MAX_LITERAL_DIGITS, "1/" + "3" * (MAX_LITERAL_DIGITS + 1), "-" + "7" * (MAX_LITERAL_DIGITS + 1)]
 JUNK = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.sampled_from(RATS + ["01", "kind"]),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(["a", "b", "at"]), inner, max_size=2),
@@ -703,6 +746,9 @@ def _spans(*spans):
 
 MAPS = [halving(), tent(), identity_map(UNIT), plmap_from_breakpoints(ZERO_TWO, UNIT, [(0, 0), (1, rat(3, 4)), (2, 1)])]
 VALID_REGIONS = [_spans(), _spans(("1/4", "1/2", False, False)), _spans(("0", "1", True, True))]
+# at and past the natural depth bound of `cantor phi`
+DEEP_REGIONS = [_spans((f"1/{2**k}", f"{2**k - 1}/{2**k}", False, False))
+                for k in (MAX_CANTOR_PHI_DEPTH, MAX_CANTOR_PHI_DEPTH + 1)]
 COMPONENT = _obj(kind=st.sampled_from(["interval", "point", "blob"]), a=RAT, b=RAT, at=RAT)
 SPACE = _mostly([json.loads(UNIT_JSON), json.loads(UNIT_PT_JSON)], _obj(components=st.lists(COMPONENT, max_size=3)))
 REGION = _mostly(VALID_REGIONS, _obj(spans=st.lists(_obj(lo=RAT, hi=RAT, lo_incl=FLAG, hi_incl=FLAG), max_size=3)))
@@ -770,7 +816,8 @@ SUBCOMMANDS = {
     ),
     "cantor psi": _argv(st.just(["cantor", "psi", "--clopen"]), _arg(CLOPEN)),
     "cantor phi": _argv(
-        st.just(["cantor", "phi", "--region"]), _arg(REGION), _flag("--depth", st.integers(-1, 64)),
+        st.just(["cantor", "phi", "--region"]), _arg(REGION | st.sampled_from(DEEP_REGIONS)),
+        _flag("--depth", st.integers(-1, 64)),
     ),
     "gleason": _argv(
         st.just(["gleason", "--points"]),

@@ -28,6 +28,7 @@ from conftest import (
 from plmap_oracle import (
     branches_by_fractions,
     carry_by_fractions,
+    covered_twice_by_sweep,
     first_overlap_by_branches,
     first_overlap_by_interiors,
     image_by_fractions,
@@ -500,8 +501,8 @@ SHARED_END_FOLDS = (
 
 
 class TestRuleThreeOracle:
-    """The one-count rules 1 and 3 give the per-point and per-branch rules'
-    verdicts, reasons and witnesses."""
+    """Rules 1 and 3 on the one coverage pass give the per-point and
+    per-branch rules' verdicts, reasons and witnesses."""
 
     def test_verdicts_match_the_per_branch_rule(self, monkeypatch):
         rng = random.Random(60_000)
@@ -533,6 +534,71 @@ class TestRuleThreeOracle:
             "piece image (1/2, 1) overlap is covered twice",
             "piece image (1/2, 1) overlap is covered twice",
         ]
+
+
+def _images(rng: random.Random, cod: Space1D, closed: bool) -> list[Span]:
+    """Two to eight nonempty spans of `cod` on the eighths of its intervals:
+    ranges, points inside an interval and isolated points, all closed as
+    branch images are unless `closed` is false."""
+    spans = []
+    for _ in range(rng.randint(2, 8)):
+        comp = rng.choice(cod.components)
+        if isinstance(comp, Point):
+            spans.append(Span(comp.at, comp.at, True, True))
+            continue
+        i, j = sorted(rng.sample(range(9), 2))
+        lo, hi = (comp.a + (comp.b - comp.a) * rat(k, 8) for k in (i, j))
+        if rng.random() < 0.2:
+            spans.append(Span(lo, lo, True, True))
+        else:
+            spans.append(Span(lo, hi, closed or rng.random() < 0.5, closed or rng.random() < 0.5))
+    return spans
+
+
+def _pairings(cod: Space1D, spans: list[Span]) -> set:
+    """How pairs of the spans meet: the cases the coverage pass must tell apart."""
+    isolated = {p.at for p in cod.point_components()}
+    seen = set()
+    for a in spans:
+        for b in spans:
+            if a is b:
+                continue
+            if a.lo < a.hi == b.lo < b.hi:
+                seen.add("touching ends")
+            if a.lo == b.lo < a.hi < b.hi:
+                seen.add("equal lo")
+            if a.lo < b.lo <= b.hi < a.hi:
+                seen.add("nested")
+            if b.lo == b.hi and a.lo <= b.lo <= a.hi and a.lo < a.hi:
+                seen.add("point on a range")
+            if a.lo == a.hi == b.lo and a.lo in isolated:
+                seen.add("isolated point twice")
+    return seen | {"open end" for t in spans if not (t.lo_incl and t.hi_incl)}
+
+
+class TestCoveredTwiceOracle:
+    """The runs that two spans hold, one `space._covered_twice` pass over
+    integer ratios, against the coverage sweep it replaced, by repr."""
+
+    @pytest.mark.parametrize("bits", [None, 0])
+    def test_runs_match_the_coverage_sweep(self, monkeypatch, bits):
+        if bits is not None:  # every position takes the Fraction-rank fallback
+            monkeypatch.setattr(space, "SWEEP_KEY_BITS", bits)
+        rng = random.Random(65_000)
+        seen = set()
+        for i in range(400):
+            cod = FIXTURE_SPACES[i % len(FIXTURE_SPACES)]
+            spans = _images(rng, cod, closed=i % 4 != 3)
+            got = space._covered_twice([plmap._ratios(t) for t in spans])
+            assert repr(got) == repr(covered_twice_by_sweep(cod, spans)), spans
+            seen |= _pairings(cod, spans) | ({"held twice"} if got else set())
+        for _ in range(100):  # branch images, on prime grids too
+            m = _random_cover(rng, _PRIMES if rng.random() < 0.5 else ())
+            images = [dst for _, dst, _, _ in branches_by_fractions(m)]
+            got = space._covered_twice([dst for _, dst, _, _ in m._branches])
+            assert repr(got) == repr(covered_twice_by_sweep(m.codomain, images)), m
+        assert seen == {"touching ends", "equal lo", "nested", "point on a range", "isolated point twice",
+                        "open end", "held twice"}
 
 
 def _outcome(args: tuple) -> tuple:
@@ -568,7 +634,7 @@ def _features(args: tuple, outcome: tuple) -> set:
     seen |= {"constant piece" for run in m.pieces for q in run if q.slope == 0}
     seen |= {"point image on a codomain point" for _, v in points if v in cod_points}
     seen |= {"image ends on a component end"
-             for _, dst, k, _ in m._branches if k and {dst.lo, dst.hi} & cod_ends}
+             for _, dst, k, _ in branches_by_fractions(m) if k and {dst.lo, dst.hi} & cod_ends}
     if isinstance(verdict, NotSurjective):
         return seen | {"not surjective"}
     if verdict.irreducible:
@@ -609,34 +675,6 @@ class TestBranchTableOracle:
             "constant piece", "point image on a codomain point", "image ends on a component end",
             "not surjective", "irreducible", "isolated", "constant", "piece", "overlap ends on a component end",
         }
-
-    def test_integer_rows_match_the_fraction_branches(self):
-        # each stored row against `_ratios` and `_affine` of its Fraction branch, by repr
-        def rows_by_derivation(obj) -> list:
-            return [(plmap._ratios(src), plmap._ratios(dst), *(plmap._affine(k, c) if k else (None, None)))
-                    for src, dst, k, c in obj._branches]
-
-        rng = random.Random(64_000)  # the outcome test's maps
-        built, seen = [], set()
-        for i in range(240):
-            args = _random_cover_args(rng, _PRIMES if i % 3 == 2 else ())
-            if i % 2:
-                args = _moved(rng, args)
-            try:
-                built.append(plmap_from_breakpoints(*args))
-            except ImageEscapesCodomain:
-                pass
-        rng = random.Random(64_001)
-        for _ in range(60):  # pullback builds its table through `_settle(check=False)`
-            m = _random_cover(rng, _PRIMES if rng.random() < 0.5 else ())
-            built.append(pullback(m, random_plfunc(m.codomain, rng.randrange(10**6))))
-        assert len(built) > 200
-        for obj in built:
-            assert len(obj._int_branches) == len(obj._branches)
-            assert repr(list(obj._int_branches)) == repr(rows_by_derivation(obj))
-            seen |= {type(obj).__name__} | {"negative slope" if k < 0 else "constant" if k == 0 else "positive slope"
-                                            for _, _, k, _ in obj._branches}
-        assert seen == {"PLMap", "PLFunc", "negative slope", "constant", "positive slope"}
 
 
 class TestTransportOracle:
@@ -695,8 +733,6 @@ class TestIntegerKernelOracle:
             den = rng.choice(_PRIMES) if primes else 48
             m = _random_cover(rng, primes)
             table = branches_by_fractions(m)
-            assert [(_exact([a, b]), repr(k), repr(c)) for a, b, k, c in m._branches] == \
-                [(_exact([a, b]), repr(k), repr(c)) for a, b, k, c in table]
             seen |= {"negative slope" if k < 0 else "constant piece" if k == 0 else "positive slope"
                      for run in m.pieces for k in (q.slope for q in run)}
             seen |= {"isolated point"} if m.point_images else set()
@@ -704,7 +740,7 @@ class TestIntegerKernelOracle:
                 r = random_region(m.domain, rng, count=6, den=den)
                 s = random_region(m.codomain, rng, count=6, den=den)
                 for forward, t in ((True, r), (False, s)):
-                    assert repr(plmap._carry(m._int_branches, t.spans, forward)) == \
+                    assert repr(plmap._carry(m._branches, t.spans, forward)) == \
                         repr(_ratio_spans(carry_by_fractions(table, t.spans, forward)))
                 u, v = r.regularize(), s.regularize()
                 for got, want in ((m.image(r), image_by_fractions(m, r)),
@@ -718,6 +754,34 @@ class TestIntegerKernelOracle:
             assert (repr(g.pieces), repr(g.point_values)) == (repr(h.pieces), repr(h.point_values))
             assert _exact(pl_supp(g).spans) == _exact(pl_supp_by_fractions(h).spans)
         assert seen == {"negative slope", "constant piece", "positive slope", "isolated point"}
+
+    def test_branch_rows_match_the_fraction_branches(self):
+        # each row by repr against `_ratios` and `_affine` of the oracle's Fraction branch
+        def rows_by_derivation(obj) -> list:
+            return [(plmap._ratios(src), plmap._ratios(dst), *(plmap._affine(k, c) if k else (None, None)))
+                    for src, dst, k, c in branches_by_fractions(obj)]
+
+        rng = random.Random(64_000)  # the branch table oracle's maps
+        built, seen = [], set()
+        for i in range(240):
+            args = _random_cover_args(rng, _PRIMES if i % 3 == 2 else ())
+            if i % 2:
+                args = _moved(rng, args)
+            try:
+                built.append(plmap_from_breakpoints(*args))
+            except ImageEscapesCodomain:
+                pass
+        rng = random.Random(64_001)
+        for _ in range(60):  # pullback builds its table through `_settle(check=False)`
+            m = _random_cover(rng, _PRIMES if rng.random() < 0.5 else ())
+            built.append(pullback(m, random_plfunc(m.codomain, rng.randrange(10**6))))
+        assert len(built) > 200
+        for obj in built:
+            assert type(obj._branches) is tuple
+            assert repr(list(obj._branches)) == repr(rows_by_derivation(obj))
+            seen |= {type(obj).__name__} | {"negative slope" if k < 0 else "constant" if k == 0 else "positive slope"
+                                            for _, _, k, _ in branches_by_fractions(obj)}
+        assert seen == {"PLMap", "PLFunc", "negative slope", "constant", "positive slope"}
 
 
 def _at_branch_ends(rng: random.Random, space: Space1D, ends: list) -> Region:
@@ -734,9 +798,9 @@ def _at_branch_ends(rng: random.Random, space: Space1D, ends: list) -> Region:
 
 
 class TestClosedTransportOracle:
-    """psi and phi, one closed union sweep then `interior`, against the
-    compositions through image or preimage, closure and interior: exactly,
-    on raw regions as well as on regular opens."""
+    """psi and phi, one `_regular_union` pass each over the carried spans,
+    against the compositions through image or preimage, closure and
+    interior: exactly, on raw regions as well as on regular opens."""
 
     @pytest.mark.parametrize("bits", [None, 0])
     def test_psi_and_phi_match_the_compositions(self, monkeypatch, bits):
@@ -750,8 +814,9 @@ class TestClosedTransportOracle:
             m = _random_cover(rng, primes)
             seen |= {"constant piece" for run in m.pieces for q in run if q.slope == 0}
             seen |= {"isolated point"} if m.point_images else set()
-            src_ends = [v for src, _, _, _ in m._branches for v in (src.lo, src.hi)]
-            dst_ends = [v for _, dst, _, _ in m._branches for v in (dst.lo, dst.hi)]
+            table = branches_by_fractions(m)
+            src_ends = [v for src, _, _, _ in table for v in (src.lo, src.hi)]
+            dst_ends = [v for _, dst, _, _ in table for v in (dst.lo, dst.hi)]
             for _ in range(3):
                 us = [random_region(m.domain, rng, count=6, den=den), _at_branch_ends(rng, m.domain, src_ends)]
                 vs = [random_region(m.codomain, rng, count=6, den=den), _at_branch_ends(rng, m.codomain, dst_ends)]
@@ -807,31 +872,51 @@ class TestWorkCounts:
         assert counts[0] > 0
 
     def test_rule_one_images_the_same_at_1_and_8_isolated_points(self, monkeypatch):
-        # rule 1 reads the one coverage sweep over the branch images
-        calls = self._count(monkeypatch, (space, plmap), "_sweep")
-        counts = []
+        # rule 1 reads the one coverage pass over the branch images, by bisection
+        counts = {name: self._count(monkeypatch, owners, name)
+                  for owners, name in (((space, plmap), "_covered_twice"), ((space,), "_sweep"), ((PLMap,), "image"))}
+        seen = []
         for k in (1, 8):
             m = identity_map(Space1D((Interval(0, 1),) + tuple(Point(2 + i) for i in range(k))))
-            calls[0] = 0
+            for c in counts.values():
+                c[0] = 0
             assert is_irreducible(m).irreducible
-            counts.append(calls[0])
-        assert counts[0] == counts[1]
-        assert counts[0] > 0
+            seen.append({name: c[0] for name, c in counts.items()})
+        assert seen == [{"_covered_twice": 1, "_sweep": 0, "image": 0}] * 2
 
-    def test_deciding_a_64_piece_bijection_carries_nothing_and_takes_one_interior(self, monkeypatch):
-        # surjectivity and rule 3 read the branch images off the table
+    def test_deciding_a_64_piece_bijection_carries_nothing_and_takes_no_interior(self, monkeypatch):
+        # surjectivity and rules 1 and 3 read every branch end from the table:
+        # no end is read off a Fraction again, and only the union's run [0, 1] is built
         m = _increasing_bijection(64)
         counts = {name: self._count(monkeypatch, (owner,), name)
-                  for owner, name in ((plmap, "_carry"), (PLMap, "image"), (Region, "interior"))}
+                  for owner, name in ((plmap, "_carry"), (PLMap, "image"), (Region, "interior"), (space, "_sweep"),
+                                      (fractions.Fraction, "as_integer_ratio"), (fractions.Fraction, "__new__"))}
         assert is_irreducible(m).irreducible
-        assert {name: c[0] for name, c in counts.items()} == {"_carry": 0, "image": 0, "interior": 1}
+        got = {name: c[0] for name, c in counts.items()}
+        assert got.pop("__new__") <= 2
+        assert got == {"_carry": 0, "image": 0, "interior": 0, "_sweep": 0, "as_integer_ratio": 0}
 
     def test_building_a_64_piece_bijection_sweeps_nothing(self, monkeypatch):
         # the codomain check reads each branch image against the component bounds
-        calls = self._count(monkeypatch, (space, plmap), "_sweep")
+        calls = self._count(monkeypatch, (space,), "_sweep")
         m = _increasing_bijection(64)
         assert len(m.pieces[0]) == 64
         assert calls[0] == 0
+
+    def test_settling_a_64_piece_map_builds_no_fraction_and_no_span(self, monkeypatch):
+        # the branch table is integer rows only, read off the pieces and points:
+        # a piece's ends, slope and intercept (a constant's value), a point twice and its value
+        m = _fold_map(random.Random(69))
+        table = m._branches
+        ratios = sum(4 if q.slope else 3 for q in m.pieces[0]) + 3 * len(m.point_images)
+        counts = {name: self._count(monkeypatch, (owner,), name)
+                  for owner, name in ((fractions.Fraction, "__new__"), (Span, "__post_init__"),
+                                      (fractions.Fraction, "as_integer_ratio"))}
+        spans = self._count(monkeypatch, (space, plmap), "_span")
+        plmap._settle(m, m.domain, "point_images", check=False)
+        assert {name: c[0] for name, c in counts.items()} | {"_span": spans[0]} == \
+            {"__new__": 0, "__post_init__": 0, "as_integer_ratio": ratios, "_span": 0}
+        assert m._branches == table and m._branches is not table
 
     def test_canonicalize_image_and_preimage_of_1024_spans_compare_no_fractions(self, monkeypatch):
         rng = random.Random(1024)
@@ -884,7 +969,7 @@ class TestWorkCounts:
     def test_carried_union_ranks_by_fractions_past_the_key_bound(self, monkeypatch):
         m = _fold_map(random.Random(65))
         s = Region(UNIT, [Span(rat(k, 7), rat(3 * k + 1, 21), False, True) for k in range(7)])
-        raw = plmap._carry(m._int_branches, s.spans, False)
+        raw = plmap._carry(m._branches, s.spans, False)
         distinct = len({end for t in raw for end in t[:2]})
         regions, compared = [], []
         for bits in (space.SWEEP_KEY_BITS, 0):  # 0: every union takes the Fraction-rank fallback
@@ -946,20 +1031,21 @@ class TestWorkCounts:
         us = [random_region(m.domain, rng, count=6, den=64).regularize() for _ in range(50)]
         vs = [random_region(m.codomain, rng, count=6, den=64).regularize() for _ in range(50)]
         wants = [(psi_by_pairs(m, u), phi_by_pairs(m, v)) for u, v in zip(us, vs)]
-        branch_spans = {id(span) for row in m._branches for span in row[:2]}
+        own = [id(s) for r in us + vs for s in r.spans]
         ratios = plmap._ratios
-        on_branches = [0]
+        read = []
 
         def counted_ratios(s):
-            on_branches[0] += id(s) in branch_spans
+            read.append(id(s))
             return ratios(s)
 
         monkeypatch.setattr(plmap, "_ratios", counted_ratios)
         affine = self._count(monkeypatch, (plmap,), "_affine")
         interior = self._count(monkeypatch, (Region,), "interior")
         gots = [(m.psi(u), m.phi(v)) for u, v in zip(us, vs)]
-        assert {"_affine": affine[0], "_ratios of a branch span": on_branches[0], "interior": interior[0]} == \
-            {"_affine": 0, "_ratios of a branch span": 0, "interior": 0}
+        # `_ratios` reads each of the regions' own spans once, and nothing else
+        assert sorted(read) == sorted(own) and len(own) > 50
+        assert {"_affine": affine[0], "interior": interior[0]} == {"_affine": 0, "interior": 0}
         assert gots == wants
         for x in (m.domain, m.codomain):
             assert x.full_region() is x.full_region()
