@@ -10,6 +10,7 @@ from typing import Optional
 
 from . import jsonio  # every handler writes through it; each imports the rest it needs
 from .errors import ExprSyntaxError, NotIrreducible, NotSurjective, RegopenError
+from .rationals import MAX_LITERAL_DIGITS
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -40,6 +41,18 @@ MAX_SAMPLES = 1000
 # 440 times the request; with no bound, the region (2^-k, 1 - 2^-k) wrote
 # 64.1 MB in 2.8 s at k = 8000 on a 2-vCPU VM.
 MAX_CANTOR_PHI_DEPTH = 256
+
+
+def _int(text: str) -> int:
+    """argparse's `int`, bounded as a rational literal is: more than
+    `MAX_LITERAL_DIGITS` digits is malformed input on every interpreter,
+    whatever its own limit on int conversion."""
+    if len(text) > MAX_LITERAL_DIGITS and sum(c.isdigit() for c in text) > MAX_LITERAL_DIGITS:
+        raise argparse.ArgumentTypeError(f"an integer argument has at most {MAX_LITERAL_DIGITS} digits")
+    return int(text)
+
+
+_int.__name__ = "int"  # argparse names the type in "invalid int value: ..."
 
 
 def _check_samples(samples: int) -> None:
@@ -197,15 +210,15 @@ _COMMANDS = (
     ("region eval", "region expressions", "_cmd_region_eval", {
         "--space": _REQUIRED, "--expr": _REQUIRED, "--bind": {"action": "append", "metavar": "NAME=JSON"}}),
     ("cover check", "piecewise-linear covers", "_cmd_cover_check", {
-        "--map": _REQUIRED, "--samples": {"type": int, "default": 100}, "--seed": {"type": int, "default": 0}}),
+        "--map": _REQUIRED, "--samples": {"type": _int, "default": 100}, "--seed": {"type": _int, "default": 0}}),
     ("cover psi", "piecewise-linear covers", "_cmd_cover_psi_phi", {"--map": _REQUIRED, "--region": _REQUIRED}),
     ("cover phi", "piecewise-linear covers", "_cmd_cover_psi_phi", {"--map": _REQUIRED, "--region": _REQUIRED}),
     ("cantor check", "the binary-expansion cover", "_cmd_cantor_check", {
-        "--depth": {"type": int, "default": 6}, "--samples": {"type": int, "default": 200},
-        "--seed": {"type": int, "default": 0}}),
+        "--depth": {"type": _int, "default": 6}, "--samples": {"type": _int, "default": 200},
+        "--seed": {"type": _int, "default": 0}}),
     ("cantor psi", "the binary-expansion cover", "_cmd_cantor_psi", {"--clopen": _REQUIRED}),
-    ("cantor phi", "the binary-expansion cover", "_cmd_cantor_phi", {"--region": _REQUIRED, "--depth": {"type": int}}),
-    ("gleason", "finite projective covers", "_cmd_gleason", {"--points": {"type": int, "required": True}}),
+    ("cantor phi", "the binary-expansion cover", "_cmd_cantor_phi", {"--region": _REQUIRED, "--depth": {"type": _int}}),
+    ("gleason", "finite projective covers", "_cmd_gleason", {"--points": {"type": _int, "required": True}}),
     ("ideal", "regular ideals", "_cmd_ideal", {
         "op": {"choices": ["supp", "member", "join", "meet", "neg", "annihilator", "upsilon", "omega"]},
         "--func": {}, "--ideal": {}, "--right": {}, "--map": {}}),

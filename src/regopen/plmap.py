@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import Discontinuity, ImageEscapesCodomain, NotSurjective, SpaceMismatch, _Value
 from .rationals import Q, Rational, rat
-from .space import Region, Space1D, Span, _covered_twice, _regular_union, _span, _union_ratios
+from .space import Region, Space1D, Span, _covered_twice, _hull_runs, _regular_union, _span, _union_ratios
 
 
 class Piece(_Value):
@@ -350,13 +350,13 @@ def _first_overlap(m: PLMap, twice: list) -> Optional[tuple[Piece, Span]]:
 
     Inside a piece's closed image, a point lies in another branch image
     exactly when at least two closed branch images hold it.  So the closed
-    runs `twice` give D = int(twice) for all pieces in one `_regular_union`
-    pass, and each piece meets D by bisection with its open image row: it
-    differs from int(own) only in flags at component ends, where no meet is
-    a lone point (D has none inside an interval), so the first meet has the
-    same ends.
+    runs `twice` give D = int(twice) for all pieces in one `_hull_runs`
+    pass, read as integer ratios, and each piece meets D by bisection with
+    its open image row: it differs from int(own) only in flags at component
+    ends, where no meet is a lone point (D has none inside an interval), so
+    the first meet has the same ends.  Only that meet becomes Fractions.
     """
-    inner = [_ratios(d) for d in _regular_union(m.codomain, twice).spans]
+    inner = [run[:4] for run in _hull_runs(m.codomain, twice)]
     # the branches list the pieces first, in run order, so zip stops before the points
     for piece, (_, (lo, hi, _, _), _, _) in zip([q for run in m.pieces for q in run], m._branches):
         for d in _meeting(inner, lo, hi):

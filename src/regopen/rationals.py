@@ -45,8 +45,16 @@ def parse_rat(s: str) -> Rational:
     return Q(num, den)
 
 
+# A result can have more digits than any literal (x ↦ 3x/4 takes 1/7…7 to
+# 3/31…108), so its output is bounded the same way, without converting it.
+_DIGIT_BOUND = 10 ** MAX_LITERAL_DIGITS
+
+
 def rat_str(x: Rational) -> str:
-    """Lowest-terms string form: "p/q", or "n" when integral."""
+    """Lowest-terms string form: "p/q", or "n" when integral, of at most
+    `MAX_LITERAL_DIGITS` digits in the numerator and the denominator."""
+    if abs(x.numerator) >= _DIGIT_BOUND or x.denominator >= _DIGIT_BOUND:
+        raise ValueError(f"a result's numerator and denominator have at most {MAX_LITERAL_DIGITS} digits")
     return str(x)
 
 

@@ -16,7 +16,7 @@ from bisect import bisect_right
 from functools import cached_property
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import EmptySubspace, NotClosed, SpaceMismatch, _Value
 from .rationals import Q, Rational, rat
@@ -90,8 +90,9 @@ class Space1D(_Value):
 
     @cached_property
     def _ends(self) -> tuple:
-        """Each component's bounds (lo, hi), left to right, as integer ratios."""
-        return tuple([(a.as_integer_ratio(), b.as_integer_ratio()) for a, b in map(_bounds, self.components)])
+        """Each component as a closed span (lo, hi, True, True), left to right,
+        its ends integer ratios: the full region as `_cut_ranges` reads it."""
+        return tuple([(a.as_integer_ratio(), b.as_integer_ratio(), True, True) for a, b in map(_bounds, self.components)])
 
     def empty_region(self) -> "Region":
         return _region(self, ())
@@ -173,18 +174,20 @@ class Region(_Value):
 
     def union(self, other: "Region") -> "Region":
         _check_space(self, other)
-        return _sweep(self.space, _union, self.spans, other.spans)
+        return _emit(self.space, _merged(*_cut_ranges(self.spans + other.spans)))
 
     def intersect(self, other: "Region") -> "Region":
         _check_space(self, other)
-        return _sweep(self.space, _both, self.spans, other.spans)
+        return _emit(self.space, _meet(*_cut_ranges(self.spans, other.spans)))
 
     def difference(self, other: "Region") -> "Region":
         _check_space(self, other)
-        return _sweep(self.space, _minus, self.spans, other.spans)
+        a, b = _cut_ranges(self.spans, other.spans)
+        return _emit(self.space, _meet(a, _gaps(b)))
 
     def complement(self) -> "Region":
-        return _sweep(self.space, _minus, self.space.full_region().spans, self.spans)
+        full, a = _cut_ranges(self.space._full.spans, self.spans)
+        return _emit(self.space, _meet(full, _gaps(a)))
 
     # --- topology (relative to the space) ---
 
@@ -213,7 +216,7 @@ class Region(_Value):
         for s in self.spans:
             lo, hi = s.lo.as_integer_ratio(), s.hi.as_integer_ratio()
             while b is None or hi[0] * b[1] > b[0] * hi[1]:
-                a, b = next(comps, (None, None))
+                a, b, _, _ = next(comps, (None, None, None, None))
                 if b is None:
                     break
             if b is None or lo[0] * a[1] < a[0] * lo[1]:
@@ -229,10 +232,12 @@ class Region(_Value):
     def perp(self) -> "Region":
         """Complement of the closure: the Boolean negation on regular opens.
 
-        One sweep of the full region minus this one read closed, so no
-        closure is built on the way.
+        The full region met with the gaps of this one's closed cut ranges,
+        so no closure is built on the way.
         """
-        return _sweep(self.space, _minus, self.space.full_region().spans, self.spans, closed=True)
+        full, a = _cut_ranges(self.space._full.spans, self.spans)
+        closed = [(lo_at & -2, hi_at | 1, lo, hi) for lo_at, hi_at, lo, hi in a]
+        return _emit(self.space, _meet(full, _gaps(closed)))
 
     def regularize(self) -> "Region":
         """Interior of the closure."""
@@ -266,44 +271,17 @@ def _check_space(a: Region, b: Region) -> None:
         raise SpaceMismatch("regions live over different spaces")
 
 
-def _union(c: int, high: int) -> bool:
-    return c > 0
-
-
-def _both(c: int, high: int) -> bool:
-    return c > high and c & (high - 1) != 0
-
-
-def _minus(c: int, high: int) -> bool:
-    return 0 < c < high
-
-
 # Boundaries sort as integers n * (L // d) while L, the lcm of their
 # denominators d, has at most this many bits.  The lcm of many coprime
 # denominators grows without limit, and past the bound it costs more than
-# the Fraction comparisons it replaces, so the sweep sorts the values.
+# the Fraction comparisons it replaces, so the values are ranked instead.
 SWEEP_KEY_BITS = 4096
 
-
-def _sweep(space: Space1D, op: Callable[[int, int], bool], *groups: Sequence[Span],
-           closed: bool = False) -> Region:
-    """Combine groups of nonempty spans pointwise by `op` in one boundary sweep.
-
-    A boundary is a cut (value, after): after=False sits just before the
-    value and after=True just after it, so a span is the half-open cut range
-    [(lo, not lo_incl), (hi, hi_incl)).  The sweep keeps the groups' coverage
-    counts packed in one integer, and a cut is emitted wherever `op` of that
-    integer and `high` flips between False and True.  `op` of zero must be
-    False.  Runs come out maximal, so a result that lies inside the space is
-    canonical.  An empty raw span would count backwards, so `canonicalize`
-    drops those first.  With `closed`, every span counts as its closure, the
-    cut range [(lo, False), (hi, True)).
-    """
-    return _combine(space, op, *_cut_events(groups, closed))
+_INF = float("inf")
 
 
 def _positions(ends: list) -> list:
-    """Even sweep positions of integer-ratio values n/d, d > 0, in their order.
+    """Even cut positions of integer-ratio values n/d, d > 0, in their order.
 
     A value sits at 2 * n * (L // d), L the lcm of the denominators, so a
     cut just after it can take the odd position above.  Past
@@ -321,61 +299,45 @@ def _positions(ends: list) -> list:
     return [n * scale[d] for n, d in ends]
 
 
-def _cut_events(groups: Sequence[Sequence[Span]], closed: bool = False) -> tuple[list, int]:
-    """One event (position, step, value) per boundary, lo then hi per span,
-    and the `high` of the packed counts.
+def _cut_ranges(*groups: Sequence) -> list[list]:
+    """The cut ranges (lo_at, hi_at, lo, hi) of groups of spans, one list per
+    group in span order, on one `_positions` call.
 
-    Each boundary is read once, as an integer ratio, and its cut sits at
-    its `_positions` entry plus `after`; with `closed` every span is read
-    as its closure, so each lo cut sits before its value and each hi cut
-    after.  The groups' coverage counts are packed in one integer: a span of
-    group g steps it by high**g, `high` a power of two above every group's
-    span count, so group 0's count is `c & (high - 1)` and, of two groups,
-    group 1's is `c // high`.
+    A cut sits just before a value, at its even position, or just after it,
+    at the odd one above.  A span is the half-open range of cuts
+    [pos(lo) + not lo_incl, pos(hi) + hi_incl), empty exactly when
+    lo_at >= hi_at, and its closure is (lo_at & -2, hi_at | 1).  A group
+    holds `Span`s, or spans (lo, hi, lo_incl, hi_incl) whose ends are
+    integer ratios (n, d) in lowest terms, d > 0; lo and hi are kept as the
+    span holds them.  Every end is read once, and no two are compared.
     """
-    events = _positions([v.as_integer_ratio() for spans in groups for s in spans for v in (s.lo, s.hi)])
-    high = 1 << (len(events) // 2).bit_length()
-    i, weight = 0, 1
+    ends: list = []
     for spans in groups:
-        for s in spans:
-            events[i] = (events[i] + (not (closed or s.lo_incl)), weight, s.lo)
-            events[i + 1] = (events[i + 1] + (closed or s.hi_incl), -weight, s.hi)
-            i += 2
-        weight *= high
-    return events, high
+        ends += ([end for s in spans for end in s[:2]] if spans and type(spans[0]) is tuple else
+                 [v.as_integer_ratio() for s in spans for v in (s.lo, s.hi)])
+    at = iter(_positions(ends))
+    out = []
+    for spans in groups:
+        out.append([(lo + (not s[2]), hi + s[3], s[0], s[1]) for s, lo, hi in zip(spans, at, at)]
+                   if spans and type(spans[0]) is tuple else
+                   [(lo + (not s.lo_incl), hi + s.hi_incl, s.lo, s.hi) for s, lo, hi in zip(spans, at, at)])
+    return out
 
 
-def _combine(space: Space1D, op: Callable[[int, int], bool], events: list, high: int) -> Region:
-    """The sweep proper: one O(n log n) integer sort and one linear pass.
-
-    The sort reads positions only: events at one position share its value,
-    and the count is read only where it changes, so no values are compared.
-    """
-    events.sort(key=itemgetter(0))
-    events.append((None, 0, None))  # past every cut: flushes the last one
-    count, inside = 0, False
-    cuts: list = []
-    at = at_value = None
-    for pos, step, value in events:
-        if pos != at:  # the count holds every event at the cut before
-            if op(count, high) != inside:
-                cuts.append((at_value, at))
-                inside = not inside
-            at, at_value = pos, value
-        count += step
+def _emit(space: Space1D, runs: Iterable) -> Region:
+    """The region of canonical runs (lo_at, hi_at, lo, hi) with Fraction ends."""
     # tuple() of a list allocates the final size; of a generator it resizes
     # a guess, and each resized block then stays in the tuple free list
-    return _region(space, tuple([
-        _span(lo, hi, lo_at & 1 == 0, hi_at & 1 == 1)
-        for (lo, lo_at), (hi, hi_at) in zip(cuts[::2], cuts[1::2])
-    ]))
+    return _region(space, tuple([_span(lo, hi, lo_at & 1 == 0, hi_at & 1 == 1) for lo_at, hi_at, lo, hi in runs]))
 
 
 def _merged(ranges: list):
-    """The maximal runs (lo_at, hi_at, lo, hi) of ranges sorted by lo_at: a
-    range that starts past the run so far begins a new run."""
+    """The maximal runs (lo_at, hi_at, lo, hi), in order, of nonempty ranges:
+    after one sort by lo_at, a range that starts past the run so far begins
+    a new run."""
     if not ranges:
         return
+    ranges.sort(key=itemgetter(0))
     lo_at, hi_at, lo, hi = ranges[0]
     for a, b, x, y in ranges:
         if a > hi_at:
@@ -386,32 +348,58 @@ def _merged(ranges: list):
     yield lo_at, hi_at, lo, hi
 
 
+def _meet(a: list, b: list) -> list:
+    """The meet of two sorted lists of disjoint ranges, in one linear walk:
+    each step keeps what the two current ranges share and moves past the one
+    that ends first.  Runs of two lists of maximal runs meet in maximal runs."""
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        x, y = a[i], b[j]
+        lo = x if x[0] > y[0] else y
+        if x[1] < y[1]:
+            hi, i = x, i + 1
+        else:
+            hi, j = y, j + 1
+        if lo[0] < hi[1]:
+            out.append((lo[0], hi[1], lo[2], hi[3]))
+    return out
+
+
+def _gaps(ranges: list) -> list:
+    """The nonempty gaps, from below every cut to above every cut, of sorted
+    ranges that each end past the one before (runs, or their closures)."""
+    out = []
+    at, value = -_INF, None
+    for lo_at, hi_at, lo, hi in ranges:
+        if at < lo_at:
+            out.append((at, lo_at, value, lo))
+        at, value = hi_at, hi
+    out.append((at, _INF, value, None))
+    return out
+
+
 def _union_ratios(space: Space1D, spans: list) -> Region:
     """The canonical union of nonempty spans (lo, hi, lo_incl, hi_incl) of
     `space` whose ends are integer ratios (n, d) in lowest terms, d > 0.
 
     The transports carry such spans: `PLMap.validate` puts every branch
     image in the codomain, and preimage parts are sub-spans of branch
-    sources, so no span needs clipping and no full region joins the sweep.
-    Each span is the cut range [lo, hi) on the `_positions` of its ends, as
-    in `_cut_events`; after one sort by lo, a range that starts past the
-    run so far begins a new run.  Only the ends of the runs become
-    Fractions.
+    sources, so no span needs clipping and no full region joins the union.
+    The union is `_merged` of their cut ranges, as in `Region.union`, and
+    only the ends of the runs become Fractions.
     """
-    at = _positions([end for s in spans for end in s[:2]])
-    ranges = [(a + (not s[2]), b + s[3], s[0], s[1]) for a, b, s in zip(at[::2], at[1::2], spans)]
-    ranges.sort(key=itemgetter(0))
     return _region(space, tuple([_span(Q(*lo), Q(*hi), lo_at & 1 == 0, hi_at & 1 == 1)
-                                 for lo_at, hi_at, lo, hi in _merged(ranges)]))
+                                 for lo_at, hi_at, lo, hi in _merged(*_cut_ranges(spans))]))
 
 
 def _covered_twice(spans: list) -> list:
     """The maximal runs, in order, of the points that two of the spans hold,
     spans and runs as `_union_ratios` takes them.  After one sort by lo, a
     cut range holds twice what it shares with the furthest-reaching range
-    before it; those parts come in lo order, and `_merged` joins them."""
-    at = _positions([end for s in spans for end in s[:2]])
-    ranges = [(a + (not s[2]), b + s[3], s[0], s[1]) for a, b, s in zip(at[::2], at[1::2], spans)]
+    before it, and `_merged` joins those parts."""
+    [ranges] = _cut_ranges(spans)
     ranges.sort(key=itemgetter(0))
     parts, reach = [], None
     for r in ranges:
@@ -422,73 +410,82 @@ def _covered_twice(spans: list) -> list:
     return [(lo, hi, lo_at & 1 == 0, hi_at & 1 == 1) for lo_at, hi_at, lo, hi in _merged(parts)]
 
 
-def _regular_union(space: Space1D, spans: list) -> Region:
-    """int(cl(U)), U the union of nonempty spans as `_union_ratios` takes them.
+def _hull_runs(space: Space1D, spans: Sequence) -> list:
+    """int(cl(U)), U the union of nonempty spans of `space`, as
+    runs (lo, hi, lo_incl, hi_incl, comp): comp is the component span that
+    holds the run, and lo and hi are as the spans hold them.
 
-    One sort by lo merges the spans' closures into the runs of cl(U), and
-    each run is opened against the component that holds it, at the same
-    `_positions`: it keeps an end only where the component does, and a lone
+    One sort by lo merges the spans' closed cut ranges into the runs of
+    cl(U), and each run is opened against its component on the same
+    positions: it keeps an end only where the component does, and a lone
     point only if it is isolated.  A run outside every component raises
     `SpaceMismatch`, as `Region.interior` does.
     """
-    bounds = space._ends
-    at = _positions([end for b in bounds for end in b] + [end for s in spans for end in s[:2]])
-    k = 2 * len(bounds)
-    ranges = [(a, b, s[0], s[1]) for a, b, s in zip(at[k::2], at[k + 1::2], spans)]
-    ranges.sort(key=itemgetter(0))
-    comps = iter(zip(at[0:k:2], at[1:k:2], space.full_region().spans))
-    out: list[Span] = []
-    c_hi = None
-    for lo_at, hi_at, lo, hi in _merged(ranges):
-        while c_hi is None or hi_at > c_hi:
-            c_lo, c_hi, comp = next(comps, (None, None, None))
-            if c_hi is None:
-                break
-        if c_hi is None or lo_at < c_lo:
+    full, ranges = _cut_ranges(space._ends, spans)
+    ranges.sort(key=itemgetter(0))  # closures (lo_at & -2, hi_at | 1) keep this order
+    comps = space._full.spans
+    out = []
+    i, (c_lo, c_hi, _, _) = 0, full[0]
+    k, n = 0, len(ranges)
+    while k < n:
+        lo_at, hi_at, lo, hi = ranges[k]
+        lo_at, hi_at = lo_at & -2, hi_at | 1
+        k += 1
+        # a closure joins the run when it starts at or before the run's odd hi_at
+        while k < n and ranges[k][0] <= hi_at:
+            if ranges[k][1] | 1 > hi_at:
+                hi_at, hi = ranges[k][1] | 1, ranges[k][3]
+            k += 1
+        while hi_at > c_hi:
+            i += 1
+            if i == len(full):
+                raise SpaceMismatch("region has a span outside its space")
+            c_lo, c_hi = full[i][:2]
+        if lo_at < c_lo:
             raise SpaceMismatch("region has a span outside its space")
         lo_incl, hi_incl = lo_at == c_lo, hi_at == c_hi
-        if lo_incl and hi_incl:  # the whole component, an isolated point included
-            out.append(comp)
-        elif lo_at != hi_at:  # a point inside an interval is never open
-            out.append(_span(comp.lo if lo_incl else Q(*lo), comp.hi if hi_incl else Q(*hi), lo_incl, hi_incl))
-    return _region(space, tuple(out))
+        if hi_at - lo_at > 1 or lo_incl and hi_incl:  # a point inside an interval is never open
+            out.append((lo, hi, lo_incl, hi_incl, comps[i]))
+    return out
+
+
+def _regular_union(space: Space1D, spans: Sequence) -> Region:
+    """int(cl(U)) as a region, U the union of nonempty spans as
+    `_hull_runs` takes them.  A whole component is kept as its span, and an
+    end is a Fraction already unless it is an integer ratio that is no
+    component's end."""
+    return _region(space, tuple([
+        comp if lo_incl and hi_incl else
+        _span(comp.lo if lo_incl else lo if type(lo) is Q else Q(*lo),
+              comp.hi if hi_incl else hi if type(hi) is Q else Q(*hi), lo_incl, hi_incl)
+        for lo, hi, lo_incl, hi_incl, comp in _hull_runs(space, spans)
+    ]))
 
 
 def canonicalize(space: Space1D, raw_spans: Iterable[Span]) -> CanonicalizeResult:
     """Clip raw spans to the space and merge them into canonical form.
 
     The flag reports whether any nonempty raw span stuck out of the space.
-    Raw spans are read on the sweep's cut positions, after the components'
-    own: one whose lo position is not below its hi position is empty
-    (reversed, or a point missing a flag) and drops out; a live one sticks
-    out when its cut range does not fit in that of the last component that
-    starts at or before it, found by bisection on the positions.
+    Raw spans are read as cut ranges with the components': an empty one
+    (reversed, or a point missing a flag) drops out, the rest merge into
+    runs, and the runs are met with the components.  A run inside a
+    component comes through whole, so a raw span stuck out exactly when the
+    meet changed a run.
     """
-    full = space.full_region().spans
-    events, high = _cut_events((full, list(raw_spans)))
-    n = 2 * len(full)
-    starts, ends = [e[0] for e in events[0:n:2]], [e[0] for e in events[1:n:2]]
-    live, clipped = events[:n], False
-    for lo, hi in zip(events[n::2], events[n + 1::2]):
-        if lo[0] < hi[0]:
-            live += (lo, hi)
-            if not clipped:
-                i = bisect_right(starts, lo[0]) - 1
-                clipped = i < 0 or hi[0] > ends[i]
-    return CanonicalizeResult(_combine(space, _both, live, high), clipped)
+    full, raw = _cut_ranges(space._full.spans, list(raw_spans))
+    runs = list(_merged([r for r in raw if r[0] < r[1]]))
+    out = _meet(runs, full)
+    return CanonicalizeResult(_emit(space, out), [r[:2] for r in out] != [r[:2] for r in runs])
 
 
 # --- the Boolean algebra of regular open sets ---
 
 
 def ropen_join(u: Region, v: Region) -> Region:
-    """Join: interior of the closure of the union.
-
-    The closure of the union is the union of the closures, so one sweep
-    reads both operands closed and `interior` finishes.
-    """
+    """Join: interior of the closure of the union, one `_regular_union`
+    pass over both operands' spans."""
     _check_space(u, v)
-    return _sweep(u.space, _union, u.spans, v.spans, closed=True).interior()
+    return _regular_union(u.space, u.spans + v.spans)
 
 
 def ropen_meet(u: Region, v: Region) -> Region:
@@ -572,7 +569,7 @@ def random_regular_open(space: Space1D, seed: int) -> Region:
     Each draw is an isolated point or an open span (a + (b-a)·i/den,
     a + (b-a)·j/den) of an interval [a, b], its ends made as integer ratios
     with one gcd each; the result is the interior of the closed union of
-    the draws, one `_union_ratios` sweep and no canonicalize.
+    the draws, one `_regular_union` pass and no canonicalize.
     """
     rng = random.Random(seed)
     raw: list[tuple] = []

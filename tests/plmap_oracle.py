@@ -22,11 +22,12 @@ and `locate_by_fractions` the lookup of a slope and intercept in it that
 evaluation replaced with a read of the pieces.  Surjectivity, the codomain
 check and rule 3 read the branch images off the table; the derivations they
 replaced are kept as `is_surjective_by_image` (the image of the whole
-domain), `validate_by_sweeps` (one sweep per branch against the full
-codomain) and `first_overlap_by_interiors` (rule 3 against int(own), one
+domain), `validate_by_sweeps` (one reference sweep per branch against the
+full codomain) and `first_overlap_by_interiors` (rule 3 against int(own), one
 region and one `interior` per piece).  Rules 1 and 3 read the runs that two
 branch images hold from one `space._covered_twice` pass; the coverage sweep
-it replaced is `covered_twice_by_sweep`.
+it replaced is `covered_twice_by_sweep`, here on the reference sweep
+`space_oracle.sweep_by_groupby`.
 
 Test-only device; the library itself never touches it.
 """
@@ -40,7 +41,7 @@ from regopen.errors import ImageEscapesCodomain
 from regopen.ideals import PLFunc
 from regopen.plmap import PLMap, Piece, _meeting, _ratios, _span_intersect
 from regopen.rationals import Q, Rational, rat
-from regopen.space import Region, Span, _minus, _region, _span, _sweep
+from regopen.space import Region, Span, _region, _span
 
 
 def _canonical(space, raw) -> Region:
@@ -256,7 +257,8 @@ def is_surjective_by_image(m: PLMap) -> bool:
 def validate_by_sweeps(m: PLMap) -> None:
     """Each branch image minus the full codomain, one sweep per branch."""
     for src, dst, _, _ in branches_by_fractions(m):
-        if _sweep(m.codomain, _minus, [dst], m.codomain.full_region().spans).spans:
+        if space_oracle.sweep_by_groupby(m.codomain, lambda x, y: x > 0 and y == 0, [dst],
+                                         m.codomain.full_region().spans).spans:
             raise ImageEscapesCodomain(src.lo if src.lo == src.hi else (src.lo, src.hi))
 
 
@@ -277,4 +279,4 @@ def first_overlap_by_interiors(m: PLMap, twice: list) -> Optional[tuple[Piece, S
 def covered_twice_by_sweep(space, spans: list[Span]) -> list:
     """The runs of `space` that at least two of the spans hold, as `_ratios`:
     one coverage sweep that keeps the points whose count is at least 2."""
-    return [_ratios(s) for s in _sweep(space, lambda count, high: count >= 2, spans).spans]
+    return [_ratios(s) for s in space_oracle.sweep_by_groupby(space, lambda count: count >= 2, spans).spans]

@@ -1,20 +1,23 @@
 """Reference boundary sweep, closure and interior, in their direct forms.
 
 The library reads each boundary once as an integer ratio, gives every cut
-an integer position, and runs canonicalize, closure and interior as
-single passes that compare no Fractions.  These are the forms it replaced:
-a sweep over events sorted on the Fraction values and grouped per cut
-with `groupby`, a canonicalize that drops empty raw spans and flags
-clipped ones by comparing Fractions, a closure that merges spans by
-comparing Fractions, and an interior that finds each span's component by
-Fraction comparisons.  Tests compare the two on seeded regions.  Results
-are built with the trusted `space._region`, so none passes through the
-library's canonicalize.
+an integer position, and runs the set operations, canonicalize, closure
+and interior as single passes over cut ranges that compare no Fractions:
+a union is one sort and a merge of the ranges, a meet is one linear walk
+over two sorted range lists, and a difference or a complement meets with
+the gaps of the other operand.  These are the forms it replaced: a sweep
+over events sorted on the Fraction values and grouped per cut with
+`groupby`, a canonicalize that drops empty raw spans and flags clipped
+ones by comparing Fractions, a closure that merges spans by comparing
+Fractions, and an interior that finds each span's component by Fraction
+comparisons.  Tests compare the two on seeded regions.  Results are built
+with the trusted `space._region`, so none passes through the library's
+canonicalize.
 
-The library's join, perp and seeded draws read spans closed in the sweep
-itself; the compositions they replaced (union then regularize, closure
-then complement, and draws in Fraction arithmetic through the checked
-constructor) are kept below as well.
+The library's join, perp and seeded draws read each span's closure off
+its cut range; the compositions they replaced (union then regularize,
+closure then complement, and draws in Fraction arithmetic through the
+checked constructor) are kept below as well.
 
 Test-only device; the library itself never touches it.
 """

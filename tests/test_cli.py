@@ -9,7 +9,7 @@ import os
 import subprocess
 import sys
 import time
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, nullcontext, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -136,6 +136,73 @@ class TestRegionEval:
             "--expr", "v", "--bind", f"v={bound}",
         )
         assert code == 2 and out["at"] == "SpaceMismatch"
+
+
+@contextmanager
+def int_digit_limit(limit: int):
+    """The interpreter's limit on int-string conversion set to `limit` (0: none), then restored."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+# CPython's default limit and none at all; an interpreter older than the limit runs once, as it is
+INT_DIGIT_LIMITS = [4300, 0] if hasattr(sys, "set_int_max_str_digits") else [None]
+
+
+def under(limit):
+    return int_digit_limit(limit) if limit is not None else nullcontext()
+
+
+class TestDigitBounds:
+    """Integer arguments and encoded results meet `MAX_LITERAL_DIGITS`, whatever the interpreter's own limit."""
+
+    @pytest.mark.parametrize("limit", INT_DIGIT_LIMITS)
+    def test_integer_arguments_at_the_digit_bound_and_past_it(self, capsys, limit):
+        n = MAX_LITERAL_DIGITS
+        at = {  # leading zeros are digits, as CPython counts them
+            "--seed": ["cover", "check", "--map", plmap_json(identity_map(UNIT)), "--samples", "2", "--seed"],
+            "--samples": ["cover", "check", "--map", plmap_json(identity_map(UNIT)), "--samples"],
+            "--depth": ["cantor", "phi", "--region", '{"spans":[]}', "--depth"],
+            "--points": ["gleason", "--points"],
+        }
+        with under(limit):
+            for name, argv in at.items():
+                code, out = run(capsys, *argv, "0" * (n - 1) + "2")
+                assert code == 0, (name, out)
+                code, out = run(capsys, *argv, "0" * n + "2")
+                assert (code, out) == (2, {"error": f"argument {name}: an integer argument has at most {n} digits",
+                                           "at": "ValueError"})
+            # past the bound in value as well: a request the default limit used to reject and none accepted
+            code, out = run(capsys, *at["--depth"], "1" * (n + 700))
+            assert code == 2 and out["error"] == f"argument --depth: an integer argument has at most {n} digits"
+            code, out = run(capsys, *at["--depth"], "-" + "0" * n)  # the sign is no digit
+            assert (code, out) == (0, {"words": []})
+            code, out = run(capsys, *at["--depth"], "x" * (n + 1))  # no digits: argparse's own message
+            assert out == {"error": f"argument --depth: invalid int value: '{'x' * (n + 1)}'", "at": "ValueError"}
+
+    @pytest.mark.parametrize("limit", INT_DIGIT_LIMITS)
+    def test_result_digits_at_the_bound_and_past_it(self, capsys, limit):
+        # x -> 3x/4 takes 1/7...7 to 3/31...108, one digit longer than the sevens
+        m = PLMap(Space1D((Interval(0, rat(4, 3)),)), UNIT, ((Piece(0, rat(4, 3), rat(3, 4), 0),),))
+        n = MAX_LITERAL_DIGITS
+
+        def psi(sevens: int):
+            hi = "1/" + "7" * sevens
+            u = json.dumps({"spans": [{"lo": "0", "hi": hi, "lo_incl": True, "hi_incl": False}]})
+            return run(capsys, "cover", "psi", "--map", plmap_json(m), "--region", u)
+
+        with under(limit):
+            code, out = psi(n - 1)
+            hi = rat(3, 4) / int("7" * (n - 1))
+            assert 10 ** (n - 1) <= hi.denominator < 10 ** n  # exactly at the bound
+            assert code == 0 and rat(out["region"]["spans"][0]["hi"]) == hi
+            code, out = psi(n)
+            assert (code, out) == (2, {"error": f"a result's numerator and denominator have at most {n} digits",
+                                       "at": "ValueError"})
 
 
 class TestCover:

@@ -871,10 +871,15 @@ class TestWorkCounts:
         assert counts[0] == counts[1]
         assert counts[0] > 0
 
+    # every Region set operation runs one of these: a meet of cut ranges, the
+    # checked constructor, the hull pass of the join, or the union
+    SET_OPS = (((space,), "_meet"), ((space,), "canonicalize"), ((space, plmap), "_regular_union"),
+               ((Region,), "union"))
+
     def test_rule_one_images_the_same_at_1_and_8_isolated_points(self, monkeypatch):
         # rule 1 reads the one coverage pass over the branch images, by bisection
         counts = {name: self._count(monkeypatch, owners, name)
-                  for owners, name in (((space, plmap), "_covered_twice"), ((space,), "_sweep"), ((PLMap,), "image"))}
+                  for owners, name in (((space, plmap), "_covered_twice"), ((PLMap,), "image")) + self.SET_OPS}
         seen = []
         for k in (1, 8):
             m = identity_map(Space1D((Interval(0, 1),) + tuple(Point(2 + i) for i in range(k))))
@@ -882,26 +887,41 @@ class TestWorkCounts:
                 c[0] = 0
             assert is_irreducible(m).irreducible
             seen.append({name: c[0] for name, c in counts.items()})
-        assert seen == [{"_covered_twice": 1, "_sweep": 0, "image": 0}] * 2
+        assert seen == [{"_covered_twice": 1, "image": 0, "_meet": 0, "canonicalize": 0, "_regular_union": 0,
+                         "union": 0}] * 2
 
     def test_deciding_a_64_piece_bijection_carries_nothing_and_takes_no_interior(self, monkeypatch):
         # surjectivity and rules 1 and 3 read every branch end from the table:
         # no end is read off a Fraction again, and only the union's run [0, 1] is built
         m = _increasing_bijection(64)
-        counts = {name: self._count(monkeypatch, (owner,), name)
-                  for owner, name in ((plmap, "_carry"), (PLMap, "image"), (Region, "interior"), (space, "_sweep"),
-                                      (fractions.Fraction, "as_integer_ratio"), (fractions.Fraction, "__new__"))}
+        counts = {name: self._count(monkeypatch, owners, name)
+                  for owners, name in (((plmap,), "_carry"), ((PLMap,), "image"), ((Region,), "interior"),
+                                       ((fractions.Fraction,), "as_integer_ratio"),
+                                       ((fractions.Fraction,), "__new__")) + self.SET_OPS}
         assert is_irreducible(m).irreducible
         got = {name: c[0] for name, c in counts.items()}
         assert got.pop("__new__") <= 2
-        assert got == {"_carry": 0, "image": 0, "interior": 0, "_sweep": 0, "as_integer_ratio": 0}
+        assert got == {"_carry": 0, "image": 0, "interior": 0, "as_integer_ratio": 0, "_meet": 0, "canonicalize": 0,
+                       "_regular_union": 0, "union": 0}
 
     def test_building_a_64_piece_bijection_sweeps_nothing(self, monkeypatch):
         # the codomain check reads each branch image against the component bounds
-        calls = self._count(monkeypatch, (space,), "_sweep")
+        counts = {name: self._count(monkeypatch, owners, name) for owners, name in self.SET_OPS}
         m = _increasing_bijection(64)
         assert len(m.pieces[0]) == 64
-        assert calls[0] == 0
+        assert {name: c[0] for name, c in counts.items()} == {"_meet": 0, "canonicalize": 0, "_regular_union": 0,
+                                                              "union": 0}
+
+    def test_rule_three_builds_fractions_only_for_its_witness(self, monkeypatch):
+        # i/64 -> i + 2 (i mod 2) from [0, 1] onto [0, 65]: each rising piece's image
+        # overlaps the next falling one, so 32 runs are held twice
+        m = plmap_from_breakpoints(UNIT, Space1D((Interval(0, 65),)),
+                                   [(rat(i, 64), i + 2 * (i % 2)) for i in range(65)])
+        assert len(space._covered_twice([dst for _, dst, _, _ in m._branches])) == 32
+        built = self._count(monkeypatch, (fractions.Fraction,), "__new__")
+        verdict = is_irreducible(m)
+        assert not verdict.irreducible and "covered twice" in verdict.reason
+        assert built[0] <= 14
 
     def test_settling_a_64_piece_map_builds_no_fraction_and_no_span(self, monkeypatch):
         # the branch table is integer rows only, read off the pieces and points:

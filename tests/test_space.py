@@ -332,7 +332,7 @@ def _times(spans, factor) -> list[Span]:
 
 
 class TestSweepFallback:
-    """Past `SWEEP_KEY_BITS` the sweep sorts Fractions; the regions do not change."""
+    """Past `SWEEP_KEY_BITS` the cut positions are ranks from a Fraction sort; the regions do not change."""
 
     def test_prime_denominators_match_a_rescaled_integer_sweep(self):
         rng = random.Random(4099)
@@ -573,7 +573,7 @@ class TestRandomRegularOpenOracle:
 
 
 class TestWorkCounts:
-    """Call counts that pin the cost of the sweep, closure and interior."""
+    """Call counts that pin the cost of the set operations, closure and interior."""
 
     def _dyadic_region(self, rng: random.Random, n: int) -> Region:
         # n spans on a 1/8n grid of [0, 1], with point spans, plus the point 2
@@ -612,8 +612,24 @@ class TestWorkCounts:
             assert op().spans
         assert calls == {"_richcmp": 0, "__eq__": 0, "__post_init__": 0, "canonicalize": 0}
 
+    def test_every_set_operation_makes_one_positions_call(self, monkeypatch):
+        # each operation reads all its operands' ends, the components' too, in one call
+        rng = random.Random(16)
+        a, b = self._dyadic_region(rng, 16), self._dyadic_region(rng, 16)
+        raw = list(a.spans + b.spans) + [Span(rat(-1), rat(3), False, False)]
+        calls = self._counted(monkeypatch, [(space_module, "_positions")])
+        ops = {"union": lambda: a.union(b), "intersect": lambda: a.intersect(b),
+               "difference": lambda: a.difference(b), "complement": a.complement, "perp": a.perp,
+               "join": lambda: ropen_join(a, b), "canonicalize": lambda: canonicalize(UNIT_PT, raw)}
+        seen = {}
+        for name, op in ops.items():
+            calls["_positions"] = 0
+            op()
+            seen[name] = calls["_positions"]
+        assert seen == {name: 1 for name in ops}
+
     def test_join_and_perp_build_no_closure(self, monkeypatch):
-        # the closure is read in the sweep itself
+        # the closure of a cut range is read off its positions: (lo_at & -2, hi_at | 1)
         rng = random.Random(77)
         regions = [self._dyadic_region(rng, 16) for _ in range(4)]
         calls = self._counted(monkeypatch, [(Region, name) for name in ("closure", "regularize", "union",
