@@ -8,7 +8,7 @@ moving supports through the cover's phi/psi.
 from __future__ import annotations
 
 from .errors import NotIrreducible, SpaceMismatch, _Value
-from .plmap import (Piece, PLMap, _affine_ratios, _carry, _meeting, _runs, _settle, _span_intersect, _value,
+from .plmap import (Piece, PLMap, _affine_ratios, _carry, _locate, _runs, _settle, _span_intersect, _value,
                     is_irreducible)
 from .rationals import Q, Rational
 from .space import Region, Space1D, Span, _union_ratios, ropen_join, ropen_meet
@@ -103,7 +103,7 @@ def upsilon(pi: PLMap, j: RegIdeal) -> RegIdeal:
     if j.space != pi.codomain:
         raise SpaceMismatch("ideal is not over the cover codomain")
     _require_essential(pi)
-    return RegIdeal(pi.domain, pi.phi(j.support))
+    return RegIdeal._trusted(pi.domain, pi.phi(j.support))  # phi is regular open by construction
 
 
 def omega(pi: PLMap, k: RegIdeal) -> RegIdeal:
@@ -111,7 +111,7 @@ def omega(pi: PLMap, k: RegIdeal) -> RegIdeal:
     if k.space != pi.domain:
         raise SpaceMismatch("ideal is not over the cover domain")
     _require_essential(pi)
-    return RegIdeal(pi.codomain, pi.psi(k.support))
+    return RegIdeal._trusted(pi.codomain, pi.psi(k.support))  # so is psi
 
 
 def pullback(pi: PLMap, f: PLFunc) -> PLFunc:
@@ -134,7 +134,11 @@ def pullback(pi: PLMap, f: PLFunc) -> PLFunc:
                 continue
             p, q, r = back
             inside, parts = (lo, hi, False, False), []  # a piece of f that only touches it is no meet
-            for t in _meeting(sources, lo, hi):
+            hn, hd = hi
+            for t in sources[_locate(sources, lo):]:
+                n, d = t[0]
+                if n * hd > hn * d:
+                    break
                 part = _span_intersect(t, inside)
                 if part is not None:
                     (a, b, _, _), m, k = _affine_ratios(part, p, q, r), t[4], t[5]

@@ -9,7 +9,6 @@ sampling enters the library semantics.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
@@ -117,18 +116,21 @@ def _affine(slope: Rational, intercept: Rational) -> tuple[tuple[int, int, int],
     return (p, q, r), ((r, -q, p) if p > 0 else (-r, q, -p))
 
 
-def _meeting(spans: Sequence[tuple], lo: tuple, hi: tuple) -> Iterable[tuple]:
-    """The `_ratios` spans that can meet [lo, hi] (integer ratios), found by
-    bisection, by cross-multiplication, for the first whose hi is not below lo.
-
-    `spans` must be sorted with increasing ends, as canonical region spans are.
-    """
-    (ln, ld), (hn, hd) = lo, hi
-    for i in range(bisect_left(spans, True, key=lambda t: t[1][0] * ld >= ln * t[1][1]), len(spans)):
-        n, d = spans[i][0]
-        if n * hd > hn * d:
-            return
-        yield spans[i]
+def _locate(spans: Sequence[tuple], lo: tuple) -> int:
+    """The index of the first of the `_ratios` spans whose hi is not below lo,
+    an integer ratio, by bisection on integer cross-products.  The spans must
+    be sorted with increasing ends, as canonical region spans are; a caller
+    walks on from there and stops at the first whose lo is past its hi."""
+    n, d = lo
+    i, j = 0, len(spans)
+    while i < j:
+        k = (i + j) // 2
+        hn, hd = spans[k][1]
+        if hn * d < n * hd:
+            i = k + 1
+        else:
+            j = k
+    return i
 
 
 def _carry(table, spans: Sequence[Span], forward: bool) -> list[tuple]:
@@ -137,18 +139,23 @@ def _carry(table, spans: Sequence[Span], forward: bool) -> list[tuple]:
     integer-ratio ends in lowest terms.
 
     `spans` must be sorted and disjoint (canonical region spans, or one
-    span); each branch then visits only the spans that meet its source
-    (forward) or its image (back).  Every region boundary is read once per
-    call as an integer ratio, and every branch end and affine map comes from
-    the table, built once per map, so no two Fractions are compared and none
-    is built: `_union_ratios` or `_regular_union` makes Fractions of the ends
-    that survive.  Every carried span is nonempty and lies in the target space.
+    span); each branch walks them from the one `_locate` finds to the first
+    past its source (forward) or its image (back).  Every region boundary
+    is read once per call as an integer ratio, and every branch end and
+    affine map comes from the table, built once per map, so no two Fractions
+    are compared and none is built: `_union_ratios` or `_regular_union` makes
+    Fractions of the ends that survive.  Every carried span is nonempty and
+    lies in the target space.
     """
     ends = [_ratios(t) for t in spans]
     raw: list[tuple] = []
     for src, dst, fwd, back in table:
         window, other, affine = (src, dst, fwd) if forward else (dst, src, back)
-        for t in _meeting(ends, window[0], window[1]):
+        hn, hd = window[1]
+        for t in ends[_locate(ends, window[0]):]:
+            n, d = t[0]
+            if n * hd > hn * d:
+                break
             part = _span_intersect(t, window)
             if part is not None:  # a constant branch carries any meet onto its whole other side
                 raw.append(_affine_ratios(part, *affine) if affine else other)
@@ -190,10 +197,11 @@ class PLMap(_Value):
     def validate(self) -> None:
         """The codomain checks; the shared core has checked runs and points."""
         comps = self.codomain._ends
-        for (lo, hi, _, _), ((n, d), (hn, hd), _, _), _, _ in self._branches:
-            # the one component that can hold the image: the last that starts at or before its lo
-            i = bisect_left(comps, True, key=lambda c: c[0][0] * d > n * c[0][1]) - 1
-            if i < 0 or hn * comps[i][1][1] > comps[i][1][0] * hd:
+        for (lo, hi, _, _), (dlo, (hn, hd), _, _), _, _ in self._branches:
+            # the one component that can hold the image: the first that does not end below its lo
+            i = _locate(comps, dlo)
+            if i == len(comps) or comps[i][0][0] * dlo[1] > dlo[0] * comps[i][0][1] \
+                    or hn * comps[i][1][1] > comps[i][1][0] * hd:
                 # a piece is located by its span, an isolated point by itself
                 raise ImageEscapesCodomain(Q(*lo) if lo == hi else (Q(*lo), Q(*hi)))
 
@@ -306,13 +314,13 @@ def is_irreducible(m: PLMap) -> IrreducibilityVerdict:
         candidate = Region(m.domain, [Span(p, p, True, True)])
         return verified(candidate, f"isolated point {p} is redundant")
 
-    # rule 2: a constant piece always leaves both endpoints behind
-    for run in m.pieces:
-        for piece in run:
-            if piece.slope == 0:
-                third = (piece.src_hi - piece.src_lo) / 3
-                w = Region(m.domain, [Span(piece.src_lo + third, piece.src_hi - third, False, False)])
-                return verified(w, f"constant piece on [{piece.src_lo}, {piece.src_hi}]")
+    # rule 2: a constant piece always leaves both endpoints behind; the table
+    # lists the pieces first, in run order, and keeps no affine map for a constant
+    for piece, (_, _, forward, _) in zip([q for run in m.pieces for q in run], m._branches):
+        if forward is None:
+            third = (piece.src_hi - piece.src_lo) / 3
+            w = Region(m.domain, [Span(piece.src_lo + third, piece.src_hi - third, False, False)])
+            return verified(w, f"constant piece on [{piece.src_lo}, {piece.src_hi}]")
 
     # rule 3: a monotone piece whose image interior is covered elsewhere
     found = _first_overlap(m, twice)
@@ -338,7 +346,10 @@ def _redundant_point(m: PLMap, twice: list) -> Optional[Rational]:
     """
     rows = m._branches[sum(map(len, m.pieces)):]  # the branches list the points last, in order
     for (p, _), (_, dst, _, _) in zip(m.point_images, rows):
-        if any(_span_intersect(t, dst) is not None for t in _meeting(twice, dst[0], dst[1])):
+        # the runs are maximal, so no two share an end that either holds:
+        # a point meets the first run that does not end below it, or none
+        i = _locate(twice, dst[0])
+        if i < len(twice) and _span_intersect(twice[i], dst) is not None:
             return p
     return None
 
@@ -359,8 +370,12 @@ def _first_overlap(m: PLMap, twice: list) -> Optional[tuple[Piece, Span]]:
     inner = [run[:4] for run in _hull_runs(m.codomain, twice)]
     # the branches list the pieces first, in run order, so zip stops before the points
     for piece, (_, (lo, hi, _, _), _, _) in zip([q for run in m.pieces for q in run], m._branches):
-        for d in _meeting(inner, lo, hi):
-            part = _span_intersect(d, (lo, hi, False, False))
+        (hn, hd), own = hi, (lo, hi, False, False)
+        for run in inner[_locate(inner, lo):]:
+            n, d = run[0]
+            if n * hd > hn * d:
+                break
+            part = _span_intersect(run, own)
             if part is not None:
                 return piece, _span(Q(*part[0]), Q(*part[1]), part[2], part[3])
     return None

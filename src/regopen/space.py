@@ -283,20 +283,22 @@ _INF = float("inf")
 def _positions(ends: list) -> list:
     """Even cut positions of integer-ratio values n/d, d > 0, in their order.
 
-    A value sits at 2 * n * (L // d), L the lcm of the denominators, so a
-    cut just after it can take the odd position above.  Past
-    `SWEEP_KEY_BITS` the values are ranked by a Fraction sort instead, at
-    2 * rank; equal values must then be equal ratios, in lowest terms.
+    A value sits at 2 * n * (L // d), L the lcm of the denominators, which
+    one pass grows only at a denominator that does not divide it yet.  A cut
+    just after a value can take the odd position above.  Once L passes
+    `SWEEP_KEY_BITS` (whatever the order of the ends) the values are ranked
+    by a Fraction sort instead, at 2 * rank; equal values must then be equal
+    ratios, in lowest terms.
     """
-    denominators = {d for _, d in ends}
     common = 1
-    for d in denominators:
-        common = lcm(common, d)
-        if common.bit_length() > SWEEP_KEY_BITS:
-            rank = {r: 2 * i for i, r in enumerate(sorted(set(ends), key=lambda r: Q(*r)))}
-            return [rank[r] for r in ends]
-    scale = {d: 2 * (common // d) for d in denominators}
-    return [n * scale[d] for n, d in ends]
+    for _, d in ends:
+        if common % d:
+            common = lcm(common, d)
+            if common.bit_length() > SWEEP_KEY_BITS:
+                rank = {r: 2 * i for i, r in enumerate(sorted(set(ends), key=lambda r: Q(*r)))}
+                return [rank[r] for r in ends]
+    common *= 2
+    return [n * (common // d) for n, d in ends]
 
 
 def _cut_ranges(*groups: Sequence) -> list[list]:
@@ -306,21 +308,24 @@ def _cut_ranges(*groups: Sequence) -> list[list]:
     A cut sits just before a value, at its even position, or just after it,
     at the odd one above.  A span is the half-open range of cuts
     [pos(lo) + not lo_incl, pos(hi) + hi_incl), empty exactly when
-    lo_at >= hi_at, and its closure is (lo_at & -2, hi_at | 1).  A group
-    holds `Span`s, or spans (lo, hi, lo_incl, hi_incl) whose ends are
-    integer ratios (n, d) in lowest terms, d > 0; lo and hi are kept as the
-    span holds them.  Every end is read once, and no two are compared.
+    lo_at >= hi_at, and its closure is (lo_at & -2, hi_at | 1).  A span is a
+    `Span`, or a tuple (lo, hi, lo_incl, hi_incl) whose ends are integer
+    ratios (n, d) in lowest terms, d > 0; lo and hi are kept as the span
+    holds them.  One loop reads every end once into one list, and a second
+    pairs each span with its two positions; no two ends are compared.
     """
     ends: list = []
     for spans in groups:
-        ends += ([end for s in spans for end in s[:2]] if spans and type(spans[0]) is tuple else
-                 [v.as_integer_ratio() for s in spans for v in (s.lo, s.hi)])
+        for s in spans:
+            ends += s[:2] if type(s) is tuple else (s.lo.as_integer_ratio(), s.hi.as_integer_ratio())
     at = iter(_positions(ends))
     out = []
     for spans in groups:
-        out.append([(lo + (not s[2]), hi + s[3], s[0], s[1]) for s, lo, hi in zip(spans, at, at)]
-                   if spans and type(spans[0]) is tuple else
-                   [(lo + (not s.lo_incl), hi + s.hi_incl, s.lo, s.hi) for s, lo, hi in zip(spans, at, at)])
+        ranges = []
+        for s in spans:
+            ranges.append((next(at) + (not s[2]), next(at) + s[3], s[0], s[1]) if type(s) is tuple else
+                          (next(at) + (not s.lo_incl), next(at) + s.hi_incl, s.lo, s.hi))
+        out.append(ranges)
     return out
 
 
@@ -567,22 +572,22 @@ def random_regular_open(space: Space1D, seed: int) -> Region:
     """Deterministic pseudo-random regular open with at most three spans.
 
     Each draw is an isolated point or an open span (a + (b-a)·i/den,
-    a + (b-a)·j/den) of an interval [a, b], its ends made as integer ratios
-    with one gcd each; the result is the interior of the closed union of
-    the draws, one `_regular_union` pass and no canonicalize.
+    a + (b-a)·j/den) of an interval [a, b], both read off `Space1D._ends`,
+    its ends made as integer ratios with one gcd each; the result is the
+    interior of the closed union of the draws, one `_regular_union` pass and
+    no canonicalize.
     """
     rng = random.Random(seed)
     raw: list[tuple] = []
     for _ in range(rng.randint(1, 3)):
-        comp = rng.choice(space.components)
-        if isinstance(comp, Point):
-            at = comp.at.as_integer_ratio()
-            raw.append((at, at, True, True))
+        comp = rng.choice(space._ends)  # the same draw as a choice of `space.components`
+        (an, ad), (bn, bd), _, _ = comp
+        if comp[0] == comp[1]:  # an isolated point, a closed span already
+            raw.append(comp)
             continue
         den = 1 << rng.randint(2, 6)
         i = rng.randrange(den)
         j = rng.randrange(i + 1, den + 1)
-        (an, ad), (bn, bd) = comp.a.as_integer_ratio(), comp.b.as_integer_ratio()
         base, width, d = an * bd * den, bn * ad - an * bd, ad * bd * den
         ends = []
         for k in (i, j):

@@ -39,7 +39,7 @@ from typing import Optional
 import space_oracle
 from regopen.errors import ImageEscapesCodomain
 from regopen.ideals import PLFunc
-from regopen.plmap import PLMap, Piece, _meeting, _ratios, _span_intersect
+from regopen.plmap import PLMap, Piece, _ratios, _span_intersect
 from regopen.rationals import Q, Rational, rat
 from regopen.space import Region, Span, _region, _span
 
@@ -269,7 +269,7 @@ def first_overlap_by_interiors(m: PLMap, twice: list) -> Optional[tuple[Piece, S
     inner = [_ratios(d) for d in held.interior().spans]
     for piece, (_, image, _, _) in zip([q for run in m.pieces for q in run], branches_by_fractions(m)):
         own = _ratios(_region(m.codomain, (image,)).interior().spans[0])
-        for d in _meeting(inner, own[0], own[1]):
+        for d in inner:  # a plain scan: the first run in order that meets it
             part = _span_intersect(d, own)
             if part is not None:
                 return piece, _span(Q(*part[0]), Q(*part[1]), part[2], part[3])

@@ -245,6 +245,30 @@ class TestTransport:
             )
             assert upsilon(m, ideal_neg(j1)) == ideal_neg(upsilon(m, j1))
 
+    def test_transport_builds_its_ideal_without_a_regularity_check(self, monkeypatch):
+        # phi and psi are int(cl(U)) by construction, so a transport takes no closure;
+        # the public constructor still checks a support it is handed
+        m = halving()
+        j = ideal_from_open(region(UNIT, (0, "1/4", True, False), ("1/3", "1/2", False, False),
+                                   ("3/4", 1, False, True)))
+        calls = [0]
+        closure = Region.closure
+
+        def counted(r):
+            calls[0] += 1
+            return closure(r)
+
+        monkeypatch.setattr(Region, "closure", counted)
+        up = upsilon(m, j)
+        down = omega(m, up)
+        assert calls[0] == 0
+        monkeypatch.undo()
+        assert up == RegIdeal(ZERO_TWO, m.phi(j.support)) and down == j
+        not_regular = region(UNIT, (0, "1/2", True, False), ("1/2", 1, False, True))  # open, not regular
+        assert not_regular.is_open()
+        with pytest.raises(ValueError):
+            RegIdeal(UNIT, not_regular)
+
     def test_reducible_cover_refused(self):
         tent = plmap_from_breakpoints(UNIT, UNIT, [(0, 0), (rat(1, 2), 1), (1, 0)])
         j = ideal_from_open(region(UNIT, (0, "1/2", True, False)))

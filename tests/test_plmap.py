@@ -1,6 +1,7 @@
 """Piecewise-linear maps: exact set maps and the irreducibility decision."""
 from __future__ import annotations
 
+import bisect
 import random
 import re
 
@@ -8,7 +9,7 @@ import pytest
 
 import fractions
 
-from regopen import plmap, space
+from regopen import ideals, plmap, space
 from regopen.ideals import PLFunc, pl_supp, pullback
 from regopen.errors import Discontinuity, ImageEscapesCodomain, NotSurjective, SpaceMismatch
 from regopen.plmap import (
@@ -922,6 +923,43 @@ class TestWorkCounts:
         verdict = is_irreducible(m)
         assert not verdict.irreducible and "covered twice" in verdict.reason
         assert built[0] <= 14
+
+    def test_64_piece_transports_decisions_and_pullback_make_no_keyed_bisection(self, monkeypatch):
+        # every locate step is `_locate`, an index bisection on integer cross-products,
+        # and one per branch at most: no `bisect` call runs a key function per probe
+        rng = random.Random(70)
+        m, bijection = _fold_map(rng), _increasing_bijection(64)
+        sawtooth = plmap_from_breakpoints(UNIT, Space1D((Interval(0, 65),)),
+                                          [(rat(i, 64), i + 2 * (i % 2)) for i in range(65)])
+        pointed = plmap_from_breakpoints(UNIT_PT, UNIT, [(rat(i, 64), rat(i * i, 64 * 64)) for i in range(65)],
+                                         [(2, rat(1, 3))])
+        r = Region(UNIT_PT, [Span(rat(k, 8), rat(2 * k + 1, 16), True, False) for k in range(8)])
+        s = m.image(r)
+        f = random_plfunc(UNIT, rng.randrange(10**6))
+        wants = [psi_by_pairs(m, r), phi_by_pairs(m, s), pullback_by_cuts(bijection, f)]
+        keyed = [0]
+
+        def counted(original):
+            def bisection(*args, **kwargs):
+                keyed[0] += 1
+                return original(*args, **kwargs)
+            return bisection
+
+        for name in ("bisect_left", "bisect_right"):
+            original = getattr(bisect, name)
+            for module in (bisect, plmap, ideals):  # the module's own, and a name imported from it, if any
+                monkeypatch.setattr(module, name, counted(original), raising=False)
+        located = self._count(monkeypatch, (plmap, ideals), "_locate")
+        gots = [m.psi(r), m.phi(s), pullback(bijection, f)]
+        verdicts = [is_irreducible(x) for x in (m, bijection, sawtooth, pointed)]
+        assert keyed[0] == 0
+        # seven passes over at most 65 branches (psi, phi, pullback, the two rule-3
+        # walks and the three witnesses' re-verifying images), and rule 1's two points
+        assert 0 < located[0] <= 7 * 65 + 2
+        assert gots[:2] == wants[:2]
+        assert (repr(gots[2].pieces), repr(gots[2].point_values)) == (repr(wants[2].pieces), repr(wants[2].point_values))
+        assert [v.irreducible for v in verdicts] == [False, True, False, False]
+        assert "isolated point 2" in verdicts[3].reason and "covered twice" in verdicts[2].reason
 
     def test_settling_a_64_piece_map_builds_no_fraction_and_no_span(self, monkeypatch):
         # the branch table is integer rows only, read off the pieces and points:

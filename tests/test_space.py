@@ -279,7 +279,7 @@ class TestGridOracleAgreement:
         _agree_with_grid(seed)
 
     def test_fraction_sort_agrees(self, monkeypatch):
-        # a bound below every lcm sends every sweep to the Fraction sort
+        # a bound below every lcm sends every `_positions` call to the Fraction sort
         monkeypatch.setattr(space_module, "SWEEP_KEY_BITS", 0)
         for seed in range(10):
             _agree_with_grid(seed)
@@ -348,10 +348,10 @@ class TestSweepFallback:
 
         a_raw, b_raw = raw(primes[:600]), raw(primes[600:])
         a, b = canonicalize(UNIT_PT, a_raw).region, canonicalize(UNIT_PT, b_raw).region
-        for r in (a, b):  # every sweep below sees at least the endpoints of a or of b
+        for r in (a, b):  # every operation below cuts at least the endpoints of a or of b
             common = math.lcm(*(v.denominator for s in r.spans for v in (s.lo, s.hi)))
             assert common.bit_length() > space_module.SWEEP_KEY_BITS
-        # the copy scaled by the lcm has integer endpoints, so its sweeps take integer keys
+        # the copy scaled by the lcm has integer endpoints, so its cut positions are integer keys
         common = math.lcm(*primes)
         big = Space1D((Interval(0, common), Point(2 * common)))
         a_big, b_big = canonicalize(big, _times(a_raw, common)).region, canonicalize(big, _times(b_raw, common)).region
@@ -502,7 +502,7 @@ def _agree_with_space_oracle(space: Space1D, a_raw: list, b_raw: list) -> None:
         (a.perp(), oracle.complement(oracle.closure_by_spans(a))),
         (ropen_join(a, b), oracle.regularize_by_spans(oracle.union(a, b))),
     ]
-    # the closed sweeps and the hull pass against the compositions they replaced
+    # perp's closed cut ranges and the hull pass against the compositions they replaced
     for r in (a, c):
         pairs += [(r.perp(), oracle.perp_by_composition(r)),
                   (ropen_join(r, b), oracle.join_by_composition(r, b)),
@@ -521,11 +521,11 @@ def _agree_with_space_oracle(space: Space1D, a_raw: list, b_raw: list) -> None:
 
 
 class TestSpaceOracle:
-    """The integer-cut sweep, closure and interior against their direct forms."""
+    """The cut-range set operations, closure and interior against their direct forms."""
 
     @pytest.mark.parametrize("bits", [None, 0])
     def test_seeded_regions_match_exactly(self, monkeypatch, bits):
-        if bits is not None:  # every sweep takes the Fraction-sort fallback
+        if bits is not None:  # every `_positions` call takes the Fraction-sort fallback
             monkeypatch.setattr(space_module, "SWEEP_KEY_BITS", bits)
         rng = random.Random(1010)
         dyadic, mixed, prime = (lambda: 1 << rng.randint(0, 10), lambda: rng.randint(1, 60),
@@ -627,6 +627,56 @@ class TestWorkCounts:
             op()
             seen[name] = calls["_positions"]
         assert seen == {name: 1 for name in ops}
+
+    # big denominators of 2,061, 2,090, 2,246 and 4,121 bits: their lcm passes
+    # SWEEP_KEY_BITS at the first distinct denominator, at a middle one, or at the last
+    CROSSINGS = {"first": [3**2600, 1, 2, 3**1300], "middle": [4, 3**1300, 2, 5**900, 7**800, 1],
+                 "last": [2, 3**1300, 4, 3**650, 1, 5**900]}
+
+    @pytest.mark.parametrize("cross", sorted(CROSSINGS))
+    def test_positions_grow_the_lcm_only_where_it_grows_and_rank_past_the_bound(self, monkeypatch, cross):
+        rng = random.Random(4096)
+
+        def ends(denominators):
+            out = []
+            for d in denominators:
+                for _ in range(3):
+                    n = rng.randrange(-3 * d, 3 * d)
+                    while math.gcd(n, d) != 1:
+                        n += 1
+                    out.append((n, d))
+            out += out[::3]  # every third value again
+            return out
+
+        def lcm_calls(ends):
+            # the lcm grows only at a denominator that does not divide it, and stops past the bound
+            common, grown = 1, 0
+            for _, d in ends:
+                if common % d:
+                    common, grown = math.lcm(common, d), grown + 1
+                    if common.bit_length() > space_module.SWEEP_KEY_BITS:
+                        break
+            return grown
+
+        def ranks(items, key=lambda r: fractions.Fraction(*r)):
+            # 2 * the rank of each item among the distinct items: the Fraction-sort positions
+            rank = {r: 2 * i for i, r in enumerate(sorted(set(items), key=key))}
+            return [rank[r] for r in items]
+
+        calls = self._counted(monkeypatch, [(space_module, "lcm")])
+        under = ends([1, 2, 4, 3**1300, 2, 3**650])  # below the bound: integer positions
+        crossing = ends(self.CROSSINGS[cross])
+        shuffled = crossing[:]
+        rng.shuffle(shuffled)
+        for values in (under, crossing, shuffled):
+            calls["lcm"] = 0
+            got = space_module._positions(values)
+            assert calls["lcm"] == lcm_calls(values)
+            if values is under:  # the same order as a Fraction sort, ties included
+                assert all(at % 2 == 0 for at in got)
+                assert ranks(got, key=None) == ranks(values) != got  # integer positions, not ranks
+            else:
+                assert got == ranks(values)
 
     def test_join_and_perp_build_no_closure(self, monkeypatch):
         # the closure of a cut range is read off its positions: (lo_at & -2, hi_at | 1)
