@@ -9,11 +9,12 @@ back and forth between that algebra and the dyadic regular opens of [0,1].
 from __future__ import annotations
 
 import random
+from math import gcd
 from typing import Iterable, Optional
 
 from .errors import NonDyadicEndpoint, SpaceMismatch, _Value
-from .rationals import Q, Rational, dyadic_exponent, is_dyadic, rat
-from .space import Interval, Region, Space1D, _region, _span
+from .rationals import Q, Rational, rat
+from .space import Interval, Region, Space1D, _region
 
 Word = str
 
@@ -112,11 +113,17 @@ def value_interval(w: Word) -> tuple[Rational, Rational]:
     return lo, lo + rat(1, 2 ** len(w))
 
 
+def _dyadic(a: int, k: int) -> tuple[int, int]:
+    """a / 2^k as an integer ratio in lowest terms."""
+    g = gcd(a, 1 << k)
+    return a // g, (1 << k) // g
+
+
 def closed_value_region(k: CantorClopen) -> Region:
     """Union of the closed value intervals; the exact image of the clopen."""
     d = max(map(len, k.words), default=0)
-    runs = _cells(k.words, d)  # in value order and a cell apart: the closed spans are canonical
-    return _region(UNIT_INTERVAL, tuple([_span(Q(a, 2**d), Q(b, 2**d), True, True) for a, b in runs]))
+    runs = _cells(k.words, d)  # in value order and a cell apart: the closed rows are canonical
+    return _region(UNIT_INTERVAL, tuple([(_dyadic(a, d), _dyadic(b, d), True, True) for a, b in runs]))
 
 
 def psi_c(k: CantorClopen) -> Region:
@@ -134,15 +141,15 @@ def phi_c(v: Region, depth: Optional[int] = None) -> CantorClopen:
     if v.space != UNIT_INTERVAL:
         raise SpaceMismatch("phi_c expects a region over [0,1]")
     k = 0
-    for s in v.spans:
-        for x in (s.lo, s.hi):
-            if not is_dyadic(x):
-                raise NonDyadicEndpoint(x)
-            k = max(k, dyadic_exponent(x))
+    for s in v.rows:
+        for n, d in s[:2]:  # dyadic: the denominator is a power of two
+            if d & (d - 1):
+                raise NonDyadicEndpoint(Q(n, d))
+            k = max(k, d.bit_length() - 1)
     if depth is not None and depth < k:
         raise ValueError(f"depth {depth} below the natural depth {k}")
-    # each closed span covers the whole cells [a, b) of size 2^-k
-    runs = [(int(s.lo * 2**k), int(s.hi * 2**k)) for s in v.closure().spans]
+    # each closed row covers the whole cells [a, b) of size 2^-k
+    runs = [((ln << k) // ld, (hn << k) // hd) for (ln, ld), (hn, hd), _, _ in v.closure().rows]
     return CantorClopen(tuple(_words(runs, k)))
 
 
@@ -164,7 +171,7 @@ def dyadic_regular_open_from_cellmask(depth: int, mask: int) -> Region:
     """
     n = 2**depth
     runs = _bit_runs(mask, n)
-    return _region(UNIT_INTERVAL, tuple([_span(Q(a, n), Q(b, n), a == 0, b == n) for a, b in runs]))
+    return _region(UNIT_INTERVAL, tuple([(_dyadic(a, depth), _dyadic(b, depth), a == 0, b == n) for a, b in runs]))
 
 
 def random_dyadic_regular_open(rng: random.Random, depth: int) -> Region:
@@ -197,8 +204,7 @@ def check_irreducible_cantor(depth: int = 8) -> CantorIrreducibilityReport:
             w = format(i, f"0{k}b")
             checked += 1
             rest_image = closed_value_region(clopen_compl(cylinder(w)))
-            lo, hi = value_interval(w)
-            cell = _region(UNIT_INTERVAL, (_span(lo, hi, True, True),)).interior()
+            cell = closed_value_region(cylinder(w)).interior()
             expected = full.difference(cell)
             if rest_image != expected or rest_image == full:
                 ok = False

@@ -140,7 +140,7 @@ def _cmd_cantor_psi(args):
 def _cmd_cantor_phi(args):
     from . import cantor
     region = jsonio.decode_region(cantor.UNIT_INTERVAL, _load(args.region))
-    if any(x.denominator > 1 << MAX_CANTOR_PHI_DEPTH for s in region.spans for x in (s.lo, s.hi)):
+    if any(d > 1 << MAX_CANTOR_PHI_DEPTH for s in region.rows for _, d in s[:2]):
         raise ValueError(f"cantor phi takes endpoint denominators of at most 2^{MAX_CANTOR_PHI_DEPTH}")
     return cantor.phi_c(region, depth=args.depth), True
 

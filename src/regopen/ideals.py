@@ -8,10 +8,9 @@ moving supports through the cover's phi/psi.
 from __future__ import annotations
 
 from .errors import NotIrreducible, SpaceMismatch, _Value
-from .plmap import (Piece, PLMap, _affine_ratios, _carry, _locate, _runs, _settle, _span_intersect, _value,
-                    is_irreducible)
+from .plmap import Piece, PLMap, _affine_ratios, _carry, _runs, _settle, _span_intersect, _value, is_irreducible
 from .rationals import Q, Rational
-from .space import Region, Space1D, Span, _union_ratios, ropen_join, ropen_meet
+from .space import Region, Space1D, _cut_ranges, _emit, _locate, _merged, ropen_join, ropen_meet
 
 
 class PLFunc(_Value):
@@ -45,8 +44,8 @@ def plfunc_from_breakpoints(
 
 def pl_supp(f: PLFunc) -> Region:
     """Exact open region where f is nonzero: the complement of its zero set."""
-    zeros = _carry(f._branches, [Span(0, 0, True, True)], False)
-    return _union_ratios(f.space, zeros).complement()
+    zeros = _carry(f._branches, [((0, 1), (0, 1), True, True)], False)
+    return _emit(f.space, _merged(*_cut_ranges(zeros))).complement()
 
 
 class RegIdeal(_Value):

@@ -14,7 +14,8 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import Discontinuity, ImageEscapesCodomain, NotSurjective, SpaceMismatch, _Value
 from .rationals import Q, Rational, rat
-from .space import Region, Space1D, Span, _covered_twice, _hull_runs, _regular_union, _span, _union_ratios
+from .space import (Region, Space1D, Span, _covered_twice, _cut_ranges, _emit, _hull_runs, _locate, _merged,
+                    _regular_union)
 
 
 class Piece(_Value):
@@ -44,7 +45,7 @@ def _settle(obj, space: Space1D, points_field: str, check: bool = True) -> None:
     the branch table: one branch per piece in run order, then one per isolated
     point as a constant, all spans closed.  `obj._branches` holds each branch
     as one integer row (src, dst, forward, backward): its source and image
-    spans as `_ratios` and the `_affine` integers of its map and of the
+    spans as region rows and the `_affine` integers of its map and of the
     inverse, both None for a constant.  No Span and no Fraction is built."""
     if check:
         # tuple() of a list allocates the final size; of a generator it resizes
@@ -102,11 +103,6 @@ def _check_points(space: Space1D, points, points_field: str) -> None:
         raise ValueError(f"duplicate point in {points_field}")
 
 
-def _ratios(s: Span) -> tuple:
-    """The span as (lo, hi, lo_incl, hi_incl) with both ends integer ratios."""
-    return s.lo.as_integer_ratio(), s.hi.as_integer_ratio(), s.lo_incl, s.hi_incl
-
-
 def _affine(slope: Rational, intercept: Rational) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
     """Integers (p, q, r), r > 0, that write x ↦ slope·x + intercept as
     x ↦ (p·x + q) / r, then those of its inverse (r·x - q) / p: a swap, with
@@ -116,43 +112,21 @@ def _affine(slope: Rational, intercept: Rational) -> tuple[tuple[int, int, int],
     return (p, q, r), ((r, -q, p) if p > 0 else (-r, q, -p))
 
 
-def _locate(spans: Sequence[tuple], lo: tuple) -> int:
-    """The index of the first of the `_ratios` spans whose hi is not below lo,
-    an integer ratio, by bisection on integer cross-products.  The spans must
-    be sorted with increasing ends, as canonical region spans are; a caller
-    walks on from there and stops at the first whose lo is past its hi."""
-    n, d = lo
-    i, j = 0, len(spans)
-    while i < j:
-        k = (i + j) // 2
-        hn, hd = spans[k][1]
-        if hn * d < n * hd:
-            i = k + 1
-        else:
-            j = k
-    return i
+def _carry(table, rows: Sequence[tuple], forward: bool) -> list[tuple]:
+    """Raw rows of the image (forward) or the preimage of `rows` under the
+    branches of a table `_branches`, their ends in lowest terms.
 
-
-def _carry(table, spans: Sequence[Span], forward: bool) -> list[tuple]:
-    """Raw spans of the image (forward) or the preimage of `spans` under the
-    branches of a table `_branches`, each (lo, hi, lo_incl, hi_incl) with
-    integer-ratio ends in lowest terms.
-
-    `spans` must be sorted and disjoint (canonical region spans, or one
-    span); each branch walks them from the one `_locate` finds to the first
-    past its source (forward) or its image (back).  Every region boundary
-    is read once per call as an integer ratio, and every branch end and
-    affine map comes from the table, built once per map, so no two Fractions
-    are compared and none is built: `_union_ratios` or `_regular_union` makes
-    Fractions of the ends that survive.  Every carried span is nonempty and
-    lies in the target space.
+    `rows` must be sorted and disjoint (a region's, or one row); each branch
+    walks them from the one `_locate` finds to the first past its source
+    (forward) or its image (back).  Every branch end and affine map comes
+    from the table, built once per map, so no Fraction is compared or built.
+    Every carried row is nonempty and lies in the target space.
     """
-    ends = [_ratios(t) for t in spans]
     raw: list[tuple] = []
     for src, dst, fwd, back in table:
         window, other, affine = (src, dst, fwd) if forward else (dst, src, back)
         hn, hd = window[1]
-        for t in ends[_locate(ends, window[0]):]:
+        for t in rows[_locate(rows, window[0]):]:
             n, d = t[0]
             if n * hd > hn * d:
                 break
@@ -196,7 +170,7 @@ class PLMap(_Value):
 
     def validate(self) -> None:
         """The codomain checks; the shared core has checked runs and points."""
-        comps = self.codomain._ends
+        comps = self.codomain._full.rows
         for (lo, hi, _, _), (dlo, (hn, hd), _, _), _, _ in self._branches:
             # the one component that can hold the image: the first that does not end below its lo
             i = _locate(comps, dlo)
@@ -213,16 +187,16 @@ class PLMap(_Value):
     def image(self, r: Region) -> Region:
         if r.space != self.domain:
             raise SpaceMismatch("region is not over the domain")
-        return _union_ratios(self.codomain, _carry(self._branches, r.spans, True))
+        return _emit(self.codomain, _merged(*_cut_ranges(_carry(self._branches, r.rows, True))))
 
     def preimage(self, s: Region) -> Region:
         if s.space != self.codomain:
             raise SpaceMismatch("region is not over the codomain")
-        return _union_ratios(self.domain, _carry(self._branches, s.spans, False))
+        return _emit(self.domain, _merged(*_cut_ranges(_carry(self._branches, s.rows, False))))
 
     def is_surjective(self) -> bool:
         images = [dst for _, dst, _, _ in self._branches]  # the image of the domain is their union
-        return _union_ratios(self.codomain, images) == self.codomain.full_region()
+        return _emit(self.codomain, _merged(*_cut_ranges(images))) == self.codomain.full_region()
 
     # --- the induced maps on regular opens ---
 
@@ -231,23 +205,23 @@ class PLMap(_Value):
 
         A continuous map of a compact space has f(cl A) = cl f(A), and the
         closure of a finite union is the union of the closures: so psi(u) is
-        int(cl(U)), U the union of the carried spans of u, which is one
+        int(cl(U)), U the union of the carried rows of u, which is one
         `_regular_union` pass over them.
         """
         if u.space != self.domain:
             raise SpaceMismatch("region is not over the domain")
-        return _regular_union(self.codomain, _carry(self._branches, u.spans, True))
+        return _regular_union(self.codomain, _carry(self._branches, u.rows, True))
 
     def phi(self, v: Region) -> Region:
         """Interior of the closure of the preimage: one `_regular_union` pass
-        over the carried spans of v."""
+        over the carried rows of v."""
         if v.space != self.codomain:
             raise SpaceMismatch("region is not over the codomain")
-        return _regular_union(self.domain, _carry(self._branches, v.spans, False))
+        return _regular_union(self.domain, _carry(self._branches, v.rows, False))
 
 
 def _span_intersect(a: tuple, b: tuple) -> Optional[tuple]:
-    """The larger lo and the smaller hi of two `_ratios` spans, ordered by
+    """The larger lo and the smaller hi of two rows, ordered by
     cross-multiplication; on a tie both spans must include the end."""
     (an, ad), (bn, bd) = a[0], b[0]
     c = an * bd - bn * ad
@@ -262,7 +236,7 @@ def _span_intersect(a: tuple, b: tuple) -> Optional[tuple]:
 
 
 def _affine_ratios(s: tuple, p: int, q: int, r: int) -> tuple:
-    """The image of a `_ratios` span under x ↦ (p·x + q) / r, p ≠ 0 < r,
+    """The image of a row under x ↦ (p·x + q) / r, p ≠ 0 < r,
     with both ends in lowest terms: one gcd each, and d > 0 as r, d > 0."""
     (ln, ld), (hn, hd) = s[0], s[1]
     n, d = p * ln + q * ld, r * ld
@@ -326,15 +300,16 @@ def is_irreducible(m: PLMap) -> IrreducibilityVerdict:
     found = _first_overlap(m, twice)
     if found is None:
         return IrreducibilityVerdict(True)
-    piece, span = found
-    third = (span.hi - span.lo) / 3
-    w1, w2 = span.lo + third, span.hi - third
+    piece, (lo, hi, _, _) = found
+    lo, hi = Q(*lo), Q(*hi)
+    third = (hi - lo) / 3
+    w1, w2 = lo + third, hi - third
     a = (w1 - piece.intercept) / piece.slope
     b = (w2 - piece.intercept) / piece.slope
     if a > b:
         a, b = b, a
     witness = Region(m.domain, [Span(a, b, False, False)])
-    return verified(witness, f"piece image ({span.lo}, {span.hi}) overlap is covered twice")
+    return verified(witness, f"piece image ({lo}, {hi}) overlap is covered twice")
 
 
 def _redundant_point(m: PLMap, twice: list) -> Optional[Rational]:
@@ -354,20 +329,20 @@ def _redundant_point(m: PLMap, twice: list) -> Optional[Rational]:
     return None
 
 
-def _first_overlap(m: PLMap, twice: list) -> Optional[tuple[Piece, Span]]:
+def _first_overlap(m: PLMap, twice: list) -> Optional[tuple[Piece, tuple]]:
     """The first piece, in run order, whose image interior meets the interior
-    of the other branch images (pieces and point images), with the first span
+    of the other branch images (pieces and point images), with the first row
     of that meet.  Every piece is monotone here (rule 2 ran first).
 
     Inside a piece's closed image, a point lies in another branch image
     exactly when at least two closed branch images hold it.  So the closed
     runs `twice` give D = int(twice) for all pieces in one `_hull_runs`
-    pass, read as integer ratios, and each piece meets D by bisection with
-    its open image row: it differs from int(own) only in flags at component
-    ends, where no meet is a lone point (D has none inside an interval), so
-    the first meet has the same ends.  Only that meet becomes Fractions.
+    pass, and each piece meets D by bisection with its open image row: it
+    differs from int(own) only in flags at component ends, where no meet is
+    a lone point (D has none inside an interval), so the first meet has the
+    same ends.
     """
-    inner = [run[:4] for run in _hull_runs(m.codomain, twice)]
+    inner = _hull_runs(m.codomain, twice)
     # the branches list the pieces first, in run order, so zip stops before the points
     for piece, (_, (lo, hi, _, _), _, _) in zip([q for run in m.pieces for q in run], m._branches):
         (hn, hd), own = hi, (lo, hi, False, False)
@@ -377,7 +352,7 @@ def _first_overlap(m: PLMap, twice: list) -> Optional[tuple[Piece, Span]]:
                 break
             part = _span_intersect(run, own)
             if part is not None:
-                return piece, _span(Q(*part[0]), Q(*part[1]), part[2], part[3])
+                return piece, part
     return None
 
 

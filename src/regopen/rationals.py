@@ -56,16 +56,3 @@ def rat_str(x: Rational) -> str:
     if abs(x.numerator) >= _DIGIT_BOUND or x.denominator >= _DIGIT_BOUND:
         raise ValueError(f"a result's numerator and denominator have at most {MAX_LITERAL_DIGITS} digits")
     return str(x)
-
-
-def is_dyadic(x: Rational) -> bool:
-    den = int(x.denominator)
-    return den & (den - 1) == 0
-
-
-def dyadic_exponent(x: Rational) -> int:
-    """Smallest e with x * 2^e integral. Raises ValueError if none exists."""
-    den = int(x.denominator)
-    if den & (den - 1) != 0:
-        raise ValueError(f"not dyadic: {x}")
-    return den.bit_length() - 1

@@ -2,8 +2,9 @@
 
 A space is a finite disjoint union of closed rational intervals and
 isolated rational points, listed left to right with positive gaps.  A
-region is an arbitrary finite union of subintervals of the space, kept in
-a canonical sorted span form so that set equality is structural equality.
+region is an arbitrary finite union of subintervals of the space, kept as
+canonical sorted rows of integer ratios so that set equality is structural
+equality; `Span`s of Fractions are its public form.
 
 All topology is relative to the space: an isolated point is open, and a
 component endpoint has no outside neighbours.  Everything is exact; no
@@ -12,7 +13,6 @@ floating point enters any computation.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from functools import cached_property
 from math import gcd, lcm
 from operator import itemgetter
@@ -86,13 +86,10 @@ class Space1D(_Value):
 
     @cached_property
     def _full(self) -> "Region":
-        return _region(self, tuple([_span(*_bounds(c), True, True) for c in self.components]))
-
-    @cached_property
-    def _ends(self) -> tuple:
-        """Each component as a closed span (lo, hi, True, True), left to right,
-        its ends integer ratios: the full region as `_cut_ranges` reads it."""
-        return tuple([(a.as_integer_ratio(), b.as_integer_ratio(), True, True) for a, b in map(_bounds, self.components)])
+        """Each component as one closed row, left to right: the full region,
+        whose rows are the component bounds the kernel reads."""
+        return _region(self, tuple([(a.as_integer_ratio(), b.as_integer_ratio(), True, True)
+                                    for a, b in map(_bounds, self.components)]))
 
     def empty_region(self) -> "Region":
         return _region(self, ())
@@ -145,76 +142,91 @@ def _span(lo: Rational, hi: Rational, lo_incl: bool, hi_incl: bool) -> Span:
 
 
 class Region(_Value):
-    """Canonical region of a space: any raw spans, clipped to it and merged."""
+    """Canonical region of a space: any raw spans, clipped to it and merged.
 
+    Its content is `rows`, one per maximal run, left to right: each
+    ((n, d), (n, d), lo_incl, hi_incl), its ends integer ratios in lowest
+    terms with d > 0 and its flags bools, so structural equality is set
+    equality.  `Region(space, spans)` takes raw `Span`s in place of the
+    rows, and `spans` gives the rows back as `Span`s.
+    """
+
+    __slots__ = ("space", "rows")
     space: Space1D
-    spans: tuple[Span, ...]
+    rows: tuple[tuple, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "spans", canonicalize(self.space, self.spans).region.spans)
+        # the public constructor receives raw spans where the rows go
+        object.__setattr__(self, "rows", canonicalize(self.space, self.rows).region.rows)
+
+    @property
+    def spans(self) -> tuple[Span, ...]:
+        """The rows as `Span`s of Fractions, for public readers; rebuilt on each read."""
+        return tuple([_span(Q(*lo), Q(*hi), lo_incl, hi_incl) for lo, hi, lo_incl, hi_incl in self.rows])
 
     @property
     def is_empty(self) -> bool:
-        return not self.spans
+        return not self.rows
 
     def to_json(self) -> dict:
         """Its spans only: a region is read over the space its request names."""
         return {"spans": [s.to_json() for s in self.spans]}
 
-    @cached_property
-    def _los(self) -> tuple[Rational, ...]:
-        return tuple([s.lo for s in self.spans])
-
     def contains(self, x: Rational) -> bool:
-        # canonical spans are sorted and disjoint: one candidate suffices
-        i = bisect_right(self._los, x)
-        return i > 0 and self.spans[i - 1].contains(x)
+        # canonical rows are sorted and disjoint: the first that does not end below x is the one candidate
+        n, d = x.as_integer_ratio()
+        i = _locate(self.rows, (n, d))
+        if i == len(self.rows):
+            return False
+        (ln, ld), (hn, hd), lo_incl, hi_incl = self.rows[i]
+        above, below = n * ld - ln * d, hn * d - n * hd  # the signs of x - lo and hi - x
+        return (above > 0 or above == 0 and lo_incl) and (below > 0 or below == 0 and hi_incl)
 
     # --- set operations (exact, relative to the space) ---
 
     def union(self, other: "Region") -> "Region":
         _check_space(self, other)
-        return _emit(self.space, _merged(*_cut_ranges(self.spans + other.spans)))
+        return _emit(self.space, _merged(*_cut_ranges(self.rows + other.rows)))
 
     def intersect(self, other: "Region") -> "Region":
         _check_space(self, other)
-        return _emit(self.space, _meet(*_cut_ranges(self.spans, other.spans)))
+        return _emit(self.space, _meet(*_cut_ranges(self.rows, other.rows)))
 
     def difference(self, other: "Region") -> "Region":
         _check_space(self, other)
-        a, b = _cut_ranges(self.spans, other.spans)
+        a, b = _cut_ranges(self.rows, other.rows)
         return _emit(self.space, _meet(a, _gaps(b)))
 
     def complement(self) -> "Region":
-        full, a = _cut_ranges(self.space._full.spans, self.spans)
+        full, a = _cut_ranges(self.space._full.rows, self.rows)
         return _emit(self.space, _meet(full, _gaps(a)))
 
     # --- topology (relative to the space) ---
 
     def closure(self) -> "Region":
-        # canonical spans touch only at a point both leave out: each run of
-        # touching spans closes into one span, and a closed span is kept
-        ends: list[Span] = []  # the first and the last span of each run
+        # canonical rows touch only at a point both leave out: each run of
+        # touching rows closes into one row, and a closed row is kept
+        ends: list = []  # the first and the last row of each run
         hi = None
-        for s in self.spans:
-            if s.lo.as_integer_ratio() == hi:
+        for s in self.rows:
+            if s[0] == hi:
                 ends[-1] = s
             else:
                 ends += (s, s)
-            hi = s.hi.as_integer_ratio()
+            hi = s[1]
         return _region(self.space, tuple([
-            a if a is b and a.lo_incl and a.hi_incl else _span(a.lo, b.hi, True, True)
+            a if a is b and a[2] and a[3] else (a[0], b[1], True, True)
             for a, b in zip(ends[::2], ends[1::2])
         ]))
 
     def interior(self) -> "Region":
-        # canonical spans are never adjacent, so interior works span by span;
-        # ends are integer ratios, ordered by cross-multiplication
-        comps = iter(self.space._ends)
-        out: list[Span] = []
+        # canonical rows are never adjacent, so interior works row by row;
+        # ends are ordered by cross-multiplication
+        comps = iter(self.space._full.rows)
+        out: list = []
         a = b = None
-        for s in self.spans:
-            lo, hi = s.lo.as_integer_ratio(), s.hi.as_integer_ratio()
+        for s in self.rows:
+            lo, hi, lo_incl, hi_incl = s
             while b is None or hi[0] * b[1] > b[0] * hi[1]:
                 a, b, _, _ = next(comps, (None, None, None, None))
                 if b is None:
@@ -224,9 +236,8 @@ class Region(_Value):
             if a == b:  # an isolated point
                 out.append(s)
             elif lo != hi:  # a point inside an interval is never open
-                lo_incl, hi_incl = s.lo_incl and lo == a, s.hi_incl and hi == b
-                same = lo_incl == s.lo_incl and hi_incl == s.hi_incl
-                out.append(s if same else _span(s.lo, s.hi, lo_incl, hi_incl))
+                keep_lo, keep_hi = lo_incl and lo == a, hi_incl and hi == b
+                out.append(s if keep_lo == lo_incl and keep_hi == hi_incl else (lo, hi, keep_lo, keep_hi))
         return _region(self.space, tuple(out))
 
     def perp(self) -> "Region":
@@ -235,7 +246,7 @@ class Region(_Value):
         The full region met with the gaps of this one's closed cut ranges,
         so no closure is built on the way.
         """
-        full, a = _cut_ranges(self.space._full.spans, self.spans)
+        full, a = _cut_ranges(self.space._full.rows, self.rows)
         closed = [(lo_at & -2, hi_at | 1, lo, hi) for lo_at, hi_at, lo, hi in a]
         return _emit(self.space, _meet(full, _gaps(closed)))
 
@@ -253,11 +264,11 @@ class Region(_Value):
         return self == self.closure()
 
 
-def _region(space: Space1D, spans: tuple[Span, ...]) -> Region:
-    """The trusted constructor: canonical spans of the library's own, set unchecked."""
+def _region(space: Space1D, rows: tuple) -> Region:
+    """The trusted constructor: canonical rows of the library's own, set unchecked."""
     r = object.__new__(Region)
     object.__setattr__(r, "space", space)
-    object.__setattr__(r, "spans", spans)
+    object.__setattr__(r, "rows", rows)
     return r
 
 
@@ -269,6 +280,23 @@ class CanonicalizeResult(NamedTuple):
 def _check_space(a: Region, b: Region) -> None:
     if a.space != b.space:
         raise SpaceMismatch("regions live over different spaces")
+
+
+def _locate(rows: Sequence[tuple], lo: tuple) -> int:
+    """The index of the first of the rows whose hi is not below lo, an
+    integer ratio, by bisection on integer cross-products.  The rows must be
+    sorted with increasing ends, as a region's are; a caller walks on from
+    there and stops at the first whose lo is past its hi."""
+    n, d = lo
+    i, j = 0, len(rows)
+    while i < j:
+        k = (i + j) // 2
+        hn, hd = rows[k][1]
+        if hn * d < n * hd:
+            i = k + 1
+        else:
+            j = k
+    return i
 
 
 # Boundaries sort as integers n * (L // d) while L, the lcm of their
@@ -302,44 +330,44 @@ def _positions(ends: list) -> list:
 
 
 def _cut_ranges(*groups: Sequence) -> list[list]:
-    """The cut ranges (lo_at, hi_at, lo, hi) of groups of spans, one list per
-    group in span order, on one `_positions` call.
+    """The cut ranges (lo_at, hi_at, lo, hi) of groups of rows, one list per
+    group in row order, on one `_positions` call.
 
     A cut sits just before a value, at its even position, or just after it,
-    at the odd one above.  A span is the half-open range of cuts
+    at the odd one above.  A row (lo, hi, lo_incl, hi_incl), its ends in
+    lowest terms, is the half-open range of cuts
     [pos(lo) + not lo_incl, pos(hi) + hi_incl), empty exactly when
-    lo_at >= hi_at, and its closure is (lo_at & -2, hi_at | 1).  A span is a
-    `Span`, or a tuple (lo, hi, lo_incl, hi_incl) whose ends are integer
-    ratios (n, d) in lowest terms, d > 0; lo and hi are kept as the span
-    holds them.  One loop reads every end once into one list, and a second
-    pairs each span with its two positions; no two ends are compared.
+    lo_at >= hi_at, and its closure is (lo_at & -2, hi_at | 1).  One loop
+    reads every end once into one list, and a second pairs each row with
+    its two positions; no two ends are compared.
     """
     ends: list = []
-    for spans in groups:
-        for s in spans:
-            ends += s[:2] if type(s) is tuple else (s.lo.as_integer_ratio(), s.hi.as_integer_ratio())
+    for rows in groups:
+        for lo, hi, _, _ in rows:
+            ends.append(lo)
+            ends.append(hi)
     at = iter(_positions(ends))
     out = []
-    for spans in groups:
+    for rows in groups:
         ranges = []
-        for s in spans:
-            ranges.append((next(at) + (not s[2]), next(at) + s[3], s[0], s[1]) if type(s) is tuple else
-                          (next(at) + (not s.lo_incl), next(at) + s.hi_incl, s.lo, s.hi))
+        for lo, hi, lo_incl, hi_incl in rows:
+            ranges.append((next(at) + (not lo_incl), next(at) + hi_incl, lo, hi))
         out.append(ranges)
     return out
 
 
 def _emit(space: Space1D, runs: Iterable) -> Region:
-    """The region of canonical runs (lo_at, hi_at, lo, hi) with Fraction ends."""
+    """The region of canonical runs (lo_at, hi_at, lo, hi)."""
     # tuple() of a list allocates the final size; of a generator it resizes
     # a guess, and each resized block then stays in the tuple free list
-    return _region(space, tuple([_span(lo, hi, lo_at & 1 == 0, hi_at & 1 == 1) for lo_at, hi_at, lo, hi in runs]))
+    return _region(space, tuple([(lo, hi, lo_at & 1 == 0, hi_at & 1 == 1) for lo_at, hi_at, lo, hi in runs]))
 
 
 def _merged(ranges: list):
     """The maximal runs (lo_at, hi_at, lo, hi), in order, of nonempty ranges:
     after one sort by lo_at, a range that starts past the run so far begins
-    a new run."""
+    a new run.  The union of nonempty rows of a space is
+    `_emit(space, _merged(*_cut_ranges(rows)))`."""
     if not ranges:
         return
     ranges.sort(key=itemgetter(0))
@@ -385,26 +413,12 @@ def _gaps(ranges: list) -> list:
     return out
 
 
-def _union_ratios(space: Space1D, spans: list) -> Region:
-    """The canonical union of nonempty spans (lo, hi, lo_incl, hi_incl) of
-    `space` whose ends are integer ratios (n, d) in lowest terms, d > 0.
-
-    The transports carry such spans: `PLMap.validate` puts every branch
-    image in the codomain, and preimage parts are sub-spans of branch
-    sources, so no span needs clipping and no full region joins the union.
-    The union is `_merged` of their cut ranges, as in `Region.union`, and
-    only the ends of the runs become Fractions.
-    """
-    return _region(space, tuple([_span(Q(*lo), Q(*hi), lo_at & 1 == 0, hi_at & 1 == 1)
-                                 for lo_at, hi_at, lo, hi in _merged(*_cut_ranges(spans))]))
-
-
-def _covered_twice(spans: list) -> list:
-    """The maximal runs, in order, of the points that two of the spans hold,
-    spans and runs as `_union_ratios` takes them.  After one sort by lo, a
-    cut range holds twice what it shares with the furthest-reaching range
-    before it, and `_merged` joins those parts."""
-    [ranges] = _cut_ranges(spans)
+def _covered_twice(rows: list) -> list:
+    """The maximal runs, as rows in order, of the points that two of the
+    nonempty rows hold.  After one sort by lo, a cut range holds twice what
+    it shares with the furthest-reaching range before it, and `_merged`
+    joins those parts."""
+    [ranges] = _cut_ranges(rows)
     ranges.sort(key=itemgetter(0))
     parts, reach = [], None
     for r in ranges:
@@ -415,20 +429,17 @@ def _covered_twice(spans: list) -> list:
     return [(lo, hi, lo_at & 1 == 0, hi_at & 1 == 1) for lo_at, hi_at, lo, hi in _merged(parts)]
 
 
-def _hull_runs(space: Space1D, spans: Sequence) -> list:
-    """int(cl(U)), U the union of nonempty spans of `space`, as
-    runs (lo, hi, lo_incl, hi_incl, comp): comp is the component span that
-    holds the run, and lo and hi are as the spans hold them.
+def _hull_runs(space: Space1D, rows: Sequence) -> list:
+    """The rows of int(cl(U)), U the union of nonempty rows of `space`.
 
-    One sort by lo merges the spans' closed cut ranges into the runs of
+    One sort by lo merges the rows' closed cut ranges into the runs of
     cl(U), and each run is opened against its component on the same
     positions: it keeps an end only where the component does, and a lone
     point only if it is isolated.  A run outside every component raises
     `SpaceMismatch`, as `Region.interior` does.
     """
-    full, ranges = _cut_ranges(space._ends, spans)
+    full, ranges = _cut_ranges(space._full.rows, rows)
     ranges.sort(key=itemgetter(0))  # closures (lo_at & -2, hi_at | 1) keep this order
-    comps = space._full.spans
     out = []
     i, (c_lo, c_hi, _, _) = 0, full[0]
     k, n = 0, len(ranges)
@@ -450,34 +461,36 @@ def _hull_runs(space: Space1D, spans: Sequence) -> list:
             raise SpaceMismatch("region has a span outside its space")
         lo_incl, hi_incl = lo_at == c_lo, hi_at == c_hi
         if hi_at - lo_at > 1 or lo_incl and hi_incl:  # a point inside an interval is never open
-            out.append((lo, hi, lo_incl, hi_incl, comps[i]))
+            out.append((lo, hi, lo_incl, hi_incl))
     return out
 
 
-def _regular_union(space: Space1D, spans: Sequence) -> Region:
-    """int(cl(U)) as a region, U the union of nonempty spans as
-    `_hull_runs` takes them.  A whole component is kept as its span, and an
-    end is a Fraction already unless it is an integer ratio that is no
-    component's end."""
-    return _region(space, tuple([
-        comp if lo_incl and hi_incl else
-        _span(comp.lo if lo_incl else lo if type(lo) is Q else Q(*lo),
-              comp.hi if hi_incl else hi if type(hi) is Q else Q(*hi), lo_incl, hi_incl)
-        for lo, hi, lo_incl, hi_incl, comp in _hull_runs(space, spans)
-    ]))
+def _regular_union(space: Space1D, rows: Sequence) -> Region:
+    """int(cl(U)) as a region, U the union of nonempty rows of `space`."""
+    return _region(space, tuple(_hull_runs(space, rows)))
 
 
 def canonicalize(space: Space1D, raw_spans: Iterable[Span]) -> CanonicalizeResult:
     """Clip raw spans to the space and merge them into canonical form.
 
     The flag reports whether any nonempty raw span stuck out of the space.
-    Raw spans are read as cut ranges with the components': an empty one
-    (reversed, or a point missing a flag) drops out, the rest merge into
-    runs, and the runs are met with the components.  A run inside a
-    component comes through whole, so a raw span stuck out exactly when the
-    meet changed a run.
+    Only `Span`s are taken; anything else raises `TypeError`.
     """
-    full, raw = _cut_ranges(space._full.spans, list(raw_spans))
+    rows = []
+    for s in raw_spans:
+        if not isinstance(s, Span):
+            raise TypeError(f"a raw span must be a Span, got {s!r}")
+        rows.append((s.lo.as_integer_ratio(), s.hi.as_integer_ratio(), s.lo_incl, s.hi_incl))
+    return _clip(space, rows)
+
+
+def _clip(space: Space1D, rows: list) -> CanonicalizeResult:
+    """`canonicalize` of raw rows.  They are read as cut ranges with the
+    components': an empty one (reversed, or a point missing a flag) drops
+    out, the rest merge into runs, and the runs are met with the components.
+    A run inside a component comes through whole, so a raw row stuck out
+    exactly when the meet changed a run."""
+    full, raw = _cut_ranges(space._full.rows, rows)
     runs = list(_merged([r for r in raw if r[0] < r[1]]))
     out = _meet(runs, full)
     return CanonicalizeResult(_emit(space, out), [r[:2] for r in out] != [r[:2] for r in runs])
@@ -488,9 +501,9 @@ def canonicalize(space: Space1D, raw_spans: Iterable[Span]) -> CanonicalizeResul
 
 def ropen_join(u: Region, v: Region) -> Region:
     """Join: interior of the closure of the union, one `_regular_union`
-    pass over both operands' spans."""
+    pass over both operands' rows."""
     _check_space(u, v)
-    return _regular_union(u.space, u.spans + v.spans)
+    return _regular_union(u.space, u.rows + v.rows)
 
 
 def ropen_meet(u: Region, v: Region) -> Region:
@@ -517,8 +530,8 @@ class Decomposition(NamedTuple):
 def decompose_space(space: Space1D) -> Decomposition:
     """Split a space into the closure of its isolated points and the rest."""
     isolated = tuple(p.at for p in space.point_components())
-    atomic = _region(space, tuple([_span(x, x, True, True) for x in isolated]))
-    atomless = _region(space, tuple([_span(c.a, c.b, True, True) for c in space.interval_components()]))
+    atomic = _region(space, tuple([c for c in space._full.rows if c[0] == c[1]]))
+    atomless = _region(space, tuple([c for c in space._full.rows if c[0] != c[1]]))
     sub_a = Space1D(space.point_components()) if isolated else None
     sub_c = Space1D(space.interval_components()) if space.interval_components() else None
     return Decomposition(isolated, atomic, atomless, sub_a, sub_c)
@@ -532,12 +545,12 @@ def subspace(space: Space1D, closed: Region) -> Space1D:
         raise EmptySubspace("cannot take the empty subspace")
     if closed != closed.closure():
         raise NotClosed("subspace requires a closed region")
-    return Space1D(tuple([Point(s.lo) if s.lo == s.hi else Interval(s.lo, s.hi) for s in closed.spans]))
+    return Space1D(tuple([Point(Q(*lo)) if lo == hi else Interval(Q(*lo), Q(*hi)) for lo, hi, _, _ in closed.rows]))
 
 
 def embed(region: Region, space: Space1D) -> Region:
     """Reinterpret a subspace region inside the ambient space."""
-    res = canonicalize(space, region.spans)
+    res = _clip(space, region.rows)
     if res.clipped:
         raise SpaceMismatch("region does not fit inside the ambient space")
     return res.region
@@ -571,16 +584,16 @@ def theta(space: Space1D, w_atomic: Optional[Region], w_atomless: Optional[Regio
 def random_regular_open(space: Space1D, seed: int) -> Region:
     """Deterministic pseudo-random regular open with at most three spans.
 
-    Each draw is an isolated point or an open span (a + (b-a)·i/den,
-    a + (b-a)·j/den) of an interval [a, b], both read off `Space1D._ends`,
-    its ends made as integer ratios with one gcd each; the result is the
+    Each draw is an isolated point or an open row (a + (b-a)·i/den,
+    a + (b-a)·j/den) of an interval [a, b], both read off the full region's
+    rows, its ends made with one gcd each; the result is the
     interior of the closed union of the draws, one `_regular_union` pass and
     no canonicalize.
     """
     rng = random.Random(seed)
     raw: list[tuple] = []
     for _ in range(rng.randint(1, 3)):
-        comp = rng.choice(space._ends)  # the same draw as a choice of `space.components`
+        comp = rng.choice(space._full.rows)  # the same draw as a choice of `space.components`
         (an, ad), (bn, bd), _, _ = comp
         if comp[0] == comp[1]:  # an isolated point, a closed span already
             raw.append(comp)

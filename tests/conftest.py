@@ -1,13 +1,16 @@
 """Shared fixture spaces, small random generators, acceptance reporting."""
 from __future__ import annotations
 
+import math
 import random
+import sys
 
 import pytest
 
+from regopen import space as space_module
 from regopen.ideals import PLFunc, plfunc_from_breakpoints
 from regopen.rationals import Rational, rat
-from regopen.space import Interval, Point, Region, Space1D, Span, canonicalize
+from regopen.space import Interval, Point, Region, Space1D, Span, _region, canonicalize
 
 # one (number, label, passed) entry per acceptance criterion that ran
 ACCEPTANCE_RESULTS: dict[int, tuple[str, bool]] = {}
@@ -52,6 +55,59 @@ def region(space: Space1D, *spans) -> Region:
     """Shorthand: region(space, (lo, hi, lo_incl, hi_incl), ...) with exact parsing."""
     built = [Span(rat(str(lo)), rat(str(hi)), li, hi_i) for lo, hi, li, hi_i in spans]
     return Region(space, built)
+
+
+def span_row(s: Span) -> tuple:
+    """A span as a region row (lo, hi, lo_incl, hi_incl), its ends integer
+    ratios: the tests' own conversion, not the library's."""
+    return s.lo.as_integer_ratio(), s.hi.as_integer_ratio(), s.lo_incl, s.hi_incl
+
+
+def trusted_region(space: Space1D, spans) -> Region:
+    """The region of these spans, set unchecked by the trusted constructor:
+    an oracle's result, or a region no public constructor would build."""
+    return _region(space, tuple([span_row(s) for s in spans]))
+
+
+def assert_canonical_rows(r: Region) -> None:
+    """The invariants that make structural equality set equality: rows
+    sorted, disjoint, touching only where both ends are excluded, nonempty
+    and inside one component; ends integer ratios in lowest terms with a
+    positive denominator; flags of type bool, since an int flag would
+    change the JSON bytes."""
+    assert type(r.rows) is tuple, r
+    comps = [(c.at, c.at) if isinstance(c, Point) else (c.a, c.b) for c in r.space.components]
+    comps = [(a.as_integer_ratio(), b.as_integer_ratio()) for a, b in comps]
+    prev = None
+    for row in r.rows:
+        assert type(row) is tuple and len(row) == 4, row
+        lo, hi, lo_incl, hi_incl = row
+        assert type(lo_incl) is bool and type(hi_incl) is bool, row
+        for n, d in (lo, hi):
+            assert type(n) is int and type(d) is int and d > 0 and math.gcd(n, d) == 1, row
+        order = hi[0] * lo[1] - lo[0] * hi[1]  # the sign of hi - lo
+        assert order > 0 or order == 0 and lo_incl and hi_incl, row
+        assert any(lo[0] * a[1] >= a[0] * lo[1] and hi[0] * b[1] <= b[0] * hi[1] for a, b in comps), row
+        if prev is not None:
+            gap = lo[0] * prev[0][1] - prev[0][0] * lo[1]  # the sign of lo - the previous hi
+            assert gap > 0 or gap == 0 and not prev[1] and not lo_incl, (prev, row)
+        prev = hi, hi_incl
+
+
+@pytest.fixture
+def audited_rows(monkeypatch):
+    """Every region the library builds through the trusted `space._region`
+    is checked by `assert_canonical_rows`, in every module that imports it."""
+    original = space_module._region
+
+    def audited(space, rows):
+        r = original(space, rows)
+        assert_canonical_rows(r)
+        return r
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("regopen") and getattr(module, "_region", None) is original:
+            monkeypatch.setattr(module, "_region", audited)
 
 
 def random_raw_spans(space: Space1D, rng: random.Random, count: int = 4, den: int = 64):

@@ -2,8 +2,8 @@
 
 The library pairs each branch only with the region spans that meet it,
 intersects spans by cross-multiplying integer ratios, carries each piece
-as a span of integer ratios and makes `Fraction`s only of the ends of the
-merged runs, and decides rules 1 and 3 of `is_irreducible` from one
+as a row of integer ratios and makes no `Fraction`, and decides rules 1
+and 3 of `is_irreducible` from one
 coverage count over all branch images.  These are the forms it
 replaced: the bisected transport kernel in Fraction arithmetic (`_carry`,
 `_span_intersect`, `_affine_ratios`, and `pullback` by dividing each cut),
@@ -37,11 +37,12 @@ from bisect import bisect_left
 from typing import Optional
 
 import space_oracle
+from conftest import span_row, trusted_region
 from regopen.errors import ImageEscapesCodomain
 from regopen.ideals import PLFunc
-from regopen.plmap import PLMap, Piece, _ratios, _span_intersect
+from regopen.plmap import PLMap, Piece, _span_intersect
 from regopen.rationals import Q, Rational, rat
-from regopen.space import Region, Span, _region, _span
+from regopen.space import Region, Span
 
 
 def _canonical(space, raw) -> Region:
@@ -229,7 +230,7 @@ def redundant_point_by_images(m: PLMap, twice: Region) -> Optional[Rational]:
     return None
 
 
-def first_overlap_by_branches(m: PLMap, twice: Region) -> Optional[tuple[Piece, Span]]:
+def first_overlap_by_branches(m: PLMap, twice: Region) -> Optional[tuple[Piece, tuple]]:
     """Rule 3 branch by branch: int(own image) against int(union of the others).
     `twice` is ignored."""
     branches: list[tuple[Optional[Piece], Span]] = []
@@ -246,7 +247,7 @@ def first_overlap_by_branches(m: PLMap, twice: Region) -> Optional[tuple[Piece, 
         others = _canonical(m.codomain, [s for j, (_, s) in enumerate(branches) if j != i])
         overlap = own.intersect(others.interior())
         if not overlap.is_empty:
-            return piece, overlap.spans[0]
+            return piece, span_row(overlap.spans[0])
     return None
 
 
@@ -262,21 +263,21 @@ def validate_by_sweeps(m: PLMap) -> None:
             raise ImageEscapesCodomain(src.lo if src.lo == src.hi else (src.lo, src.hi))
 
 
-def first_overlap_by_interiors(m: PLMap, twice: list) -> Optional[tuple[Piece, Span]]:
+def first_overlap_by_interiors(m: PLMap, twice: list) -> Optional[tuple[Piece, tuple]]:
     """Rule 3 on the runs held twice, read as a region and opened by
     `interior`, each piece's image read as int(own)."""
-    held = _region(m.codomain, tuple([_span(Q(*lo), Q(*hi), a, b) for lo, hi, a, b in twice]))
-    inner = [_ratios(d) for d in held.interior().spans]
+    held = trusted_region(m.codomain, [Span(Q(*lo), Q(*hi), a, b) for lo, hi, a, b in twice])
+    inner = [span_row(d) for d in held.interior().spans]
     for piece, (_, image, _, _) in zip([q for run in m.pieces for q in run], branches_by_fractions(m)):
-        own = _ratios(_region(m.codomain, (image,)).interior().spans[0])
+        own = span_row(trusted_region(m.codomain, [image]).interior().spans[0])
         for d in inner:  # a plain scan: the first run in order that meets it
             part = _span_intersect(d, own)
             if part is not None:
-                return piece, _span(Q(*part[0]), Q(*part[1]), part[2], part[3])
+                return piece, part
     return None
 
 
 def covered_twice_by_sweep(space, spans: list[Span]) -> list:
-    """The runs of `space` that at least two of the spans hold, as `_ratios`:
+    """The runs of `space` that at least two of the spans hold, as rows:
     one coverage sweep that keeps the points whose count is at least 2."""
-    return [_ratios(s) for s in space_oracle.sweep_by_groupby(space, lambda count: count >= 2, spans).spans]
+    return [span_row(s) for s in space_oracle.sweep_by_groupby(space, lambda count: count >= 2, spans).spans]

@@ -11,7 +11,7 @@ over events sorted on the Fraction values and grouped per cut with
 ones by comparing Fractions, a closure that merges spans by comparing
 Fractions, and an interior that finds each span's component by Fraction
 comparisons.  Tests compare the two on seeded regions.  Results are built
-with the trusted `space._region`, so none passes through the library's
+with `conftest.trusted_region`, so none passes through the library's
 canonicalize.
 
 The library's join, perp and seeded draws read each span's closure off
@@ -28,7 +28,8 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Callable, Sequence
 
-from regopen.space import CanonicalizeResult, Point, Region, Space1D, Span, _region
+from conftest import trusted_region
+from regopen.space import CanonicalizeResult, Point, Region, Space1D, Span
 
 
 def _bounds(comp):
@@ -63,10 +64,10 @@ def sweep_by_groupby(space: Space1D, op: Callable[..., bool], *groups: Sequence[
         if op(*count) != inside:
             cuts.append((value, after))
             inside = not inside
-    return _region(space, tuple([
+    return trusted_region(space, [
         Span(lo, hi, not lo_after, hi_after)
         for (lo, lo_after), (hi, hi_after) in zip(cuts[::2], cuts[1::2])
-    ]))
+    ])
 
 
 def _full(space: Space1D) -> tuple:
@@ -105,7 +106,7 @@ def closure_by_spans(r: Region) -> Region:
             out[-1] = Span(out[-1].lo, closed.hi, True, True)
         else:
             out.append(closed)
-    return _region(r.space, tuple(out))
+    return trusted_region(r.space, out)
 
 
 def interior_by_spans(r: Region) -> Region:
@@ -122,7 +123,7 @@ def interior_by_spans(r: Region) -> Region:
         t = Span(s.lo, s.hi, s.lo_incl and s.lo == comp.a, s.hi_incl and s.hi == comp.b)
         if not span_is_empty(t):
             out.append(t)
-    return _region(r.space, tuple(out))
+    return trusted_region(r.space, out)
 
 
 def regularize_by_spans(r: Region) -> Region:

@@ -16,6 +16,8 @@ import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import pytest
+
 from regopen import jsonio
 from regopen.boolequiv import descriptor, equivalent
 from regopen.cantor import (
@@ -66,11 +68,10 @@ from regopen.space import (
     ropen_join,
     ropen_meet,
     ropen_neg,
-    _region,
     theta,
 )
 
-from conftest import FIXTURE_SPACES, MIXED, TWO_INTERVALS, UNIT, random_plfunc, random_region
+from conftest import FIXTURE_SPACES, MIXED, TWO_INTERVALS, UNIT, random_plfunc, random_region, trusted_region
 import finball_oracle
 from grid_oracle import GridOracle
 
@@ -107,6 +108,7 @@ def _ba_laws(space: Space1D, u: Region, v: Region, w: Region) -> None:
     assert ropen_join(u, u) == u and ropen_meet(u, u) == u
 
 
+@pytest.mark.usefixtures("audited_rows")
 @criterion(1, "BA axioms exact on 1000 seeded regular opens over 5 spaces; "
               "1/2048-grid cross-check on [0,1]")
 def test_criterion_1_boolean_algebra_laws():
@@ -136,6 +138,7 @@ def test_criterion_1_boolean_algebra_laws():
 
 # --- criterion 2: finite dual-space covers ----------------------------------
 
+@pytest.mark.usefixtures("audited_rows")
 @criterion(2, "projective-cover checks exhaustive for sizes 1..8; "
               "unique cover homeomorphism for sizes 1..6")
 def test_criterion_2_finite_cover_suite():
@@ -235,7 +238,7 @@ def _random_surjection(seed: int) -> PLMap | None:
 def _oracle_candidate(space: Space1D, rng: random.Random) -> Region:
     comp = rng.choice(space.components)
     if isinstance(comp, Point):
-        return _region(space, (Span(comp.at, comp.at, True, True),))
+        return trusted_region(space, (Span(comp.at, comp.at, True, True),))
     k = rng.randint(3, 9)
     pos = rng.randrange(2**k)
     width = comp.b - comp.a
@@ -244,6 +247,7 @@ def _oracle_candidate(space: Space1D, rng: random.Random) -> Region:
     return Region(space, [Span(lo, hi, False, False)])
 
 
+@pytest.mark.usefixtures("audited_rows")
 @criterion(4, "cylinder irreducibility at depth 8 (510 cylinders); decision vs "
               "500-sample removal oracle on 200 random surjections")
 def test_criterion_4_irreducibility():
@@ -293,6 +297,7 @@ def _halving() -> PLMap:
     return PLMap(ZERO_TWO, UNIT, ((Piece(0, 2, rat(1, 2), 0),),))
 
 
+@pytest.mark.usefixtures("audited_rows")
 @criterion(5, "ideal round trips and annihilator involution; transport maps "
               "inverse, law-preserving and support-consistent on 200+ samples")
 def test_criterion_5_ideal_layer():
@@ -386,7 +391,7 @@ def _mask_region(space: Space1D, step, mask: int) -> Region:
             spans.append(Span(lo, hi, lo == comp.a, hi == comp.b))
             i = j
         bit += n
-    return _region(space, tuple(spans))
+    return trusted_region(space, tuple(spans))
 
 
 SMALL = Space1D((Interval(0, rat(1, 8)), Point(rat(1, 4)), Interval(rat(3, 8), rat(1, 2))))

@@ -27,10 +27,13 @@ from regopen.cantor import (
 )
 from regopen.cover_iso import verify_bridge
 from regopen.errors import NonDyadicEndpoint, SpaceMismatch
-from regopen.rationals import dyadic_exponent, rat
+from regopen.rationals import rat
 from regopen.space import Region, Span, ropen_join, ropen_meet, ropen_neg
 
 from conftest import TWO_INTERVALS, region
+
+# every region the bridge builds unchecked must hold canonical rows
+pytestmark = pytest.mark.usefixtures("audited_rows")
 
 
 def leaves(k: CantorClopen, depth: int) -> frozenset[str]:
@@ -245,7 +248,7 @@ def phi_c_by_cells(v: Region, depth: int | None = None) -> CantorClopen:
     """Oracle: one word per cell of size 2^-depth inside cl(V), fused by the antichain."""
     if v.is_empty:
         return EMPTY
-    k = max(dyadic_exponent(x) for s in v.spans for x in (s.lo, s.hi))
+    k = max(x.denominator.bit_length() - 1 for s in v.spans for x in (s.lo, s.hi))
     k = k if depth is None else depth
     if k == 0:
         return FULL if v.closure() == UNIT_INTERVAL.full_region() else EMPTY

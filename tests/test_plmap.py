@@ -21,11 +21,12 @@ from regopen.plmap import (
     plmap_from_breakpoints,
 )
 from regopen.rationals import rat
-from regopen.space import Interval, Point, Region, Space1D, Span
+from regopen.space import Interval, Point, Region, Space1D, Span, ropen_join, ropen_meet, ropen_neg
 
 from conftest import (
-    FIXTURE_SPACES, MIXED, TWO_INTERVALS, UNIT, UNIT_PT, random_plfunc, random_region, region,
+    FIXTURE_SPACES, MIXED, TWO_INTERVALS, UNIT, UNIT_PT, random_plfunc, random_region, region, span_row,
 )
+import space_oracle
 from plmap_oracle import (
     branches_by_fractions,
     carry_by_fractions,
@@ -300,6 +301,7 @@ def _random_surjection(rng: random.Random) -> PLMap | None:
     return m if m.is_surjective() else None
 
 
+@pytest.mark.usefixtures("audited_rows")
 class TestIrreducibilityOracle:
     """Cross-check the rule-based decision against the definition by sampling."""
 
@@ -501,6 +503,7 @@ SHARED_END_FOLDS = (
 )
 
 
+@pytest.mark.usefixtures("audited_rows")
 class TestRuleThreeOracle:
     """Rules 1 and 3 on the one coverage pass give the per-point and
     per-branch rules' verdicts, reasons and witnesses."""
@@ -577,6 +580,7 @@ def _pairings(cod: Space1D, spans: list[Span]) -> set:
     return seen | {"open end" for t in spans if not (t.lo_incl and t.hi_incl)}
 
 
+@pytest.mark.usefixtures("audited_rows")
 class TestCoveredTwiceOracle:
     """The runs that two spans hold, one `space._covered_twice` pass over
     integer ratios, against the coverage sweep it replaced, by repr."""
@@ -590,7 +594,7 @@ class TestCoveredTwiceOracle:
         for i in range(400):
             cod = FIXTURE_SPACES[i % len(FIXTURE_SPACES)]
             spans = _images(rng, cod, closed=i % 4 != 3)
-            got = space._covered_twice([plmap._ratios(t) for t in spans])
+            got = space._covered_twice([span_row(t) for t in spans])
             assert repr(got) == repr(covered_twice_by_sweep(cod, spans)), spans
             seen |= _pairings(cod, spans) | ({"held twice"} if got else set())
         for _ in range(100):  # branch images, on prime grids too
@@ -646,6 +650,7 @@ def _features(args: tuple, outcome: tuple) -> set:
     return seen | {verdict.reason.split(" ")[0]}
 
 
+@pytest.mark.usefixtures("audited_rows")
 class TestBranchTableOracle:
     """Surjectivity, the codomain check and rule 3, read off the branch table,
     against the derivations they replaced: every verdict, surjectivity and
@@ -678,6 +683,7 @@ class TestBranchTableOracle:
         }
 
 
+@pytest.mark.usefixtures("audited_rows")
 class TestTransportOracle:
     """Bisected transports and endpoint intersections against the double loop."""
 
@@ -689,8 +695,8 @@ class TestTransportOracle:
         for a in spans:
             for b in spans:
                 want = span_intersect_by_contains(a, b)
-                got = plmap._span_intersect(plmap._ratios(a), plmap._ratios(b))
-                assert got == (None if want is None else plmap._ratios(want)), (a, b)
+                got = plmap._span_intersect(span_row(a), span_row(b))
+                assert got == (None if want is None else span_row(want)), (a, b)
 
     def test_transports_match_the_double_loop(self):
         rng = random.Random(61_000)
@@ -718,6 +724,7 @@ def _ratio_spans(spans) -> list:
 _PRIMES = (1009, 1013, 1019, 1021, 1031, 1033, 1039, 1049)
 
 
+@pytest.mark.usefixtures("audited_rows")
 class TestIntegerKernelOracle:
     """The integer-ratio transports against their Fraction-arithmetic forms,
     exactly, types included: carried spans as the Fraction kernel's ends
@@ -741,7 +748,7 @@ class TestIntegerKernelOracle:
                 r = random_region(m.domain, rng, count=6, den=den)
                 s = random_region(m.codomain, rng, count=6, den=den)
                 for forward, t in ((True, r), (False, s)):
-                    assert repr(plmap._carry(m._branches, t.spans, forward)) == \
+                    assert repr(plmap._carry(m._branches, t.rows, forward)) == \
                         repr(_ratio_spans(carry_by_fractions(table, t.spans, forward)))
                 u, v = r.regularize(), s.regularize()
                 for got, want in ((m.image(r), image_by_fractions(m, r)),
@@ -757,9 +764,9 @@ class TestIntegerKernelOracle:
         assert seen == {"negative slope", "constant piece", "positive slope", "isolated point"}
 
     def test_branch_rows_match_the_fraction_branches(self):
-        # each row by repr against `_ratios` and `_affine` of the oracle's Fraction branch
+        # each row by repr against `span_row` and `_affine` of the oracle's Fraction branch
         def rows_by_derivation(obj) -> list:
-            return [(plmap._ratios(src), plmap._ratios(dst), *(plmap._affine(k, c) if k else (None, None)))
+            return [(span_row(src), span_row(dst), *(plmap._affine(k, c) if k else (None, None)))
                     for src, dst, k, c in branches_by_fractions(obj)]
 
         rng = random.Random(64_000)  # the branch table oracle's maps
@@ -798,6 +805,7 @@ def _at_branch_ends(rng: random.Random, space: Space1D, ends: list) -> Region:
     return Region(space, raw)
 
 
+@pytest.mark.usefixtures("audited_rows")
 class TestClosedTransportOracle:
     """psi and phi, one `_regular_union` pass each over the carried spans,
     against the compositions through image or preimage, closure and
@@ -850,6 +858,10 @@ def _fold_map(rng: random.Random) -> PLMap:
 class TestWorkCounts:
     """Deterministic call counts that pin the cost of rules 1 and 3 and of preimage."""
 
+    # a Fraction built or read as an integer ratio, and a Span built, checked or trusted
+    NO_FRACTION_NO_SPAN = (((fractions.Fraction,), "__new__"), ((fractions.Fraction,), "as_integer_ratio"),
+                           ((Span,), "__init__"), ((space,), "_span"))
+
     def _count(self, monkeypatch, owners, name):
         calls = [0]
         original = getattr(owners[0], name)
@@ -863,7 +875,7 @@ class TestWorkCounts:
         return calls
 
     def test_rule_three_sweeps_the_same_at_16_and_256_pieces(self, monkeypatch):
-        calls = self._count(monkeypatch, (space, plmap), "_union_ratios")
+        calls = self._count(monkeypatch, (space, plmap), "_merged")
         counts = []
         for n in (16, 256):
             calls[0] = 0
@@ -970,7 +982,7 @@ class TestWorkCounts:
         counts = {name: self._count(monkeypatch, (owner,), name)
                   for owner, name in ((fractions.Fraction, "__new__"), (Span, "__post_init__"),
                                       (fractions.Fraction, "as_integer_ratio"))}
-        spans = self._count(monkeypatch, (space, plmap), "_span")
+        spans = self._count(monkeypatch, (space,), "_span")
         plmap._settle(m, m.domain, "point_images", check=False)
         assert {name: c[0] for name, c in counts.items()} | {"_span": spans[0]} == \
             {"__new__": 0, "__post_init__": 0, "as_integer_ratio": ratios, "_span": 0}
@@ -1010,8 +1022,8 @@ class TestWorkCounts:
             monkeypatch.undo()
         assert counts == {case: {"_richcmp": 0, "__eq__": 0} for case in cases}
 
-    def test_image_and_preimage_of_64_pieces_build_two_fractions_per_span(self, monkeypatch):
-        # carried ends stay integer ratios: only the ends of the union's runs become Fractions
+    def test_image_and_preimage_of_64_pieces_build_no_fraction(self, monkeypatch):
+        # carried ends stay integer ratios, and the union's runs are rows of them
         m = _fold_map(random.Random(64))
         for r in (Region(UNIT_PT, [Span(rat(k, 8), rat(2 * k + 1, 16), True, False) for k in range(8)]),
                   m.domain.full_region()):
@@ -1021,19 +1033,19 @@ class TestWorkCounts:
                 built = self._count(monkeypatch, (fractions.Fraction,), "__new__")
                 got = run()
                 monkeypatch.undo()
-                assert 0 < built[0] <= 2 * len(got.spans)
+                assert built[0] == 0 and got.rows
                 assert got == want
 
     def test_carried_union_ranks_by_fractions_past_the_key_bound(self, monkeypatch):
         m = _fold_map(random.Random(65))
         s = Region(UNIT, [Span(rat(k, 7), rat(3 * k + 1, 21), False, True) for k in range(7)])
-        raw = plmap._carry(m._branches, s.spans, False)
+        raw = plmap._carry(m._branches, s.rows, False)
         distinct = len({end for t in raw for end in t[:2]})
         regions, compared = [], []
         for bits in (space.SWEEP_KEY_BITS, 0):  # 0: every union takes the Fraction-rank fallback
             monkeypatch.setattr(space, "SWEEP_KEY_BITS", bits)
             calls = self._count(monkeypatch, (fractions.Fraction,), "_richcmp")
-            regions.append(space._union_ratios(m.domain, raw))
+            regions.append(space._emit(m.domain, space._merged(*space._cut_ranges(raw))))
             compared.append(calls[0])
             monkeypatch.undo()
         assert compared[0] == 0 and compared[1] >= distinct - 1 > 0
@@ -1089,21 +1101,62 @@ class TestWorkCounts:
         us = [random_region(m.domain, rng, count=6, den=64).regularize() for _ in range(50)]
         vs = [random_region(m.codomain, rng, count=6, den=64).regularize() for _ in range(50)]
         wants = [(psi_by_pairs(m, u), phi_by_pairs(m, v)) for u, v in zip(us, vs)]
-        own = [id(s) for r in us + vs for s in r.spans]
-        ratios = plmap._ratios
-        read = []
-
-        def counted_ratios(s):
-            read.append(id(s))
-            return ratios(s)
-
-        monkeypatch.setattr(plmap, "_ratios", counted_ratios)
+        assert sum(len(r.rows) for r in us + vs) > 50
+        built = {name: self._count(monkeypatch, owners, name) for owners, name in self.NO_FRACTION_NO_SPAN}
         affine = self._count(monkeypatch, (plmap,), "_affine")
         interior = self._count(monkeypatch, (Region,), "interior")
         gots = [(m.psi(u), m.phi(v)) for u, v in zip(us, vs)]
-        # `_ratios` reads each of the regions' own spans once, and nothing else
-        assert sorted(read) == sorted(own) and len(own) > 50
+        # the regions' rows are read as they are: no end comes off a Fraction, and none is built
+        assert {name: c[0] for name, c in built.items()} == {name: 0 for name in built}
         assert {"_affine": affine[0], "interior": interior[0]} == {"_affine": 0, "interior": 0}
         assert gots == wants
         for x in (m.domain, m.codomain):
             assert x.full_region() is x.full_region()
+
+    def test_256_span_kernel_calls_build_no_fraction_and_no_span(self, monkeypatch):
+        # a region's rows are its canonical content: every set operation, closure,
+        # interior, perp, join, image, preimage, psi and phi reads and emits rows only
+        rng = random.Random(256)
+        m = _fold_map(rng)
+
+        def dyadic(n, point):
+            # n spans on a 1/8n grid of [0, 1], with point spans, plus the point 2 if asked
+            cuts = sorted(rng.sample(range(8 * n + 1), 2 * n))
+            spans = [Span(rat(2), rat(2), True, True)] if point else []
+            for lo, hi in zip(cuts[::2], cuts[1::2]):
+                hi = lo if rng.random() < 0.1 else hi
+                flags = (True, True) if lo == hi else (rng.random() < 0.5, rng.random() < 0.5)
+                spans.append(Span(rat(lo, 8 * n), rat(hi, 8 * n), *flags))
+            return spans
+
+        a, b = Region(UNIT_PT, dyadic(256, True)), Region(UNIT_PT, dyadic(256, True))
+        c = Region(UNIT, dyadic(256, False))
+        u, w, v = a.regularize(), b.regularize(), c.regularize()
+        assert min(len(r.rows) for r in (a, b, c, u, w, v)) >= 200
+        ops = {
+            "union": (lambda: a.union(b), space_oracle.union(a, b)),
+            "intersect": (lambda: a.intersect(b), space_oracle.intersect(a, b)),
+            "difference": (lambda: a.difference(b), space_oracle.difference(a, b)),
+            "complement": (a.complement, space_oracle.complement(a)),
+            "closure": (a.closure, space_oracle.closure_by_spans(a)),
+            "interior": (a.interior, space_oracle.interior_by_spans(a)),
+            "perp": (a.perp, space_oracle.complement(space_oracle.closure_by_spans(a))),
+            "ropen_join": (lambda: ropen_join(u, w), space_oracle.regularize_by_spans(space_oracle.union(u, w))),
+            "ropen_meet": (lambda: ropen_meet(u, w), space_oracle.intersect(u, w)),
+            "ropen_neg": (lambda: ropen_neg(u), space_oracle.complement(space_oracle.closure_by_spans(u))),
+            "image": (lambda: m.image(a), image_by_pairs(m, a)),
+            "preimage": (lambda: m.preimage(c), preimage_by_pairs(m, c)),
+            "psi": (lambda: m.psi(u), psi_by_pairs(m, u)),
+            "phi": (lambda: m.phi(v), phi_by_pairs(m, v)),
+        }
+        built = {name: self._count(monkeypatch, owners, name) for owners, name in self.NO_FRACTION_NO_SPAN}
+        seen, gots = {}, {}
+        for op, (run, _) in ops.items():
+            for calls in built.values():
+                calls[0] = 0
+            gots[op] = run()
+            seen[op] = {name: calls[0] for name, calls in built.items()}
+        monkeypatch.undo()
+        assert seen == {op: {name: 0 for name in built} for op in ops}
+        for op, (_, want) in ops.items():
+            assert gots[op].rows and gots[op] == want, op

@@ -16,9 +16,11 @@ from conftest import (
     TWO_INTERVALS,
     UNIT,
     UNIT_PT,
+    assert_canonical_rows,
     random_raw_spans,
     random_region,
     region,
+    trusted_region,
 )
 import space_oracle as oracle
 from grid_oracle import GridOracle
@@ -31,7 +33,6 @@ from regopen.space import (
     Region,
     Space1D,
     Span,
-    _region,
     canonicalize,
     decompose_space,
     embed,
@@ -46,18 +47,6 @@ from regopen.space import (
 
 def spans_of(r: Region):
     return [(str(s.lo), str(s.hi), s.lo_incl, s.hi_incl) for s in r.spans]
-
-
-def assert_canonical(r: Region) -> None:
-    """Structural invariants that, with membership, pin the canonical form."""
-    bounds = [(c.at, c.at) if isinstance(c, Point) else (c.a, c.b) for c in r.space.components]
-    for s in r.spans:
-        # nonempty, and a one-point span has both flags set
-        assert s.lo < s.hi or (s.lo == s.hi and s.lo_incl and s.hi_incl), s
-        assert any(lo <= s.lo and s.hi <= hi for lo, hi in bounds), s
-    for s, t in zip(r.spans, r.spans[1:]):
-        # sorted and disjoint, with at least one missing point between: no merge
-        assert s.hi < t.lo or (s.hi == t.lo and not s.hi_incl and not t.lo_incl), (s, t)
 
 
 class TestSpaceValidation:
@@ -135,7 +124,7 @@ class TestCanonicalInvariants:
             a = canonicalize(space, random_raw_spans(space, rng, count=8)).region
             b = random_region(space, rng, count=8)
             for r in (a, b, a.union(b), a.intersect(b), a.difference(b), a.complement()):
-                assert_canonical(r)
+                assert_canonical_rows(r)
 
 
 class TestCanonicalByConstruction:
@@ -156,6 +145,19 @@ class TestCanonicalByConstruction:
         assert hash(Region(UNIT, spans)) == hash(Region(UNIT, tuple(spans)))
         assert type(Region(UNIT, spans).spans) is tuple
 
+    def test_only_spans_are_taken_at_the_public_edge(self):
+        # a row-shaped tuple is no span: read as one, it gave a region unequal to
+        # the same set built from spans, whose JSON read "hi":[2,4]
+        row = ((1, 4), (2, 4), True, True)
+        for raw in ([row], [Span(0, rat(1, 8), True, True), row], ["1/4"], [(rat(1, 4), rat(1, 2), True, True)]):
+            with pytest.raises(TypeError):
+                Region(UNIT, raw)
+            with pytest.raises(TypeError):
+                canonicalize(UNIT, raw)
+        r = Region(UNIT, [Span(rat(1, 4), rat(2, 4), True, True)])
+        assert r.rows == (((1, 4), (1, 2), True, True),) and r.contains(rat(3, 8))
+        assert r.to_json() == {"spans": [{"lo": "1/4", "hi": "1/2", "lo_incl": True, "hi_incl": True}]}
+
     @settings(max_examples=60)
     @given(st.integers(0, 2**32 - 1))
     def test_construction_is_canonicalize_and_is_idempotent(self, seed):
@@ -165,7 +167,7 @@ class TestCanonicalByConstruction:
             r = Region(space, raw)
             assert r == canonicalize(space, raw).region
             assert Region(r.space, r.spans) == r
-            assert_canonical(r)
+            assert_canonical_rows(r)
 
 
 class TestRelativeTopology:
@@ -259,10 +261,10 @@ class TestRelativeTopology:
 
     def test_interior_of_a_span_outside_the_space_is_a_mismatch(self):
         # the trusted constructor does not check; interior used to raise IndexError
-        right = _region(UNIT, (Span(2, 3, True, True),))
-        left = _region(UNIT_PT, (Span(-1, rat(-1, 2), False, False),))
-        in_gap = _region(UNIT_PT, (Span(rat(3, 2), rat(3, 2), True, True),))
-        across = _region(TWO_INTERVALS, (Span(rat(1, 2), rat(5, 2), False, False),))
+        right = trusted_region(UNIT, (Span(2, 3, True, True),))
+        left = trusted_region(UNIT_PT, (Span(-1, rat(-1, 2), False, False),))
+        in_gap = trusted_region(UNIT_PT, (Span(rat(3, 2), rat(3, 2), True, True),))
+        across = trusted_region(TWO_INTERVALS, (Span(rat(1, 2), rat(5, 2), False, False),))
         for r in (right, left, in_gap, across):
             for op in (Region.interior, Region.regularize, lambda r: ropen_join(r, r),
                        lambda r: space_module._regular_union(r.space, _ratio_spans(r.spans))):
@@ -270,6 +272,7 @@ class TestRelativeTopology:
                     op(r)
 
 
+@pytest.mark.usefixtures("audited_rows")
 class TestGridOracleAgreement:
     """Every operation is cross-checked against the independent 1/2048 oracle."""
 
@@ -358,7 +361,7 @@ class TestSweepFallback:
         pairs = [(a, a_big), (b, b_big), (a.complement(), a_big.complement())]
         pairs += [(getattr(a, op)(b), getattr(a_big, op)(b_big)) for op in ("union", "intersect", "difference")]
         for small, scaled in pairs:
-            assert _region(big, tuple(_times(small.spans, common))) == scaled
+            assert trusted_region(big, tuple(_times(small.spans, common))) == scaled
 
 
 class TestDecomposition:
@@ -520,6 +523,7 @@ def _agree_with_space_oracle(space: Space1D, a_raw: list, b_raw: list) -> None:
         assert _exact(got) == _exact(want)
 
 
+@pytest.mark.usefixtures("audited_rows")
 class TestSpaceOracle:
     """The cut-range set operations, closure and interior against their direct forms."""
 
@@ -555,6 +559,7 @@ _DRAW_SPACE = Space1D((Interval(rat(-3, 7), rat(2, 3)), Point(1), Interval(rat(1
                        Point(rat(11, 3))))
 
 
+@pytest.mark.usefixtures("audited_rows")
 class TestRandomRegularOpenOracle:
     """The integer-ratio draws against the Fraction-arithmetic draws, exactly."""
 

@@ -30,7 +30,7 @@ VALUE_CLASSES = [
     (space.Point, "at", {}),
     (space.Space1D, "components", {}),
     (space.Span, "lo hi lo_incl hi_incl", {}),
-    (space.Region, "space spans", {}),
+    (space.Region, "space rows", {}),
     (plmap.Piece, "src_lo src_hi slope intercept", {}),
     (plmap.PLMap, "domain codomain pieces point_images", {"point_images": ()}),
     (plmap.IrreducibilityVerdict, "irreducible witness reason", {"witness": None, "reason": ""}),
@@ -204,7 +204,7 @@ def test_library_instances_match_their_twins():
 def test_derived_attributes_stay_out_of_the_fields():
     r = region(UNIT, ("0", "1/2", True, False))
     before = (repr(r), hash(r))
-    assert r.contains(Fraction(1, 4))  # caches `_los` on the instance
+    assert r.contains(Fraction(1, 4)) and r.spans  # both read the rows; neither is kept on the instance
     assert (repr(r), hash(r)) == before and r == region(UNIT, ("0", "1/2", True, False))
     f = finball.gleason_cover(finball.FiniteDiscreteSpace(("x", "y"))).f
     assert f.index and "index" not in repr(f)
