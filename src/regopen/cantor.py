@@ -13,7 +13,7 @@ from math import gcd
 from typing import Iterable, Optional
 
 from .errors import NonDyadicEndpoint, SpaceMismatch, _Value
-from .rationals import Q, Rational, rat
+from .rationals import Q
 from .space import Interval, Region, Space1D, _region
 
 Word = str
@@ -105,12 +105,6 @@ def clopen_inter(k1: CantorClopen, k2: CantorClopen) -> CantorClopen:
 
 def clopen_diff(k1: CantorClopen, k2: CantorClopen) -> CantorClopen:
     return clopen_inter(k1, clopen_compl(k2))
-
-
-def value_interval(w: Word) -> tuple[Rational, Rational]:
-    """The closed dyadic interval onto which the cylinder of w maps."""
-    lo = rat(int(w or "0", 2), 2 ** len(w))
-    return lo, lo + rat(1, 2 ** len(w))
 
 
 def _dyadic(a: int, k: int) -> tuple[int, int]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from .errors import NotIrreducible, SpaceMismatch, _Value
 from .plmap import Piece, PLMap, _affine_ratios, _carry, _runs, _settle, _span_intersect, _value, is_irreducible
 from .rationals import Q, Rational
-from .space import Region, Space1D, _cut_ranges, _emit, _locate, _merged, ropen_join, ropen_meet
+from .space import Region, Space1D, _locate, _union, ropen_join, ropen_meet
 
 
 class PLFunc(_Value):
@@ -45,7 +45,7 @@ def plfunc_from_breakpoints(
 def pl_supp(f: PLFunc) -> Region:
     """Exact open region where f is nonzero: the complement of its zero set."""
     zeros = _carry(f._branches, [((0, 1), (0, 1), True, True)], False)
-    return _emit(f.space, _merged(*_cut_ranges(zeros))).complement()
+    return _union(f.space, zeros).complement()
 
 
 class RegIdeal(_Value):

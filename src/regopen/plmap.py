@@ -14,8 +14,8 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import Discontinuity, ImageEscapesCodomain, NotSurjective, SpaceMismatch, _Value
 from .rationals import Q, Rational, rat
-from .space import (Region, Space1D, Span, _covered_twice, _cut_ranges, _emit, _hull_runs, _locate, _merged,
-                    _regular_union)
+from .space import (Region, Space1D, Span, _covered_twice, _cut_ranges, _hull_runs, _locate, _merged, _regular_union,
+                    _union)
 
 
 class Piece(_Value):
@@ -187,16 +187,16 @@ class PLMap(_Value):
     def image(self, r: Region) -> Region:
         if r.space != self.domain:
             raise SpaceMismatch("region is not over the domain")
-        return _emit(self.codomain, _merged(*_cut_ranges(_carry(self._branches, r.rows, True))))
+        return _union(self.codomain, _carry(self._branches, r.rows, True))
 
     def preimage(self, s: Region) -> Region:
         if s.space != self.codomain:
             raise SpaceMismatch("region is not over the codomain")
-        return _emit(self.domain, _merged(*_cut_ranges(_carry(self._branches, s.rows, False))))
+        return _union(self.domain, _carry(self._branches, s.rows, False))
 
     def is_surjective(self) -> bool:
-        images = [dst for _, dst, _, _ in self._branches]  # the image of the domain is their union
-        return _emit(self.codomain, _merged(*_cut_ranges(images))) == self.codomain.full_region()
+        # the image of the domain is the union of the branch images
+        return tuple(_merged(*_cut_ranges([dst for _, dst, _, _ in self._branches]))) == self.codomain._full.rows
 
     # --- the induced maps on regular opens ---
 
@@ -264,11 +264,13 @@ def is_irreducible(m: PLMap) -> IrreducibilityVerdict:
     union of the other branches.  Any witness is re-verified by exact
     recomputation before it is returned.
 
-    Surjectivity is one union pass of the n branch images in the table, and
-    rules 1 and 3 read the runs two of them hold, one `_covered_twice` pass:
-    O(n log n), then one bisection per isolated point and one per piece.
+    Surjectivity and the runs that two branch images hold, which rules 1
+    and 3 read, come off one sorted list of the n images' cut ranges: one
+    union walk and one `_covered_twice` walk, O(n log n), then one bisection
+    per isolated point and one per piece.
     """
-    if not m.is_surjective():
+    [images] = _cut_ranges([dst for _, dst, _, _ in m._branches])
+    if tuple(_merged(images)) != m.codomain._full.rows:  # as `is_surjective`, and it leaves them sorted
         raise NotSurjective("irreducibility is only defined for surjective maps")
 
     full = m.domain.full_region()
@@ -280,7 +282,7 @@ def is_irreducible(m: PLMap) -> IrreducibilityVerdict:
             raise AssertionError(f"internal witness failed re-verification: {reason}")
         return IrreducibilityVerdict(False, witness, reason)
 
-    twice = _covered_twice([dst for _, dst, _, _ in m._branches])
+    twice = _covered_twice(images)
 
     # rule 1: an isolated point whose removal keeps the map onto
     p = _redundant_point(m, twice)

@@ -186,20 +186,20 @@ class Region(_Value):
 
     def union(self, other: "Region") -> "Region":
         _check_space(self, other)
-        return _emit(self.space, _merged(*_cut_ranges(self.rows + other.rows)))
+        return _union(self.space, self.rows + other.rows)
 
     def intersect(self, other: "Region") -> "Region":
         _check_space(self, other)
-        return _emit(self.space, _meet(*_cut_ranges(self.rows, other.rows)))
+        return _region(self.space, tuple(_meet(*_cut_ranges(self.rows + other.rows))))
 
     def difference(self, other: "Region") -> "Region":
         _check_space(self, other)
         a, b = _cut_ranges(self.rows, other.rows)
-        return _emit(self.space, _meet(a, _gaps(b)))
+        return _region(self.space, tuple(_meet(a + _gaps(b))))
 
     def complement(self) -> "Region":
         full, a = _cut_ranges(self.space._full.rows, self.rows)
-        return _emit(self.space, _meet(full, _gaps(a)))
+        return _region(self.space, tuple(_meet(full + _gaps(a))))
 
     # --- topology (relative to the space) ---
 
@@ -248,7 +248,7 @@ class Region(_Value):
         """
         full, a = _cut_ranges(self.space._full.rows, self.rows)
         closed = [(lo_at & -2, hi_at | 1, lo, hi) for lo_at, hi_at, lo, hi in a]
-        return _emit(self.space, _meet(full, _gaps(closed)))
+        return _region(self.space, tuple(_meet(full + _gaps(closed))))
 
     def regularize(self) -> "Region":
         """Interior of the closure."""
@@ -308,95 +308,82 @@ SWEEP_KEY_BITS = 4096
 _INF = float("inf")
 
 
-def _positions(ends: list) -> list:
-    """Even cut positions of integer-ratio values n/d, d > 0, in their order.
-
-    A value sits at 2 * n * (L // d), L the lcm of the denominators, which
-    one pass grows only at a denominator that does not divide it yet.  A cut
-    just after a value can take the odd position above.  Once L passes
-    `SWEEP_KEY_BITS` (whatever the order of the ends) the values are ranked
-    by a Fraction sort instead, at 2 * rank; equal values must then be equal
-    ratios, in lowest terms.
-    """
-    common = 1
-    for _, d in ends:
-        if common % d:
-            common = lcm(common, d)
-            if common.bit_length() > SWEEP_KEY_BITS:
-                rank = {r: 2 * i for i, r in enumerate(sorted(set(ends), key=lambda r: Q(*r)))}
-                return [rank[r] for r in ends]
-    common *= 2
-    return [n * (common // d) for n, d in ends]
-
-
 def _cut_ranges(*groups: Sequence) -> list[list]:
     """The cut ranges (lo_at, hi_at, lo, hi) of groups of rows, one list per
-    group in row order, on one `_positions` call.
+    group in row order.
 
-    A cut sits just before a value, at its even position, or just after it,
-    at the odd one above.  A row (lo, hi, lo_incl, hi_incl), its ends in
-    lowest terms, is the half-open range of cuts
-    [pos(lo) + not lo_incl, pos(hi) + hi_incl), empty exactly when
-    lo_at >= hi_at, and its closure is (lo_at & -2, hi_at | 1).  One loop
-    reads every end once into one list, and a second pairs each row with
-    its two positions; no two ends are compared.
+    A value n/d, d > 0, sits at the even position 2 * n * (L // d), L the
+    lcm of every row's denominators, which one pass over the rows grows only
+    at a row with a denominator that does not divide it yet.  A cut sits
+    just before a value, at its position, or just after it, at the odd one
+    above.  A row (lo, hi, lo_incl, hi_incl), its ends in lowest terms, is
+    the half-open range of cuts [pos(lo) + not lo_incl, pos(hi) + hi_incl),
+    empty exactly when lo_at >= hi_at, and its closure is
+    (lo_at & -2, hi_at | 1).  Once L passes `SWEEP_KEY_BITS` (whatever the
+    order of the rows) the values are ranked by a Fraction sort instead, at
+    2 * rank.  No two ends are compared on the integer path.
     """
-    ends: list = []
+    common = 1
     for rows in groups:
-        for lo, hi, _, _ in rows:
-            ends.append(lo)
-            ends.append(hi)
-    at = iter(_positions(ends))
-    out = []
-    for rows in groups:
-        ranges = []
-        for lo, hi, lo_incl, hi_incl in rows:
-            ranges.append((next(at) + (not lo_incl), next(at) + hi_incl, lo, hi))
-        out.append(ranges)
-    return out
+        for (_, d), (_, e), _, _ in rows:
+            if common % d or common % e:
+                common = lcm(common, d, e)
+                if common.bit_length() > SWEEP_KEY_BITS:
+                    ends = sorted({end for group in groups for row in group for end in row[:2]}, key=lambda r: Q(*r))
+                    at = {r: 2 * i for i, r in enumerate(ends)}
+                    return [[(at[lo] + (not lo_incl), at[hi] + hi_incl, lo, hi) for lo, hi, lo_incl, hi_incl in rows]
+                            for rows in groups]
+    common *= 2
+    return [[(lo[0] * (common // lo[1]) + (not lo_incl), hi[0] * (common // hi[1]) + hi_incl, lo, hi)
+             for lo, hi, lo_incl, hi_incl in rows] for rows in groups]
 
 
-def _emit(space: Space1D, runs: Iterable) -> Region:
-    """The region of canonical runs (lo_at, hi_at, lo, hi)."""
-    # tuple() of a list allocates the final size; of a generator it resizes
-    # a guess, and each resized block then stays in the tuple free list
-    return _region(space, tuple([(lo, hi, lo_at & 1 == 0, hi_at & 1 == 1) for lo_at, hi_at, lo, hi in runs]))
-
-
-def _merged(ranges: list):
-    """The maximal runs (lo_at, hi_at, lo, hi), in order, of nonempty ranges:
-    after one sort by lo_at, a range that starts past the run so far begins
-    a new run.  The union of nonempty rows of a space is
-    `_emit(space, _merged(*_cut_ranges(rows)))`."""
+def _merged(ranges: list, rows: bool = True) -> list:
+    """The maximal runs, in order, of nonempty cut ranges: after one sort by
+    lo_at, a range that starts past the run so far begins a new one.  Each
+    run is a row, or with `rows` false a cut range (lo_at, hi_at, lo, hi)."""
     if not ranges:
-        return
+        return []
     ranges.sort(key=itemgetter(0))
+    out = []
     lo_at, hi_at, lo, hi = ranges[0]
     for a, b, x, y in ranges:
         if a > hi_at:
-            yield lo_at, hi_at, lo, hi
+            out.append((lo, hi, lo_at & 1 == 0, hi_at & 1 == 1) if rows else (lo_at, hi_at, lo, hi))
             lo_at, hi_at, lo, hi = a, b, x, y
         elif b > hi_at:
             hi_at, hi = b, y
-    yield lo_at, hi_at, lo, hi
+    out.append((lo, hi, lo_at & 1 == 0, hi_at & 1 == 1) if rows else (lo_at, hi_at, lo, hi))
+    return out
 
 
-def _meet(a: list, b: list) -> list:
-    """The meet of two sorted lists of disjoint ranges, in one linear walk:
-    each step keeps what the two current ranges share and moves past the one
-    that ends first.  Runs of two lists of maximal runs meet in maximal runs."""
+def _union(space: Space1D, rows: Sequence) -> Region:
+    """The region of the union of nonempty rows that lie in `space`: one
+    cut-range build and one `_merged` walk, with no clip."""
+    return _region(space, tuple(_merged(*_cut_ranges(rows))))
+
+
+def _meet(ranges: list, rows: bool = True) -> list:
+    """The parts of nonempty cut ranges that two of them hold, in order of
+    lo_at: after one sort by lo_at, each range's overlap with the
+    furthest-reaching range before it.
+
+    Of two lists of disjoint ranges, concatenated, the parts are their meet;
+    timsort merges the two sorted runs in linear time, and if both lists are
+    maximal runs so are the parts, and they come out as rows.  With `rows`
+    false they come out as cut ranges, for `_merged` to join.
+    """
+    ranges.sort(key=itemgetter(0))
     out = []
-    i = j = 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        x, y = a[i], b[j]
-        lo = x if x[0] > y[0] else y
-        if x[1] < y[1]:
-            hi, i = x, i + 1
+    reach_at, reach = -_INF, None  # the furthest-reaching range so far: its hi_at and hi
+    for lo_at, hi_at, lo, hi in ranges:
+        if lo_at >= reach_at:
+            reach_at, reach = hi_at, hi
+        elif hi_at <= reach_at:
+            out.append((lo, hi, lo_at & 1 == 0, hi_at & 1 == 1) if rows else (lo_at, hi_at, lo, hi))
         else:
-            hi, j = y, j + 1
-        if lo[0] < hi[1]:
-            out.append((lo[0], hi[1], lo[2], hi[3]))
+            out.append((lo, reach, lo_at & 1 == 0, reach_at & 1 == 1) if rows else (lo_at, reach_at, lo, reach))
+            reach_at, reach = hi_at, hi
     return out
 
 
@@ -413,20 +400,11 @@ def _gaps(ranges: list) -> list:
     return out
 
 
-def _covered_twice(rows: list) -> list:
-    """The maximal runs, as rows in order, of the points that two of the
-    nonempty rows hold.  After one sort by lo, a cut range holds twice what
-    it shares with the furthest-reaching range before it, and `_merged`
-    joins those parts."""
-    [ranges] = _cut_ranges(rows)
-    ranges.sort(key=itemgetter(0))
-    parts, reach = [], None
-    for r in ranges:
-        if reach is not None and r[0] < reach[1]:
-            parts.append(r if r[1] <= reach[1] else (r[0], reach[1], r[2], reach[3]))
-        if reach is None or r[1] > reach[1]:
-            reach = r
-    return [(lo, hi, lo_at & 1 == 0, hi_at & 1 == 1) for lo_at, hi_at, lo, hi in _merged(parts)]
+def _covered_twice(ranges: list) -> list:
+    """The maximal runs, as rows in order, of the cuts that two of the
+    nonempty cut ranges hold: the parts of one `_meet` walk, joined by
+    `_merged`."""
+    return _merged(_meet(ranges, False))
 
 
 def _hull_runs(space: Space1D, rows: Sequence) -> list:
@@ -491,9 +469,9 @@ def _clip(space: Space1D, rows: list) -> CanonicalizeResult:
     A run inside a component comes through whole, so a raw row stuck out
     exactly when the meet changed a run."""
     full, raw = _cut_ranges(space._full.rows, rows)
-    runs = list(_merged([r for r in raw if r[0] < r[1]]))
-    out = _meet(runs, full)
-    return CanonicalizeResult(_emit(space, out), [r[:2] for r in out] != [r[:2] for r in runs])
+    runs = _merged([r for r in raw if r[0] < r[1]], False)
+    out = _meet(runs + full)
+    return CanonicalizeResult(_region(space, tuple(out)), [r[:2] for r in out] != [r[2:] for r in runs])
 
 
 # --- the Boolean algebra of regular open sets ---

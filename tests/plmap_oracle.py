@@ -25,7 +25,7 @@ replaced are kept as `is_surjective_by_image` (the image of the whole
 domain), `validate_by_sweeps` (one reference sweep per branch against the
 full codomain) and `first_overlap_by_interiors` (rule 3 against int(own), one
 region and one `interior` per piece).  Rules 1 and 3 read the runs that two
-branch images hold from one `space._covered_twice` pass; the coverage sweep
+branch images hold from one `space._covered_twice` walk; the coverage sweep
 it replaced is `covered_twice_by_sweep`, here on the reference sweep
 `space_oracle.sweep_by_groupby`.
 

@@ -23,7 +23,6 @@ from regopen.cantor import (
     psi_c,
     random_clopen,
     random_dyadic_regular_open,
-    value_interval,
 )
 from regopen.cover_iso import verify_bridge
 from regopen.errors import NonDyadicEndpoint, SpaceMismatch
@@ -31,6 +30,13 @@ from regopen.rationals import rat
 from regopen.space import Region, Span, ropen_join, ropen_meet, ropen_neg
 
 from conftest import TWO_INTERVALS, region
+
+
+def value_interval(w: str) -> tuple:
+    """The closed dyadic interval onto which the cylinder of w maps, by Fraction arithmetic."""
+    lo = rat(int(w or "0", 2), 2 ** len(w))
+    return lo, lo + rat(1, 2 ** len(w))
+
 
 # every region the bridge builds unchecked must hold canonical rows
 pytestmark = pytest.mark.usefixtures("audited_rows")
@@ -172,6 +178,9 @@ class TestValueIntervals:
         assert value_interval("0") == (0, rat(1, 2))
         assert value_interval("01") == (rat(1, 4), rat(1, 2))
         assert value_interval("") == (0, 1)
+        for w in ("", "0", "1", "01", "110", "0" * 9 + "1"):  # the library's closed image of one cylinder
+            lo, hi = value_interval(w)
+            assert closed_value_region(cylinder(w)).spans == (Span(lo, hi, True, True),)
 
     def test_closed_value_region_merges_touching(self):
         k = CantorClopen(("01", "10"))

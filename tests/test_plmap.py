@@ -582,8 +582,8 @@ def _pairings(cod: Space1D, spans: list[Span]) -> set:
 
 @pytest.mark.usefixtures("audited_rows")
 class TestCoveredTwiceOracle:
-    """The runs that two spans hold, one `space._covered_twice` pass over
-    integer ratios, against the coverage sweep it replaced, by repr."""
+    """The runs that two spans hold, one `space._covered_twice` walk over
+    their cut ranges, against the coverage sweep it replaced, by repr."""
 
     @pytest.mark.parametrize("bits", [None, 0])
     def test_runs_match_the_coverage_sweep(self, monkeypatch, bits):
@@ -594,13 +594,13 @@ class TestCoveredTwiceOracle:
         for i in range(400):
             cod = FIXTURE_SPACES[i % len(FIXTURE_SPACES)]
             spans = _images(rng, cod, closed=i % 4 != 3)
-            got = space._covered_twice([span_row(t) for t in spans])
+            got = space._covered_twice(*space._cut_ranges([span_row(t) for t in spans]))
             assert repr(got) == repr(covered_twice_by_sweep(cod, spans)), spans
             seen |= _pairings(cod, spans) | ({"held twice"} if got else set())
         for _ in range(100):  # branch images, on prime grids too
             m = _random_cover(rng, _PRIMES if rng.random() < 0.5 else ())
             images = [dst for _, dst, _, _ in branches_by_fractions(m)]
-            got = space._covered_twice([dst for _, dst, _, _ in m._branches])
+            got = space._covered_twice(*space._cut_ranges([dst for _, dst, _, _ in m._branches]))
             assert repr(got) == repr(covered_twice_by_sweep(m.codomain, images)), m
         assert seen == {"touching ends", "equal lo", "nested", "point on a range", "isolated point twice",
                         "open end", "held twice"}
@@ -884,10 +884,15 @@ class TestWorkCounts:
         assert counts[0] == counts[1]
         assert counts[0] > 0
 
-    # every Region set operation runs one of these: a meet of cut ranges, the
-    # checked constructor, the hull pass of the join, or the union
-    SET_OPS = (((space,), "_meet"), ((space,), "canonicalize"), ((space, plmap), "_regular_union"),
-               ((Region,), "union"))
+    # every Region set operation runs one of these: a meet that emits rows
+    # (the four below, or the clip of the checked constructor and of embed),
+    # the checked constructor, the hull pass of the join, or the union walk;
+    # `_covered_twice` runs its own `_meet`, so the meet is counted at its callers
+    SET_OPS = tuple(((Region,), name) for name in ("intersect", "difference", "complement", "perp")) + (
+        ((space,), "_clip"), ((space,), "canonicalize"), ((space, plmap), "_regular_union"),
+        ((space, plmap), "_union"))
+    NO_SET_OP = {"intersect": 0, "difference": 0, "complement": 0, "perp": 0, "_clip": 0, "canonicalize": 0,
+                 "_regular_union": 0, "_union": 0}
 
     def test_rule_one_images_the_same_at_1_and_8_isolated_points(self, monkeypatch):
         # rule 1 reads the one coverage pass over the branch images, by bisection
@@ -900,37 +905,37 @@ class TestWorkCounts:
                 c[0] = 0
             assert is_irreducible(m).irreducible
             seen.append({name: c[0] for name, c in counts.items()})
-        assert seen == [{"_covered_twice": 1, "image": 0, "_meet": 0, "canonicalize": 0, "_regular_union": 0,
-                         "union": 0}] * 2
+        assert seen == [{"_covered_twice": 1, "image": 0, **self.NO_SET_OP}] * 2
 
     def test_deciding_a_64_piece_bijection_carries_nothing_and_takes_no_interior(self, monkeypatch):
         # surjectivity and rules 1 and 3 read every branch end from the table:
-        # no end is read off a Fraction again, and only the union's run [0, 1] is built
+        # no end is read off a Fraction again, and only the union's run [0, 1] is built;
+        # surjectivity and the runs held twice share one cut-range build, and rule 3's hull pass makes the other
         m = _increasing_bijection(64)
         counts = {name: self._count(monkeypatch, owners, name)
                   for owners, name in (((plmap,), "_carry"), ((PLMap,), "image"), ((Region,), "interior"),
+                                       ((space, plmap), "_cut_ranges"),
                                        ((fractions.Fraction,), "as_integer_ratio"),
                                        ((fractions.Fraction,), "__new__")) + self.SET_OPS}
         assert is_irreducible(m).irreducible
         got = {name: c[0] for name, c in counts.items()}
         assert got.pop("__new__") <= 2
-        assert got == {"_carry": 0, "image": 0, "interior": 0, "as_integer_ratio": 0, "_meet": 0, "canonicalize": 0,
-                       "_regular_union": 0, "union": 0}
+        assert got == {"_carry": 0, "image": 0, "interior": 0, "_cut_ranges": 2, "as_integer_ratio": 0,
+                       **self.NO_SET_OP}
 
     def test_building_a_64_piece_bijection_sweeps_nothing(self, monkeypatch):
         # the codomain check reads each branch image against the component bounds
         counts = {name: self._count(monkeypatch, owners, name) for owners, name in self.SET_OPS}
         m = _increasing_bijection(64)
         assert len(m.pieces[0]) == 64
-        assert {name: c[0] for name, c in counts.items()} == {"_meet": 0, "canonicalize": 0, "_regular_union": 0,
-                                                              "union": 0}
+        assert {name: c[0] for name, c in counts.items()} == self.NO_SET_OP
 
     def test_rule_three_builds_fractions_only_for_its_witness(self, monkeypatch):
         # i/64 -> i + 2 (i mod 2) from [0, 1] onto [0, 65]: each rising piece's image
         # overlaps the next falling one, so 32 runs are held twice
         m = plmap_from_breakpoints(UNIT, Space1D((Interval(0, 65),)),
                                    [(rat(i, 64), i + 2 * (i % 2)) for i in range(65)])
-        assert len(space._covered_twice([dst for _, dst, _, _ in m._branches])) == 32
+        assert len(space._covered_twice(*space._cut_ranges([dst for _, dst, _, _ in m._branches]))) == 32
         built = self._count(monkeypatch, (fractions.Fraction,), "__new__")
         verdict = is_irreducible(m)
         assert not verdict.irreducible and "covered twice" in verdict.reason
@@ -1045,7 +1050,7 @@ class TestWorkCounts:
         for bits in (space.SWEEP_KEY_BITS, 0):  # 0: every union takes the Fraction-rank fallback
             monkeypatch.setattr(space, "SWEEP_KEY_BITS", bits)
             calls = self._count(monkeypatch, (fractions.Fraction,), "_richcmp")
-            regions.append(space._emit(m.domain, space._merged(*space._cut_ranges(raw))))
+            regions.append(space._union(m.domain, raw))
             compared.append(calls[0])
             monkeypatch.undo()
         assert compared[0] == 0 and compared[1] >= distinct - 1 > 0

@@ -282,7 +282,7 @@ class TestGridOracleAgreement:
         _agree_with_grid(seed)
 
     def test_fraction_sort_agrees(self, monkeypatch):
-        # a bound below every lcm sends every `_positions` call to the Fraction sort
+        # a bound below every lcm sends every `_cut_ranges` call to the Fraction sort
         monkeypatch.setattr(space_module, "SWEEP_KEY_BITS", 0)
         for seed in range(10):
             _agree_with_grid(seed)
@@ -529,7 +529,7 @@ class TestSpaceOracle:
 
     @pytest.mark.parametrize("bits", [None, 0])
     def test_seeded_regions_match_exactly(self, monkeypatch, bits):
-        if bits is not None:  # every `_positions` call takes the Fraction-sort fallback
+        if bits is not None:  # every `_cut_ranges` call takes the Fraction-sort fallback
             monkeypatch.setattr(space_module, "SWEEP_KEY_BITS", bits)
         rng = random.Random(1010)
         dyadic, mixed, prime = (lambda: 1 << rng.randint(0, 10), lambda: rng.randint(1, 60),
@@ -617,21 +617,43 @@ class TestWorkCounts:
             assert op().spans
         assert calls == {"_richcmp": 0, "__eq__": 0, "__post_init__": 0, "canonicalize": 0}
 
-    def test_every_set_operation_makes_one_positions_call(self, monkeypatch):
+    def test_every_set_operation_makes_one_cut_ranges_call(self, monkeypatch):
         # each operation reads all its operands' ends, the components' too, in one call
         rng = random.Random(16)
         a, b = self._dyadic_region(rng, 16), self._dyadic_region(rng, 16)
         raw = list(a.spans + b.spans) + [Span(rat(-1), rat(3), False, False)]
-        calls = self._counted(monkeypatch, [(space_module, "_positions")])
+        calls = self._counted(monkeypatch, [(space_module, "_cut_ranges")])
         ops = {"union": lambda: a.union(b), "intersect": lambda: a.intersect(b),
                "difference": lambda: a.difference(b), "complement": a.complement, "perp": a.perp,
                "join": lambda: ropen_join(a, b), "canonicalize": lambda: canonicalize(UNIT_PT, raw)}
         seen = {}
         for name, op in ops.items():
-            calls["_positions"] = 0
+            calls["_cut_ranges"] = 0
             op()
-            seen[name] = calls["_positions"]
+            seen[name] = calls["_cut_ranges"]
         assert seen == {name: 1 for name in ops}
+
+    def test_set_operations_emit_rows_in_their_meet_walk(self, monkeypatch):
+        # the one meet walk writes the result's rows: no second pass rebuilds them
+        rng = random.Random(17)
+        a, b = self._dyadic_region(rng, 16), self._dyadic_region(rng, 16)
+        raw = list(a.spans + b.spans) + [Span(rat(-1), rat(3), False, False)]
+        original, walks = space_module._meet, []
+
+        def recorded(*args, **kwargs):
+            walks.append(original(*args, **kwargs))
+            return walks[-1]
+
+        monkeypatch.setattr(space_module, "_meet", recorded)
+        ops = {"intersect": lambda: a.intersect(b), "difference": lambda: a.difference(b),
+               "complement": a.complement, "perp": a.perp,
+               "canonicalize": lambda: canonicalize(UNIT_PT, raw).region}
+        for name, op in ops.items():
+            walks.clear()
+            got = op()
+            assert len(walks) == 1, name
+            assert got.rows and len(got.rows) == len(walks[0]), name
+            assert all(row is out for row, out in zip(got.rows, walks[0])), name
 
     # big denominators of 2,061, 2,090, 2,246 and 4,121 bits: their lcm passes
     # SWEEP_KEY_BITS at the first distinct denominator, at a middle one, or at the last
@@ -639,7 +661,7 @@ class TestWorkCounts:
                  "last": [2, 3**1300, 4, 3**650, 1, 5**900]}
 
     @pytest.mark.parametrize("cross", sorted(CROSSINGS))
-    def test_positions_grow_the_lcm_only_where_it_grows_and_rank_past_the_bound(self, monkeypatch, cross):
+    def test_cut_ranges_grow_the_lcm_only_where_it_grows_and_rank_past_the_bound(self, monkeypatch, cross):
         rng = random.Random(4096)
 
         def ends(denominators):
@@ -653,12 +675,12 @@ class TestWorkCounts:
             out += out[::3]  # every third value again
             return out
 
-        def lcm_calls(ends):
-            # the lcm grows only at a denominator that does not divide it, and stops past the bound
+        def lcm_calls(rows):
+            # the lcm grows only at a row with a denominator that does not divide it, and stops past the bound
             common, grown = 1, 0
-            for _, d in ends:
-                if common % d:
-                    common, grown = math.lcm(common, d), grown + 1
+            for (_, d), (_, e), _, _ in rows:
+                if common % d or common % e:
+                    common, grown = math.lcm(common, d, e), grown + 1
                     if common.bit_length() > space_module.SWEEP_KEY_BITS:
                         break
             return grown
@@ -674,9 +696,14 @@ class TestWorkCounts:
         shuffled = crossing[:]
         rng.shuffle(shuffled)
         for values in (under, crossing, shuffled):
+            # rows [v, w), in two groups: each range is (pos(v), pos(w)), and the lcm pass spans both groups
+            rows = [(v, w, True, False) for v, w in zip(values[::2], values[1::2])]
             calls["lcm"] = 0
-            got = space_module._positions(values)
-            assert calls["lcm"] == lcm_calls(values)
+            groups = space_module._cut_ranges(rows[:5], rows[5:])
+            assert calls["lcm"] == lcm_calls(rows)
+            assert [len(g) for g in groups] == [5, len(rows) - 5]
+            assert all(r[2:] == row[:2] for r, row in zip(groups[0] + groups[1], rows))
+            got = [at for g in groups for r in g for at in r[:2]]
             if values is under:  # the same order as a Fraction sort, ties included
                 assert all(at % 2 == 0 for at in got)
                 assert ranks(got, key=None) == ranks(values) != got  # integer positions, not ranks
