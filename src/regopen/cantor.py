@@ -81,7 +81,6 @@ class CantorClopen(_Value):
         object.__setattr__(self, "words", _canonical(self.words))
 
 
-EMPTY = CantorClopen(())
 FULL = CantorClopen(("",))
 
 
@@ -198,7 +197,7 @@ def check_irreducible_cantor(depth: int = 8) -> CantorIrreducibilityReport:
             w = format(i, f"0{k}b")
             checked += 1
             rest_image = closed_value_region(clopen_compl(cylinder(w)))
-            cell = closed_value_region(cylinder(w)).interior()
+            cell = psi_c(cylinder(w))
             expected = full.difference(cell)
             if rest_image != expected or rest_image == full:
                 ok = False

@@ -14,7 +14,15 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import _Value
 
-Element = frozenset  # of atom indices
+
+def _set_labels(obj, field: str, owner: str, unit: str) -> None:
+    """Freeze the labels in `field` as a tuple: at least one, all distinct."""
+    labels = tuple(getattr(obj, field))
+    object.__setattr__(obj, field, labels)
+    if not labels:
+        raise ValueError(f"{owner} needs at least one {unit}")
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"{unit} labels must be distinct")
 
 
 class FiniteBooleanAlgebra(_Value):
@@ -23,45 +31,18 @@ class FiniteBooleanAlgebra(_Value):
     atom_labels: tuple[str, ...]
 
     def __post_init__(self):
-        labels = tuple(self.atom_labels)
-        object.__setattr__(self, "atom_labels", labels)
-        if not labels:
-            raise ValueError("algebra needs at least one atom")
-        if len(set(labels)) != len(labels):
-            raise ValueError("atom labels must be distinct")
+        _set_labels(self, "atom_labels", "algebra", "atom")
 
     @property
     def n(self) -> int:
         return len(self.atom_labels)
 
-    @property
-    def zero(self) -> Element:
-        return frozenset()
-
-    @property
-    def one(self) -> Element:
-        return frozenset(range(self.n))
-
-    def atom(self, index: int) -> Element:
-        return frozenset((index,))
-
-    def join(self, a: Element, b: Element) -> Element:
-        return a | b
-
-    def meet(self, a: Element, b: Element) -> Element:
-        return a & b
-
-    def neg(self, a: Element) -> Element:
-        return self.one - a
-
 
 class TwoValuedHom(_Value):
-    """A homomorphism onto {0, 1}: evaluation at one atom."""
+    """A homomorphism onto {0, 1}: evaluation at one atom, which holds on
+    exactly the elements that contain it."""
 
     atom_index: int
-
-    def __call__(self, e: Element) -> int:
-        return 1 if self.atom_index in e else 0
 
 
 def dual_space(algebra: FiniteBooleanAlgebra) -> tuple[TwoValuedHom, ...]:
@@ -76,12 +57,7 @@ class FiniteDiscreteSpace(_Value):
     point_labels: tuple[str, ...]
 
     def __post_init__(self):
-        labels = tuple(self.point_labels)
-        object.__setattr__(self, "point_labels", labels)
-        if not labels:
-            raise ValueError("space needs at least one point")
-        if len(set(labels)) != len(labels):
-            raise ValueError("point labels must be distinct")
+        _set_labels(self, "point_labels", "space", "point")
 
     @property
     def n(self) -> int:

@@ -26,13 +26,6 @@ class PLFunc(_Value):
     def value(self, x: Rational) -> Rational:
         return _value(self, self.point_values, x)
 
-    def breakpoints(self) -> list[Rational]:
-        out = []
-        for run in self.pieces:
-            out.append(run[0].src_lo)
-            out.extend(p.src_hi for p in run)
-        return out
-
 
 def plfunc_from_breakpoints(
     space: Space1D,

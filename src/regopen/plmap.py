@@ -14,8 +14,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import Discontinuity, ImageEscapesCodomain, NotSurjective, SpaceMismatch, _Value
 from .rationals import Q, Rational, rat
-from .space import (Region, Space1D, Span, _covered_twice, _cut_ranges, _hull_runs, _locate, _merged, _regular_union,
-                    _union)
+from .space import Region, Space1D, Span, _cut_ranges, _hull_runs, _locate, _meet, _merged, _regular_union, _union
 
 
 class Piece(_Value):
@@ -265,24 +264,25 @@ def is_irreducible(m: PLMap) -> IrreducibilityVerdict:
     recomputation before it is returned.
 
     Surjectivity and the runs that two branch images hold, which rules 1
-    and 3 read, come off one sorted list of the n images' cut ranges: one
-    union walk and one `_covered_twice` walk, O(n log n), then one bisection
-    per isolated point and one per piece.
+    and 3 read, come off one sorted list of the n images' cut ranges, built
+    by one `_cut_ranges` call with the codomain's: one union walk and one
+    meet walk, O(n log n), then one bisection per isolated point and one
+    per piece.
     """
-    [images] = _cut_ranges([dst for _, dst, _, _ in m._branches])
+    full, images = _cut_ranges(m.codomain._full.rows, [dst for _, dst, _, _ in m._branches])
     if tuple(_merged(images)) != m.codomain._full.rows:  # as `is_surjective`, and it leaves them sorted
         raise NotSurjective("irreducibility is only defined for surjective maps")
 
-    full = m.domain.full_region()
+    y_full = m.domain.full_region()
     x_full = m.codomain.full_region()
 
     def verified(witness: Region, reason: str) -> IrreducibilityVerdict:
-        rest = full.difference(witness)
+        rest = y_full.difference(witness)
         if m.image(rest) != x_full:
             raise AssertionError(f"internal witness failed re-verification: {reason}")
         return IrreducibilityVerdict(False, witness, reason)
 
-    twice = _covered_twice(images)
+    twice = _merged(_meet(images, False), False)  # the runs two closed images hold, as cut ranges
 
     # rule 1: an isolated point whose removal keeps the map onto
     p = _redundant_point(m, twice)
@@ -299,7 +299,7 @@ def is_irreducible(m: PLMap) -> IrreducibilityVerdict:
             return verified(w, f"constant piece on [{piece.src_lo}, {piece.src_hi}]")
 
     # rule 3: a monotone piece whose image interior is covered elsewhere
-    found = _first_overlap(m, twice)
+    found = _first_overlap(m, full, twice)
     if found is None:
         return IrreducibilityVerdict(True)
     piece, (lo, hi, _, _) = found
@@ -318,33 +318,36 @@ def _redundant_point(m: PLMap, twice: list) -> Optional[Rational]:
     """The first isolated point whose removal keeps the map onto.
 
     The map is onto, so dropping p keeps it onto exactly when another branch
-    also covers p's image: when it meets `twice`, the runs that at least two
-    closed branch images hold, found by bisection.
+    also covers p's image: when it meets `twice`, the cut ranges of the runs
+    that at least two closed branch images hold, found by bisection.
     """
+    if not m.point_images:
+        return None
+    runs = [(lo, hi, True, True) for _, _, lo, hi in twice]  # the meets of closed ranges are closed
     rows = m._branches[sum(map(len, m.pieces)):]  # the branches list the points last, in order
     for (p, _), (_, dst, _, _) in zip(m.point_images, rows):
         # the runs are maximal, so no two share an end that either holds:
         # a point meets the first run that does not end below it, or none
-        i = _locate(twice, dst[0])
-        if i < len(twice) and _span_intersect(twice[i], dst) is not None:
+        i = _locate(runs, dst[0])
+        if i < len(runs) and _span_intersect(runs[i], dst) is not None:
             return p
     return None
 
 
-def _first_overlap(m: PLMap, twice: list) -> Optional[tuple[Piece, tuple]]:
+def _first_overlap(m: PLMap, full: list, twice: list) -> Optional[tuple[Piece, tuple]]:
     """The first piece, in run order, whose image interior meets the interior
     of the other branch images (pieces and point images), with the first row
     of that meet.  Every piece is monotone here (rule 2 ran first).
 
     Inside a piece's closed image, a point lies in another branch image
     exactly when at least two closed branch images hold it.  So the closed
-    runs `twice` give D = int(twice) for all pieces in one `_hull_runs`
-    pass, and each piece meets D by bisection with its open image row: it
-    differs from int(own) only in flags at component ends, where no meet is
-    a lone point (D has none inside an interval), so the first meet has the
-    same ends.
+    runs `twice`, cut ranges built with the codomain's `full`, give
+    D = int(twice) for all pieces in one `_hull_runs` pass, and each piece
+    meets D by bisection with its open image row: it differs from int(own)
+    only in flags at component ends, where no meet is a lone point (D has
+    none inside an interval), so the first meet has the same ends.
     """
-    inner = _hull_runs(m.codomain, twice)
+    inner = _hull_runs(full, twice)
     # the branches list the pieces first, in run order, so zip stops before the points
     for piece, (_, (lo, hi, _, _), _, _) in zip([q for run in m.pieces for q in run], m._branches):
         (hn, hd), own = hi, (lo, hi, False, False)

@@ -78,9 +78,6 @@ class Space1D(_Value):
             if not _bounds(left)[1] < _bounds(right)[0]:
                 raise ValueError("components must be sorted with positive gaps")
 
-    def contains(self, x: Rational) -> bool:
-        return any(a <= x <= b for a, b in map(_bounds, self.components))
-
     def full_region(self) -> "Region":
         return self._full
 
@@ -117,15 +114,6 @@ class Span(_Value):
     def __post_init__(self):
         object.__setattr__(self, "lo", rat(self.lo))
         object.__setattr__(self, "hi", rat(self.hi))
-
-    def contains(self, x: Rational) -> bool:
-        if not self.lo <= x <= self.hi:
-            return False
-        if self.lo < x < self.hi:
-            return True
-        if self.lo == self.hi:
-            return self.lo_incl and self.hi_incl
-        return self.lo_incl if x == self.lo else self.hi_incl
 
 
 _set_lo, _set_hi, _set_lo_incl, _set_hi_incl = (Span.__dict__[f].__set__ for f in Span.__slots__)
@@ -400,23 +388,16 @@ def _gaps(ranges: list) -> list:
     return out
 
 
-def _covered_twice(ranges: list) -> list:
-    """The maximal runs, as rows in order, of the cuts that two of the
-    nonempty cut ranges hold: the parts of one `_meet` walk, joined by
-    `_merged`."""
-    return _merged(_meet(ranges, False))
+def _hull_runs(full: list, ranges: list) -> list:
+    """The rows of int(cl(U)), U the union of nonempty cut ranges, built by
+    one `_cut_ranges` call with `full`, the full region's.
 
-
-def _hull_runs(space: Space1D, rows: Sequence) -> list:
-    """The rows of int(cl(U)), U the union of nonempty rows of `space`.
-
-    One sort by lo merges the rows' closed cut ranges into the runs of
-    cl(U), and each run is opened against its component on the same
-    positions: it keeps an end only where the component does, and a lone
-    point only if it is isolated.  A run outside every component raises
-    `SpaceMismatch`, as `Region.interior` does.
+    One sort by lo merges the ranges' closures into the runs of cl(U), and
+    each run is opened against its component on the same positions: it
+    keeps an end only where the component does, and a lone point only if
+    it is isolated.  A run outside every component raises `SpaceMismatch`,
+    as `Region.interior` does.
     """
-    full, ranges = _cut_ranges(space._full.rows, rows)
     ranges.sort(key=itemgetter(0))  # closures (lo_at & -2, hi_at | 1) keep this order
     out = []
     i, (c_lo, c_hi, _, _) = 0, full[0]
@@ -445,7 +426,7 @@ def _hull_runs(space: Space1D, rows: Sequence) -> list:
 
 def _regular_union(space: Space1D, rows: Sequence) -> Region:
     """int(cl(U)) as a region, U the union of nonempty rows of `space`."""
-    return _region(space, tuple(_hull_runs(space, rows)))
+    return _region(space, tuple(_hull_runs(*_cut_ranges(space._full.rows, rows))))
 
 
 def canonicalize(space: Space1D, raw_spans: Iterable[Span]) -> CanonicalizeResult:
@@ -539,21 +520,20 @@ def theta(space: Space1D, w_atomic: Optional[Region], w_atomless: Optional[Regio
 
     Each argument lives over the corresponding subspace; pass None for a
     factor the space does not have.  The result is the regularized union
-    of the embedded pieces.
+    of the embedded pieces: one `_regular_union` pass over their rows, which
+    are rows of the space as they stand, since a factor's components are
+    the space's own.
     """
     dec = decompose_space(space)
-    parts: list[Region] = []
+    rows: tuple = ()
     for w, sub in ((w_atomic, dec.sub_atomic), (w_atomless, dec.sub_atomless)):
         if sub is None and w is not None and not w.is_empty:
             raise SpaceMismatch("space has no matching factor for argument")
         if sub is not None and w is not None:
             if w.space != sub:
                 raise SpaceMismatch("argument does not live over the decomposition factor")
-            parts.append(embed(w, space))
-    acc = space.empty_region()
-    for p in parts:
-        acc = acc.union(p)
-    return acc.regularize()
+            rows += w.rows
+    return _regular_union(space, rows)
 
 
 # --- seeded random regular opens ---

@@ -42,7 +42,7 @@ def gleason_cover(x: FiniteDiscreteSpace) -> GleasonCoverResult:
     for k, hom in enumerate(homs):
         acc = frozenset(range(x.n))
         for v in subsets(x.n):
-            if hom(v):
+            if hom.atom_index in v:
                 acc = acc & v
         (target,) = acc
         table.append((p_space.point_labels[k], x.point_labels[target]))
@@ -69,7 +69,7 @@ def verify_projective_cover(
         return frozenset(i for i, b in enumerate(images) if b in v)
 
     def phi(v: frozenset) -> frozenset:
-        return frozenset(k for k, hom in enumerate(homs) if hom(v))
+        return frozenset(k for k, hom in enumerate(homs) if hom.atom_index in v)
 
     def first_failure(space: FiniteDiscreteSpace, fails) -> Optional[list[str]]:
         for bits in range(2 ** space.n):

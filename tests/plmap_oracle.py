@@ -7,8 +7,8 @@ and 3 of `is_irreducible` from one
 coverage count over all branch images.  These are the forms it
 replaced: the bisected transport kernel in Fraction arithmetic (`_carry`,
 `_span_intersect`, `_affine_ratios`, and `pullback` by dividing each cut),
-every piece against every span, flags from `Span.contains`, one image of
-the domain without each isolated point, and one canonicalization of the
+every piece against every span, flags from `space_oracle.holds`, one image
+of the domain without each isolated point, and one canonicalization of the
 other branches per piece.  Tests compare the two on random maps.
 
 psi and phi make int(cl(U)) of the carried spans' union U in one hull
@@ -25,9 +25,9 @@ replaced are kept as `is_surjective_by_image` (the image of the whole
 domain), `validate_by_sweeps` (one reference sweep per branch against the
 full codomain) and `first_overlap_by_interiors` (rule 3 against int(own), one
 region and one `interior` per piece).  Rules 1 and 3 read the runs that two
-branch images hold from one `space._covered_twice` walk; the coverage sweep
-it replaced is `covered_twice_by_sweep`, here on the reference sweep
-`space_oracle.sweep_by_groupby`.
+branch images hold from one `space._meet` walk joined by `space._merged`;
+the coverage sweep it replaced is `covered_twice_by_sweep`, here on the
+reference sweep `space_oracle.sweep_by_groupby`.
 
 Test-only device; the library itself never touches it.
 """
@@ -143,7 +143,7 @@ def pl_supp_by_fractions(f: PLFunc) -> Region:
 def pullback_by_cuts(pi: PLMap, f: PLFunc) -> PLFunc:
     """Each cut of f divided back through every monotone piece, each
     sub-piece's branch of f located at its midpoint."""
-    cuts = sorted(set(f.breakpoints()))
+    cuts = sorted({x for run in f.pieces for q in run for x in (q.src_lo, q.src_hi)})
     branches = branches_by_fractions(f)
     runs = []
     for run in pi.pieces:
@@ -169,8 +169,8 @@ def span_intersect_by_contains(a: Span, b: Span) -> Optional[Span]:
     hi = min(a.hi, b.hi)
     if lo > hi:
         return None
-    lo_incl = a.contains(lo) and b.contains(lo)
-    hi_incl = a.contains(hi) and b.contains(hi)
+    lo_incl = space_oracle.holds(a, lo) and space_oracle.holds(b, lo)
+    hi_incl = space_oracle.holds(a, hi) and space_oracle.holds(b, hi)
     out = Span(lo, hi, lo_incl, hi_incl)
     return None if space_oracle.span_is_empty(out) else out
 
@@ -185,7 +185,7 @@ def image_by_pairs(m: PLMap, r: Region) -> Region:
                 if part is not None:
                     raw.append(affine_span_by_fractions(part, piece.slope, piece.intercept))
     for p, v in m.point_images:
-        if r.contains(p):
+        if space_oracle.holds(r, p):
             raw.append(Span(v, v, True, True))
     return _canonical(m.codomain, raw)
 
@@ -197,7 +197,7 @@ def preimage_by_pairs(m: PLMap, s: Region) -> Region:
             src = Span(piece.src_lo, piece.src_hi, True, True)
             for t in s.spans:
                 if piece.slope == 0:
-                    if t.contains(piece.intercept):
+                    if space_oracle.holds(t, piece.intercept):
                         raw.append(src)
                     continue
                 back = affine_span_by_fractions(t, 1 / piece.slope, -piece.intercept / piece.slope)
@@ -205,7 +205,7 @@ def preimage_by_pairs(m: PLMap, s: Region) -> Region:
                 if part is not None:
                     raw.append(part)
     for p, v in m.point_images:
-        if any(t.contains(v) for t in s.spans):
+        if space_oracle.holds(s, v):
             raw.append(Span(p, p, True, True))
     return _canonical(m.domain, raw)
 
@@ -218,7 +218,7 @@ def phi_by_pairs(m: PLMap, v: Region) -> Region:
     return preimage_by_pairs(m, v).closure().interior()
 
 
-def redundant_point_by_images(m: PLMap, twice: Region) -> Optional[Rational]:
+def redundant_point_by_images(m: PLMap, twice: list) -> Optional[Rational]:
     """Rule 1 point by point: the first isolated point whose removal leaves
     the image of the rest of the domain the whole codomain.  `twice` is
     ignored."""
@@ -230,9 +230,9 @@ def redundant_point_by_images(m: PLMap, twice: Region) -> Optional[Rational]:
     return None
 
 
-def first_overlap_by_branches(m: PLMap, twice: Region) -> Optional[tuple[Piece, tuple]]:
+def first_overlap_by_branches(m: PLMap, full: list, twice: list) -> Optional[tuple[Piece, tuple]]:
     """Rule 3 branch by branch: int(own image) against int(union of the others).
-    `twice` is ignored."""
+    `full` and `twice` are ignored."""
     branches: list[tuple[Optional[Piece], Span]] = []
     for run in m.pieces:
         for piece in run:
@@ -263,10 +263,10 @@ def validate_by_sweeps(m: PLMap) -> None:
             raise ImageEscapesCodomain(src.lo if src.lo == src.hi else (src.lo, src.hi))
 
 
-def first_overlap_by_interiors(m: PLMap, twice: list) -> Optional[tuple[Piece, tuple]]:
-    """Rule 3 on the runs held twice, read as a region and opened by
-    `interior`, each piece's image read as int(own)."""
-    held = trusted_region(m.codomain, [Span(Q(*lo), Q(*hi), a, b) for lo, hi, a, b in twice])
+def first_overlap_by_interiors(m: PLMap, full: list, twice: list) -> Optional[tuple[Piece, tuple]]:
+    """Rule 3 on the runs held twice, cut ranges read as a region and opened
+    by `interior`, each piece's image read as int(own).  `full` is ignored."""
+    held = trusted_region(m.codomain, [Span(Q(*lo), Q(*hi), a & 1 == 0, b & 1 == 1) for a, b, lo, hi in twice])
     inner = [span_row(d) for d in held.interior().spans]
     for piece, (_, image, _, _) in zip([q for run in m.pieces for q in run], branches_by_fractions(m)):
         own = span_row(trusted_region(m.codomain, [image]).interior().spans[0])

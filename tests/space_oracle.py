@@ -48,6 +48,14 @@ def within(space: Space1D, lo, hi) -> bool:
     return any(a <= lo and hi <= b for a, b in map(_bounds, space.components))
 
 
+def holds(where, x) -> bool:
+    """Whether x lies in `where`, a Span, a Region or a Space1D, by Fraction
+    comparisons with each span's ends and flags; the library's one
+    membership test, `Region.contains`, bisects integer rows instead."""
+    spans = (where,) if isinstance(where, Span) else _full(where) if isinstance(where, Space1D) else where.spans
+    return any(s.lo <= x <= s.hi and (x != s.lo or s.lo_incl) and (x != s.hi or s.hi_incl) for s in spans)
+
+
 def sweep_by_groupby(space: Space1D, op: Callable[..., bool], *groups: Sequence[Span]) -> Region:
     events = []
     for g, spans in enumerate(groups):

@@ -7,7 +7,6 @@ import pytest
 
 from regopen import cantor, space
 from regopen.cantor import (
-    EMPTY,
     FULL,
     UNIT_INTERVAL,
     CantorClopen,
@@ -30,6 +29,8 @@ from regopen.rationals import rat
 from regopen.space import Region, Span, ropen_join, ropen_meet, ropen_neg
 
 from conftest import TWO_INTERVALS, region
+
+EMPTY = CantorClopen(())
 
 
 def value_interval(w: str) -> tuple:

@@ -200,7 +200,7 @@ class TestImagePreimage:
                 img = m.image(r)
                 for k in range(33):
                     y = rat(k, 32) * 3  # sweep [0, 3] to cover every codomain
-                    if not m.codomain.contains(y):
+                    if not space_oracle.holds(m.codomain, y):
                         continue
                     hit = not m.preimage(
                         Region(m.codomain, [Span(y, y, True, True)])
@@ -215,7 +215,7 @@ class TestImagePreimage:
                 pre = m.preimage(s)
                 for k in range(65):
                     x = rat(k, 64) * 3
-                    if not m.domain.contains(x):
+                    if not space_oracle.holds(m.domain, x):
                         continue
                     assert pre.contains(x) == s.contains(m.value(x))
 
@@ -580,10 +580,17 @@ def _pairings(cod: Space1D, spans: list[Span]) -> set:
     return seen | {"open end" for t in spans if not (t.lo_incl and t.hi_incl)}
 
 
+def _held_twice(rows: list) -> list:
+    """The runs that two of the rows hold, as rows: `is_irreducible`'s meet
+    walk over their cut ranges, joined by the union walk."""
+    return space._merged(space._meet(*space._cut_ranges(rows), False))
+
+
 @pytest.mark.usefixtures("audited_rows")
 class TestCoveredTwiceOracle:
-    """The runs that two spans hold, one `space._covered_twice` walk over
-    their cut ranges, against the coverage sweep it replaced, by repr."""
+    """The runs that two spans hold, one `space._meet` walk over their cut
+    ranges joined by `space._merged`, against the coverage sweep it
+    replaced, by repr."""
 
     @pytest.mark.parametrize("bits", [None, 0])
     def test_runs_match_the_coverage_sweep(self, monkeypatch, bits):
@@ -594,13 +601,13 @@ class TestCoveredTwiceOracle:
         for i in range(400):
             cod = FIXTURE_SPACES[i % len(FIXTURE_SPACES)]
             spans = _images(rng, cod, closed=i % 4 != 3)
-            got = space._covered_twice(*space._cut_ranges([span_row(t) for t in spans]))
+            got = _held_twice([span_row(t) for t in spans])
             assert repr(got) == repr(covered_twice_by_sweep(cod, spans)), spans
             seen |= _pairings(cod, spans) | ({"held twice"} if got else set())
         for _ in range(100):  # branch images, on prime grids too
             m = _random_cover(rng, _PRIMES if rng.random() < 0.5 else ())
             images = [dst for _, dst, _, _ in branches_by_fractions(m)]
-            got = space._covered_twice(*space._cut_ranges([dst for _, dst, _, _ in m._branches]))
+            got = _held_twice([dst for _, dst, _, _ in m._branches])
             assert repr(got) == repr(covered_twice_by_sweep(m.codomain, images)), m
         assert seen == {"touching ends", "equal lo", "nested", "point on a range", "isolated point twice",
                         "open end", "held twice"}
@@ -633,7 +640,7 @@ def _features(args: tuple, outcome: tuple) -> set:
         if not isinstance(location, tuple):
             return seen | {"escape at a point image"}
         y = dict(values)  # a piece's source ends are consecutive breakpoints
-        return seen | {"escape across a gap" if all(cod.contains(y[x]) for x in location)
+        return seen | {"escape across a gap" if all(space_oracle.holds(cod, y[x]) for x in location)
                        else "escape past the codomain"}
     m, _, verdict = outcome
     seen |= {"constant piece" for run in m.pieces for q in run if q.slope == 0}
@@ -887,7 +894,7 @@ class TestWorkCounts:
     # every Region set operation runs one of these: a meet that emits rows
     # (the four below, or the clip of the checked constructor and of embed),
     # the checked constructor, the hull pass of the join, or the union walk;
-    # `_covered_twice` runs its own `_meet`, so the meet is counted at its callers
+    # `is_irreducible` runs its own `_meet`, so the meet is counted at its callers
     SET_OPS = tuple(((Region,), name) for name in ("intersect", "difference", "complement", "perp")) + (
         ((space,), "_clip"), ((space,), "canonicalize"), ((space, plmap), "_regular_union"),
         ((space, plmap), "_union"))
@@ -897,7 +904,7 @@ class TestWorkCounts:
     def test_rule_one_images_the_same_at_1_and_8_isolated_points(self, monkeypatch):
         # rule 1 reads the one coverage pass over the branch images, by bisection
         counts = {name: self._count(monkeypatch, owners, name)
-                  for owners, name in (((space, plmap), "_covered_twice"), ((PLMap,), "image")) + self.SET_OPS}
+                  for owners, name in (((space, plmap), "_meet"), ((PLMap,), "image")) + self.SET_OPS}
         seen = []
         for k in (1, 8):
             m = identity_map(Space1D((Interval(0, 1),) + tuple(Point(2 + i) for i in range(k))))
@@ -905,12 +912,12 @@ class TestWorkCounts:
                 c[0] = 0
             assert is_irreducible(m).irreducible
             seen.append({name: c[0] for name, c in counts.items()})
-        assert seen == [{"_covered_twice": 1, "image": 0, **self.NO_SET_OP}] * 2
+        assert seen == [{"_meet": 1, "image": 0, **self.NO_SET_OP}] * 2
 
     def test_deciding_a_64_piece_bijection_carries_nothing_and_takes_no_interior(self, monkeypatch):
         # surjectivity and rules 1 and 3 read every branch end from the table:
         # no end is read off a Fraction again, and only the union's run [0, 1] is built;
-        # surjectivity and the runs held twice share one cut-range build, and rule 3's hull pass makes the other
+        # surjectivity, the runs held twice and rule 3's hull pass share one cut-range build
         m = _increasing_bijection(64)
         counts = {name: self._count(monkeypatch, owners, name)
                   for owners, name in (((plmap,), "_carry"), ((PLMap,), "image"), ((Region,), "interior"),
@@ -920,7 +927,7 @@ class TestWorkCounts:
         assert is_irreducible(m).irreducible
         got = {name: c[0] for name, c in counts.items()}
         assert got.pop("__new__") <= 2
-        assert got == {"_carry": 0, "image": 0, "interior": 0, "_cut_ranges": 2, "as_integer_ratio": 0,
+        assert got == {"_carry": 0, "image": 0, "interior": 0, "_cut_ranges": 1, "as_integer_ratio": 0,
                        **self.NO_SET_OP}
 
     def test_building_a_64_piece_bijection_sweeps_nothing(self, monkeypatch):
@@ -935,7 +942,7 @@ class TestWorkCounts:
         # overlaps the next falling one, so 32 runs are held twice
         m = plmap_from_breakpoints(UNIT, Space1D((Interval(0, 65),)),
                                    [(rat(i, 64), i + 2 * (i % 2)) for i in range(65)])
-        assert len(space._covered_twice(*space._cut_ranges([dst for _, dst, _, _ in m._branches]))) == 32
+        assert len(_held_twice([dst for _, dst, _, _ in m._branches])) == 32
         built = self._count(monkeypatch, (fractions.Fraction,), "__new__")
         verdict = is_irreducible(m)
         assert not verdict.irreducible and "covered twice" in verdict.reason
