@@ -91,18 +91,18 @@ class UnboundName(RegopenError):
 class Discontinuity(RegopenError):
     """A piecewise map has mismatched values at a shared breakpoint."""
 
-    def __init__(self, location, message: str = ""):
+    def __init__(self, location):
         self.location = location
-        super().__init__(message or f"discontinuity at {location}")
+        super().__init__(f"discontinuity at {location}")
 
 
 class ImageEscapesCodomain(RegopenError):
     """A piece's value set leaves the codomain."""
 
-    def __init__(self, location, message: str = ""):
+    def __init__(self, location):
         self.location = location  # a point, or a piece's (lo, hi) source span
         where = f"[{location[0]}, {location[1]}]" if isinstance(location, tuple) else location
-        super().__init__(message or f"image escapes codomain at {where}")
+        super().__init__(f"image escapes codomain at {where}")
 
 
 class NotSurjective(RegopenError):

@@ -8,7 +8,7 @@ moving supports through the cover's phi/psi.
 from __future__ import annotations
 
 from .errors import NotIrreducible, SpaceMismatch, _Value
-from .plmap import Piece, PLMap, _affine_ratios, _carry, _runs, _settle, _span_intersect, _value, is_irreducible
+from .plmap import Piece, PLMap, _affine_ratios, _carry, _runs, _settle, _span_intersect, _table, _value, is_irreducible
 from .rationals import Q, Rational
 from .space import Region, Space1D, _locate, _union, ropen_join, ropen_meet
 
@@ -114,17 +114,16 @@ def pullback(pi: PLMap, f: PLFunc) -> PLFunc:
     """
     if f.space != pi.codomain:
         raise SpaceMismatch("function is not over the cover codomain")
-    pieces = [h for run in f.pieces for h in run]  # the branches list them first, so zip stops at the points
-    sources = [src + (h.slope, h.intercept) for (src, _, _, _), h in zip(f._branches, pieces)]
+    # f's pieces, not its isolated points; a constant one of value n/d as the map y ↦ (0·y + n) / d
+    sources = [src + (forward or (0, *dst[0]),) for src, dst, forward, _ in f._branches if src[0] != src[1]]
     runs, branches = [], iter(pi._branches)
     for run in pi.pieces:
         out = []
-        for piece, (_, (lo, hi, _, _), _, back) in zip(run, branches):
-            slope, intercept = piece.slope, piece.intercept
-            if not slope:
-                out.append(Piece._trusted(piece.src_lo, piece.src_hi, slope, f.value(intercept)))
+        for piece, (_, (lo, hi, _, _), forward, back) in zip(run, branches):
+            if forward is None:
+                out.append(Piece._trusted(piece.src_lo, piece.src_hi, piece.slope, f.value(piece.intercept)))
                 continue
-            p, q, r = back
+            p, q, r = forward
             inside, parts = (lo, hi, False, False), []  # a piece of f that only touches it is no meet
             hn, hd = hi
             for t in sources[_locate(sources, lo):]:
@@ -132,11 +131,11 @@ def pullback(pi: PLMap, f: PLFunc) -> PLFunc:
                 if n * hd > hn * d:
                     break
                 part = _span_intersect(t, inside)
-                if part is not None:
-                    (a, b, _, _), m, k = _affine_ratios(part, p, q, r), t[4], t[5]
-                    parts.append(Piece._trusted(Q(*a), Q(*b), m * slope, m * intercept + k))
+                if part is not None:  # f's (a·y + b) / c after y = (p·x + q) / r
+                    (x0, x1, _, _), (a, b, c) = _affine_ratios(part, *back), t[4]
+                    parts.append(Piece._trusted(Q(*x0), Q(*x1), Q(a * p, c * r), Q(a * q + b * r, c * r)))
             out += parts if p > 0 else parts[::-1]
         runs.append(tuple(out))
     g = PLFunc._trusted(pi.domain, tuple(runs), tuple([(p, f.value(v)) for p, v in pi.point_images]))
-    _settle(g, pi.domain, "point_values", check=False)  # its pieces tile and join by construction
+    object.__setattr__(g, "_branches", _table(g.pieces, g.point_values))  # its pieces tile and join by construction
     return g

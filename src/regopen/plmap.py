@@ -38,24 +38,26 @@ class Piece(_Value):
 # --- the piecewise-linear core shared by maps and functions ---
 
 
-def _settle(obj, space: Space1D, points_field: str, check: bool = True) -> None:
-    """Freeze `obj.pieces` and its (point, value) pairs and check both over
-    `space`, unless `check` is false (the library built them valid), then build
-    the branch table: one branch per piece in run order, then one per isolated
-    point as a constant, all spans closed.  `obj._branches` holds each branch
-    as one integer row (src, dst, forward, backward): its source and image
-    spans as region rows and the `_affine` integers of its map and of the
-    inverse, both None for a constant.  No Span and no Fraction is built."""
-    if check:
-        # tuple() of a list allocates the final size; of a generator it resizes
-        # a guess, and each resized block then stays in the tuple free list
-        object.__setattr__(obj, "pieces", tuple([tuple(run) for run in obj.pieces]))
-        points = tuple([(rat(p), rat(v)) for p, v in getattr(obj, points_field)])
-        object.__setattr__(obj, points_field, points)
-        _check_runs(space, obj.pieces)
-        _check_points(space, points, points_field)
-    parts = [(q.src_lo, q.src_hi, q.slope, q.intercept) for run in obj.pieces for q in run]
-    parts += [(p, p, 0, v) for p, v in getattr(obj, points_field)]
+def _settle(obj, space: Space1D, points_field: str) -> None:
+    """Freeze `obj.pieces` and its (point, value) pairs, check both over `space`, then build `obj._branches`."""
+    # tuple() of a list allocates the final size; of a generator it resizes
+    # a guess, and each resized block then stays in the tuple free list
+    object.__setattr__(obj, "pieces", tuple([tuple(run) for run in obj.pieces]))
+    points = tuple([(rat(p), rat(v)) for p, v in getattr(obj, points_field)])
+    object.__setattr__(obj, points_field, points)
+    _check_runs(space, obj.pieces)
+    _check_points(space, points, points_field)
+    object.__setattr__(obj, "_branches", _table(obj.pieces, points))
+
+
+def _table(pieces, points) -> tuple:
+    """One branch per piece in run order, then one per (point, value) as a
+    constant, each an integer row (src, dst, forward, backward): its closed
+    source and image spans as region rows and the `_affine` integers of its
+    map and of the inverse, both None for a constant.  A branch whose source
+    ends are equal is an isolated point.  No Span and no Fraction is built."""
+    parts = [(q.src_lo, q.src_hi, q.slope, q.intercept) for run in pieces for q in run]
+    parts += [(p, p, 0, v) for p, v in points]
     table = []
     for lo, hi, k, c in parts:
         src = (lo.as_integer_ratio(), hi.as_integer_ratio(), True, True)
@@ -64,7 +66,7 @@ def _settle(obj, space: Space1D, points_field: str, check: bool = True) -> None:
             table.append((src, _affine_ratios(src, *forward), forward, backward))
         else:
             table.append((src, (c.as_integer_ratio(),) * 2 + (True, True), None, None))
-    object.__setattr__(obj, "_branches", tuple(table))
+    return tuple(table)
 
 
 def _value(obj, points, x: Rational) -> Rational:
@@ -291,26 +293,24 @@ def is_irreducible(m: PLMap) -> IrreducibilityVerdict:
         return verified(candidate, f"isolated point {p} is redundant")
 
     # rule 2: a constant piece always leaves both endpoints behind; the table
-    # lists the pieces first, in run order, and keeps no affine map for a constant
-    for piece, (_, _, forward, _) in zip([q for run in m.pieces for q in run], m._branches):
-        if forward is None:
-            third = (piece.src_hi - piece.src_lo) / 3
-            w = Region(m.domain, [Span(piece.src_lo + third, piece.src_hi - third, False, False)])
-            return verified(w, f"constant piece on [{piece.src_lo}, {piece.src_hi}]")
+    # keeps no affine map for a constant, and a piece's source ends differ
+    for (lo, hi, _, _), _, forward, _ in m._branches:
+        if forward is None and lo != hi:
+            lo, hi = Q(*lo), Q(*hi)
+            third = (hi - lo) / 3
+            w = Region(m.domain, [Span(lo + third, hi - third, False, False)])
+            return verified(w, f"constant piece on [{lo}, {hi}]")
 
     # rule 3: a monotone piece whose image interior is covered elsewhere
     found = _first_overlap(m, full, twice)
     if found is None:
         return IrreducibilityVerdict(True)
-    piece, (lo, hi, _, _) = found
+    i, (lo, hi, _, _) = found
     lo, hi = Q(*lo), Q(*hi)
     third = (hi - lo) / 3
-    w1, w2 = lo + third, hi - third
-    a = (w1 - piece.intercept) / piece.slope
-    b = (w2 - piece.intercept) / piece.slope
-    if a > b:
-        a, b = b, a
-    witness = Region(m.domain, [Span(a, b, False, False)])
+    middle = ((lo + third).as_integer_ratio(), (hi - third).as_integer_ratio(), False, False)
+    a, b, _, _ = _affine_ratios(middle, *m._branches[i][3])  # carried back by the piece's inverse
+    witness = Region(m.domain, [Span(Q(*a), Q(*b), False, False)])
     return verified(witness, f"piece image ({lo}, {hi}) overlap is covered twice")
 
 
@@ -324,20 +324,22 @@ def _redundant_point(m: PLMap, twice: list) -> Optional[Rational]:
     if not m.point_images:
         return None
     runs = [(lo, hi, True, True) for _, _, lo, hi in twice]  # the meets of closed ranges are closed
-    rows = m._branches[sum(map(len, m.pieces)):]  # the branches list the points last, in order
-    for (p, _), (_, dst, _, _) in zip(m.point_images, rows):
+    for (lo, hi, _, _), dst, _, _ in m._branches:
+        if lo != hi:  # a piece
+            continue
         # the runs are maximal, so no two share an end that either holds:
         # a point meets the first run that does not end below it, or none
         i = _locate(runs, dst[0])
         if i < len(runs) and _span_intersect(runs[i], dst) is not None:
-            return p
+            return Q(*lo)
     return None
 
 
-def _first_overlap(m: PLMap, full: list, twice: list) -> Optional[tuple[Piece, tuple]]:
-    """The first piece, in run order, whose image interior meets the interior
-    of the other branch images (pieces and point images), with the first row
-    of that meet.  Every piece is monotone here (rule 2 ran first).
+def _first_overlap(m: PLMap, full: list, twice: list) -> Optional[tuple[int, tuple]]:
+    """The index of the first piece's branch whose image interior meets the
+    interior of the other branch images (pieces and point images), with the
+    first row of that meet.  Every piece is monotone here (rule 2 ran
+    first), and an isolated point's open image row is empty and meets nothing.
 
     Inside a piece's closed image, a point lies in another branch image
     exactly when at least two closed branch images hold it.  So the closed
@@ -348,8 +350,7 @@ def _first_overlap(m: PLMap, full: list, twice: list) -> Optional[tuple[Piece, t
     none inside an interval), so the first meet has the same ends.
     """
     inner = _hull_runs(full, twice)
-    # the branches list the pieces first, in run order, so zip stops before the points
-    for piece, (_, (lo, hi, _, _), _, _) in zip([q for run in m.pieces for q in run], m._branches):
+    for i, (_, (lo, hi, _, _), _, _) in enumerate(m._branches):
         (hn, hd), own = hi, (lo, hi, False, False)
         for run in inner[_locate(inner, lo):]:
             n, d = run[0]
@@ -357,7 +358,7 @@ def _first_overlap(m: PLMap, full: list, twice: list) -> Optional[tuple[Piece, t
                 break
             part = _span_intersect(run, own)
             if part is not None:
-                return piece, part
+                return i, part
     return None
 
 

@@ -230,8 +230,9 @@ def redundant_point_by_images(m: PLMap, twice: list) -> Optional[Rational]:
     return None
 
 
-def first_overlap_by_branches(m: PLMap, full: list, twice: list) -> Optional[tuple[Piece, tuple]]:
-    """Rule 3 branch by branch: int(own image) against int(union of the others).
+def first_overlap_by_branches(m: PLMap, full: list, twice: list) -> Optional[tuple[int, tuple]]:
+    """Rule 3 branch by branch: int(own image) against int(union of the others),
+    with the branch's index among the pieces in run order, then the points.
     `full` and `twice` are ignored."""
     branches: list[tuple[Optional[Piece], Span]] = []
     for run in m.pieces:
@@ -247,7 +248,7 @@ def first_overlap_by_branches(m: PLMap, full: list, twice: list) -> Optional[tup
         others = _canonical(m.codomain, [s for j, (_, s) in enumerate(branches) if j != i])
         overlap = own.intersect(others.interior())
         if not overlap.is_empty:
-            return piece, span_row(overlap.spans[0])
+            return i, span_row(overlap.spans[0])
     return None
 
 
@@ -263,17 +264,19 @@ def validate_by_sweeps(m: PLMap) -> None:
             raise ImageEscapesCodomain(src.lo if src.lo == src.hi else (src.lo, src.hi))
 
 
-def first_overlap_by_interiors(m: PLMap, full: list, twice: list) -> Optional[tuple[Piece, tuple]]:
+def first_overlap_by_interiors(m: PLMap, full: list, twice: list) -> Optional[tuple[int, tuple]]:
     """Rule 3 on the runs held twice, cut ranges read as a region and opened
-    by `interior`, each piece's image read as int(own).  `full` is ignored."""
+    by `interior`, each piece's image read as int(own), with the piece's
+    index in run order.  `full` is ignored."""
     held = trusted_region(m.codomain, [Span(Q(*lo), Q(*hi), a & 1 == 0, b & 1 == 1) for a, b, lo, hi in twice])
     inner = [span_row(d) for d in held.interior().spans]
-    for piece, (_, image, _, _) in zip([q for run in m.pieces for q in run], branches_by_fractions(m)):
+    pieces = [q for run in m.pieces for q in run]
+    for i, (_, image, _, _) in enumerate(branches_by_fractions(m)[:len(pieces)]):
         own = span_row(trusted_region(m.codomain, [image]).interior().spans[0])
         for d in inner:  # a plain scan: the first run in order that meets it
             part = _span_intersect(d, own)
             if part is not None:
-                return piece, part
+                return i, part
     return None
 
 

@@ -8,6 +8,11 @@ and no string constant spelling the identifier (a field name handed to
 public surface and need no caller.  The list must equal `ALLOWED`, so a
 helper that only the tests call fails here, whether it is new or has just
 lost its last library caller.
+
+The same scan lists each parameter with a default that no call there
+passes, by keyword, by position or through `*` or `**`: an option that
+only the tests use, or none.  Calls resolve by name, and a call of a class
+counts for its `__init__`.  The list must equal `ALLOWED_DEFAULTS`.
 """
 from __future__ import annotations
 
@@ -25,6 +30,12 @@ ALLOWED = {
     "plmap.PLMap.preimage": "the public set map beside image; phi is the interior of its closure",
     "space.Region.contains": "the library's one membership test of a point",
     "space.Space1D.empty_region": "the public bottom of RO(X), beside full_region",
+}
+
+# qualified name(parameter) -> why no call in the library or the benchmark passes it
+ALLOWED_DEFAULTS = {
+    "ideals.plfunc_from_breakpoints(point_values)": "public: the values at isolated points, which tests/test_wire.py passes",
+    "rationals.rat(den)": "public: the num/den form of a rational, which the README and the tests write as rat(1, 2)",
 }
 
 
@@ -89,3 +100,74 @@ class Box:
     caller = "helper(); LIMIT; getattr(box, 'by_name'); box.read(); 'Box.spare'"
     assert uncalled({"lib": library}, [caller]) == ["lib.Box", "lib.Box.spare", "lib.UNUSED"]
     assert uncalled({"lib": library}, [caller], {"Box", "UNUSED"}) == ["lib.Box.spare"]
+
+
+def _defaulted(tree: ast.Module, module: str):
+    """(qualified name(parameter), names a call uses, parameter, position) of
+    each parameter with a default of each module-level def and each method of
+    a module-level class.  A method's positions leave out `self` or `cls`, and
+    its class's name calls its `__init__`; a keyword-only one has no position."""
+    defs = [(node.name, node, False) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    defs += [(f"{node.name}.{member.name}", member, node.name) for node in tree.body if isinstance(node, ast.ClassDef)
+             for member in node.body if isinstance(member, ast.FunctionDef)]
+    for qualified, node, owner in defs:
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+        names = {node.name, owner} if node.name == "__init__" else {node.name}
+        positional = node.args.posonlyargs + node.args.args
+        first = len(positional) - len(node.args.defaults)
+        for i, arg in enumerate(positional[first:], first - bool(owner and not static)):
+            yield f"{module}.{qualified}({arg.arg})", names, arg.arg, i
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if default is not None:
+                yield f"{module}.{qualified}({arg.arg})", names, arg.arg, None
+
+
+def _calls(tree: ast.AST):
+    """(called name, positions passed, keywords passed, any position, any keyword) of each call."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            keywords = {kw.arg for kw in node.keywords}  # None for a `**`
+            yield name, len(node.args), keywords - {None}, starred, None in keywords
+
+
+def unpassed(library: dict[str, str], readers: list[str]) -> list[str]:
+    """The defaulted parameters of the `library` modules, module name ->
+    source, that no call in them or in the `readers` sources passes."""
+    trees = {module: ast.parse(source) for module, source in library.items()}
+    calls = [call for tree in [*trees.values(), *map(ast.parse, readers)] for call in _calls(tree)]
+
+    def passed(names, parameter, position) -> bool:
+        return any(name in names and (parameter in keywords or any_keyword or position is not None
+                                      and (position < count or any_position))
+                   for name, count, keywords, any_position, any_keyword in calls)
+
+    return sorted(qualified for module, tree in trees.items()
+                  for qualified, names, parameter, position in _defaulted(tree, module)
+                  if not passed(names, parameter, position))
+
+
+def test_every_unpassed_default_is_allowed_with_a_reason():
+    library = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+    bench = [path.read_text() for path in (ROOT / "bench").glob("*.py")]
+    assert unpassed(library, bench) == sorted(ALLOWED_DEFAULTS)
+    assert all(reason.strip() for reason in ALLOWED_DEFAULTS.values())
+
+
+def test_the_default_scan_sees_keywords_positions_stars_and_constructors():
+    library = '''
+def f(a, b=1, c=2, *, d=3, e=4): pass
+def g(a=1, b=2): pass
+def h(a=1): pass
+class Box:
+    def __init__(self, size=1, label=""): pass
+    def put(self, item, where=0): pass
+    @staticmethod
+    def make(n=1): pass
+'''
+    caller = "f(0, 1, d=2); g(*xs); h(**kw); Box(3); box.put(1); Box.make(2)"
+    assert unpassed({"lib": library}, [caller]) == [
+        "lib.Box.__init__(label)", "lib.Box.put(where)", "lib.f(c)", "lib.f(e)",
+    ]
+    assert unpassed({"lib": library}, [caller + "; box.put(1, 2); f(c=0, e=1); super().__init__(1, 2)"]) == []

@@ -531,6 +531,21 @@ class TestRuleThreeOracle:
             "point into the interval part", "codomain point", "irreducible", "isolated", "constant", "piece",
         }
 
+    def test_the_decision_reads_the_branch_table_alone(self):
+        # each map decided again with its pieces blanked: the verdict, reason and
+        # witness come from `_branches` (and the point count) only
+        rng = random.Random(60_000)
+        maps = list(SHARED_END_FOLDS) + [_random_cover(rng) for _ in range(300)]
+        reasons = set()
+        for m in maps:
+            blank = PLMap._trusted(m.domain, m.codomain, None, m.point_images)
+            object.__setattr__(blank, "_branches", m._branches)
+            got = _verdict(m)
+            assert _verdict(blank) == got, m
+            if isinstance(got, dict):
+                reasons.add(got.get("reason", "irreducible").split(" ")[0])
+        assert reasons == {"irreducible", "isolated", "constant", "piece"}
+
     def test_shared_end_folds_are_caught_by_rule_three(self):
         reasons = [is_irreducible(m).reason for m in SHARED_END_FOLDS]
         assert reasons == [
@@ -787,7 +802,7 @@ class TestIntegerKernelOracle:
             except ImageEscapesCodomain:
                 pass
         rng = random.Random(64_001)
-        for _ in range(60):  # pullback builds its table through `_settle(check=False)`
+        for _ in range(60):  # pullback builds its table through `_table`, checking no piece
             m = _random_cover(rng, _PRIMES if rng.random() < 0.5 else ())
             built.append(pullback(m, random_plfunc(m.codomain, rng.randrange(10**6))))
         assert len(built) > 200
@@ -995,10 +1010,10 @@ class TestWorkCounts:
                   for owner, name in ((fractions.Fraction, "__new__"), (Span, "__post_init__"),
                                       (fractions.Fraction, "as_integer_ratio"))}
         spans = self._count(monkeypatch, (space,), "_span")
-        plmap._settle(m, m.domain, "point_images", check=False)
+        rebuilt = plmap._table(m.pieces, m.point_images)
         assert {name: c[0] for name, c in counts.items()} | {"_span": spans[0]} == \
             {"__new__": 0, "__post_init__": 0, "as_integer_ratio": ratios, "_span": 0}
-        assert m._branches == table and m._branches is not table
+        assert rebuilt == table and rebuilt is not table
 
     def test_canonicalize_image_and_preimage_of_1024_spans_compare_no_fractions(self, monkeypatch):
         rng = random.Random(1024)
@@ -1089,6 +1104,23 @@ class TestWorkCounts:
         for g, want in zip(gots, wants):
             assert (repr(g.pieces), repr(g.point_values)) == (repr(want.pieces), repr(want.point_values))
             assert g._branches == PLFunc(g.space, g.pieces, g.point_values)._branches
+
+    def test_pullback_of_a_64_piece_bijection_composes_integers(self, monkeypatch):
+        # f's affine integers after the cover's, a constant piece of f as its value:
+        # no Fraction arithmetic, and Fractions only for each composite piece's four fields
+        m = _increasing_bijection(64)
+        f = ideals.plfunc_from_breakpoints(UNIT, [(0, 0), (rat(1, 4), 0), (rat(1, 2), 1), (rat(3, 4), rat(-1, 3)), (1, 2)])
+        want = pullback_by_cuts(m, f)
+        arithmetic = ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__", "__truediv__", "__rtruediv__")
+        ops = {name: self._count(monkeypatch, (fractions.Fraction,), name) for name in arithmetic}
+        built = self._count(monkeypatch, (fractions.Fraction,), "__new__")
+        g = pullback(m, f)
+        monkeypatch.undo()
+        pieces = sum(map(len, g.pieces))
+        assert pieces > 64 and any(q.slope == 0 for q in g.pieces[0])
+        assert {name: c[0] for name, c in ops.items()} == {name: 0 for name in ops}
+        assert 0 < built[0] <= 4 * pieces
+        assert (repr(g.pieces), repr(g.point_values)) == (repr(want.pieces), repr(want.point_values))
 
     def test_psi_and_phi_build_no_closure_and_no_image_or_preimage(self, monkeypatch):
         # one hull pass over the carried spans
