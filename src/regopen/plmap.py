@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import Discontinuity, ImageEscapesCodomain, NotSurjective, SpaceMismatch, _Value
 from .rationals import Q, Rational, rat
-from .space import Region, Space1D, Span, _cut_ranges, _hull_runs, _locate, _meet, _merged, _regular_union, _union
+from .space import Region, Space1D, Span, _cut_ranges, _locate, _meet, _merged, _regular_union, _union
 
 
 class Piece(_Value):
@@ -265,13 +265,12 @@ def is_irreducible(m: PLMap) -> IrreducibilityVerdict:
     union of the other branches.  Any witness is re-verified by exact
     recomputation before it is returned.
 
-    Surjectivity and the runs that two branch images hold, which rules 1
-    and 3 read, come off one sorted list of the n images' cut ranges, built
-    by one `_cut_ranges` call with the codomain's: one union walk and one
-    meet walk, O(n log n), then one bisection per isolated point and one
-    per piece.
+    Surjectivity and the runs that two closed branch images hold come off
+    one sorted list of the n images' cut ranges, built by one `_cut_ranges`
+    call: one union walk and one meet walk, O(n log n).  Rules 1 and 3 are
+    then one `_first_meet` walk each, one bisection per row.
     """
-    full, images = _cut_ranges(m.codomain._full.rows, [dst for _, dst, _, _ in m._branches])
+    images = _cut_ranges([dst for _, dst, _, _ in m._branches])[0]
     if tuple(_merged(images)) != m.codomain._full.rows:  # as `is_surjective`, and it leaves them sorted
         raise NotSurjective("irreducibility is only defined for surjective maps")
 
@@ -284,13 +283,17 @@ def is_irreducible(m: PLMap) -> IrreducibilityVerdict:
             raise AssertionError(f"internal witness failed re-verification: {reason}")
         return IrreducibilityVerdict(False, witness, reason)
 
-    twice = _merged(_meet(images, False), False)  # the runs two closed images hold, as cut ranges
+    twice = _merged(_meet(images, False))  # the runs two closed images hold, as closed rows
 
-    # rule 1: an isolated point whose removal keeps the map onto
-    p = _redundant_point(m, twice)
-    if p is not None:
-        candidate = Region(m.domain, [Span(p, p, True, True)])
-        return verified(candidate, f"isolated point {p} is redundant")
+    # rule 1: the map is onto, so dropping an isolated point keeps it onto
+    # exactly when another branch also covers the point's image
+    if m.point_images:
+        points = m._branches[len(m._branches) - len(m.point_images):]  # the table lists them last
+        found = _first_meet([dst for _, dst, _, _ in points], twice)
+        if found is not None:
+            p = Q(*points[found[0]][0][0])
+            candidate = Region(m.domain, [Span(p, p, True, True)])
+            return verified(candidate, f"isolated point {p} is redundant")
 
     # rule 2: a constant piece always leaves both endpoints behind; the table
     # keeps no affine map for a constant, and a piece's source ends differ
@@ -301,8 +304,14 @@ def is_irreducible(m: PLMap) -> IrreducibilityVerdict:
             w = Region(m.domain, [Span(lo + third, hi - third, False, False)])
             return verified(w, f"constant piece on [{lo}, {hi}]")
 
-    # rule 3: a monotone piece whose image interior is covered elsewhere
-    found = _first_overlap(m, full, twice)
+    # rule 3: a monotone piece whose image interior is covered elsewhere.
+    # Inside a piece's closed image, a point lies in another branch image
+    # exactly when two closed images hold it, so the open image meets
+    # int(others) exactly when it meets a run held twice that is not a lone
+    # point, and that meet has the ends of its meet with int(twice).  An
+    # isolated point's open image row is empty and meets nothing.
+    wide = [run for run in twice if run[0] != run[1]]
+    found = _first_meet([(lo, hi, False, False) for _, (lo, hi, _, _), _, _ in m._branches], wide) if wide else None
     if found is None:
         return IrreducibilityVerdict(True)
     i, (lo, hi, _, _) = found
@@ -314,49 +323,17 @@ def is_irreducible(m: PLMap) -> IrreducibilityVerdict:
     return verified(witness, f"piece image ({lo}, {hi}) overlap is covered twice")
 
 
-def _redundant_point(m: PLMap, twice: list) -> Optional[Rational]:
-    """The first isolated point whose removal keeps the map onto.
-
-    The map is onto, so dropping p keeps it onto exactly when another branch
-    also covers p's image: when it meets `twice`, the cut ranges of the runs
-    that at least two closed branch images hold, found by bisection.
-    """
-    if not m.point_images:
-        return None
-    runs = [(lo, hi, True, True) for _, _, lo, hi in twice]  # the meets of closed ranges are closed
-    for (lo, hi, _, _), dst, _, _ in m._branches:
-        if lo != hi:  # a piece
-            continue
-        # the runs are maximal, so no two share an end that either holds:
-        # a point meets the first run that does not end below it, or none
-        i = _locate(runs, dst[0])
-        if i < len(runs) and _span_intersect(runs[i], dst) is not None:
-            return Q(*lo)
-    return None
-
-
-def _first_overlap(m: PLMap, full: list, twice: list) -> Optional[tuple[int, tuple]]:
-    """The index of the first piece's branch whose image interior meets the
-    interior of the other branch images (pieces and point images), with the
-    first row of that meet.  Every piece is monotone here (rule 2 ran
-    first), and an isolated point's open image row is empty and meets nothing.
-
-    Inside a piece's closed image, a point lies in another branch image
-    exactly when at least two closed branch images hold it.  So the closed
-    runs `twice`, cut ranges built with the codomain's `full`, give
-    D = int(twice) for all pieces in one `_hull_runs` pass, and each piece
-    meets D by bisection with its open image row: it differs from int(own)
-    only in flags at component ends, where no meet is a lone point (D has
-    none inside an interval), so the first meet has the same ends.
-    """
-    inner = _hull_runs(full, twice)
-    for i, (_, (lo, hi, _, _), _, _) in enumerate(m._branches):
-        (hn, hd), own = hi, (lo, hi, False, False)
-        for run in inner[_locate(inner, lo):]:
+def _first_meet(rows: Sequence[tuple], runs: list) -> Optional[tuple[int, tuple]]:
+    """The index of the first of `rows` that meets one of the sorted,
+    disjoint `runs`, with the first row of that meet.  Each row walks the
+    runs from the one `_locate` finds to the first that starts past it."""
+    for i, row in enumerate(rows):
+        hn, hd = row[1]
+        for run in runs[_locate(runs, row[0]):]:
             n, d = run[0]
             if n * hd > hn * d:
                 break
-            part = _span_intersect(run, own)
+            part = _span_intersect(run, row)
             if part is not None:
                 return i, part
     return None

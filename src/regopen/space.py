@@ -388,9 +388,9 @@ def _gaps(ranges: list) -> list:
     return out
 
 
-def _hull_runs(full: list, ranges: list) -> list:
-    """The rows of int(cl(U)), U the union of nonempty cut ranges, built by
-    one `_cut_ranges` call with `full`, the full region's.
+def _regular_union(space: Space1D, rows: Sequence) -> Region:
+    """int(cl(U)) as a region, U the union of nonempty rows of `space`, on
+    cut ranges built by one `_cut_ranges` call with the full region's.
 
     One sort by lo merges the ranges' closures into the runs of cl(U), and
     each run is opened against its component on the same positions: it
@@ -398,6 +398,7 @@ def _hull_runs(full: list, ranges: list) -> list:
     it is isolated.  A run outside every component raises `SpaceMismatch`,
     as `Region.interior` does.
     """
+    full, ranges = _cut_ranges(space._full.rows, rows)
     ranges.sort(key=itemgetter(0))  # closures (lo_at & -2, hi_at | 1) keep this order
     out = []
     i, (c_lo, c_hi, _, _) = 0, full[0]
@@ -421,12 +422,7 @@ def _hull_runs(full: list, ranges: list) -> list:
         lo_incl, hi_incl = lo_at == c_lo, hi_at == c_hi
         if hi_at - lo_at > 1 or lo_incl and hi_incl:  # a point inside an interval is never open
             out.append((lo, hi, lo_incl, hi_incl))
-    return out
-
-
-def _regular_union(space: Space1D, rows: Sequence) -> Region:
-    """int(cl(U)) as a region, U the union of nonempty rows of `space`."""
-    return _region(space, tuple(_hull_runs(*_cut_ranges(space._full.rows, rows))))
+    return _region(space, tuple(out))
 
 
 def canonicalize(space: Space1D, raw_spans: Iterable[Span]) -> CanonicalizeResult:

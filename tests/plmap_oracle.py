@@ -1,10 +1,10 @@
-"""Reference transports and rules 1 and 3 for piecewise-linear maps, by brute force.
+"""Reference transports and irreducibility decisions for piecewise-linear maps, by brute force.
 
 The library pairs each branch only with the region spans that meet it,
 intersects spans by cross-multiplying integer ratios, carries each piece
 as a row of integer ratios and makes no `Fraction`, and decides rules 1
-and 3 of `is_irreducible` from one
-coverage count over all branch images.  These are the forms it
+and 3 of `is_irreducible` with one meet walk each against the runs that
+two closed branch images hold.  These are the forms it
 replaced: the bisected transport kernel in Fraction arithmetic (`_carry`,
 `_span_intersect`, `_affine_ratios`, and `pullback` by dividing each cut),
 every piece against every span, flags from `space_oracle.holds`, one image
@@ -19,15 +19,24 @@ preimage, closure and interior, are kept as `psi_by_composition` and
 Each map keeps its branches once, as integer rows; `branches_by_fractions`
 is the `Fraction` form (src, dst, slope, intercept) that the rows replaced,
 and `locate_by_fractions` the lookup of a slope and intercept in it that
-evaluation replaced with a read of the pieces.  Surjectivity, the codomain
-check and rule 3 read the branch images off the table; the derivations they
+evaluation replaced with a read of the pieces.  Surjectivity and the
+codomain check read the branch images off the table; the derivations they
 replaced are kept as `is_surjective_by_image` (the image of the whole
-domain), `validate_by_sweeps` (one reference sweep per branch against the
-full codomain) and `first_overlap_by_interiors` (rule 3 against int(own), one
-region and one `interior` per piece).  Rules 1 and 3 read the runs that two
-branch images hold from one `space._meet` walk joined by `space._merged`;
-the coverage sweep it replaced is `covered_twice_by_sweep`, here on the
-reference sweep `space_oracle.sweep_by_groupby`.
+domain) and `validate_by_sweeps` (one reference sweep per branch against
+the full codomain).  The runs that two branch images hold come from one
+`space._meet` walk joined by `space._merged`; the coverage sweep it
+replaced is `covered_twice_by_sweep`, here on the reference sweep
+`space_oracle.sweep_by_groupby`.
+
+`is_irreducible_by_rules` is the whole decision by those derivations:
+rule 1 point by point, rule 2 from the pieces, and rule 3 branch by branch
+(`first_overlap_by_branches`) or by interiors over the runs that
+`covered_twice_by_sweep` finds (`first_overlap_by_interiors`), with the
+library's witness recipe.  `is_irreducible_by_atoms` decides by no rule at
+all: π is irreducible exactly when ψ sends the atoms of a finite algebra of
+regular opens of the domain one to one onto those of the codomain, built
+from the map's cut points with public `Region`s, `Fraction` arithmetic and
+`PLMap.psi` (`atom_algebras`).
 
 Test-only device; the library itself never touches it.
 """
@@ -38,11 +47,11 @@ from typing import Optional
 
 import space_oracle
 from conftest import span_row, trusted_region
-from regopen.errors import ImageEscapesCodomain
+from regopen.errors import ImageEscapesCodomain, NotSurjective
 from regopen.ideals import PLFunc
-from regopen.plmap import PLMap, Piece, _span_intersect
+from regopen.plmap import IrreducibilityVerdict, PLMap, Piece
 from regopen.rationals import Q, Rational, rat
-from regopen.space import Region, Span
+from regopen.space import Point, Region, Span
 
 
 def _canonical(space, raw) -> Region:
@@ -218,10 +227,9 @@ def phi_by_pairs(m: PLMap, v: Region) -> Region:
     return preimage_by_pairs(m, v).closure().interior()
 
 
-def redundant_point_by_images(m: PLMap, twice: list) -> Optional[Rational]:
+def redundant_point_by_images(m: PLMap) -> Optional[Rational]:
     """Rule 1 point by point: the first isolated point whose removal leaves
-    the image of the rest of the domain the whole codomain.  `twice` is
-    ignored."""
+    the image of the rest of the domain the whole codomain."""
     full = m.domain.full_region()
     for p, _ in m.point_images:
         rest = full.difference(_canonical(m.domain, [Span(p, p, True, True)]))
@@ -230,10 +238,10 @@ def redundant_point_by_images(m: PLMap, twice: list) -> Optional[Rational]:
     return None
 
 
-def first_overlap_by_branches(m: PLMap, full: list, twice: list) -> Optional[tuple[int, tuple]]:
-    """Rule 3 branch by branch: int(own image) against int(union of the others),
-    with the branch's index among the pieces in run order, then the points.
-    `full` and `twice` are ignored."""
+def first_overlap_by_branches(m: PLMap) -> Optional[tuple[Piece, Span]]:
+    """Rule 3 branch by branch: the first piece in run order whose int(own
+    image) meets int(union of the other branch images), with the first span
+    of that meet."""
     branches: list[tuple[Optional[Piece], Span]] = []
     for run in m.pieces:
         for piece in run:
@@ -248,8 +256,36 @@ def first_overlap_by_branches(m: PLMap, full: list, twice: list) -> Optional[tup
         others = _canonical(m.codomain, [s for j, (_, s) in enumerate(branches) if j != i])
         overlap = own.intersect(others.interior())
         if not overlap.is_empty:
-            return i, span_row(overlap.spans[0])
+            return piece, overlap.spans[0]
     return None
+
+
+def is_irreducible_by_rules(m: PLMap, overlap=first_overlap_by_branches) -> IrreducibilityVerdict:
+    """`is_irreducible` by reference derivations: surjectivity from the image
+    of the domain, rule 1 point by point, rule 2 from the pieces and rule 3
+    by `overlap`, a piece and its first meet.  Each witness follows the
+    library's recipe: the point itself, the constant piece's open middle
+    third, or the meet's open middle third carried back through the piece."""
+    if not is_surjective_by_image(m):
+        raise NotSurjective("irreducibility is only defined for surjective maps")
+    p = redundant_point_by_images(m)
+    if p is not None:
+        return IrreducibilityVerdict(False, Region(m.domain, [Span(p, p, True, True)]),
+                                     f"isolated point {p} is redundant")
+    constant = [q for run in m.pieces for q in run if q.slope == 0]
+    if constant:
+        lo, hi = constant[0].src_lo, constant[0].src_hi
+        third = (hi - lo) / 3
+        return IrreducibilityVerdict(False, Region(m.domain, [Span(lo + third, hi - third, False, False)]),
+                                     f"constant piece on [{lo}, {hi}]")
+    found = overlap(m)
+    if found is None:
+        return IrreducibilityVerdict(True)
+    piece, meet = found
+    third = (meet.hi - meet.lo) / 3
+    a, b = sorted((y - piece.intercept) / piece.slope for y in (meet.lo + third, meet.hi - third))
+    return IrreducibilityVerdict(False, Region(m.domain, [Span(a, b, False, False)]),
+                                 f"piece image ({meet.lo}, {meet.hi}) overlap is covered twice")
 
 
 def is_surjective_by_image(m: PLMap) -> bool:
@@ -264,19 +300,21 @@ def validate_by_sweeps(m: PLMap) -> None:
             raise ImageEscapesCodomain(src.lo if src.lo == src.hi else (src.lo, src.hi))
 
 
-def first_overlap_by_interiors(m: PLMap, full: list, twice: list) -> Optional[tuple[int, tuple]]:
-    """Rule 3 on the runs held twice, cut ranges read as a region and opened
-    by `interior`, each piece's image read as int(own), with the piece's
-    index in run order.  `full` is ignored."""
-    held = trusted_region(m.codomain, [Span(Q(*lo), Q(*hi), a & 1 == 0, b & 1 == 1) for a, b, lo, hi in twice])
-    inner = [span_row(d) for d in held.interior().spans]
+def first_overlap_by_interiors(m: PLMap) -> Optional[tuple[Piece, Span]]:
+    """Rule 3 on the runs that `covered_twice_by_sweep` finds, read as a
+    region and opened by `interior`, each piece's image read as int(own):
+    the first piece in run order that meets one, with the first meet."""
+    images = [dst for _, dst, _, _ in branches_by_fractions(m)]
+    held = [Span(Q(*lo), Q(*hi), lo_incl, hi_incl)
+            for lo, hi, lo_incl, hi_incl in covered_twice_by_sweep(m.codomain, images)]
+    inner = trusted_region(m.codomain, held).interior().spans
     pieces = [q for run in m.pieces for q in run]
-    for i, (_, image, _, _) in enumerate(branches_by_fractions(m)[:len(pieces)]):
-        own = span_row(trusted_region(m.codomain, [image]).interior().spans[0])
+    for piece, image in zip(pieces, images):
+        own = trusted_region(m.codomain, [image]).interior().spans[0]
         for d in inner:  # a plain scan: the first run in order that meets it
-            part = _span_intersect(d, own)
+            part = span_intersect_by_fractions(d, own)
             if part is not None:
-                return i, part
+                return piece, part
     return None
 
 
@@ -284,3 +322,51 @@ def covered_twice_by_sweep(space, spans: list[Span]) -> list:
     """The runs of `space` that at least two of the spans hold, as rows:
     one coverage sweep that keeps the points whose count is at least 2."""
     return [span_row(s) for s in space_oracle.sweep_by_groupby(space, lambda count: count >= 2, spans).spans]
+
+
+def _atoms(space, cuts: set) -> list[Region]:
+    """The atoms of the finite algebra of regular opens of `space` with
+    every end among `cuts`, which hold the component ends: each isolated
+    point, and each open gap between consecutive cuts of an interval
+    component, closed where it reaches the component's end."""
+    out = []
+    for comp in space.components:
+        if isinstance(comp, Point):
+            out.append(Region(space, [Span(comp.at, comp.at, True, True)]))
+            continue
+        inside = sorted(x for x in cuts if comp.a <= x <= comp.b)
+        out += [Region(space, [Span(u, v, u == comp.a, v == comp.b)]) for u, v in zip(inside, inside[1:])]
+    return out
+
+
+def atom_algebras(m: PLMap) -> tuple[list[Region], list[Region]]:
+    """The atoms of A_{B'} in the domain Y and of A_B in the codomain X.
+
+    B holds the component ends of X, the point images and the images of
+    the piece ends.  B' holds the piece ends and each preimage of a point of
+    B strictly inside a monotone piece, so each atom of A_{B'} lies in one
+    piece and a monotone piece sends it onto an atom of A_B.  B' also holds
+    the midpoint of each constant piece: a constant component onto an
+    isolated point of X then gives two atoms one image, as it must, since
+    the map is reducible there."""
+    pieces = [q for run in m.pieces for q in run]
+    cuts_x = {x for c in m.codomain.components for x in ((c.at,) if isinstance(c, Point) else (c.a, c.b))}
+    cuts_x |= {v for _, v in m.point_images} | {q.value(x) for q in pieces for x in (q.src_lo, q.src_hi)}
+    cuts_y = {x for q in pieces for x in (q.src_lo, q.src_hi)}
+    for q in pieces:
+        if q.slope == 0:
+            cuts_y.add((q.src_lo + q.src_hi) / 2)
+            continue
+        cuts_y |= {x for x in ((b - q.intercept) / q.slope for b in cuts_x) if q.src_lo < x < q.src_hi}
+    return _atoms(m.domain, cuts_y), _atoms(m.codomain, cuts_x)
+
+
+def is_irreducible_by_atoms(m: PLMap) -> bool:
+    """Irreducibility as ψ a bijection of atoms: π is onto exactly when
+    ψ(Y) = X, and then it is irreducible exactly when ψ sends the atoms of
+    A_{B'} one to one onto the atoms of A_B (see `atom_algebras`)."""
+    if m.psi(m.domain.full_region()) != m.codomain.full_region():
+        raise NotSurjective("irreducibility is only defined for surjective maps")
+    ys, xs = atom_algebras(m)
+    images = [m.psi(a) for a in ys]
+    return len(images) == len(xs) and set(images) == set(xs)

@@ -8,7 +8,6 @@ import pytest
 from regopen.boolequiv import (
     OMEGA,
     BoolInvariant,
-    SpaceDescriptor,
     descriptor,
     descriptor_from_json,
     equivalent,

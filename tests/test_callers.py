@@ -13,6 +13,11 @@ The same scan lists each parameter with a default that no call there
 passes, by keyword, by position or through `*` or `**`: an option that
 only the tests use, or none.  Calls resolve by name, and a call of a class
 counts for its `__init__`.  The list must equal `ALLOWED_DEFAULTS`.
+
+A third scan, of `tests/` as well, lists each name an `import` binds that
+its module never uses: no name load, no function parameter of that name
+(a pytest fixture) and no string constant spelling it (a name looked up in
+`globals()`).  The list must be empty.
 """
 from __future__ import annotations
 
@@ -171,3 +176,38 @@ class Box:
         "lib.Box.__init__(label)", "lib.Box.put(where)", "lib.f(c)", "lib.f(e)",
     ]
     assert unpassed({"lib": library}, [caller + "; box.put(1, 2); f(c=0, e=1); super().__init__(1, 2)"]) == []
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names that the imports of `source` bind and nothing in it uses, sorted."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names if alias.name != "*"}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.arg):
+            used.add(node.arg)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)
+    return sorted(bound - used)
+
+
+def test_no_module_binds_an_import_it_never_uses():
+    sources = [path for folder in (PACKAGE, ROOT / "tests", ROOT / "bench") for path in sorted(folder.glob("*.py"))]
+    unused = {str(path.relative_to(ROOT)): unused_imports(path.read_text()) for path in sources}
+    assert {path: names for path, names in unused.items() if names} == {}
+
+
+def test_the_import_scan_sees_loads_parameters_and_identifier_strings():
+    source = '''
+from __future__ import annotations
+import os.path
+import json as js
+from lib import fixture, helper, kept, spare, typed
+def test(fixture): helper(); os.path.join(); globals()["kept"]; x: typed = 1; x.spare
+'''
+    assert unused_imports(source) == ["js", "spare"]

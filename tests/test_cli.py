@@ -22,7 +22,7 @@ from regopen.cover_iso import verify_bridge
 from regopen.ideals import plfunc_from_breakpoints
 from regopen.plmap import Piece, PLMap, identity_map, plmap_from_breakpoints
 from regopen.rationals import MAX_LITERAL_DIGITS, rat
-from regopen.space import Interval, Point, Region, Space1D, Span
+from regopen.space import Interval, Point, Region, Space1D
 
 from conftest import UNIT, UNIT_PT, region
 
@@ -127,6 +127,10 @@ class TestRegionEval:
             capsys, "region", "eval", "--space", UNIT_JSON, "--expr", "cl(ghost)"
         )
         assert code == 2 and out["at"] == "UnboundName"
+
+    def test_binding_without_an_equals_sign(self, capsys):
+        code, out = run(capsys, "region", "eval", "--space", UNIT_JSON, "--expr", "v", "--bind", "v")
+        assert code == 2 and out == {"error": "binding 'v' is not NAME=JSON", "at": "ValueError"}
 
     def test_region_outside_space(self, capsys):
         bound = '{"spans":[{"lo":"0","hi":"5","lo_incl":true,"hi_incl":true}]}'

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from regopen.cantor import CantorClopen, cylinder, psi_c, random_clopen
+from regopen.cantor import cylinder, psi_c, random_clopen
 from regopen.cover_iso import (
     BooleanSide,
     CantorBackend,
@@ -23,7 +23,7 @@ from regopen.plmap import PLMap, Piece, identity_map, plmap_from_breakpoints
 from regopen.rationals import rat
 from regopen.space import Interval, Region, Space1D, random_regular_open
 
-from conftest import FIXTURE_SPACES, MIXED, UNIT, region
+from conftest import FIXTURE_SPACES, MIXED, UNIT
 
 ZERO_TWO = Space1D((Interval(0, 2),))
 

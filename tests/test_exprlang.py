@@ -16,7 +16,7 @@ from regopen.exprlang import (
     eval_expr,
     parse_expr,
 )
-from regopen.rationals import rat, rat_str
+from regopen.rationals import parse_rat, rat, rat_str
 
 from conftest import MIXED, UNIT, UNIT_PT, region
 
@@ -84,6 +84,20 @@ class TestParse:
         with pytest.raises(ExprSyntaxError) as exc:
             parse_expr("join(x;y)")
         assert exc.value.found == ";"
+
+    def test_a_numeric_character_that_is_no_decimal_digit_is_stray(self):
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse_expr("join(x,²)")
+        assert exc.value.found == "²"
+        assert str(exc.value) == "line 1, col 8: expected identifier, number, (, ), ,, found '²'"
+
+    def test_malformed_rational_literals_are_named(self):
+        with pytest.raises(ValueError) as exc:
+            parse_rat("1/2/3")
+        assert str(exc.value) == "not a rational literal: '1/2/3'"
+        with pytest.raises(ValueError) as exc:
+            parse_rat("1/0")
+        assert str(exc.value) == "zero denominator: '1/0'"
 
     def test_error_position_across_lines(self):
         with pytest.raises(ExprSyntaxError) as exc:

@@ -219,6 +219,23 @@ class TestVerifyFixtures:
             with pytest.raises(ValueError, match="one hom per point"):
                 verify_projective_cover(p, f, x, homs)
 
+    def test_a_table_must_list_each_domain_label_once(self):
+        x = FiniteDiscreteSpace(("a", "b"))
+        with pytest.raises(ValueError) as exc:
+            FinCover(FiniteDiscreteSpace(("p0", "p1")), x, (("p0", "a"),))
+        assert str(exc.value) == "table must cover the domain exactly once each"
+        with pytest.raises(ValueError) as exc:
+            FinCover(FiniteDiscreteSpace(("p0",)), x, (("p0", "a"), ("p0", "b")))
+        assert str(exc.value) == "duplicate domain labels in table"
+
+    def test_a_cover_of_other_spaces_is_rejected(self):
+        x = FiniteDiscreteSpace(("a",))
+        p = FiniteDiscreteSpace(("p0",))
+        f = FinCover(p, x, (("p0", "a"),))
+        with pytest.raises(ValueError) as exc:
+            verify_projective_cover(FiniteDiscreteSpace(("q0",)), f, x)
+        assert str(exc.value) == "cover does not connect the given spaces"
+
     def test_permuted_bijection_verifies_by_default(self):
         # same-size covers get no special homs: p is evaluated at its image f(p)
         x = FiniteDiscreteSpace(("a", "b", "c"))
@@ -328,6 +345,18 @@ class TestUniqueHomeomorphism:
                     else:
                         with pytest.raises(ValueError):
                             unique_cover_homeomorphism(f1, f2)
+
+    def test_covers_of_unlike_shape_are_rejected(self):
+        x = FiniteDiscreteSpace(("a",))
+        f1 = FinCover(FiniteDiscreteSpace(("p0",)), x, (("p0", "a"),))
+        other = FinCover(FiniteDiscreteSpace(("q0",)), FiniteDiscreteSpace(("b",)), (("q0", "b"),))
+        with pytest.raises(ValueError) as exc:
+            unique_cover_homeomorphism(f1, other)
+        assert str(exc.value) == "covers must share the codomain"
+        larger = FinCover(FiniteDiscreteSpace(("q0", "q1")), x, (("q0", "a"), ("q1", "a")))
+        with pytest.raises(ValueError) as exc:
+            unique_cover_homeomorphism(f1, larger)
+        assert str(exc.value) == "cover domains differ in size"
 
     def test_no_match_raises(self):
         x = FiniteDiscreteSpace(("a", "b"))

@@ -24,7 +24,7 @@ from regopen.ideals import (
 )
 from regopen.plmap import Piece, PLMap, identity_map, is_irreducible, plmap_from_breakpoints
 from regopen.rationals import rat
-from regopen.space import Interval, Region, Space1D, Span, random_regular_open
+from regopen.space import Interval, Region, Space1D, random_regular_open
 
 from conftest import FIXTURE_SPACES, MIXED, UNIT, UNIT_PT, const_func, random_plfunc, region
 from space_oracle import holds
@@ -223,6 +223,11 @@ class TestTransport:
         k = upsilon(halving(), j)
         assert k.support == region(ZERO_TWO, (0, 1, True, False))
         assert omega(halving(), k) == j
+
+    def test_omega_refuses_an_ideal_over_another_space(self):
+        with pytest.raises(SpaceMismatch) as exc:
+            omega(halving(), ideal_from_open(UNIT_PT.full_region()))
+        assert str(exc.value) == "ideal is not over the cover domain"
 
     def test_roundtrips_random(self):
         m = halving()

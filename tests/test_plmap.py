@@ -28,13 +28,15 @@ from conftest import (
 )
 import space_oracle
 from plmap_oracle import (
+    atom_algebras,
     branches_by_fractions,
     carry_by_fractions,
     covered_twice_by_sweep,
-    first_overlap_by_branches,
     first_overlap_by_interiors,
     image_by_fractions,
     image_by_pairs,
+    is_irreducible_by_atoms,
+    is_irreducible_by_rules,
     is_surjective_by_image,
     phi_by_composition,
     phi_by_fractions,
@@ -46,10 +48,10 @@ from plmap_oracle import (
     psi_by_fractions,
     psi_by_pairs,
     pullback_by_cuts,
-    redundant_point_by_images,
     span_intersect_by_contains,
     validate_by_sweeps,
 )
+from test_acceptance import _random_surjection as _seeded_surjection
 
 
 def tent() -> PLMap:
@@ -109,6 +111,28 @@ class TestValidation:
     def test_point_image_must_land_in_codomain(self):
         with pytest.raises(ImageEscapesCodomain):
             PLMap(UNIT_PT, UNIT, ((Piece(0, 1, 1, 0),),), ((2, 5),))
+
+    def test_each_interval_component_needs_one_nonempty_run(self):
+        with pytest.raises(ValueError) as exc:
+            PLMap(TWO_INTERVALS, TWO_INTERVALS, ((Piece(0, 1, 1, 0),),))
+        assert str(exc.value) == "one piece run per interval component required"
+        with pytest.raises(ValueError) as exc:
+            PLMap(TWO_INTERVALS, TWO_INTERVALS, ((Piece(0, 1, 1, 0),), ()))
+        assert str(exc.value) == "empty piece run for component [2, 3]"
+
+    def test_duplicate_point_image_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            PLMap(UNIT_PT, UNIT, ((Piece(0, 1, 1, 0),),), ((2, 0), (2, 1)))
+        assert str(exc.value) == "duplicate point in point_images"
+
+    def test_image_and_preimage_refuse_a_region_over_the_wrong_space(self):
+        m = tent()
+        with pytest.raises(SpaceMismatch) as exc:
+            m.image(UNIT_PT.full_region())
+        assert str(exc.value) == "region is not over the domain"
+        with pytest.raises(SpaceMismatch) as exc:
+            m.preimage(UNIT_PT.full_region())
+        assert str(exc.value) == "region is not over the codomain"
 
     def test_escaping_piece_is_reported_before_an_escaping_point_image(self):
         # the branch table lists the pieces first, then the isolated points
@@ -327,6 +351,48 @@ class TestIrreducibilityOracle:
                     assert m.image(full.difference(u)) != x_full
 
 
+@pytest.mark.usefixtures("audited_rows")
+class TestAtomOracle:
+    """The decision against `is_irreducible_by_atoms`, which reads no rule:
+    π is irreducible exactly when ψ sends the atoms of a finite algebra of the
+    domain one to one onto those of the codomain, and then φ inverts ψ."""
+
+    def test_verdicts_match_psi_as_a_bijection_of_atoms(self):
+        # a constant component onto an isolated point, reducible (rule 2): `atom_algebras`
+        # splits its constant piece in two atoms with one image
+        onto_point = plmap_from_breakpoints(TWO_INTERVALS, Space1D((Interval(0, 1), Point(2))),
+                                            [(0, 0), (1, 1), (2, 2), (3, 2)])
+        rng = random.Random(80_000)
+        maps = [*SHARED_END_FOLDS, onto_point] + [_random_cover(rng) for _ in range(1000)]
+        rng = random.Random(80_001)
+        while len(maps) < 1604:  # the first 600 surjections drawn here, then 500 of criterion 4's generator
+            m = _random_surjection(rng)
+            if m is not None:
+                maps.append(m)
+        seed = 80_000
+        while len(maps) < 2104:
+            m = _seeded_surjection(seed)
+            seed += 1
+            if m is not None:
+                maps.append(m)
+        seen = set()
+        for m in maps:
+            try:
+                want = is_irreducible(m)
+            except NotSurjective:
+                with pytest.raises(NotSurjective, match="only defined for surjective maps"):
+                    is_irreducible_by_atoms(m)
+                seen.add("not surjective")
+                continue
+            assert is_irreducible_by_atoms(m) == want.irreducible, m
+            seen.add(want.reason.split(" ")[0] if want.reason else "irreducible")
+            if want.irreducible:
+                ys, xs = atom_algebras(m)
+                assert [m.phi(m.psi(a)) for a in ys] == ys, m
+                assert [m.psi(m.phi(b)) for b in xs] == xs, m
+        assert seen == {"not surjective", "irreducible", "isolated", "constant", "piece"}
+
+
 class TestInducedRegularOpenMaps:
     def test_halving_psi_example(self):
         m = halving()
@@ -477,10 +543,10 @@ def _moved(rng: random.Random, args: tuple) -> tuple:
     return dom, cod, values, points
 
 
-def _verdict(m: PLMap):
-    """The verdict, with `reason` and `witness` only when set."""
+def _verdict(m: PLMap, decide=is_irreducible):
+    """The verdict of `decide`, with `reason` and `witness` only when set."""
     try:
-        v = is_irreducible(m)
+        v = decide(m)
     except NotSurjective as exc:
         return ("NotSurjective", str(exc))
     out = {"irreducible": v.irreducible}
@@ -505,20 +571,17 @@ SHARED_END_FOLDS = (
 
 @pytest.mark.usefixtures("audited_rows")
 class TestRuleThreeOracle:
-    """Rules 1 and 3 on the one coverage pass give the per-point and
-    per-branch rules' verdicts, reasons and witnesses."""
+    """Rules 1 and 3, one meet walk each against the runs held twice, give
+    the verdicts, reasons and witnesses of the whole decision by the
+    per-point and per-branch rules."""
 
-    def test_verdicts_match_the_per_branch_rule(self, monkeypatch):
+    def test_verdicts_match_the_per_branch_rule(self):
         rng = random.Random(60_000)
         maps = list(SHARED_END_FOLDS) + [_random_cover(rng) for _ in range(300)]
         seen = set()
         for m in maps:
             got = _verdict(m)
-            for name, oracle in (("_first_overlap", first_overlap_by_branches),
-                                 ("_redundant_point", redundant_point_by_images)):
-                with monkeypatch.context() as patch:
-                    patch.setattr(plmap, name, oracle)
-                    assert _verdict(m) == got, (name, m)
+            assert _verdict(m, is_irreducible_by_rules) == got, m
             seen.add(f"{len(m.domain.interval_components())} domain components")
             seen |= {"point onto a codomain point" if any(p.at == v for p in m.codomain.point_components())
                      else "point into the interval part" for _, v in m.point_images}
@@ -628,15 +691,15 @@ class TestCoveredTwiceOracle:
                         "open end", "held twice"}
 
 
-def _outcome(args: tuple) -> tuple:
+def _outcome(args: tuple, decide=is_irreducible) -> tuple:
     """The construction error as (type, message, location), or the map with
-    its surjectivity and its verdict (or the NotSurjective raised)."""
+    its surjectivity and its verdict by `decide` (or the NotSurjective raised)."""
     try:
         m = plmap_from_breakpoints(*args)
     except ImageEscapesCodomain as exc:
         return type(exc), str(exc), exc.location
     try:
-        verdict = is_irreducible(m)
+        verdict = decide(m)
     except NotSurjective as exc:
         verdict = exc
     return m, m.is_surjective(), verdict
@@ -674,17 +737,17 @@ def _features(args: tuple, outcome: tuple) -> set:
 
 @pytest.mark.usefixtures("audited_rows")
 class TestBranchTableOracle:
-    """Surjectivity, the codomain check and rule 3, read off the branch table,
-    against the derivations they replaced: every verdict, surjectivity and
-    construction error equal by repr, one derivation swapped in at a time."""
+    """Surjectivity, the codomain check and the decision, read off the branch
+    table, against the derivations they replaced: every verdict, surjectivity
+    and construction error equal by repr, one derivation swapped in at a
+    time, and the decision by rules over the interiors of the runs held twice."""
 
     @pytest.mark.parametrize("bits", [None, 0])
     def test_outcomes_match_the_replaced_derivations(self, monkeypatch, bits):
         if bits is not None:  # every sweep and union takes the Fraction-rank fallback
             monkeypatch.setattr(space, "SWEEP_KEY_BITS", bits)
         oracles = ((PLMap, "is_surjective", is_surjective_by_image),
-                   (PLMap, "validate", validate_by_sweeps),
-                   (plmap, "_first_overlap", first_overlap_by_interiors))
+                   (PLMap, "validate", validate_by_sweeps))
         rng = random.Random(64_000)
         seen = set()
         for i in range(240):
@@ -696,6 +759,8 @@ class TestBranchTableOracle:
                 with monkeypatch.context() as patch:
                     patch.setattr(owner, name, oracle)
                     assert repr(_outcome(args)) == repr(got), (name, args)
+            by_interiors = _outcome(args, lambda m: is_irreducible_by_rules(m, first_overlap_by_interiors))
+            assert repr(by_interiors) == repr(got), args
             seen |= _features(args, got)
         assert seen >= {
             "2 domain components", "2 codomain components", "domain point", "codomain point",
@@ -932,7 +997,8 @@ class TestWorkCounts:
     def test_deciding_a_64_piece_bijection_carries_nothing_and_takes_no_interior(self, monkeypatch):
         # surjectivity and rules 1 and 3 read every branch end from the table:
         # no end is read off a Fraction again, and only the union's run [0, 1] is built;
-        # surjectivity, the runs held twice and rule 3's hull pass share one cut-range build
+        # surjectivity and the runs held twice, which rules 1 and 3 meet, share one
+        # cut-range build, and no hull pass runs
         m = _increasing_bijection(64)
         counts = {name: self._count(monkeypatch, owners, name)
                   for owners, name in (((plmap,), "_carry"), ((PLMap,), "image"), ((Region,), "interior"),
@@ -944,6 +1010,22 @@ class TestWorkCounts:
         assert got.pop("__new__") <= 2
         assert got == {"_carry": 0, "image": 0, "interior": 0, "_cut_ranges": 1, "as_integer_ratio": 0,
                        **self.NO_SET_OP}
+
+    def test_deciding_a_64_piece_fold_cuts_the_branch_images_alone(self, monkeypatch):
+        # the decision makes one cut-range build, and the branch images are its only
+        # group: no codomain components and no hull pass; the witness's re-verification
+        # runs through `space`, whose own builds are not counted here
+        m = _fold_map(random.Random(71))
+        groups = []
+        original = plmap._cut_ranges
+
+        def recorded(*args):
+            groups.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(plmap, "_cut_ranges", recorded)
+        assert not is_irreducible(m).irreducible
+        assert groups == [([dst for _, dst, _, _ in m._branches],)]
 
     def test_building_a_64_piece_bijection_sweeps_nothing(self, monkeypatch):
         # the codomain check reads each branch image against the component bounds
@@ -992,8 +1074,9 @@ class TestWorkCounts:
         gots = [m.psi(r), m.phi(s), pullback(bijection, f)]
         verdicts = [is_irreducible(x) for x in (m, bijection, sawtooth, pointed)]
         assert keyed[0] == 0
-        # seven passes over at most 65 branches (psi, phi, pullback, the two rule-3
-        # walks and the three witnesses' re-verifying images), and rule 1's two points
+        # at most seven passes over at most 65 branches (psi, phi, pullback, the sawtooth's
+        # rule-3 walk and the three witnesses' re-verifying images; the bijection holds no
+        # run twice, so its rule 3 walks nothing), and rule 1's two points
         assert 0 < located[0] <= 7 * 65 + 2
         assert gots[:2] == wants[:2]
         assert (repr(gots[2].pieces), repr(gots[2].point_values)) == (repr(wants[2].pieces), repr(wants[2].point_values))

@@ -407,6 +407,12 @@ class TestSubspace:
         assert spans_of(back) == [("0", "1/8", True, False)]
 
 
+    def test_embed_refuses_a_region_that_does_not_fit(self):
+        w = region(Space1D((Interval(0, 2),)), (0, 2, True, True))
+        with pytest.raises(SpaceMismatch) as exc:
+            embed(w, UNIT)
+        assert str(exc.value) == "region does not fit inside the ambient space"
+
 class TestTheta:
     def test_worked_example(self):
         x = Space1D((Interval(0, 1), Point(2), Point(3)))
