@@ -126,7 +126,8 @@ def pullback(pi: PLMap, f: PLFunc) -> PLFunc:
             p, q, r = forward
             inside, parts = (lo, hi, False, False), []  # a piece of f that only touches it is no meet
             hn, hd = hi
-            for t in sources[_locate(sources, lo):]:
+            for i in range(_locate(sources, lo), len(sources)):
+                t = sources[i]
                 n, d = t[0]
                 if n * hd > hn * d:
                     break

@@ -127,11 +127,11 @@ def _carry(table, rows: Sequence[tuple], forward: bool) -> list[tuple]:
     for src, dst, fwd, back in table:
         window, other, affine = (src, dst, fwd) if forward else (dst, src, back)
         hn, hd = window[1]
-        for t in rows[_locate(rows, window[0]):]:
-            n, d = t[0]
+        for i in range(_locate(rows, window[0]), len(rows)):
+            n, d = rows[i][0]
             if n * hd > hn * d:
                 break
-            part = _span_intersect(t, window)
+            part = _span_intersect(rows[i], window)
             if part is not None:  # a constant branch carries any meet onto its whole other side
                 raw.append(_affine_ratios(part, *affine) if affine else other)
     return raw
@@ -329,11 +329,11 @@ def _first_meet(rows: Sequence[tuple], runs: list) -> Optional[tuple[int, tuple]
     runs from the one `_locate` finds to the first that starts past it."""
     for i, row in enumerate(rows):
         hn, hd = row[1]
-        for run in runs[_locate(runs, row[0]):]:
-            n, d = run[0]
+        for j in range(_locate(runs, row[0]), len(runs)):
+            n, d = runs[j][0]
             if n * hd > hn * d:
                 break
-            part = _span_intersect(run, row)
+            part = _span_intersect(runs[j], row)
             if part is not None:
                 return i, part
     return None

@@ -287,12 +287,6 @@ def _locate(rows: Sequence[tuple], lo: tuple) -> int:
     return i
 
 
-# Boundaries sort as integers n * (L // d) while L, the lcm of their
-# denominators d, has at most this many bits.  The lcm of many coprime
-# denominators grows without limit, and past the bound it costs more than
-# the Fraction comparisons it replaces, so the values are ranked instead.
-SWEEP_KEY_BITS = 4096
-
 _INF = float("inf")
 
 
@@ -300,27 +294,31 @@ def _cut_ranges(*groups: Sequence) -> list[list]:
     """The cut ranges (lo_at, hi_at, lo, hi) of groups of rows, one list per
     group in row order.
 
-    A value n/d, d > 0, sits at the even position 2 * n * (L // d), L the
-    lcm of every row's denominators, which one pass over the rows grows only
-    at a row with a denominator that does not divide it yet.  A cut sits
-    just before a value, at its position, or just after it, at the odd one
-    above.  A row (lo, hi, lo_incl, hi_incl), its ends in lowest terms, is
-    the half-open range of cuts [pos(lo) + not lo_incl, pos(hi) + hi_incl),
-    empty exactly when lo_at >= hi_at, and its closure is
-    (lo_at & -2, hi_at | 1).  Once L passes `SWEEP_KEY_BITS` (whatever the
-    order of the rows) the values are ranked by a Fraction sort instead, at
-    2 * rank.  No two ends are compared on the integer path.
+    A value n/d, d > 0, sits at an even integer position.  One pass over the
+    rows grows L, the lcm of their denominators, only at a row with a
+    denominator that does not divide it yet; while L has at most
+    max(64, 2b + 1) bits, b the bit length of the largest denominator, the
+    position is 2 * n * (L // d).  Past that the pass stops, and the position
+    is the floor key 2 * ((n << 2b) // d): distinct values differ by more
+    than 2^-2b, so their floors on that grid differ, and the keys do not
+    grow with the number of denominators.  A cut sits just before a value,
+    at its position, or just after it, at the odd one above.  A row
+    (lo, hi, lo_incl, hi_incl), its ends in lowest terms, is the half-open
+    range of cuts [pos(lo) + not lo_incl, pos(hi) + hi_incl), empty exactly
+    when lo_at >= hi_at, and its closure is (lo_at & -2, hi_at | 1).  No two
+    ends are compared and no Fraction is built.
     """
-    common = 1
+    common, k = 1, None
     for rows in groups:
         for (_, d), (_, e), _, _ in rows:
             if common % d or common % e:
                 common = lcm(common, d, e)
-                if common.bit_length() > SWEEP_KEY_BITS:
-                    ends = sorted({end for group in groups for row in group for end in row[:2]}, key=lambda r: Q(*r))
-                    at = {r: 2 * i for i, r in enumerate(ends)}
-                    return [[(at[lo] + (not lo_incl), at[hi] + hi_incl, lo, hi) for lo, hi, lo_incl, hi_incl in rows]
-                            for rows in groups]
+                if common.bit_length() > 64:  # b costs a pass over every end: a call whose lcm stays short skips it
+                    if k is None:
+                        k = 2 * max(end[1] for group in groups for row in group for end in row[:2]).bit_length()
+                    if common.bit_length() > k + 1:
+                        return [[(2 * ((lo[0] << k) // lo[1]) + (not lo_incl), 2 * ((hi[0] << k) // hi[1]) + hi_incl,
+                                  lo, hi) for lo, hi, lo_incl, hi_incl in rows] for rows in groups]
     common *= 2
     return [[(lo[0] * (common // lo[1]) + (not lo_incl), hi[0] * (common // hi[1]) + hi_incl, lo, hi)
              for lo, hi, lo_incl, hi_incl in rows] for rows in groups]

@@ -110,6 +110,22 @@ def audited_rows(monkeypatch):
             monkeypatch.setattr(module, "_region", audited)
 
 
+def force_floor_keys(monkeypatch) -> None:
+    """Send every `space._cut_ranges` call that grows the lcm to the floor
+    keys: the lcm times 3**3000 is still a common multiple, so the lcm keys
+    stay exact, and it passes 2b + 1 bits for every largest denominator of
+    b < 2,377 bits."""
+    monkeypatch.setattr(space_module, "lcm", lambda *a: math.lcm(*a) * 3**3000)
+
+
+@pytest.fixture(params=[False, True], ids=["None", "0"])
+def either_key(request, monkeypatch):
+    """A test on the keys `space._cut_ranges` picks, id `None`, then with
+    the floor keys forced, id `0`."""
+    if request.param:
+        force_floor_keys(monkeypatch)
+
+
 def random_raw_spans(space: Space1D, rng: random.Random, count: int = 4, den: int = 64):
     """Arbitrary (possibly overlapping, sticking-out) dyadic raw spans."""
     spans = []

@@ -2,8 +2,11 @@
 from __future__ import annotations
 
 import bisect
+import itertools
+import math
 import random
 import re
+from collections.abc import Sequence
 
 import pytest
 
@@ -24,7 +27,8 @@ from regopen.rationals import rat
 from regopen.space import Interval, Point, Region, Space1D, Span, ropen_join, ropen_meet, ropen_neg
 
 from conftest import (
-    FIXTURE_SPACES, MIXED, TWO_INTERVALS, UNIT, UNIT_PT, random_plfunc, random_region, region, span_row,
+    FIXTURE_SPACES, MIXED, TWO_INTERVALS, UNIT, UNIT_PT, force_floor_keys, random_plfunc, random_region, region,
+    span_row,
 )
 import space_oracle
 from plmap_oracle import (
@@ -670,10 +674,8 @@ class TestCoveredTwiceOracle:
     ranges joined by `space._merged`, against the coverage sweep it
     replaced, by repr."""
 
-    @pytest.mark.parametrize("bits", [None, 0])
-    def test_runs_match_the_coverage_sweep(self, monkeypatch, bits):
-        if bits is not None:  # every position takes the Fraction-rank fallback
-            monkeypatch.setattr(space, "SWEEP_KEY_BITS", bits)
+    @pytest.mark.usefixtures("either_key")
+    def test_runs_match_the_coverage_sweep(self):
         rng = random.Random(65_000)
         seen = set()
         for i in range(400):
@@ -742,10 +744,8 @@ class TestBranchTableOracle:
     and construction error equal by repr, one derivation swapped in at a
     time, and the decision by rules over the interiors of the runs held twice."""
 
-    @pytest.mark.parametrize("bits", [None, 0])
-    def test_outcomes_match_the_replaced_derivations(self, monkeypatch, bits):
-        if bits is not None:  # every sweep and union takes the Fraction-rank fallback
-            monkeypatch.setattr(space, "SWEEP_KEY_BITS", bits)
+    @pytest.mark.usefixtures("either_key")
+    def test_outcomes_match_the_replaced_derivations(self, monkeypatch):
         oracles = ((PLMap, "is_surjective", is_surjective_by_image),
                    (PLMap, "validate", validate_by_sweeps))
         rng = random.Random(64_000)
@@ -817,10 +817,8 @@ class TestIntegerKernelOracle:
     exactly, types included: carried spans as the Fraction kernel's ends
     read through `as_integer_ratio()`, in order and with their flags."""
 
-    @pytest.mark.parametrize("bits", [None, 0])
-    def test_transports_match_the_fraction_kernel(self, monkeypatch, bits):
-        if bits is not None:  # every sweep takes the Fraction-sort fallback
-            monkeypatch.setattr(space, "SWEEP_KEY_BITS", bits)
+    @pytest.mark.usefixtures("either_key")
+    def test_transports_match_the_fraction_kernel(self):
         rng = random.Random(62_000)
         seen = set()
         for i in range(80):
@@ -898,10 +896,8 @@ class TestClosedTransportOracle:
     against the compositions through image or preimage, closure and
     interior: exactly, on raw regions as well as on regular opens."""
 
-    @pytest.mark.parametrize("bits", [None, 0])
-    def test_psi_and_phi_match_the_compositions(self, monkeypatch, bits):
-        if bits is not None:  # every union takes the Fraction-rank fallback
-            monkeypatch.setattr(space, "SWEEP_KEY_BITS", bits)
+    @pytest.mark.usefixtures("either_key")
+    def test_psi_and_phi_match_the_compositions(self):
         rng = random.Random(63_000)
         seen = set()
         for i in range(60):
@@ -921,6 +917,28 @@ class TestClosedTransportOracle:
                 for v in vs + [v.regularize() for v in vs]:
                     assert _exact(m.phi(v).spans) == _exact(phi_by_composition(m, v).spans)
         assert seen == {"constant piece", "isolated point"}
+
+    def test_coprime_breakpoints_match_the_pairs(self):
+        # every breakpoint, value and region end over its own prime: the carried
+        # rows' lcm passes the switch, so psi and phi cut on the floor keys
+        rng = random.Random(63_001)
+        primes = iter([p for p in range(1009, 2000) if all(p % q for q in range(2, 45))])
+
+        def cuts(count):
+            return sorted(rat(rng.randrange(1, p), p) for p in itertools.islice(primes, count))
+
+        xs, ys = [0] + cuts(31) + [1], [0] + [rat(rng.randrange(1, p), p) for p in itertools.islice(primes, 31)] + [1]
+        m = plmap_from_breakpoints(UNIT, UNIT, list(zip(xs, ys)))
+        u_ends, v_ends = cuts(32), cuts(32)
+        us = [Region(UNIT, [Span(lo, hi, False, True) for lo, hi in zip(u_ends[::2], u_ends[1::2])])]
+        vs = [Region(UNIT, [Span(lo, hi, True, False) for lo, hi in zip(v_ends[::2], v_ends[1::2])])]
+        for u, forward in ((us[0], True), (vs[0], False)):
+            dens = [v[1] for t in plmap._carry(m._branches, u.rows, forward) for v in t[:2]]
+            assert math.lcm(*dens).bit_length() > max(64, 2 * max(dens).bit_length() + 1)
+        for u in us + [u.regularize() for u in us]:
+            assert _exact(m.psi(u).spans) == _exact(psi_by_pairs(m, u).spans)
+        for v in vs + [v.regularize() for v in vs]:
+            assert _exact(m.phi(v).spans) == _exact(phi_by_pairs(m, v).spans)
 
     def test_psi_and_phi_refuse_a_region_over_the_wrong_space(self):
         m = _fold_map(random.Random(66))
@@ -1146,21 +1164,66 @@ class TestWorkCounts:
                 assert built[0] == 0 and got.rows
                 assert got == want
 
-    def test_carried_union_ranks_by_fractions_past_the_key_bound(self, monkeypatch):
-        m = _fold_map(random.Random(65))
+    def test_carried_union_keys_by_floors_past_the_switch(self, monkeypatch):
+        # carried rows whose lcm stays under 64 bits, with the floor keys forced as
+        # well, and rows whose lcm of 105 bits passes 64 and 2b + 1 = 37: each end
+        # at its key, no Fraction compared, and the region of the pairs
         s = Region(UNIT, [Span(rat(k, 7), rat(3 * k + 1, 21), False, True) for k in range(7)])
-        raw = plmap._carry(m._branches, s.rows, False)
-        distinct = len({end for t in raw for end in t[:2]})
-        regions, compared = [], []
-        for bits in (space.SWEEP_KEY_BITS, 0):  # 0: every union takes the Fraction-rank fallback
-            monkeypatch.setattr(space, "SWEEP_KEY_BITS", bits)
-            calls = self._count(monkeypatch, (fractions.Fraction,), "_richcmp")
-            regions.append(space._union(m.domain, raw))
-            compared.append(calls[0])
+        original, built = space._cut_ranges, []
+
+        def recorded(*groups):
+            out = original(*groups)
+            built.append([g[:] for g in out])  # in row order: the walk sorts its ranges in place
+            return out
+
+        short, long = _increasing_bijection(16), _fold_map(random.Random(65))
+        for m, floor, forced in ((short, False, False), (short, True, True), (long, True, False)):
+            raw = plmap._carry(m._branches, s.rows, False)
+            if forced:
+                force_floor_keys(monkeypatch)
+            monkeypatch.setattr(space, "_cut_ranges", recorded)
+            compared = self._count(monkeypatch, (fractions.Fraction,), "_richcmp")
+            got = space._union(m.domain, raw)
+            assert compared[0] == 0
             monkeypatch.undo()
-        assert compared[0] == 0 and compared[1] >= distinct - 1 > 0
-        assert _exact(regions[0].spans) == _exact(regions[1].spans)
-        assert regions[0] == preimage_by_pairs(m, s)
+            dens = [v[1] for t in raw for v in t[:2]]
+            scale = 2 ** (2 * max(dens).bit_length()) if floor else math.lcm(*dens)
+            assert [(lo_at & -2, hi_at & -2) for lo_at, hi_at, _, _ in built.pop()[0]] == [
+                tuple(2 * math.floor(fractions.Fraction(*v) * scale) for v in t[:2]) for t in raw]
+            assert got == preimage_by_pairs(m, s)
+
+    def test_carry_walks_rows_linearly_in_branches_and_rows(self, monkeypatch):
+        # each branch bisects to the first row it can meet and reads on from
+        # there by index, to the first row past its window: no tail is copied
+        class Counted(Sequence):
+            def __init__(self, rows):
+                self.rows, self.reads = rows, 0
+
+            def __len__(self):
+                return len(self.rows)
+
+            def __getitem__(self, i):
+                got = self.rows[i]
+                self.reads += len(got) if isinstance(i, slice) else 1
+                return got
+
+        bisected = [0]
+
+        def locate(rows, lo):
+            before = rows.reads
+            at = space._locate(rows, lo)
+            bisected[0] += rows.reads - before
+            return at
+
+        for n in (256, 1024):
+            m = _increasing_bijection(n)
+            for forward, grid in ((True, lambda i: rat(i, n)), (False, lambda i: rat(i * i, n * n))):
+                rows = Counted(Region(UNIT, [Span(grid(i), grid(i + 1), False, False) for i in range(n)]).rows)
+                bisected[0] = 0
+                with monkeypatch.context() as patch:
+                    patch.setattr(plmap, "_locate", locate)
+                    assert len(plmap._carry(m._branches, rows, forward)) == n
+                assert rows.reads - bisected[0] <= 4 * (n + n) and bisected[0] <= n * n.bit_length()
 
     def test_preimage_visits_only_the_spans_that_meet_each_piece(self, monkeypatch):
         m = _increasing_bijection(64)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import fractions
+import itertools
 import math
 import random
 
@@ -17,6 +18,7 @@ from conftest import (
     UNIT,
     UNIT_PT,
     assert_canonical_rows,
+    force_floor_keys,
     random_raw_spans,
     random_region,
     region,
@@ -282,8 +284,8 @@ class TestGridOracleAgreement:
         _agree_with_grid(seed)
 
     def test_fraction_sort_agrees(self, monkeypatch):
-        # a bound below every lcm sends every `_cut_ranges` call to the Fraction sort
-        monkeypatch.setattr(space_module, "SWEEP_KEY_BITS", 0)
+        # every `_cut_ranges` call that grows the lcm takes the floor keys
+        force_floor_keys(monkeypatch)
         for seed in range(10):
             _agree_with_grid(seed)
 
@@ -321,6 +323,15 @@ def _agree_with_grid(seed: int) -> None:
 
 
 
+def _take_floor_keys(*groups: list[Span]) -> bool:
+    """Whether `_cut_ranges` of each group of spans, with the others or
+    alone, takes the floor keys: the lcm of the group's denominators passes
+    64 bits and 2b + 1, b the bit length of the largest of them all."""
+    dens = [[v.denominator for s in spans for v in (s.lo, s.hi)] for spans in groups]
+    top = max(map(max, dens)).bit_length()
+    return all(math.lcm(*d).bit_length() > max(64, 2 * top + 1) for d in dens)
+
+
 def _primes_from(start: int, count: int) -> list[int]:
     out, k = [], start
     while len(out) < count:
@@ -335,7 +346,7 @@ def _times(spans, factor) -> list[Span]:
 
 
 class TestSweepFallback:
-    """Past `SWEEP_KEY_BITS` the cut positions are ranks from a Fraction sort; the regions do not change."""
+    """Past the lcm's switch the cut positions are floor keys; the regions do not change."""
 
     def test_prime_denominators_match_a_rescaled_integer_sweep(self):
         rng = random.Random(4099)
@@ -351,9 +362,7 @@ class TestSweepFallback:
 
         a_raw, b_raw = raw(primes[:600]), raw(primes[600:])
         a, b = canonicalize(UNIT_PT, a_raw).region, canonicalize(UNIT_PT, b_raw).region
-        for r in (a, b):  # every operation below cuts at least the endpoints of a or of b
-            common = math.lcm(*(v.denominator for s in r.spans for v in (s.lo, s.hi)))
-            assert common.bit_length() > space_module.SWEEP_KEY_BITS
+        assert _take_floor_keys(a.spans, b.spans)  # every operation below cuts at least the endpoints of a or of b
         # the copy scaled by the lcm has integer endpoints, so its cut positions are integer keys
         common = math.lcm(*primes)
         big = Space1D((Interval(0, common), Point(2 * common)))
@@ -456,6 +465,8 @@ _ORACLE_SPACES = (
     Space1D((Interval(0, 1), Point(rat(4, 3)), Interval(rat(3, 2), rat(5, 2)), Point(3), Point(rat(10, 3)))),
 )
 _PRIMES = _primes_from(1009, 40)
+# denominators of 5,000 to 5,004 bits, pairwise coprime
+_HUGE = [p ** math.ceil(5000 / math.log2(p)) for p in _primes_from(3, 12)]
 
 
 def _oracle_raw(space: Space1D, rng: random.Random, den, count: int) -> list[Span]:
@@ -533,10 +544,8 @@ def _agree_with_space_oracle(space: Space1D, a_raw: list, b_raw: list) -> None:
 class TestSpaceOracle:
     """The cut-range set operations, closure and interior against their direct forms."""
 
-    @pytest.mark.parametrize("bits", [None, 0])
-    def test_seeded_regions_match_exactly(self, monkeypatch, bits):
-        if bits is not None:  # every `_cut_ranges` call takes the Fraction-sort fallback
-            monkeypatch.setattr(space_module, "SWEEP_KEY_BITS", bits)
+    @pytest.mark.usefixtures("either_key")
+    def test_seeded_regions_match_exactly(self):
         rng = random.Random(1010)
         dyadic, mixed, prime = (lambda: 1 << rng.randint(0, 10), lambda: rng.randint(1, 60),
                                 lambda: rng.choice(_PRIMES))
@@ -554,10 +563,16 @@ class TestSpaceOracle:
         space = _ORACLE_SPACES[1]
         a_raw = _oracle_raw(space, rng, lambda: next(dens), 400)
         b_raw = _oracle_raw(space, rng, lambda: next(dens), 400)
-        for raw in (a_raw, b_raw):
-            common = math.lcm(*(v.denominator for s in raw for v in (s.lo, s.hi)))
-            assert common.bit_length() > space_module.SWEEP_KEY_BITS
+        assert _take_floor_keys(a_raw, b_raw)
         _agree_with_space_oracle(space, a_raw, b_raw)
+
+    def test_5000_bit_denominators_match_exactly(self):
+        # every end has a denominator of about 5,000 bits, each a power of its own prime
+        rng = random.Random(5000)
+        for space, count in itertools.product(_ORACLE_SPACES, (6, 24)):
+            a_raw, b_raw = (_oracle_raw(space, rng, lambda: rng.choice(_HUGE), count) for _ in range(2))
+            assert _take_floor_keys(a_raw, b_raw)
+            _agree_with_space_oracle(space, a_raw, b_raw)
 
 
 # interval ends with denominators 7, 3 and 6, so no draw's ends are dyadic
@@ -576,7 +591,7 @@ class TestRandomRegularOpenOracle:
             assert _exact(got) == _exact(oracle.random_regular_open_by_fractions(_DRAW_SPACE, seed)), seed
 
     def test_fraction_rank_fallback_draws_match(self, monkeypatch):
-        monkeypatch.setattr(space_module, "SWEEP_KEY_BITS", 0)
+        force_floor_keys(monkeypatch)  # every hull pass whose rows grow the lcm takes the floor keys
         for space in (_DRAW_SPACE,) + FIXTURE_SPACES:
             for seed in range(100):
                 want = oracle.random_regular_open_by_fractions(space, seed)
@@ -661,14 +676,37 @@ class TestWorkCounts:
             assert got.rows and len(got.rows) == len(walks[0]), name
             assert all(row is out for row, out in zip(got.rows, walks[0])), name
 
-    # big denominators of 2,061, 2,090, 2,246 and 4,121 bits: their lcm passes
-    # SWEEP_KEY_BITS at the first distinct denominator, at a middle one, or at the last
-    CROSSINGS = {"first": [3**2600, 1, 2, 3**1300], "middle": [4, 3**1300, 2, 5**900, 7**800, 1],
-                 "last": [2, 3**1300, 4, 3**650, 1, 5**900]}
+    # each case's denominators and the key `_cut_ranges` takes.  The lcm keys: the lcm
+    # stays under 64 bits, or passes 64 but not 2b + 1 (b = 2,061).  The floor keys:
+    # 10- and 11-bit primes pass 64 bits before the last new prime, powers of 2,061 to
+    # 2,246 bits pass 2b + 1 with rows after the switch, or at the last new power
+    KEYS = {"short-lcm": ([1, 2, 4, 3, 16, 6], "lcm"), "long-lcm": ([1, 2, 4, 3**1300, 2, 3**650], "lcm"),
+            "primes": ([1009, 1013, 1019, 1021, 1031, 1033, 1039, 1049], "floor"),
+            "powers": ([4, 3**1300, 2, 5**900, 7**800, 1], "floor"),
+            "last": ([2, 3**1300, 4, 3**650, 1, 5**900, 7**800], "floor")}
 
-    @pytest.mark.parametrize("cross", sorted(CROSSINGS))
-    def test_cut_ranges_grow_the_lcm_only_where_it_grows_and_rank_past_the_bound(self, monkeypatch, cross):
+    @staticmethod
+    def _key_rule(rows) -> tuple[int, str, list]:
+        """The lcm calls, the key and the ends' positions of `_cut_ranges`
+        by its rule, the positions through Fractions: the lcm grows only at a
+        row with a denominator that does not divide it, and once it passes 64
+        and 2b + 1 bits, b the bit length of the largest denominator, it stops
+        and n/d sits at 2 * floor(n/d * 2^2b); until then at 2 * n/d * lcm."""
+        b = max(v[1] for row in rows for v in row[:2]).bit_length()
+        common, grown, key = 1, 0, "lcm"
+        for (_, d), (_, e), _, _ in rows:
+            if common % d or common % e:
+                common, grown = math.lcm(common, d, e), grown + 1
+                if common.bit_length() > max(64, 2 * b + 1):
+                    key = "floor"
+                    break
+        scale = 2 ** (2 * b) if key == "floor" else common
+        return grown, key, [2 * math.floor(fractions.Fraction(*v) * scale) for row in rows for v in row[:2]]
+
+    @pytest.mark.parametrize("case", sorted(KEYS))
+    def test_cut_ranges_keys_by_lcm_then_by_floors(self, monkeypatch, case):
         rng = random.Random(4096)
+        denominators, key = self.KEYS[case]
 
         def ends(denominators):
             out = []
@@ -681,40 +719,55 @@ class TestWorkCounts:
             out += out[::3]  # every third value again
             return out
 
-        def lcm_calls(rows):
-            # the lcm grows only at a row with a denominator that does not divide it, and stops past the bound
-            common, grown = 1, 0
-            for (_, d), (_, e), _, _ in rows:
-                if common % d or common % e:
-                    common, grown = math.lcm(common, d, e), grown + 1
-                    if common.bit_length() > space_module.SWEEP_KEY_BITS:
-                        break
-            return grown
-
-        def ranks(items, key=lambda r: fractions.Fraction(*r)):
-            # 2 * the rank of each item among the distinct items: the Fraction-sort positions
-            rank = {r: 2 * i for i, r in enumerate(sorted(set(items), key=key))}
+        def ranks(items):
+            # the rank of each item among the distinct items: the order of a Fraction sort, ties included
+            rank = {r: i for i, r in enumerate(sorted(set(items), key=lambda r: fractions.Fraction(*r)))}
             return [rank[r] for r in items]
 
         calls = self._counted(monkeypatch, [(space_module, "lcm")])
-        under = ends([1, 2, 4, 3**1300, 2, 3**650])  # below the bound: integer positions
-        crossing = ends(self.CROSSINGS[cross])
-        shuffled = crossing[:]
+        values = ends(denominators)
+        shuffled = values[:]
         rng.shuffle(shuffled)
-        for values in (under, crossing, shuffled):
+        for values in (values, shuffled):
             # rows [v, w), in two groups: each range is (pos(v), pos(w)), and the lcm pass spans both groups
             rows = [(v, w, True, False) for v, w in zip(values[::2], values[1::2])]
             calls["lcm"] = 0
             groups = space_module._cut_ranges(rows[:5], rows[5:])
-            assert calls["lcm"] == lcm_calls(rows)
+            grown, took, want = self._key_rule(rows)
+            assert (calls["lcm"], took) == (grown, key)
             assert [len(g) for g in groups] == [5, len(rows) - 5]
             assert all(r[2:] == row[:2] for r, row in zip(groups[0] + groups[1], rows))
             got = [at for g in groups for r in g for at in r[:2]]
-            if values is under:  # the same order as a Fraction sort, ties included
-                assert all(at % 2 == 0 for at in got)
-                assert ranks(got, key=None) == ranks(values) != got  # integer positions, not ranks
-            else:
-                assert got == ranks(values)
+            assert got == want
+            assert ranks([(at, 1) for at in got]) == ranks(values)
+
+    def test_set_operations_on_5000_bit_coprime_ends_build_no_fraction(self, monkeypatch):
+        # the floor keys, like the lcm keys, are integers computed from the rows alone
+        rng = random.Random(5000)
+
+        def raw():
+            # six disjoint spans in [0, 1], each end over its own one of the twelve denominators
+            ends = sorted(rat(rng.randrange(1, d), d) for d in _HUGE)
+            return [Span(lo, hi, rng.random() < 0.5, rng.random() < 0.5) for lo, hi in zip(ends[::2], ends[1::2])]
+
+        a_raw, b_raw = raw(), raw() + [Span(rat(2), rat(2), True, True)]
+        a, b = Region(UNIT_PT, a_raw), Region(UNIT_PT, b_raw)
+        assert _take_floor_keys(a_raw, b_raw) and _take_floor_keys(a.spans, b.spans)
+
+        def no_fraction(*args):
+            raise AssertionError("a Fraction was built")
+
+        monkeypatch.setattr(space_module, "Q", no_fraction)
+        ops = {"union": lambda: a.union(b), "intersect": lambda: a.intersect(b),
+               "difference": lambda: a.difference(b), "complement": a.complement, "perp": a.perp,
+               "join": lambda: ropen_join(a, b), "canonicalize": lambda: canonicalize(UNIT_PT, b_raw).region}
+        got = {name: op() for name, op in ops.items()}
+        monkeypatch.undo()
+        want = {"union": oracle.union(a, b), "intersect": oracle.intersect(a, b),
+                "difference": oracle.difference(a, b), "complement": oracle.complement(a),
+                "perp": oracle.perp_by_composition(a), "join": oracle.join_by_composition(a, b), "canonicalize": b}
+        assert all(got[name].rows for name in ops)
+        assert {name: _exact(r) for name, r in got.items()} == {name: _exact(r) for name, r in want.items()}
 
     def test_join_and_perp_build_no_closure(self, monkeypatch):
         # the closure of a cut range is read off its positions: (lo_at & -2, hi_at | 1)
